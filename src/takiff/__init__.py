@@ -4,7 +4,6 @@ decompositions of invariant-annihilating polynomial vector fields."""
 from .errors import (
     DecompositionRefused,
     InternalConsistencyError,
-    RegistryError,
     StructuralError,
     TakiffError,
     ValidationError,
@@ -51,7 +50,6 @@ from .takiff_algebra import (
 )
 from .invariants import (
     InvariantFamily,
-    KillingField,
     apply_killing,
     cylindrical_invariance_check,
     extract_linear_part,
@@ -67,7 +65,6 @@ from .decompose import (
     BaseSolver,
     Decomposition,
     QuadraticBaseSolver,
-    SolverRegistry,
     TrivialBaseSolver,
     VectorField,
     annihilates_invariants,

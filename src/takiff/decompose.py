@@ -20,6 +20,14 @@ re-tag the top block f_m as a parameter, decompose the truncated field,
 subtract the correction c_m = sum_{r<m} rho(b_r) f_{m-r}, and base-solve the
 residual against f_0 with every other block as a parameter.
 
+Three guards remain on that path. The annihilation precheck runs once, at
+the top level, and is the only source of refusals. Each level asserts that
+its residual is tangent to the base invariant, and the base solvers re-check
+their own reconstruction exactly. The truncated field needs no second
+precheck: a curve coefficient Phi_k with k < m is the same polynomial at
+levels m and m-1 and does not involve f_m, so the truncated field's residual
+against Phi_k is, term for term, the top-level residual already found zero.
+
 Decompositions are not unique; only the reconstruction identity is promised.
 """
 
@@ -33,11 +41,15 @@ from . import matrices as mx
 from .errors import (
     DecompositionRefused,
     InternalConsistencyError,
-    RegistryError,
     StructuralError,
     ValidationError,
 )
-from .invariants import InvariantFamily, lift_family, quadratic_invariant
+from .invariants import (
+    InvariantFamily,
+    killing_combination,
+    lift_family,
+    quadratic_invariant,
+)
 from .lie import BilinearForm, Representation
 from .poly import PARAMETER, STATE, Polynomial, Ring, Var, VariableBlock, matrix_apply
 from .takiff_algebra import LiftedRepresentation, build_lift
@@ -340,29 +352,6 @@ class TrivialBaseSolver:
         return (zero,) * self.rep.algebra.dim
 
 
-class SolverRegistry:
-    """Write-once association of base representations with their solvers."""
-
-    def __init__(self):
-        self._solvers: dict[Representation, BaseSolver] = {}
-
-    def register(self, solver: BaseSolver) -> BaseSolver:
-        if solver.rep in self._solvers:
-            raise RegistryError(
-                f"a solver is already registered for this representation "
-                f"of {solver.rep.algebra.names}")
-        self._solvers[solver.rep] = solver
-        return solver
-
-    def lookup(self, rep: Representation) -> BaseSolver:
-        solver = self._solvers.get(rep)
-        if solver is None:
-            raise RegistryError(
-                f"no base solver registered for this representation "
-                f"of {rep.algebra.names}")
-        return solver
-
-
 def builtin_solver(rep: Representation,
                    gram: Sequence[Sequence[Fraction]] | None = None) -> BaseSolver:
     """The built-in solver for a representation: trivial or quadratic.
@@ -384,28 +373,6 @@ def builtin_solver(rep: Representation,
 # The level recursion
 # ---------------------------------------------------------------------------
 
-def _apply_at_block(rep: Representation, coeffs: Sequence[Polynomial],
-                    ring: Ring, block: VariableBlock) -> list[Polynomial]:
-    """Components of sum_i coeffs[i] * rho(x_i) applied to one block's variables."""
-    n = rep.space_dim
-    if block.size != n:
-        raise StructuralError(
-            f"block {block.name!r} has size {block.size}, expected {n}")
-    out = [Polynomial.zero(ring)] * n
-    for i, coeff in enumerate(coeffs):
-        if coeff.is_zero():
-            continue
-        matrix = rep.matrices[i]
-        for t in range(n):
-            row = matrix[t]
-            velocity = Polynomial.linear(
-                ring, {(block.name, s): row[s] for s in range(n) if row[s]})
-            if velocity.is_zero():
-                continue
-            out[t] = out[t] + coeff * velocity
-    return out
-
-
 def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
                            coefficients: Sequence[Sequence[Polynomial]],
                            ) -> tuple[Polynomial, ...]:
@@ -425,7 +392,8 @@ def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
     for j in range(m + 1):
         acc = [Polynomial.zero(ring)] * lifted.block_size
         for r in range(j + 1):
-            part = _apply_at_block(lifted.base_rep, coefficients[r], ring, blocks[j - r])
+            part = killing_combination(lifted.base_rep, coefficients[r], ring,
+                                       list(blocks[j - r].variables()))
             acc = [u + v for u, v in zip(acc, part)]
         out.extend(acc)
     return tuple(out)
@@ -458,11 +426,14 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
                      field: VectorField) -> Decomposition:
     """Decompose an annihilating field on V_m into Killing coefficients.
 
-    The annihilation precondition is checked against the solver's family
-    lifted to level m; failure is a refusal with the residual as witness.
-    On success the returned coefficients satisfy the reconstruction identity
-    exactly (an inner assertion, never expected to fire, guards each step of
-    the level recursion).
+    The annihilation precondition is checked once, against the solver's
+    family lifted to level m; failure is a refusal with the first nonzero
+    residual as witness. The lower levels of the recursion are not checked
+    again: for k < m the level-(m-1) residual against Phi_k equals the
+    level-m one, since Phi_k does not involve f_m. On success the returned
+    coefficients satisfy the reconstruction identity exactly; the per-level
+    tangency assertion and the base solvers' reconstruction checks, never
+    expected to fire, guard each step of the recursion.
     """
     if solver.rep != lifted.base_rep:
         raise StructuralError(
@@ -490,24 +461,20 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
     blocks = field.state_blocks
     top = blocks[-1]
 
-    # recurse with f_m as a parameter; the truncation still annihilates
-    # because no lifted generator of level m-1 involves f_m
+    # recurse with f_m as a parameter; the truncation annihilates Phi_0..Phi_{m-1}
+    # by the top-level precheck, as none of them involves f_m
     sub_ring = ring.with_role(top.name, PARAMETER)
     sub_field = VectorField(
         sub_ring, tuple(p.cast(sub_ring) for p in field.components[:m * n]))
     sub_lift = build_lift(lifted.base_rep, m - 1)
-    sub_generators = lifted_generators_for(sub_lift, solver.family, sub_ring)
-    ok, witness = annihilates_invariants(sub_field, sub_generators)
-    if not ok:
-        raise InternalConsistencyError(
-            f"truncated field stopped annihilating at level {m - 1}: {witness}")
     sub_dec = _decompose_annihilating(sub_lift, solver, sub_field)
     lower = tuple(tuple(p.cast(ring) for p in level)
                   for level in sub_dec.coefficients)
 
     correction = [Polynomial.zero(ring)] * n
     for r in range(m):
-        part = _apply_at_block(lifted.base_rep, lower[r], ring, blocks[m - r])
+        part = killing_combination(lifted.base_rep, lower[r], ring,
+                                   list(blocks[m - r].variables()))
         correction = [u + v for u, v in zip(correction, part)]
     residual = [a - c for a, c in
                 zip(field.components[m * n:], correction)]

@@ -34,7 +34,3 @@ class InternalConsistencyError(TakiffError):
     linear-part splitter. Firing one of these indicates a bug or an invalid
     hand-built input, never a legitimate refusal.
     """
-
-
-class RegistryError(TakiffError):
-    """Duplicate or inconsistent base-solver registration."""

@@ -51,36 +51,33 @@ def _state_coordinates(ring: Ring, space_dim: int) -> list[Var]:
     return coords
 
 
-def killing_velocity(rep: Representation, x_index: int, ring: Ring) -> tuple[Polynomial, ...]:
+def killing_velocity(rep: Representation, x_index: int, ring: Ring,
+                     coords: Sequence[Var]) -> tuple[Polynomial, ...]:
     """Components of the Killing field of basis element x_index over ``ring``.
 
-    The ring's state blocks, flattened in order, are the coordinates of the
-    representation space; entry i is the linear polynomial (rho(x) v)_i.
+    ``coords`` are the ring variables standing for the coordinates of the
+    representation space, in order; entry i is the linear polynomial
+    (rho(x) v)_i in them.
     """
-    coords = _state_coordinates(ring, rep.space_dim)
-    matrix = rep.matrices[x_index]
-    out = []
-    for row in matrix:
-        out.append(Polynomial.linear(
-            ring, {coords[b]: row[b] for b in range(len(coords)) if row[b]}))
-    return tuple(out)
+    if len(coords) != rep.space_dim:
+        raise StructuralError(
+            f"{len(coords)} coordinates for representation space {rep.space_dim}")
+    return tuple(
+        Polynomial.linear(ring, {coords[b]: row[b] for b in range(len(coords)) if row[b]})
+        for row in rep.matrices[x_index])
 
 
 def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynomial:
     """Exact action of the Killing field of basis element x_index on phi."""
     if not 0 <= x_index < rep.algebra.dim:
         raise StructuralError(f"basis index {x_index} out of range")
-    coords = _state_coordinates(phi.ring, rep.space_dim)
-    matrix = rep.matrices[x_index]
+    coords = phi.ring.state_variables()
+    velocity = killing_velocity(rep, x_index, phi.ring, coords)
     total = Polynomial.zero(phi.ring)
-    for a, var in enumerate(coords):
+    for var, vel in zip(coords, velocity):
         dphi = phi.derivative(var)
-        if dphi.is_zero():
-            continue
-        row = matrix[a]
-        velocity = Polynomial.linear(
-            phi.ring, {coords[b]: row[b] for b in range(len(coords)) if row[b]})
-        total = total + velocity * dphi
+        if not dphi.is_zero():
+            total = total + vel * dphi
     return total
 
 
@@ -89,30 +86,19 @@ def is_invariant(rep: Representation, phi: Polynomial) -> bool:
 
 
 def killing_combination(rep: Representation, coeffs: Sequence[Polynomial],
-                        ring: Ring) -> tuple[Polynomial, ...]:
-    """Components of sum_i coeffs[i] * (rho(x_i) v) over the ring's state coordinates."""
+                        ring: Ring, coords: Sequence[Var]) -> tuple[Polynomial, ...]:
+    """Components of sum_i coeffs[i] * (rho(x_i) v) in the coordinates ``coords``."""
     if len(coeffs) != rep.algebra.dim:
-        raise StructuralError("one coefficient per basis element required")
-    n = rep.space_dim
-    out = [Polynomial.zero(ring)] * n
+        raise StructuralError(
+            f"{len(coeffs)} coefficients for {rep.algebra.dim} basis elements")
+    out = [Polynomial.zero(ring)] * rep.space_dim
     for i, coeff in enumerate(coeffs):
         if coeff.is_zero():
             continue
-        velocity = killing_velocity(rep, i, ring)
-        out = [acc + coeff * vel for acc, vel in zip(out, velocity)]
+        for t, vel in enumerate(killing_velocity(rep, i, ring, coords)):
+            if not vel.is_zero():
+                out[t] = out[t] + coeff * vel
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class KillingField:
-    """The vector field attached to a fixed algebra element."""
-
-    rep: Representation
-    element: tuple[Fraction, ...]
-
-    def components(self, ring: Ring) -> tuple[Polynomial, ...]:
-        coeffs = [Polynomial.constant(ring, c) for c in self.element]
-        return killing_combination(self.rep, coeffs, ring)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ class BilinearForm:
 # ---------------------------------------------------------------------------
 
 def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
-                          check_closure: bool = True) -> tuple[LieAlgebra, Representation]:
+                          ) -> tuple[LieAlgebra, Representation]:
     """Structure constants of a matrix Lie algebra with the given basis.
 
     Pairwise commutators are expressed over the basis by exact linear solving;
@@ -216,7 +216,7 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
             if coeffs is None:
                 raise ValidationError(
                     f"[{names[i]}, {names[j]}] is outside the span of the basis")
-            if check_closure and mx.mat_vec(flat_basis, coeffs) != target:
+            if mx.mat_vec(flat_basis, coeffs) != target:
                 raise ValidationError("inconsistent solve for structure constants")
             plane.append(tuple(coeffs))
         constants.append(tuple(plane))

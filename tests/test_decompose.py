@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from takiff import decompose
 from takiff import matrices as mx
 from takiff.decompose import (
     Decomposition,
     QuadraticBaseSolver,
-    SolverRegistry,
     TrivialBaseSolver,
     VectorField,
     annihilates_invariants,
@@ -24,7 +24,6 @@ from takiff.decompose import (
 )
 from takiff.errors import (
     DecompositionRefused,
-    RegistryError,
     StructuralError,
     ValidationError,
 )
@@ -39,6 +38,7 @@ from takiff.lie import (
     so_n,
 )
 from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock, matrix_apply
+from takiff.randgen import generate_instance
 from takiff.takiff_algebra import build_lift
 
 
@@ -217,18 +217,6 @@ def test_builtin_solver_dispatch():
     assert solver.form.gram == mx.identity(2)
 
 
-def test_registry_is_write_once():
-    _, rho = abelian(2)
-    registry = SolverRegistry()
-    solver = registry.register(TrivialBaseSolver(rho))
-    assert registry.lookup(rho) is solver
-    with pytest.raises(RegistryError):
-        registry.register(TrivialBaseSolver(rho))
-    _, other = so_n(2)
-    with pytest.raises(RegistryError):
-        registry.lookup(other)
-
-
 def check_roundtrip(rho, m, coefficient_builder, params=()):
     lifted = build_lift(rho, m)
     ring = level_ring(m, rho.space_dim, params)
@@ -291,6 +279,36 @@ def test_decompose_refuses_with_witness():
         takiff_decompose(lifted, solver, radial)
     assert info.value.witness is not None
     assert not info.value.witness.is_zero()
+
+
+def test_decompose_prechecks_annihilation_once(monkeypatch):
+    inst = generate_instance("so_n", 3, seed=11, n=3)
+    solver = builtin_solver(inst.rep)
+    calls = []
+    original = decompose.annihilates_invariants
+
+    def counted(field, generators):
+        calls.append(field.level)
+        return original(field, generators)
+
+    monkeypatch.setattr(decompose, "annihilates_invariants", counted)
+    dec = takiff_decompose(inst.lifted, solver, inst.field)
+    assert verify_decomposition(inst.lifted, inst.field, dec)[0]
+    assert calls == [3]
+
+    # f_3 += p f_0 breaks only Phi_3, whose f_3-gradient is f_0
+    ring = inst.field.ring
+    blocks = ring.state_blocks()
+    f0 = variables(ring, blocks[0].name, 3)
+    p = Polynomial.variable(ring, (blocks[1].name, 0)) * 2 + 1
+    comps = list(inst.field.components)
+    for i in range(3):
+        comps[3 * 3 + i] = comps[3 * 3 + i] + p * f0[i]
+    calls.clear()
+    with pytest.raises(DecompositionRefused) as info:
+        takiff_decompose(inst.lifted, solver, VectorField(ring, tuple(comps)))
+    assert calls == [3]
+    assert info.value.witness == p * sum((x * x for x in f0), start=Polynomial.zero(ring))
 
 
 def test_decompose_shape_checks():

@@ -9,7 +9,6 @@ from takiff import matrices as mx
 from takiff.errors import InternalConsistencyError, StructuralError, ValidationError
 from takiff.invariants import (
     InvariantFamily,
-    KillingField,
     apply_killing,
     cylindrical_invariance_check,
     default_lift_blocks,
@@ -58,7 +57,10 @@ def test_killing_velocity_of_rotation():
     _, rho = so_n(2)
     ring = state_ring(2)
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
-    assert killing_velocity(rho, 0, ring) == (-x1, x0)
+    coords = ring.state_variables()
+    assert killing_velocity(rho, 0, ring, coords) == (-x1, x0)
+    with pytest.raises(StructuralError):
+        killing_velocity(rho, 0, ring, coords[:1])
 
 
 def test_apply_killing_rotation():
@@ -89,14 +91,15 @@ def test_killing_combination_and_field():
     _, rho = so_n(3)
     ring = state_ring(3)
     coeffs = [Polynomial.constant(ring, c) for c in (1, 0, 2)]
-    combo = killing_combination(rho, coeffs, ring)
+    coords = ring.state_variables()
+    combo = killing_combination(rho, coeffs, ring, coords)
     manual = mx.add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
-    field = KillingField(rho, (Fraction(1), Fraction(0), Fraction(2)))
-    assert field.components(ring) == combo
     with pytest.raises(StructuralError):
-        killing_combination(rho, coeffs[:2], ring)
+        killing_combination(rho, coeffs[:2], ring, coords)
+    with pytest.raises(StructuralError):
+        killing_combination(rho, coeffs + coeffs[:1], ring, coords)
 
 
 def test_invariant_family_is_verified():

@@ -191,6 +191,32 @@ def test_cli_generate_decompose_verify(tmp_path):
                  "--dec", dec_only]) == 0
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda level: level + [[{"coeff": "1", "exps": {}}]],
+    lambda level: level[:-1],
+], ids=["extra", "missing"])
+def test_cli_verify_rejects_wrong_coefficient_count(tmp_path, capsys, reshape):
+    gen = tmp_path / "inst.json"
+    assert main(["generate", "--kind", "so_n", "--n", "3", "--level", "1",
+                 "--seed", "5", "--out", str(gen)]) == 0
+    payload = read_json(gen)
+    rep = write_json(tmp_path / "rep.json", payload["representation"])
+    field = write_json(tmp_path / "field.json", payload["field"])
+    decomposed = tmp_path / "decomposed.json"
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field,
+                 "--out", str(decomposed)]) == 0
+    dec = read_json(decomposed)["decomposition"]
+    dec["coefficients"] = [reshape(level) for level in dec["coefficients"]]
+    dec_path = write_json(tmp_path / "dec.json", dec)
+    capsys.readouterr()
+    assert main(["verify", "--rep", rep, "--level", "1", "--field", field,
+                 "--dec", dec_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "coefficient" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_decompose_refusal_exit_code(tmp_path):
     _, rho = so_n(2)
     rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
