@@ -13,11 +13,11 @@ from .poly import (
     STATE,
     Monomial,
     Polynomial,
-    PolyMap,
     Ring,
     Scalar,
     Var,
     VariableBlock,
+    VectorField,
     matrix_apply,
     substitute_curve,
 )
@@ -66,7 +66,6 @@ from .decompose import (
     Decomposition,
     QuadraticBaseSolver,
     TrivialBaseSolver,
-    VectorField,
     annihilates_invariants,
     builtin_solver,
     field_from_coefficients,

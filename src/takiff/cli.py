@@ -1,30 +1,28 @@
 """Command-line surface: build, lift, check, decompose, verify, generate.
 
 Every subcommand reads and writes the JSON formats of jsonio; output goes to
-stdout unless --out is given. Exit codes for decompose: 0 decomposed and
+stdout unless --out is given. Malformed input, including JSON that does not
+parse or does not have the documented shape, is reported on stderr as
+``error: ...`` with exit code 1. Exit codes for decompose: 0 decomposed and
 verified, 2 precondition refused (witness printed), 3 internal-consistency
-failure. The environment variable TAKIFF_SEED overrides any --seed flag.
+failure. Seeded commands read their seed from --seed alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
 from .decompose import (
-    Decomposition,
     builtin_solver,
     takiff_decompose,
     verify_decomposition,
 )
 from .errors import DecompositionRefused, InternalConsistencyError, TakiffError
-from .invariants import apply_killing, is_invariant, lift_invariant, tangency_check
+from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
-from .poly import PolyMap
 from .randgen import generate_instance
 from .suites import RunConfig, run_suite, summary_lines
 from .takiff_algebra import build_lift, build_takiff, verify_flip_identity
@@ -48,13 +46,6 @@ def _emit_lines(lines, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("TAKIFF_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _gram_for(rep, choice: str):
@@ -113,14 +104,8 @@ def cmd_check_invariant(args) -> int:
 def cmd_tangency(args) -> int:
     rep = jsonio.representation_from_json(_read(args.rep))
     field = jsonio.field_from_json(_read(args.field))
-    data = _read(args.points)
-    points = [[Fraction(v) for v in row] for row in data["points"]]
-    params = data.get("parameters")
-    if params is not None:
-        params = [[Fraction(v) for v in row] for row in params]
-    fld = PolyMap(field.ring, field.components,
-                  tuple((b.name, b.size) for b in field.state_blocks))
-    results = tangency_check(rep, fld, points, params)
+    points, params = jsonio.points_from_json(_read(args.points))
+    results = tangency_check(rep, field, points, params)
     payload = [{
         "point": [jsonio.scalar_to_str(v) for v in r.point],
         "member": r.member,
@@ -222,7 +207,7 @@ def cmd_verify_flip(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    config = RunConfig(seed=_seed(args), suites=tuple(args.names))
+    config = RunConfig(seed=args.seed, suites=tuple(args.names))
     reports = run_suite(config)
     if args.human:
         _emit_lines(summary_lines(reports), args.out)
@@ -238,7 +223,7 @@ def cmd_generate(args) -> int:
         if value is not None:
             kind_params[key] = value
     inst = generate_instance(
-        args.kind, args.level, _seed(args), max_degree=args.degree,
+        args.kind, args.level, args.seed, max_degree=args.degree,
         num_terms=args.terms, parameters=args.parameters,
         coeff_bound=args.coeff_bound, **kind_params)
     payload = {

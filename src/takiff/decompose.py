@@ -51,58 +51,17 @@ from .invariants import (
     quadratic_invariant,
 )
 from .lie import BilinearForm, Representation
-from .poly import PARAMETER, STATE, Polynomial, Ring, Var, VariableBlock, matrix_apply
+from .poly import (
+    PARAMETER,
+    STATE,
+    Polynomial,
+    Ring,
+    Var,
+    VariableBlock,
+    VectorField,
+    matrix_apply,
+)
 from .takiff_algebra import LiftedRepresentation, build_lift
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """A polynomial self-map of the state space, with parameter blocks.
-
-    The ring's state blocks, in order, are the level blocks f_0..f_m of V_m
-    (a single block for a field on V itself); components are listed in that
-    flattened order and may involve every block of the ring.
-    """
-
-    ring: Ring
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        blocks = self.ring.state_blocks()
-        if not blocks:
-            raise StructuralError("a vector field needs at least one state block")
-        n = blocks[0].size
-        for b in blocks:
-            if b.size != n:
-                raise StructuralError(
-                    f"state blocks must share one size, got {b.size} and {n}")
-        if len(self.components) != n * len(blocks):
-            raise StructuralError(
-                f"{len(self.components)} components for state dimension {n * len(blocks)}")
-        for p in self.components:
-            if p.ring != self.ring:
-                raise StructuralError("all components must share the field's ring")
-
-    @property
-    def state_blocks(self) -> tuple[VariableBlock, ...]:
-        return self.ring.state_blocks()
-
-    @property
-    def level(self) -> int:
-        return len(self.state_blocks) - 1
-
-    @property
-    def block_size(self) -> int:
-        return self.state_blocks[0].size
-
-    def block_components(self, j: int) -> tuple[Polynomial, ...]:
-        n = self.block_size
-        return self.components[j * n:(j + 1) * n]
-
-    @staticmethod
-    def zero(ring: Ring) -> "VectorField":
-        total = sum(b.size for b in ring.state_blocks())
-        return VectorField(ring, (Polynomial.zero(ring),) * total)
 
 
 @dataclass(frozen=True)
@@ -141,25 +100,14 @@ def annihilates_invariants(field: VectorField,
     Returns (True, None) when sum_{j,i} a_{j,i} dPhi/df_{j,i} vanishes
     identically for every generator Phi, else (False, first nonzero residual).
     """
-    blocks = field.state_blocks
     ring = field.ring
+    velocity = dict(zip(ring.state_variables(), field.components))
     for phi in lifted_generators:
         for b in phi.ring.blocks:
             if not ring.has_block(b.name) or ring.block(b.name).size != b.size:
                 raise StructuralError(
                     f"generator block {b.name!r} missing from field ring {ring.names()}")
-        residual = Polynomial.zero(ring)
-        k = 0
-        for blk in blocks:
-            for i in range(blk.size):
-                a = field.components[k]
-                k += 1
-                if a.is_zero() or not phi.ring.has_var((blk.name, i)):
-                    continue
-                d = phi.derivative((blk.name, i))
-                if d.is_zero():
-                    continue
-                residual = residual + a * d.cast(ring)
+        residual = phi.cast(ring).directional_derivative(velocity)
         if not residual.is_zero():
             return False, residual
     return True, None
@@ -190,13 +138,7 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
     gram = form.gram
     xs = [Polynomial.variable(ring, (x.name, j)) for j in range(n)]
 
-    c = []
-    for i in range(n):
-        acc = Polynomial.zero(ring)
-        for j in range(n):
-            if gram[i][j]:
-                acc = acc + a[j] * gram[i][j]
-        c.append(acc)
+    c = matrix_apply(gram, a)
     syzygy = Polynomial.zero(ring)
     for i in range(n):
         syzygy = syzygy + c[i] * xs[i]
@@ -303,21 +245,12 @@ class QuadraticBaseSolver:
     def solve(self, field: VectorField) -> tuple[Polynomial, ...]:
         matrix = quadratic_base_solve(self.form, field)
         n = self.rep.space_dim
-        d = self.rep.algebra.dim
-        ring = field.ring
-        zero = Polynomial.zero(ring)
-        flat_m = [matrix[r][s] for r in range(n) for s in range(n)]
-        coeffs = tuple(
-            sum((flat_m[row] * self._pivot_inverse[i][j]
-                 for j, row in enumerate(self._pivot_rows)
-                 if self._pivot_inverse[i][j]), start=zero)
-            for i in range(d))
-        for idx in range(n * n):
-            recon = sum((coeffs[i] * self._flat[idx][i]
-                         for i in range(d) if self._flat[idx][i]), start=zero)
-            if recon != flat_m[idx]:
-                raise InternalConsistencyError(
-                    "homotopy matrix fell outside the span of the basis images")
+        flat_m = tuple(matrix[r][s] for r in range(n) for s in range(n))
+        coeffs = matrix_apply(self._pivot_inverse,
+                              [flat_m[row] for row in self._pivot_rows])
+        if matrix_apply(self._flat, coeffs) != flat_m:
+            raise InternalConsistencyError(
+                "homotopy matrix fell outside the span of the basis images")
         return coeffs
 
 
@@ -416,12 +349,6 @@ def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
     return all(p.is_zero() for p in residuals), residuals
 
 
-def lifted_generators_for(lifted: LiftedRepresentation, family: InvariantFamily,
-                          ring: Ring) -> list[Polynomial]:
-    """The family's generators lifted over the ring's state blocks."""
-    return lift_family(lifted, family, ring.state_blocks())
-
-
 def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
                      field: VectorField) -> Decomposition:
     """Decompose an annihilating field on V_m into Killing coefficients.
@@ -442,16 +369,19 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
         raise StructuralError(
             f"field shape (level {field.level}, block {field.block_size}) does "
             f"not match the lift (level {lifted.level}, block {lifted.block_size})")
-    generators = lifted_generators_for(lifted, solver.family, field.ring)
+    generators = lift_family(lifted, solver.family, field.state_blocks)
     ok, witness = annihilates_invariants(field, generators)
     if not ok:
         raise DecompositionRefused(
             "field does not annihilate the lifted invariants", witness=witness)
-    return _decompose_annihilating(lifted, solver, field)
+    return _decompose_annihilating(lifted, solver, field,
+                                   generators[::lifted.level + 1])
 
 
 def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
-                            field: VectorField) -> Decomposition:
+                            field: VectorField,
+                            base_invariants: Sequence[Polynomial]) -> Decomposition:
+    """The recursion below the precheck; ``base_invariants`` are the phi(f_0)."""
     m = lifted.level
     ring = field.ring
     if m == 0:
@@ -467,7 +397,7 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
     sub_field = VectorField(
         sub_ring, tuple(p.cast(sub_ring) for p in field.components[:m * n]))
     sub_lift = build_lift(lifted.base_rep, m - 1)
-    sub_dec = _decompose_annihilating(sub_lift, solver, sub_field)
+    sub_dec = _decompose_annihilating(sub_lift, solver, sub_field, base_invariants)
     lower = tuple(tuple(p.cast(ring) for p in level)
                   for level in sub_dec.coefficients)
 
@@ -479,16 +409,9 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
     residual = [a - c for a, c in
                 zip(field.components[m * n:], correction)]
 
-    for phi in solver.family.generators:
-        src = phi.ring.blocks[0]
-        into_f0 = {(src.name, i): Polynomial.variable(ring, (blocks[0].name, i))
-                   for i in range(n)}
-        pairing = Polynomial.zero(ring)
-        for t in range(n):
-            d = phi.derivative((src.name, t))
-            if d.is_zero() or residual[t].is_zero():
-                continue
-            pairing = pairing + residual[t] * d.substitute(into_f0, ring)
+    along_f0 = dict(zip(blocks[0].variables(), residual))
+    for phi_0 in base_invariants:
+        pairing = phi_0.cast(ring).directional_derivative(along_f0)
         if not pairing.is_zero():
             raise InternalConsistencyError(
                 f"level-{m} residual is not tangent to the base invariant: {pairing}")

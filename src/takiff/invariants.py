@@ -32,10 +32,10 @@ from .poly import (
     STATE,
     Monomial,
     Polynomial,
-    PolyMap,
     Ring,
     Var,
     VariableBlock,
+    VectorField,
     fresh_name,
     substitute_curve,
 )
@@ -73,12 +73,7 @@ def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynom
         raise StructuralError(f"basis index {x_index} out of range")
     coords = phi.ring.state_variables()
     velocity = killing_velocity(rep, x_index, phi.ring, coords)
-    total = Polynomial.zero(phi.ring)
-    for var, vel in zip(coords, velocity):
-        dphi = phi.derivative(var)
-        if not dphi.is_zero():
-            total = total + vel * dphi
-    return total
+    return phi.directional_derivative(dict(zip(coords, velocity)))
 
 
 def is_invariant(rep: Representation, phi: Polynomial) -> bool:
@@ -223,14 +218,18 @@ def faa_di_bruno_lift(phi: Polynomial, m: int,
     into_f0 = {(x_name, i): Polynomial.variable(target, (blocks[0].name, i))
                for i in range(n)}
 
+    # directions[j - 1] is the velocity x_i -> f_{j,i} of D_{f_j}
+    directions = [{(x_name, i): Polynomial.variable(work, (b.name, i)) for i in range(n)}
+                  for b in blocks[1:]]
+
     out = [phi_work.substitute(into_f0, target)]
     for k in range(1, m + 1):
         total = Polynomial.zero(target)
         for q in _weighted_partitions(k):
             term = phi_work
-            for j, qj in enumerate(q, start=1):
+            for qj, direction in zip(q, directions):
                 for _ in range(qj):
-                    term = _directional_derivative(term, x_name, blocks[j].name, n)
+                    term = term.directional_derivative(direction)
                 if term.is_zero():
                     break
             if term.is_zero():
@@ -244,16 +243,6 @@ def faa_di_bruno_lift(phi: Polynomial, m: int,
 def _rename_block(mono: Monomial, new: str) -> Monomial:
     """Rename every variable of a single-block monomial into block ``new``."""
     return Monomial.from_map({(new, idx): e for (_, idx), e in mono.exps})
-
-
-def _directional_derivative(p: Polynomial, x_name: str, dir_name: str, n: int) -> Polynomial:
-    total = Polynomial.zero(p.ring)
-    for i in range(n):
-        dp = p.derivative((x_name, i))
-        if dp.is_zero():
-            continue
-        total = total + Polynomial.variable(p.ring, (dir_name, i)) * dp
-    return total
 
 
 def extract_linear_part(phi_k: Polynomial, k: int,
@@ -323,7 +312,7 @@ class TangencyResult:
     witness: tuple[Fraction, ...] | None
 
 
-def tangency_check(rep: Representation, fld: PolyMap,
+def tangency_check(rep: Representation, fld: VectorField,
                    points: Sequence[Sequence[Fraction]],
                    parameter_values: Sequence[Sequence[Fraction]] | None = None,
                    ) -> list[TangencyResult]:

@@ -10,6 +10,11 @@ with exponent keys "block.index" (the index is everything after the last
 dot, so block names must not end in ".<digits>"). Terms are sorted by
 monomial and all objects are dumped with sorted keys, so equal values always
 serialize to identical bytes.
+
+Readers accept nothing inexact or truncated: a scalar is a JSON string or
+integer, and sizes, dimensions and exponents are JSON integers (never
+booleans or floats). Text that does not parse, a missing key and a value of
+the wrong JSON type all raise StructuralError.
 """
 
 from __future__ import annotations
@@ -18,18 +23,40 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .decompose import Decomposition, VectorField
+from .decompose import Decomposition
 from .errors import StructuralError
 from .lie import BilinearForm, LieAlgebra, Representation
 from .matrices import Matrix
-from .poly import Monomial, Polynomial, Ring, Var, VariableBlock
+from .poly import Monomial, Polynomial, Ring, Var, VariableBlock, VectorField
+
+
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
+               str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``; a bool is never an int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise StructuralError(
+            f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _get(data, key: str, kind: type):
+    """``data[key]``: ``data`` must be a JSON object holding ``key`` of type ``kind``."""
+    if key not in _expect(data, dict, f"the value holding {key!r}"):
+        raise StructuralError(f"missing key {key!r}")
+    return _expect(data[key], kind, repr(key))
 
 
 def scalar_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def scalar_from_str(text: str) -> Fraction:
+def scalar_from_str(text: str | int) -> Fraction:
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise StructuralError(
+            f"scalar must be a string or an integer, got {type(text).__name__}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -41,7 +68,11 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(data: Sequence[Sequence[str]]) -> Matrix:
-    return tuple(tuple(scalar_from_str(v) for v in row) for row in data)
+    out = tuple(tuple(scalar_from_str(v) for v in _expect(row, list, "matrix row"))
+                for row in _expect(data, list, "matrix"))
+    if any(len(row) != len(out[0]) for row in out):
+        raise StructuralError("ragged matrix rows")
+    return out
 
 
 # -- rings and polynomials --------------------------------------------------
@@ -52,7 +83,8 @@ def ring_to_json(ring: Ring) -> list[dict]:
 
 def ring_from_json(data: Sequence[Mapping]) -> Ring:
     return Ring(tuple(
-        VariableBlock(str(b["name"]), int(b["size"]), str(b["role"])) for b in data))
+        VariableBlock(_get(b, "name", str), _get(b, "size", int), _get(b, "role", str))
+        for b in _expect(data, list, "ring")))
 
 
 def _var_key(var: Var) -> str:
@@ -76,10 +108,10 @@ def _terms_to_json(p: Polynomial) -> list[dict]:
 
 def _terms_from_json(data: Sequence[Mapping], ring: Ring) -> Polynomial:
     terms: dict[Monomial, Fraction] = {}
-    for item in data:
-        mono = Monomial.from_map(
-            {_var_from_key(k): int(e) for k, e in item["exps"].items()})
-        coeff = scalar_from_str(item["coeff"])
+    for item in _expect(data, list, "term list"):
+        mono = Monomial.from_map({_var_from_key(k): _expect(e, int, f"exponent of {k!r}")
+                                  for k, e in _get(item, "exps", dict).items()})
+        coeff = scalar_from_str(_get(item, "coeff", object))
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(ring, terms)
 
@@ -90,8 +122,8 @@ def polynomial_to_json(p: Polynomial) -> dict:
 
 def polynomial_from_json(data: Mapping, ring: Ring | None = None) -> Polynomial:
     if ring is None:
-        ring = ring_from_json(data["ring"])
-    return _terms_from_json(data["terms"], ring)
+        ring = ring_from_json(_get(data, "ring", list))
+    return _terms_from_json(_get(data, "terms", list), ring)
 
 
 # -- algebras and representations -------------------------------------------
@@ -106,14 +138,12 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 
 
 def algebra_from_json(data: Mapping) -> LieAlgebra:
-    names = tuple(str(n) for n in data["names"])
-    c = tuple(
-        tuple(tuple(scalar_from_str(v) for v in row) for row in plane)
-        for plane in data["c"])
+    names = tuple(_expect(n, str, "basis name") for n in _get(data, "names", list))
+    dim = _get(data, "dim", int)
+    c = tuple(matrix_from_json(plane) for plane in _get(data, "c", list))
     g = LieAlgebra(names, c)
-    if g.dim != int(data["dim"]):
-        raise StructuralError(
-            f"declared dim {data['dim']} but {g.dim} basis names")
+    if g.dim != dim:
+        raise StructuralError(f"declared dim {dim} but {g.dim} basis names")
     return g
 
 
@@ -128,11 +158,13 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: Mapping) -> Representation:
-    g = algebra_from_json(data["algebra"])
-    n = int(data["space_dim"])
+    g = algebra_from_json(_get(data, "algebra", dict))
+    n = _get(data, "space_dim", int)
+    if n < 1:
+        raise StructuralError(f"space_dim must be positive, got {n}")
     mats = []
-    for flat in data["matrices"]:
-        if len(flat) != n * n:
+    for flat in _get(data, "matrices", list):
+        if len(_expect(flat, list, "flattened matrix")) != n * n:
             raise StructuralError(
                 f"matrix has {len(flat)} entries, expected {n * n}")
         values = [scalar_from_str(v) for v in flat]
@@ -145,10 +177,11 @@ def bilinear_to_json(form: BilinearForm) -> dict:
 
 
 def bilinear_from_json(data: Mapping) -> BilinearForm:
-    form = BilinearForm(matrix_from_json(data["gram"]))
-    if form.size != int(data["size"]):
+    form = BilinearForm(matrix_from_json(_get(data, "gram", list)))
+    size = _get(data, "size", int)
+    if form.size != size:
         raise StructuralError(
-            f"declared size {data['size']} but Gram is {form.size}x{form.size}")
+            f"declared size {size} but Gram is {form.size}x{form.size}")
     return form
 
 
@@ -162,9 +195,9 @@ def field_to_json(field: VectorField) -> dict:
 
 
 def field_from_json(data: Mapping) -> VectorField:
-    ring = ring_from_json(data["ring"])
-    return VectorField(
-        ring, tuple(_terms_from_json(t, ring) for t in data["components"]))
+    ring = ring_from_json(_get(data, "ring", list))
+    return VectorField(ring, tuple(
+        _terms_from_json(t, ring) for t in _get(data, "components", list)))
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
@@ -176,10 +209,17 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(data: Mapping) -> Decomposition:
-    ring = ring_from_json(data["ring"])
+    ring = ring_from_json(_get(data, "ring", list))
     return Decomposition(ring, tuple(
-        tuple(_terms_from_json(t, ring) for t in level)
-        for level in data["coefficients"]))
+        tuple(_terms_from_json(t, ring) for t in _expect(level, list, "coefficient level"))
+        for level in _get(data, "coefficients", list)))
+
+
+def points_from_json(data: Mapping) -> tuple[Matrix, Matrix | None]:
+    """Sample points, and parameter values per point when the key is present."""
+    points = matrix_from_json(_get(data, "points", list))
+    params = data.get("parameters")
+    return points, None if params is None else matrix_from_json(params)
 
 
 def dumps(obj: Any) -> str:
@@ -188,4 +228,7 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise StructuralError(f"invalid JSON: {exc}") from exc

@@ -307,21 +307,26 @@ def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
     """Dispatch for the named constructors used by the CLI and the generators.
 
     Kinds: so_n(n), so_pq(p, q), sl2, sl2_adjoint, gl_n(n),
-    abelian(dim[, matrices]).
+    abelian(dim[, matrices]). A missing parameter raises StructuralError.
     """
+    def need(key: str) -> int:
+        if key not in params:
+            raise StructuralError(f"constructor kind {kind!r} needs parameter {key!r}")
+        return int(params[key])
+
     if kind == "so_n":
-        return so_n(int(params["n"]))
+        return so_n(need("n"))
     if kind == "so_pq":
-        return so_pq(int(params["p"]), int(params["q"]))
+        return so_pq(need("p"), need("q"))
     if kind == "sl2":
         return sl2()
     if kind == "sl2_adjoint":
         g, _ = sl2()
         return g, adjoint_rep(g)
     if kind == "gl_n":
-        return gl_n(int(params["n"]))
+        return gl_n(need("n"))
     if kind == "abelian":
-        return abelian(int(params["dim"]), params.get("matrices"))
+        return abelian(need("dim"), params.get("matrices"))
     raise StructuralError(f"unknown constructor kind {kind!r}")
 
 

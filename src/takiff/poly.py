@@ -9,7 +9,9 @@ every identity test in this package is exact.
 
 A polynomial is stored as a map from monomials to nonzero coefficients
 (canonical form); equality is structural equality of ring and term map. All
-values are immutable after construction.
+values are immutable after construction. A ``VectorField`` is a tuple of
+polynomials, one per state coordinate; ``Polynomial.directional_derivative``
+applies such a velocity to a polynomial.
 """
 
 from __future__ import annotations
@@ -80,29 +82,33 @@ class Ring:
     blocks: tuple[VariableBlock, ...]
 
     def __post_init__(self):
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
-            raise StructuralError(f"duplicate block names in ring: {names}")
+        # name -> block; not a dataclass field, so equality and hashing ignore it
+        index: dict[str, VariableBlock] = {}
+        for b in self.blocks:
+            if b.name in index:
+                raise StructuralError(f"duplicate block names in ring: {self.names()}")
+            index[b.name] = b
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(*blocks: VariableBlock) -> "Ring":
         return Ring(tuple(blocks))
 
     def block(self, name: str) -> VariableBlock:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise StructuralError(f"no block named {name!r} in ring {self.names()}")
+        b = self._index.get(name)
+        if b is None:
+            raise StructuralError(f"no block named {name!r} in ring {self.names()}")
+        return b
 
     def has_block(self, name: str) -> bool:
-        return any(b.name == name for b in self.blocks)
+        return name in self._index
 
     def names(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.blocks)
 
     def has_var(self, var: Var) -> bool:
-        name, idx = var
-        return any(b.name == name and 0 <= idx < b.size for b in self.blocks)
+        b = self._index.get(var[0])
+        return b is not None and 0 <= var[1] < b.size
 
     def variables(self) -> Iterator[Var]:
         for b in self.blocks:
@@ -261,9 +267,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(Monomial.unit(), Fraction(0))
-
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
         if not self.terms:
@@ -390,6 +393,22 @@ class Polynomial:
             else:
                 out[m] = s
         return Polynomial(self.ring, out)
+
+    def directional_derivative(self, velocity: Mapping[Var, "Polynomial"]) -> "Polynomial":
+        """The derivation sum_v velocity[v] * d self / d v, exactly.
+
+        Every velocity lives over ``self.ring`` and every key is a variable of
+        it. A field annihilates ``self``, or leaves it invariant, exactly when
+        this is zero.
+        """
+        total = Polynomial.zero(self.ring)
+        for var, vel in velocity.items():
+            if vel.is_zero():
+                continue
+            d = self.derivative(var)
+            if not d.is_zero():
+                total = total + vel * d
+        return total
 
     def cast(self, ring: Ring) -> "Polynomial":
         """Reinterpret over another ring containing every variable in use.
@@ -551,26 +570,50 @@ def matrix_apply(matrix: Sequence[Sequence[Fraction]],
 
 
 @dataclass(frozen=True)
-class PolyMap:
-    """A polynomial map between block-structured spaces.
+class VectorField:
+    """A polynomial self-map of the state space, with parameter blocks.
 
-    Components are listed in codomain order; ``codomain`` gives the block
-    layout of the target as (name, size) pairs, and the number of components
-    must equal the total codomain dimension.
+    The ring's state blocks, in order, are the level blocks f_0..f_m of V_m
+    (a single block for a field on V itself); components are listed in that
+    flattened order and may involve every block of the ring.
     """
 
     ring: Ring
     components: tuple[Polynomial, ...]
-    codomain: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        total = sum(size for _, size in self.codomain)
-        if total != len(self.components):
+        blocks = self.ring.state_blocks()
+        if not blocks:
+            raise StructuralError("a vector field needs at least one state block")
+        n = blocks[0].size
+        for b in blocks:
+            if b.size != n:
+                raise StructuralError(
+                    f"state blocks must share one size, got {b.size} and {n}")
+        if len(self.components) != n * len(blocks):
             raise StructuralError(
-                f"{len(self.components)} components for codomain of dimension {total}")
+                f"{len(self.components)} components for state dimension {n * len(blocks)}")
         for p in self.components:
             if p.ring != self.ring:
-                raise StructuralError("all components must share the map's ring")
+                raise StructuralError("all components must share the field's ring")
 
-    def evaluate(self, assignment: Mapping[Var, Fraction]) -> tuple[Fraction, ...]:
-        return tuple(p.evaluate(assignment) for p in self.components)
+    @property
+    def state_blocks(self) -> tuple[VariableBlock, ...]:
+        return self.ring.state_blocks()
+
+    @property
+    def level(self) -> int:
+        return len(self.state_blocks) - 1
+
+    @property
+    def block_size(self) -> int:
+        return self.state_blocks[0].size
+
+    def block_components(self, j: int) -> tuple[Polynomial, ...]:
+        n = self.block_size
+        return self.components[j * n:(j + 1) * n]
+
+    @staticmethod
+    def zero(ring: Ring) -> "VectorField":
+        total = sum(b.size for b in ring.state_blocks())
+        return VectorField(ring, (Polynomial.zero(ring),) * total)

@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matrices as mx
-from .decompose import VectorField, field_from_coefficients
+from .decompose import field_from_coefficients
 from .errors import StructuralError, ValidationError
 from .lie import LieAlgebra, Representation, killing_form, make_standard
 from .matrices import Matrix
-from .poly import PARAMETER, STATE, Monomial, Polynomial, Ring, VariableBlock
+from .poly import PARAMETER, STATE, Monomial, Polynomial, Ring, VariableBlock, VectorField
 from .takiff_algebra import LiftedRepresentation, build_lift
 
 _MASK = (1 << 64) - 1

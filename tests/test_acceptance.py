@@ -4,14 +4,34 @@ Each test runs one named suite at the canonical seed and prints a single
 pass/fail line (visible with pytest -s, or via `takiff suite --human`).
 All checks inside the suites are exact equalities over the rationals; there
 are no tolerances to tune. Budgets are wall-clock seconds on modest hardware
-and the real margins are large.
+and the real margins are large. Each report must also serialize to the
+recorded bytes, so a change that keeps the suites passing but alters what
+they check or find still fails here.
 """
 
+import hashlib
 import time
 
+from takiff import jsonio
 from takiff.suites import SUITES, RunConfig
 
 SEED = RunConfig().seed
+
+# sha256 of jsonio.dumps(report.to_json()) for each suite at SEED
+REPORT_SHA256 = {
+    "jacobi": "6e0af1bdf22f7328904e6add7f62dae29f240fff07514d4ede981e2aff5a0fb1",
+    "homomorphism": "34a004b82efaec1014e2b07202472b17a2624ace1f6387dbd84ec8e04c619c8b",
+    "invariance": "beaeba69b42db269e608a57ece348c4c609add47f2f22aa0870bae11d1e461be",
+    "linearity": "3ce92484c644deda5571e74b85ec43f45451cdd16a26d617b17cf198932fdb5c",
+    "faa-di-bruno": "4b4adbb5ad1d6adf47bbdbe6848aaf1c463ebbc0eeddeab4e759e44c28ae7c1f",
+    "cylindrical": "b4ae1b639fe6dfdcf1b06d03eeaceb68049617f35346dc8337e40ac7f47cd042",
+    "base-solver": "214bd6eb8ef7679bf5e74090f77f2a0e834006d6b771a615f1f3980cce1d3922",
+    "roundtrip": "07aefca1de32e4458acd73f4952547dc114d9e0569687cfbf910f7c4aca22061",
+    "refusal": "3dd022b5bd959faefea224851c21ef8fc2e3056f2e95a417a22b39463df995ad",
+    "flip": "5945f2f52112ced8bdd0ceb0c0e01b600158873deb92cf36ec65c6ccbf08f764",
+    "quadratic-lift": "7cffea5d03e4efea39cbb95b7b1f295405cbacc7190fc7ba25589adb838498ee",
+    "transport": "9fb5637deec2d8c8b3866361331b0474437f1c8bb9ef44305ffb43b1283c6a6c",
+}
 
 
 def run_criterion(name, budget=None, min_checks=1):
@@ -25,6 +45,8 @@ def run_criterion(name, budget=None, min_checks=1):
     assert report.checks >= min_checks
     if budget is not None:
         assert elapsed < budget
+    text = jsonio.dumps(report.to_json())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[name], text
     return report
 
 

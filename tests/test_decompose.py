@@ -14,7 +14,6 @@ from takiff.decompose import (
     annihilates_invariants,
     builtin_solver,
     field_from_coefficients,
-    lifted_generators_for,
     quadratic_base_solve,
     specialize_parameters,
     takiff_decompose,
@@ -27,7 +26,7 @@ from takiff.errors import (
     StructuralError,
     ValidationError,
 )
-from takiff.invariants import quadratic_invariant
+from takiff.invariants import lift_family
 from takiff.lie import (
     BilinearForm,
     abelian,
@@ -92,7 +91,7 @@ def test_annihilation_check():
     lifted = build_lift(rho, 1)
     ring = level_ring(1, 2)
     solver = builtin_solver(rho)
-    gens = lifted_generators_for(lifted, solver.family, ring)
+    gens = lift_family(lifted, solver.family, ring.state_blocks())
     f0 = variables(ring, "f0", 2)
     f1 = variables(ring, "f1", 2)
     rotation = VectorField(ring, (-f0[1], f0[0], -f1[1], f1[0]))
@@ -291,10 +290,21 @@ def test_decompose_prechecks_annihilation_once(monkeypatch):
         calls.append(field.level)
         return original(field, generators)
 
+    substitutions = []
+    substitute = Polynomial.substitute
+
+    def counted_substitute(self, mapping, ring):
+        substitutions.append(ring)
+        return substitute(self, mapping, ring)
+
     monkeypatch.setattr(decompose, "annihilates_invariants", counted)
+    monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
     dec = takiff_decompose(inst.lifted, solver, inst.field)
     assert verify_decomposition(inst.lifted, inst.field, dec)[0]
     assert calls == [3]
+    # the one substitution is the curve expansion of the precheck; the
+    # per-level tangency checks reuse its phi(f_0)
+    assert len(substitutions) == 1
 
     # f_3 += p f_0 breaks only Phi_3, whose f_3-gradient is f_0
     ring = inst.field.ring

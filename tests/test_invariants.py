@@ -28,9 +28,9 @@ from takiff.poly import (
     STATE,
     Monomial,
     Polynomial,
-    PolyMap,
     Ring,
     VariableBlock,
+    VectorField,
     matrix_apply,
 )
 from takiff.takiff_algebra import build_lift
@@ -247,7 +247,7 @@ def test_tangency_of_rotation_field():
     _, rho = so_n(2)
     ring = state_ring(2)
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
-    fld = PolyMap(ring, (-x1, x0), (("x", 2),))
+    fld = VectorField(ring, (-x1, x0))
     results = tangency_check(rho, fld, [(1, 0), (2, 3), (0, 0)])
     assert all(r.member for r in results)
     assert results[0].witness == (Fraction(1),)
@@ -258,7 +258,7 @@ def test_tangency_of_radial_field():
     _, rho = so_n(2)
     ring = state_ring(2)
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
-    fld = PolyMap(ring, (x0, x1), (("x", 2),))
+    fld = VectorField(ring, (x0, x1))
     away, origin = tangency_check(rho, fld, [(1, 0), (0, 0)])
     assert not away.member and away.witness is None
     assert origin.member  # both sides vanish at the origin
@@ -269,7 +269,7 @@ def test_tangency_with_parameters():
     ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", 2, STATE))
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
     w = Polynomial.variable(ring, ("w", 0))
-    fld = PolyMap(ring, (-w * x1, w * x0), (("x", 2),))
+    fld = VectorField(ring, (-w * x1, w * x0))
     results = tangency_check(rho, fld, [(1, 0)], parameter_values=[(5,)])
     assert results[0].member and results[0].witness == (Fraction(5),)
     with pytest.raises(StructuralError):

@@ -12,11 +12,10 @@ from takiff.decompose import (
     VectorField,
     annihilates_invariants,
     builtin_solver,
-    lifted_generators_for,
     takiff_decompose,
 )
 from takiff.errors import StructuralError, ValidationError
-from takiff.invariants import quadratic_invariant
+from takiff.invariants import lift_family, quadratic_invariant
 from takiff.lie import killing_form, sl2, so_n
 from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock
 from takiff.randgen import (
@@ -62,6 +61,22 @@ def test_malformed_variable_keys():
         data = {"terms": [{"coeff": "1", "exps": {key: 1}}]}
         with pytest.raises(StructuralError):
             jsonio.polynomial_from_json(data, ring)
+
+
+def _term(coeff, exponent):
+    return {"ring": [{"name": "x", "size": 1, "role": "state"}],
+            "terms": [{"coeff": coeff, "exps": {"x.0": exponent}}]}
+
+
+@pytest.mark.parametrize("reader, data", [
+    (jsonio.polynomial_from_json, _term(0.1, 1)),
+    (jsonio.polynomial_from_json, _term("1", 1.5)),
+    (jsonio.polynomial_from_json, _term("1", True)),
+    (jsonio.ring_from_json, [{"name": "x", "size": True, "role": "state"}]),
+], ids=["float-coeff", "float-exponent", "bool-exponent", "bool-size"])
+def test_inexact_or_truncated_json_rejected(reader, data):
+    with pytest.raises(StructuralError):
+        reader(data)
 
 
 def test_algebra_and_representation_roundtrip():
@@ -148,7 +163,7 @@ def test_generated_instance_annihilates_its_invariants():
     for kind, params in (("so_n", {"n": 2}), ("so_n", {"n": 3}), ("sl2_adjoint", {})):
         inst = generate_instance(kind, 2, seed=17, **params)
         solver = builtin_solver(inst.rep, inst.gram)
-        gens = lifted_generators_for(inst.lifted, solver.family, inst.field.ring)
+        gens = lift_family(inst.lifted, solver.family, inst.field.state_blocks)
         assert annihilates_invariants(inst.field, gens) == (True, None)
     with pytest.raises(ValidationError):
         generate_instance("so_n", -1, seed=1, n=2)
@@ -292,17 +307,44 @@ def test_cli_tangency_human(tmp_path):
     assert lines[0].startswith("outside") and lines[1].startswith("tangent")
 
 
-def test_cli_suite_runs_and_respects_env_seed(tmp_path, monkeypatch):
+def test_cli_suite_runs(tmp_path):
     out = tmp_path / "suite.json"
     assert main(["suite", "flip", "quadratic-lift", "--out", str(out)]) == 0
     reports = read_json(out)
     assert [r["name"] for r in reports] == ["flip", "quadratic-lift"]
     assert all(r["passed"] for r in reports)
     assert all("elapsed" not in r for r in reports)
-    monkeypatch.setenv("TAKIFF_SEED", "7")
     human = tmp_path / "suite.txt"
     assert main(["suite", "cylindrical", "--human", "--out", str(human)]) == 0
     assert "all 1 suites passed" in human.read_text(encoding="utf-8")
+
+
+_ALGEBRA = {"dim": 1, "names": ["a"], "c": [[["0"]]]}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("build", ""),
+    ("build", "{"),
+    ("build", '{"names": ["a"]}'),
+    ("build", json.dumps({**_ALGEBRA, "dim": "two"})),
+    ("build", "[]"),
+    ("build", "[" * 100000 + "]" * 100000),
+    ("lift-rep", "{"),
+    ("lift-rep", json.dumps({"algebra": _ALGEBRA, "space_dim": 1})),
+    ("lift-rep", "[]"),
+], ids=["empty", "truncated", "missing-key", "string-dim", "array", "too-deep",
+        "rep-truncated", "rep-missing-key", "rep-array"])
+def test_cli_malformed_json_is_a_structural_error(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    flag = "--algebra" if command == "build" else "--rep"
+    assert main([command, flag, str(path), "--level", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_generate_without_required_parameter(capsys):
+    assert main(["generate", "--kind", "so_n", "--level", "1"]) == 1
+    assert "needs parameter 'n'" in capsys.readouterr().err
 
 
 def test_cli_unknown_suite_and_missing_file(tmp_path, capsys):
