@@ -2,10 +2,11 @@
 
 Every subcommand reads and writes the JSON formats of jsonio; output goes to
 stdout unless --out is given. Malformed input, including JSON that does not
-parse or does not have the documented shape, is reported on stderr as
-``error: ...`` with exit code 1. Exit codes for decompose: 0 decomposed and
-verified, 2 precondition refused (witness printed), 3 internal-consistency
-failure. Seeded commands read their seed from --seed alone.
+parse or does not have the documented shape and a path that cannot be read
+as UTF-8 text, is reported on stderr as ``error: ...`` with exit code 1.
+Exit codes for decompose: 0 decomposed and verified, 2 precondition refused
+(witness printed), 3 internal-consistency failure. Seeded commands read
+their seed from --seed alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from .decompose import (
     takiff_decompose,
     verify_decomposition,
 )
-from .errors import DecompositionRefused, InternalConsistencyError, TakiffError
+from .errors import (
+    DecompositionRefused,
+    InternalConsistencyError,
+    StructuralError,
+    TakiffError,
+)
 from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
 from .randgen import generate_instance
@@ -29,7 +35,13 @@ from .takiff_algebra import build_lift, build_takiff, verify_flip_identity
 
 
 def _read(path: str) -> dict:
-    return jsonio.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"cannot read {path}: {exc}") from exc
+    return jsonio.loads(text)
 
 
 def _emit(payload, out: str | None) -> None:

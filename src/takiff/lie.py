@@ -5,6 +5,13 @@ and the Jacobi identity are checked exactly, so every downstream computation
 may assume both. Representations are matrices per basis element, with the
 homomorphism identity rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified
 exactly for all basis pairs.
+
+Both checks visit every basis pair (and every triple, for Jacobi) but do
+arithmetic on nonzero entries only: the algebra reads a table of the nonzero
+structure constants, and the representation compares the nonzero entries of
+each commutator with those of the bracket's image (``matrices.sparse_rows``
+and ``matrices.sparse_commutator``). A failed homomorphism check names the
+basis pair and the first entry where the two sides differ.
 """
 
 from __future__ import annotations
@@ -34,47 +41,49 @@ class LieAlgebra:
         if len(self.c) != d or any(len(ci) != d for ci in self.c) or any(
                 len(cij) != d for ci in self.c for cij in ci):
             raise StructuralError(f"structure constants must form a {d}x{d}x{d} array")
-        self._check_antisymmetry()
-        self._check_jacobi()
+        # nonzero[i][j]: the pairs (k, c[i][j][k]) with a nonzero constant
+        nonzero = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci)
+                        for ci in self.c)
+        self._check_antisymmetry(nonzero)
+        self._check_jacobi(nonzero)
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def _check_antisymmetry(self):
+    def _check_antisymmetry(self, nonzero):
+        # c[i][j] = -c[j][i] exactly when their nonzero entries are negatives
         d = self.dim
         for i in range(d):
             for j in range(i, d):
-                for k in range(d):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise ValidationError(
-                            f"antisymmetry fails at (i,j,k)=({i},{j},{k}): "
-                            f"c[{i}][{j}][{k}]={self.c[i][j][k]} vs "
-                            f"-c[{j}][{i}][{k}]={-self.c[j][i][k]}")
+                if nonzero[i][j] == tuple((k, -x) for k, x in nonzero[j][i]):
+                    continue
+                k = next(k for k in range(d) if self.c[i][j][k] != -self.c[j][i][k])
+                raise ValidationError(
+                    f"antisymmetry fails at (i,j,k)=({i},{j},{k}): "
+                    f"c[{i}][{j}][{k}]={self.c[i][j][k]} vs "
+                    f"-c[{j}][{i}][{k}]={-self.c[j][i][k]}")
 
-    def _check_jacobi(self):
+    def _check_jacobi(self, nonzero):
         # Given antisymmetry, triples with a repeated index hold identically,
         # so i < j < k suffices.
         d = self.dim
+        zero = Fraction(0)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    acc = [Fraction(0)] * d
+                    acc: dict[int, Fraction] = {}
                     for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.c[b][e]
-                        for l in range(d):
-                            coeff = inner[l]
-                            if coeff == 0:
-                                continue
-                            row = self.c[a][l]
-                            for p in range(d):
-                                if row[p]:
-                                    acc[p] += coeff * row[p]
-                    if any(acc):
+                        row_a = nonzero[a]
+                        for l, coeff in nonzero[b][e]:
+                            for p, x in row_a[l]:
+                                acc[p] = acc.get(p, zero) + coeff * x
+                    if any(acc.values()):
+                        residual = tuple(acc.get(p, zero) for p in range(d))
                         raise ValidationError(
                             f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
                             f"({self.names[i]},{self.names[j]},{self.names[k]}): "
-                            f"residual {tuple(acc)}")
+                            f"residual {residual}")
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.c[i][j]
@@ -118,18 +127,17 @@ class Representation:
         for m in self.matrices:
             if mx.shape(m) != (n, n):
                 raise StructuralError("representation matrices must be square, equal sizes")
+        rows = tuple(mx.sparse_rows(m) for m in self.matrices)
         for i in range(d):
             for j in range(i + 1, d):
-                lhs = mx.commutator(self.matrices[i], self.matrices[j])
-                rhs = mx.zeros(n, n)
-                for k in range(d):
-                    coeff = self.algebra.c[i][j][k]
-                    if coeff:
-                        rhs = mx.add(rhs, mx.scale(self.matrices[k], coeff))
-                if lhs != rhs:
+                defect = homomorphism_defect(self.algebra, rows, i, j)
+                if defect is not None:
+                    (r, s), lhs, rhs = defect
                     raise ValidationError(
                         f"homomorphism property fails on basis pair "
-                        f"({self.algebra.names[i]}, {self.algebra.names[j]})")
+                        f"({self.algebra.names[i]}, {self.algebra.names[j]}): "
+                        f"entry ({r}, {s}) of the commutator is {lhs}, "
+                        f"of the bracket's image {rhs}")
 
     @property
     def space_dim(self) -> int:
@@ -143,6 +151,29 @@ class Representation:
             if coeff:
                 acc = mx.add(acc, mx.scale(m, Fraction(coeff)))
         return acc
+
+
+def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j: int,
+                        ) -> tuple[tuple[int, int], Fraction, Fraction] | None:
+    """Where ``[rho(x_i), rho(x_j)]`` and ``rho([x_i, x_j])`` differ, or None.
+
+    ``rows`` holds ``matrices.sparse_rows`` of every ``rho(x_k)``. A defect is
+    the first differing entry ``(row, col)`` with the commutator's value and
+    the image's value there.
+    """
+    lhs = mx.sparse_commutator(rows[i], rows[j])
+    rhs: mx.SparseMatrix = {}
+    for k, coeff in enumerate(g.c[i][j]):
+        if coeff:
+            for r, row in enumerate(rows[k]):
+                for s, x in row.items():
+                    rhs[r, s] = rhs.get((r, s), 0) + coeff * x
+    rhs = {key: v for key, v in rhs.items() if v}
+    if lhs == rhs:
+        return None
+    zero = Fraction(0)
+    entry = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e))
+    return entry, lhs.get(entry, zero), rhs.get(entry, zero)
 
 
 @dataclass(frozen=True)
@@ -207,11 +238,15 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
     flat_basis = mx.transpose(tuple(
         tuple(m[r][s] for r in range(n) for s in range(n)) for m in mats))
     constants = []
+    rows = tuple(mx.sparse_rows(m) for m in mats)
+    zero = Fraction(0)
     for i in range(d):
         plane = []
         for j in range(d):
-            comm = mx.commutator(mats[i], mats[j])
-            target = tuple(comm[r][s] for r in range(n) for s in range(n))
+            target = [zero] * (n * n)
+            for (r, s), x in mx.sparse_commutator(rows[i], rows[j]).items():
+                target[r * n + s] = x
+            target = tuple(target)
             coeffs = mx.solve(flat_basis, target)
             if coeffs is None:
                 raise ValidationError(

@@ -1,8 +1,15 @@
 """Small exact linear-algebra helpers over Fraction entries.
 
-Everything here works on tuples of tuples of Fraction. Sizes stay at desk
-scale (a few dozen rows), so plain Gaussian elimination is enough and keeps
-all results exact.
+The dense helpers work on tuples of tuples of Fraction, the public Matrix
+type. Sizes stay at desk scale (a few dozen rows), so plain Gaussian
+elimination is enough and keeps all results exact.
+
+The sparse validation kernel serves the exhaustive homomorphism checks:
+``sparse_rows`` keeps only the nonzero entries of each row, and
+``sparse_commutator`` returns the nonzero entries of ``ab - ba``. Lifted
+matrices are block-lower-triangular Toeplitz and mostly zero, so the checks
+pay for nonzeros only; two dicts of nonzero entries are equal exactly when
+the dense matrices are.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from .errors import StructuralError, ValidationError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+SparseRows = tuple[dict[int, Fraction], ...]
+SparseMatrix = dict[tuple[int, int], Fraction]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -75,8 +84,26 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return sub(mul(a, b), mul(b, a))
+def sparse_rows(a: Matrix) -> SparseRows:
+    """One ``{col: value}`` dict of the nonzero entries per row of ``a``."""
+    return tuple({c: x for c, x in enumerate(row) if x} for row in a)
+
+
+def sparse_commutator(a: SparseRows, b: SparseRows) -> SparseMatrix:
+    """Nonzero entries ``{(row, col): value}`` of ``ab - ba``.
+
+    Both operands are square and of one size, in ``sparse_rows`` form.
+    """
+    out: SparseMatrix = {}
+    for r, row in enumerate(a):
+        for k, x in row.items():
+            for c, y in b[k].items():
+                out[r, c] = out.get((r, c), 0) + x * y
+    for r, row in enumerate(b):
+        for k, y in row.items():
+            for c, x in a[k].items():
+                out[r, c] = out.get((r, c), 0) - y * x
+    return {key: v for key, v in out.items() if v}
 
 
 def is_zero(a: Matrix) -> bool:

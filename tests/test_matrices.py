@@ -7,6 +7,8 @@ import pytest
 
 from takiff import matrices as mx
 from takiff.errors import StructuralError, ValidationError
+from takiff.lie import so_n
+from takiff.takiff_algebra import build_lift
 
 
 def rand_matrix(rng, n, m=None):
@@ -44,7 +46,8 @@ def test_predicates_and_trace():
     assert mx.is_symmetric(mx.mat([[1, 2], [2, 5]]))
     assert not mx.is_symmetric(mx.mat([[1, 2], [3, 5]]))
     assert mx.trace(mx.mat([[1, 9], [9, 4]])) == Fraction(5)
-    assert mx.commutator(mx.identity(2), mx.mat([[1, 2], [3, 4]])) == mx.zeros(2, 2)
+    assert mx.sparse_commutator(mx.sparse_rows(mx.identity(2)),
+                                mx.sparse_rows(mx.mat([[1, 2], [3, 4]]))) == {}
 
 
 def test_det_known_values():
@@ -98,3 +101,38 @@ def test_solve():
     assert sol is not None and mx.mat_vec(wide, sol) == (Fraction(5),)
     with pytest.raises(StructuralError):
         mx.solve(a, (Fraction(1),))
+
+
+def nonzero_entries(a):
+    return {(r, c): x for r, row in enumerate(a) for c, x in enumerate(row) if x}
+
+
+def rand_sparse_matrix(rng, n):
+    # about one entry in four nonzero, with small rational values
+    return tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       if rng.random() < 0.25 else Fraction(0) for _ in range(n))
+                 for _ in range(n))
+
+
+def test_sparse_commutator_matches_dense_products():
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        pairs.append((rand_sparse_matrix(rng, n), rand_sparse_matrix(rng, n)))
+    _, rho = so_n(4)
+    mats = build_lift(rho, 2).rep.matrices
+    pairs += [(mats[i], mats[j]) for i in range(len(mats)) for j in range(len(mats))]
+    zero_found = False
+    for a, b in pairs:
+        dense = mx.sub(mx.mul(a, b), mx.mul(b, a))
+        sparse = mx.sparse_commutator(mx.sparse_rows(a), mx.sparse_rows(b))
+        assert sparse == nonzero_entries(dense)
+        assert all(sparse.values())
+        zero_found |= not sparse
+    assert zero_found
+
+
+def test_sparse_rows_keep_exactly_the_nonzero_entries():
+    a = mx.mat([[0, "1/2", 0], [0, 0, 0], [-3, 0, 1]])
+    assert mx.sparse_rows(a) == ({1: Fraction(1, 2)}, {}, {0: Fraction(-3), 2: Fraction(1)})

@@ -342,6 +342,17 @@ def test_cli_malformed_json_is_a_structural_error(tmp_path, capsys, command, tex
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe\x00"),
+], ids=["directory", "not-utf8"])
+def test_cli_unreadable_file_is_a_structural_error(tmp_path, capsys, make):
+    path = tmp_path / "in.json"
+    make(path)
+    assert main(["build", "--algebra", str(path), "--level", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
 def test_cli_generate_without_required_parameter(capsys):
     assert main(["generate", "--kind", "so_n", "--level", "1"]) == 1
     assert "needs parameter 'n'" in capsys.readouterr().err

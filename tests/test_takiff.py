@@ -1,12 +1,13 @@
 """Truncated current algebras, lifted representations, flip and lifted forms."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from takiff import matrices as mx
 from takiff.errors import StructuralError, ValidationError
-from takiff.lie import killing_form, sl2, so_n
+from takiff.lie import LieAlgebra, Representation, killing_form, sl2, so_n
 from takiff.takiff_algebra import (
     build_lift,
     build_takiff,
@@ -139,3 +140,99 @@ def test_lifted_form_input_validation():
         lift_bilinear_form(ctx, BilinearForm(mx.zeros(3, 3)))
     with pytest.raises(ValidationError):
         lift_bilinear_form(ctx, BilinearForm(mx.identity(3)))
+
+
+def _constants(c):
+    return tuple(tuple(tuple(cij) for cij in ci) for ci in c)
+
+
+def _mutable_constants(g):
+    return [[list(cij) for cij in ci] for ci in g.c]
+
+
+def dense_homomorphism_defect(g, mats):
+    """First basis pair and entry where the commutator and the bracket's image differ."""
+    n = len(mats[0])
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = mx.sub(mx.mul(mats[i], mats[j]), mx.mul(mats[j], mats[i]))
+            rhs = mx.zeros(n, n)
+            for k, coeff in enumerate(g.c[i][j]):
+                rhs = mx.add(rhs, mx.scale(mats[k], coeff))
+            for r in range(n):
+                for s in range(n):
+                    if lhs[r][s] != rhs[r][s]:
+                        return i, j, r, s, lhs[r][s], rhs[r][s]
+    return None
+
+
+def dense_jacobi_failure(c):
+    """First triple i < j < k with a nonzero cyclic sum, and that sum, densely."""
+    d = len(c)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = [Fraction(0)] * d
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(d):
+                        for p in range(d):
+                            acc[p] += c[b][e][l] * c[a][l][p]
+                if any(acc):
+                    return (i, j, k), tuple(acc)
+    return None
+
+
+def test_lifted_homomorphism_checks_every_basis_pair(monkeypatch):
+    _, rho = so_n(3)
+    calls = []
+    commutator = mx.sparse_commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(mx, "sparse_commutator", counted)
+    build_lift.cache_clear()
+    build_lift(rho, 2)
+    assert len(calls) == 9 * 8 // 2
+
+
+@pytest.mark.parametrize("p", [0, 4, 8])
+def test_flipped_lifted_entry_names_its_pair_and_entry(p):
+    _, rho = so_n(3)
+    lifted = build_lift(rho, 2)
+    g = lifted.context.algebra
+    mats = list(lifted.rep.matrices)
+    r0, s0 = next((r, s) for r, row in enumerate(mats[p]) for s, x in enumerate(row) if x)
+    mats[p] = tuple(tuple(-x if (r, s) == (r0, s0) else x for s, x in enumerate(row))
+                    for r, row in enumerate(mats[p]))
+    i, j, r, s, lhs, rhs = dense_homomorphism_defect(g, mats)
+    assert p in (i, j) or g.c[i][j][p]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"homomorphism property fails on basis pair ({g.names[i]}, {g.names[j]}): "
+            f"entry ({r}, {s}) of the commutator is {lhs}, of the bracket's image {rhs}")):
+        Representation(g, tuple(mats))
+
+
+@pytest.mark.parametrize("i, j, k", [(0, 4, 5), (4, 0, 5), (2, 2, 3), (1, 3, 0)])
+def test_changed_structure_constant_fails_antisymmetry(i, j, k):
+    g = build_takiff(so_n(3)[0], 1).algebra
+    c = _mutable_constants(g)
+    c[i][j][k] += 1
+    a, b = min(i, j), max(i, j)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"antisymmetry fails at (i,j,k)=({a},{b},{k}): "
+            f"c[{a}][{b}][{k}]={c[a][b][k]} vs -c[{b}][{a}][{k}]={-c[b][a][k]}")):
+        LieAlgebra(g.names, _constants(c))
+
+
+def test_antisymmetric_change_fails_jacobi_with_dense_residual():
+    g = build_takiff(so_n(3)[0], 1).algebra
+    c = _mutable_constants(g)
+    c[0][1][3] += 1
+    c[1][0][3] -= 1
+    (i, j, k), residual = dense_jacobi_failure(c)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
+            f"({g.names[i]},{g.names[j]},{g.names[k]}): residual {residual}")):
+        LieAlgebra(g.names, _constants(c))
