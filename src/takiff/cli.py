@@ -3,7 +3,8 @@
 Every subcommand reads and writes the JSON formats of jsonio; output goes to
 stdout unless --out is given. Malformed input, including JSON that does not
 parse or does not have the documented shape and a path that cannot be read
-as UTF-8 text, is reported on stderr as ``error: ...`` with exit code 1.
+as UTF-8 text, is reported on stderr as ``error: ...`` with exit code 1, and
+so is an --out path that cannot be written.
 Exit codes for decompose: 0 decomposed and verified, 2 precondition refused
 (witness printed), 3 internal-consistency failure. Seeded commands read
 their seed from --seed alone.
@@ -44,20 +45,16 @@ def _read(path: str) -> dict:
     return jsonio.loads(text)
 
 
-def _emit(payload, out: str | None) -> None:
-    text = jsonio.dumps(payload)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _emit(payload, out: str | None, human: bool = False) -> None:
+    """Write a JSON payload, or with ``human`` a list of lines, to --out or stdout."""
+    text = "\n".join(payload) + "\n" if human else jsonio.dumps(payload)
+    if not out:
         sys.stdout.write(text)
-
-
-def _emit_lines(lines, out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise StructuralError(f"cannot write {out}: {exc}") from exc
 
 
 def _gram_for(rep, choice: str):
@@ -107,7 +104,7 @@ def cmd_check_invariant(args) -> int:
     if args.human:
         lines = ["invariant" if not failures else "not invariant"]
         lines += [f"  basis {f['basis']}: nonzero residual" for f in failures]
-        _emit_lines(lines, args.out)
+        _emit(lines, args.out, human=True)
     else:
         _emit(payload, args.out)
     return 0 if not failures else 1
@@ -129,7 +126,7 @@ def cmd_tangency(args) -> int:
         for r in results:
             where = "(" + ", ".join(str(v) for v in r.point) + ")"
             lines.append(f"{'tangent' if r.member else 'outside'} at {where}")
-        _emit_lines(lines, args.out)
+        _emit(lines, args.out, human=True)
     else:
         _emit(payload, args.out)
     return 0
@@ -155,7 +152,7 @@ def cmd_decompose(args) -> int:
             lines = [f"refused: {exc}"]
             if exc.witness is not None:
                 lines.append(f"witness: {exc.witness}")
-            _emit_lines(lines, args.out)
+            _emit(lines, args.out, human=True)
         else:
             _emit({"refused": str(exc), "witness": witness}, args.out)
         return 2
@@ -176,7 +173,7 @@ def cmd_decompose(args) -> int:
         lines = ["decomposed and verified"]
         for r, level in enumerate(dec.coefficients):
             lines.append(f"b_{r} = (" + ", ".join(str(p) for p in level) + ")")
-        _emit_lines(lines, args.out)
+        _emit(lines, args.out, human=True)
     else:
         _emit(payload, args.out)
     return 0
@@ -194,7 +191,7 @@ def cmd_verify(args) -> int:
                       if not p.is_zero()],
     }
     if args.human:
-        _emit_lines(["verified" if passed else "MISMATCH"], args.out)
+        _emit(["verified" if passed else "MISMATCH"], args.out, human=True)
     else:
         _emit(payload, args.out)
     return 0 if passed else 1
@@ -212,7 +209,8 @@ def cmd_verify_flip(args) -> int:
     if args.human:
         status = "flip identity holds" if report.passed else \
             f"flip identity FAILS at basis {report.failing_basis}"
-        _emit_lines([f"level {report.level}, dim {report.dim}: {status}"], args.out)
+        _emit([f"level {report.level}, dim {report.dim}: {status}"], args.out,
+              human=True)
     else:
         _emit(payload, args.out)
     return 0 if report.passed else 1
@@ -222,7 +220,7 @@ def cmd_suite(args) -> int:
     config = RunConfig(seed=args.seed, suites=tuple(args.names))
     reports = run_suite(config)
     if args.human:
-        _emit_lines(summary_lines(reports), args.out)
+        _emit(summary_lines(reports), args.out, human=True)
     else:
         _emit([r.to_json() for r in reports], args.out)
     return 0 if all(r.passed for r in reports) else 1

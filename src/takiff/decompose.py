@@ -18,7 +18,9 @@ and b x = c follows from the Euler identity together with the derivative of
 the syzygy (sum_j x_j dc_j/dx_i = -c_i). Higher levels reduce to lower ones:
 re-tag the top block f_m as a parameter, decompose the truncated field,
 subtract the correction c_m = sum_{r<m} rho(b_r) f_{m-r}, and base-solve the
-residual against f_0 with every other block as a parameter.
+residual against f_0 with every other block as a parameter. That block sum
+is written once, in ``_block_sum``: the correction is its r < m case and the
+reconstruction a_j of verify_decomposition its r <= j case.
 
 Three guards remain on that path. The annihilation precheck runs once, at
 the top level, and is the only source of refusals. Each level asserts that
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from . import matrices as mx
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .invariants import (
     InvariantFamily,
-    killing_combination,
+    killing_velocity,
     lift_family,
     quadratic_invariant,
 )
@@ -139,9 +141,7 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
     xs = [Polynomial.variable(ring, (x.name, j)) for j in range(n)]
 
     c = matrix_apply(gram, a)
-    syzygy = Polynomial.zero(ring)
-    for i in range(n):
-        syzygy = syzygy + c[i] * xs[i]
+    syzygy = Polynomial.combination(ring, zip(c, xs))
     if not syzygy.is_zero():
         raise DecompositionRefused(
             "field does not annihilate the quadratic invariant", witness=syzygy)
@@ -168,12 +168,11 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
                 b[j][i] = b[j][i] - entry
     ginv = mx.inverse(gram)
     matrix = tuple(
-        tuple(sum((b[k][j] * ginv[i][k] for k in range(n) if ginv[i][k]),
-                  start=zero) for j in range(n))
+        tuple(Polynomial.combination(ring, ((ginv[i][k], b[k][j]) for k in range(n)))
+              for j in range(n))
         for i in range(n))
     for i in range(n):
-        recon = sum((matrix[i][j] * xs[j] for j in range(n)), start=zero)
-        if recon != a[i]:
+        if Polynomial.combination(ring, zip(matrix[i], xs)) != a[i]:
             raise InternalConsistencyError(
                 f"homotopy reconstruction failed at component {i}")
     return matrix
@@ -306,6 +305,25 @@ def builtin_solver(rep: Representation,
 # The level recursion
 # ---------------------------------------------------------------------------
 
+def _block_sum(rep: Representation, ring: Ring,
+               coefficients: Sequence[Sequence[Polynomial]],
+               blocks: Sequence[VariableBlock], j: int) -> tuple[Polynomial, ...]:
+    """sum_r rho(b_r) f_{j-r} over the given levels b_0, b_1, ... of coefficients.
+
+    This is the one place the Toeplitz block sum of rho_m(b) F is written.
+    """
+    d = rep.algebra.dim
+    pairs = []
+    for r, level in enumerate(coefficients):
+        if len(level) != d:
+            raise StructuralError(f"{len(level)} coefficients for {d} basis elements")
+        coords = list(blocks[j - r].variables())
+        pairs += [(coeff, killing_velocity(rep, i, ring, coords))
+                  for i, coeff in enumerate(level) if not coeff.is_zero()]
+    return tuple(Polynomial.combination(ring, ((c, vel[t]) for c, vel in pairs))
+                 for t in range(rep.space_dim))
+
+
 def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
                            coefficients: Sequence[Sequence[Polynomial]],
                            ) -> tuple[Polynomial, ...]:
@@ -321,15 +339,8 @@ def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
     if len(coefficients) != m + 1:
         raise StructuralError(
             f"{len(coefficients)} coefficient levels, expected {m + 1}")
-    out: list[Polynomial] = []
-    for j in range(m + 1):
-        acc = [Polynomial.zero(ring)] * lifted.block_size
-        for r in range(j + 1):
-            part = killing_combination(lifted.base_rep, coefficients[r], ring,
-                                       list(blocks[j - r].variables()))
-            acc = [u + v for u, v in zip(acc, part)]
-        out.extend(acc)
-    return tuple(out)
+    return tuple(p for j in range(m + 1)
+                 for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], blocks, j))
 
 
 def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
@@ -401,11 +412,7 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
     lower = tuple(tuple(p.cast(ring) for p in level)
                   for level in sub_dec.coefficients)
 
-    correction = [Polynomial.zero(ring)] * n
-    for r in range(m):
-        part = killing_combination(lifted.base_rep, lower[r], ring,
-                                   list(blocks[m - r].variables()))
-        correction = [u + v for u, v in zip(correction, part)]
+    correction = _block_sum(lifted.base_rep, ring, lower, blocks, m)
     residual = [a - c for a, c in
                 zip(field.components[m * n:], correction)]
 
@@ -432,7 +439,7 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
 
 
 # ---------------------------------------------------------------------------
-# Change of variables and parameter specialization
+# Change of variables
 # ---------------------------------------------------------------------------
 
 def _blockwise_substitution(ring: Ring, matrix: Sequence[Sequence[Fraction]],
@@ -471,19 +478,3 @@ def transport_decomposition(dec: Decomposition,
     return Decomposition(dec.ring, tuple(
         tuple(p.substitute(mapping, dec.ring) for p in level)
         for level in dec.coefficients))
-
-
-def specialize_parameters(field: VectorField,
-                          values: Mapping[Var, Fraction]) -> VectorField:
-    """Substitute rational values for every parameter variable of the field."""
-    reduced = field.ring
-    for blk in field.ring.parameter_blocks():
-        for var in blk.variables():
-            if var not in values:
-                raise StructuralError(f"no value for parameter {var[0]}.{var[1]}")
-        reduced = reduced.without(blk.name)
-    mapping = {var: Polynomial.constant(reduced, values[var])
-               for blk in field.ring.parameter_blocks()
-               for var in blk.variables()}
-    return VectorField(
-        reduced, tuple(p.substitute(mapping, reduced) for p in field.components))

@@ -86,14 +86,10 @@ def killing_combination(rep: Representation, coeffs: Sequence[Polynomial],
     if len(coeffs) != rep.algebra.dim:
         raise StructuralError(
             f"{len(coeffs)} coefficients for {rep.algebra.dim} basis elements")
-    out = [Polynomial.zero(ring)] * rep.space_dim
-    for i, coeff in enumerate(coeffs):
-        if coeff.is_zero():
-            continue
-        for t, vel in enumerate(killing_velocity(rep, i, ring, coords)):
-            if not vel.is_zero():
-                out[t] = out[t] + coeff * vel
-    return tuple(out)
+    pairs = [(coeff, killing_velocity(rep, i, ring, coords))
+             for i, coeff in enumerate(coeffs) if not coeff.is_zero()]
+    return tuple(Polynomial.combination(ring, ((c, vel[t]) for c, vel in pairs))
+                 for t in range(rep.space_dim))
 
 
 @dataclass(frozen=True)
@@ -117,15 +113,12 @@ def quadratic_invariant(gram: Sequence[Sequence[Fraction]], ring: Ring) -> Polyn
     n = len(coords)
     if len(gram) != n:
         raise StructuralError("Gram size does not match state dimension")
-    total = Polynomial.zero(ring)
-    for i in range(n):
-        for j in range(n):
-            g = gram[i][j]
-            if g:
-                total = total + (
-                    Polynomial.variable(ring, coords[i])
-                    * Polynomial.variable(ring, coords[j]) * (Fraction(g) / 2))
-    return total
+    # (1/2) sum_i x_i (G x)_i
+    half_gx = [Polynomial.linear(ring, {coords[j]: Fraction(gram[i][j]) / 2
+                                        for j in range(n) if gram[i][j]})
+               for i in range(n)]
+    return Polynomial.combination(
+        ring, ((Polynomial.variable(ring, v), row) for v, row in zip(coords, half_gx)))
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,6 @@ def representation_from_json(data: Mapping) -> Representation:
     return Representation(g, tuple(mats))
 
 
-def bilinear_to_json(form: BilinearForm) -> dict:
-    return {"size": form.size, "gram": matrix_to_json(form.gram)}
-
-
 def bilinear_from_json(data: Mapping) -> BilinearForm:
     form = BilinearForm(matrix_from_json(_get(data, "gram", list)))
     size = _get(data, "size", int)

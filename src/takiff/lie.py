@@ -85,9 +85,6 @@ class LieAlgebra:
                             f"({self.names[i]},{self.names[j]},{self.names[k]}): "
                             f"residual {residual}")
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """Bracket of two coefficient vectors."""
         d = self.dim
@@ -142,15 +139,6 @@ class Representation:
     @property
     def space_dim(self) -> int:
         return len(self.matrices[0])
-
-    def matrix_of(self, element: Sequence[Fraction]) -> Matrix:
-        """Matrix of an arbitrary element given by basis coefficients."""
-        n = self.space_dim
-        acc = mx.zeros(n, n)
-        for coeff, m in zip(element, self.matrices):
-            if coeff:
-                acc = mx.add(acc, mx.scale(m, Fraction(coeff)))
-        return acc
 
 
 def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j: int,

@@ -12,6 +12,10 @@ A polynomial is stored as a map from monomials to nonzero coefficients
 values are immutable after construction. A ``VectorField`` is a tuple of
 polynomials, one per state coordinate; ``Polynomial.directional_derivative``
 applies such a velocity to a polynomial.
+
+Every sum of products ``sum a_i * b_i`` in the package, a single product
+included, goes through one kernel, ``Polynomial.combination``: it collects
+all the products in one term map and constructs only the result.
 """
 
 from __future__ import annotations
@@ -138,10 +142,6 @@ class Ring:
     def extended(self, *blocks: VariableBlock) -> "Ring":
         return Ring(self.blocks + tuple(blocks))
 
-    def without(self, name: str) -> "Ring":
-        self.block(name)
-        return Ring(tuple(b for b in self.blocks if b.name != name))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -211,6 +211,11 @@ class Monomial:
         return "*".join(parts)
 
 
+def _require_ring(ring: Ring, p: "Polynomial") -> None:
+    if p.ring != ring:
+        raise StructuralError(f"ring mismatch: {ring.names()} vs {p.ring.names()}")
+
+
 class Polynomial:
     """A sparse polynomial over a ring of variable blocks.
 
@@ -259,6 +264,33 @@ class Polynomial:
     def linear(ring: Ring, coeffs: Mapping[Var, Fraction]) -> "Polynomial":
         return Polynomial(ring, {Monomial.of(v): c for v, c in coeffs.items()})
 
+    @staticmethod
+    def combination(ring: Ring, pairs: Iterable[tuple]) -> "Polynomial":
+        """The sum of a * b over ``pairs`` of (a, b), built as one polynomial.
+
+        Every b, and every a that is a polynomial, lives over ``ring``; an a
+        may also be an exact scalar. The products are accumulated into one
+        term map, so only the result is constructed.
+        """
+        out: dict[Monomial, Fraction] = {}
+        for a, b in pairs:
+            if isinstance(a, Polynomial):
+                _require_ring(ring, a)
+                left = a.terms.items()
+            else:
+                c = _as_scalar(a)
+                left = ((Monomial.unit(), c),) if c else ()
+            _require_ring(ring, b)
+            for m1, c1 in left:
+                for m2, c2 in b.terms.items():
+                    m = m1.mul(m2)
+                    s = out.get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
+        return Polynomial(ring, out)
+
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -284,17 +316,12 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise StructuralError(
-                f"ring mismatch: {self.ring.names()} vs {other.ring.names()}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_ring(other)
+        _require_ring(self.ring, other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             s = out.get(mono, Fraction(0)) + coeff
@@ -320,24 +347,11 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            return Polynomial.combination(self.ring, ((self, other),))
         if isinstance(other, (int, Fraction)):
-            c = _as_scalar(other)
-            if c == 0:
-                return Polynomial.zero(self.ring)
-            return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+            return Polynomial.combination(self.ring, ((other, self),))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -401,14 +415,9 @@ class Polynomial:
         it. A field annihilates ``self``, or leaves it invariant, exactly when
         this is zero.
         """
-        total = Polynomial.zero(self.ring)
-        for var, vel in velocity.items():
-            if vel.is_zero():
-                continue
-            d = self.derivative(var)
-            if not d.is_zero():
-                total = total + vel * d
-        return total
+        return Polynomial.combination(self.ring, (
+            (vel, self.derivative(var))
+            for var, vel in velocity.items() if not vel.is_zero()))
 
     def cast(self, ring: Ring) -> "Polynomial":
         """Reinterpret over another ring containing every variable in use.
@@ -554,18 +563,12 @@ def matrix_apply(matrix: Sequence[Sequence[Fraction]],
     """Multiply a rational matrix into a vector of polynomials, exactly."""
     if not polys:
         raise StructuralError("matrix_apply needs at least one component")
-    ring = polys[0].ring
     out = []
     for row in matrix:
         if len(row) != len(polys):
             raise StructuralError(
                 f"matrix row length {len(row)} != vector length {len(polys)}")
-        acc = Polynomial.zero(ring)
-        for entry, p in zip(row, polys):
-            if entry == 0:
-                continue
-            acc = acc + p * entry
-        out.append(acc)
+        out.append(Polynomial.combination(polys[0].ring, zip(row, polys)))
     return tuple(out)
 
 
@@ -608,10 +611,6 @@ class VectorField:
     @property
     def block_size(self) -> int:
         return self.state_blocks[0].size
-
-    def block_components(self, j: int) -> tuple[Polynomial, ...]:
-        n = self.block_size
-        return self.components[j * n:(j + 1) * n]
 
     @staticmethod
     def zero(ring: Ring) -> "VectorField":

@@ -38,12 +38,6 @@ class TakiffContext:
     level: int
     algebra: LieAlgebra
 
-    def flat(self, r: int, i: int) -> int:
-        return r * self.base.dim + i
-
-    def unflat(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.base.dim)
-
 
 def _level_name(base_name: str, r: int) -> str:
     return base_name if r == 0 else f"{base_name}.T{r}"

@@ -15,7 +15,6 @@ from takiff.decompose import (
     builtin_solver,
     field_from_coefficients,
     quadratic_base_solve,
-    specialize_parameters,
     takiff_decompose,
     transport_decomposition,
     transport_field,
@@ -55,12 +54,20 @@ def variables(ring, name, n):
     return tuple(Polynomial.variable(ring, (name, i)) for i in range(n))
 
 
+def element_matrix(rep, element):
+    """rho(sum_i element[i] x_i) as a dense matrix."""
+    n = rep.space_dim
+    acc = mx.zeros(n, n)
+    for coeff, m in zip(element, rep.matrices):
+        acc = mx.add(acc, mx.scale(m, coeff))
+    return acc
+
+
 def test_vector_field_validation():
     ring = level_ring(1, 2)
     zero = Polynomial.zero(ring)
     fld = VectorField(ring, (zero,) * 4)
     assert fld.level == 1 and fld.block_size == 2
-    assert fld.block_components(1) == (zero, zero)
     assert VectorField.zero(ring).components == (zero,) * 4
     with pytest.raises(StructuralError):
         VectorField(ring, (zero,) * 3)
@@ -162,7 +169,7 @@ def test_quadratic_solver_recovers_constant_coefficients():
     solver = QuadraticBaseSolver(rho, BilinearForm(mx.identity(3)))
     ring = base_ring(3)
     element = (Fraction(1), Fraction(-2), Fraction(3))
-    matrix = rho.matrix_of(element)
+    matrix = element_matrix(rho, element)
     x = variables(ring, "x", 3)
     fld = VectorField(ring, matrix_apply(matrix, x))
     coeffs = solver.solve(fld)
@@ -176,7 +183,7 @@ def test_quadratic_solver_with_killing_gram_on_adjoint():
     ring = base_ring(3)
     element = (Fraction(2), Fraction(0), Fraction(-1))
     x = variables(ring, "x", 3)
-    fld = VectorField(ring, matrix_apply(ad.matrix_of(element), x))
+    fld = VectorField(ring, matrix_apply(element_matrix(ad, element), x))
     coeffs = solver.solve(fld)
     assert coeffs == tuple(Polynomial.constant(ring, c) for c in element)
 
@@ -361,21 +368,3 @@ def test_transport_roundtrip_and_conjugated_verification():
     assert ok
     with pytest.raises(StructuralError):
         transport_field(fld, mx.identity(3))
-
-
-def test_specialize_parameters():
-    _, rho = so_n(2)
-    lifted, fld, dec = check_roundtrip(rho, 1, lambda ring: (
-        (Polynomial.variable(ring, ("w", 0)),),
-        (Polynomial.zero(ring),)), params=(("w", 1),))
-    fixed = specialize_parameters(fld, {("w", 0): Fraction(2)})
-    assert not fixed.ring.has_block("w")
-    plain = level_ring(1, 2)
-    f0 = variables(plain, "f0", 2)
-    f1 = variables(plain, "f1", 2)
-    expected = field_from_coefficients(
-        build_lift(rho, 1), plain,
-        ((Polynomial.constant(plain, 2),), (Polynomial.zero(plain),)))
-    assert fixed == expected
-    with pytest.raises(StructuralError):
-        specialize_parameters(fld, {})

@@ -58,7 +58,7 @@ def test_sl2_bracket_table():
     assert g.bracket(h, f) == (Fraction(0), Fraction(0), Fraction(-2))
     assert g.bracket(e, f) == (Fraction(0), Fraction(1), Fraction(0))
     assert g.bracket(e, e) == (Fraction(0),) * 3
-    assert g.bracket_basis(0, 2) == (Fraction(0), Fraction(1), Fraction(0))
+    assert g.c[0][2] == (Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_so2_generator_is_pinned():
@@ -79,7 +79,7 @@ def test_so3_bracket_cycle():
     g, _ = so_n(3)
     # basis order r01, r02, r12; [r01, r02] = -r12 for these generators
     idx = {name: k for k, name in enumerate(g.names)}
-    out = g.bracket_basis(idx["r01"], idx["r02"])
+    out = g.c[idx["r01"]][idx["r02"]]
     assert out[idx["r12"]] != 0
 
 
@@ -124,19 +124,13 @@ def test_representation_homomorphism_enforced():
         Representation(g, (mx.identity(2),) * 2)
 
 
-def test_matrix_of_combination():
-    g, rho = sl2()
-    m = rho.matrix_of((Fraction(1), Fraction(2), Fraction(-1)))
-    assert m == mx.mat([[2, 1], [-1, -2]])
-
-
 def test_adjoint_and_coadjoint_agree_with_bracket():
     g, _ = sl2()
     ad = adjoint_rep(g)
     for i in range(3):
         for j in range(3):
             basis_j = tuple(Fraction(int(k == j)) for k in range(3))
-            assert mx.mat_vec(ad.matrices[i], basis_j) == g.bracket_basis(i, j)
+            assert mx.mat_vec(ad.matrices[i], basis_j) == g.c[i][j]
     co = coadjoint_rep(g)
     for i in range(3):
         assert co.matrices[i] == mx.scale(mx.transpose(ad.matrices[i]), Fraction(-1))

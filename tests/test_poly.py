@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from takiff.errors import StructuralError
 from takiff.poly import (
@@ -130,6 +132,98 @@ def test_derivation_kernel_matches_sympy():
         assert sympy.expand(_to_sympy(sympy, got, symbols) - want) == 0
 
 
+def test_sum_of_products_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(f"{v[0]}{v[1]}") for v in XW.variables()}
+
+    def to_s(p):
+        if isinstance(p, Fraction):
+            return sympy.Rational(p.numerator, p.denominator)
+        return _to_sympy(sympy, p, symbols)
+
+    def same(p, expr):
+        return sympy.expand(to_s(p) - expr) == 0
+
+    rng = random.Random(2027)
+    for _ in range(30):
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            # zero factors on either side: a zero scalar and term-free polynomials
+            b = rand_poly(rng, XW, terms=rng.randint(0, 4)) / 2
+            if rng.random() < 0.3:
+                a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                a = rand_poly(rng, XW, max_degree=2, terms=rng.randint(0, 3))
+            pairs.append((a, b))
+        if pairs:
+            a, b = rng.choice(pairs)
+            pairs.append((-a, b))  # cancels one product exactly
+        got = Polynomial.combination(XW, pairs)
+        assert same(got, sum((to_s(a) * to_s(b) for a, b in pairs), sympy.Integer(0)))
+        assert Polynomial.combination(XW, pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+        p, q = rand_poly(rng, XW) / 3, rand_poly(rng, XW, terms=rng.randint(0, 4))
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        assert same(p * q, to_s(p) * to_s(q))
+        assert same(p * c, to_s(p) * to_s(c)) and same(c * p, to_s(p) * to_s(c))
+        k = rng.randint(0, 4)
+        assert same(p ** k, to_s(p) ** k)
+
+        matrix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+                  for _ in range(2)]
+        polys = [rand_poly(rng, XW, max_degree=2, terms=rng.randint(0, 3))
+                 for _ in range(3)]
+        for row, out in zip(matrix, matrix_apply(matrix, polys)):
+            assert same(out, sum((to_s(e) * to_s(u) for e, u in zip(row, polys)),
+                                 sympy.Integer(0)))
+
+
+# -- ring laws, as properties ------------------------------------------------
+
+LAWS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def polynomials(ring):
+    monomials = st.dictionaries(st.sampled_from(list(ring.variables())),
+                                st.integers(1, 2), max_size=2).map(Monomial.from_map)
+    return st.dictionaries(monomials, SCALARS, max_size=4).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+PAIRS = st.lists(st.tuples(st.one_of(SCALARS, polynomials(XW)), polynomials(XW)),
+                 max_size=4)
+
+
+@LAWS
+@given(polynomials(XW), polynomials(XW), polynomials(XW))
+def test_ring_laws(p, q, r):
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+
+
+@LAWS
+@given(PAIRS)
+def test_combination_is_the_sum_of_products(pairs):
+    total = Polynomial.zero(XW)
+    for a, b in pairs:
+        total = total + b * a
+    assert Polynomial.combination(XW, pairs) == total
+
+
+@LAWS
+@given(PAIRS, polynomials(X), st.data())
+def test_combination_rejects_a_ring_mismatch_in_any_pair(pairs, alien, data):
+    k = data.draw(st.integers(0, len(pairs)), label="pair")
+    a, b = pairs[k] if k < len(pairs) else (Fraction(0), Polynomial.zero(XW))
+    bad = (alien, b) if data.draw(st.booleans(), label="left") else (a, alien)
+    with pytest.raises(StructuralError, match="ring mismatch"):
+        Polynomial.combination(XW, pairs[:k] + [bad] + pairs[k + 1:])
+
+
 def test_derivative_unknown_variable():
     with pytest.raises(StructuralError):
         var(X, "x", 0).derivative(("y", 0))
@@ -216,9 +310,6 @@ def test_ring_role_operations():
     assert retagged.state_variables() == []
     grown = XW.extended(VariableBlock("z", 2, STATE))
     assert grown.names() == ("x", "w", "z")
-    assert grown.without("w").names() == ("x", "z")
-    with pytest.raises(StructuralError):
-        XW.without("missing")
     with pytest.raises(StructuralError):
         Ring.of(VariableBlock("x", 1, STATE), VariableBlock("x", 2, STATE))
 

@@ -96,7 +96,7 @@ def test_algebra_and_representation_roundtrip():
 
 def test_bilinear_roundtrip():
     form = killing_form(sl2()[0])
-    data = jsonio.bilinear_to_json(form)
+    data = {"size": form.size, "gram": jsonio.matrix_to_json(form.gram)}
     assert jsonio.bilinear_from_json(data).gram == form.gram
     data["size"] = 2
     with pytest.raises(StructuralError):
@@ -351,6 +351,17 @@ def test_cli_unreadable_file_is_a_structural_error(tmp_path, capsys, make):
     make(path)
     assert main(["build", "--algebra", str(path), "--level", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "so_n", "--n", "3", "--level", "1"],
+    ["suite", "quadratic-lift", "--human"],
+], ids=["json", "human"])
+def test_cli_unwritable_out_is_a_structural_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}")
 
 
 def test_cli_generate_without_required_parameter(capsys):
