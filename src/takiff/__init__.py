@@ -55,7 +55,6 @@ from .invariants import (
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
-    killing_combination,
     lift_family,
     lift_invariant,
     quadratic_invariant,

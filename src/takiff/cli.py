@@ -4,7 +4,8 @@ Every subcommand reads and writes the JSON formats of jsonio; output goes to
 stdout unless --out is given. Malformed input, including JSON that does not
 parse or does not have the documented shape and a path that cannot be read
 as UTF-8 text, is reported on stderr as ``error: ...`` with exit code 1, and
-so is an --out path that cannot be written.
+so is an --out path that cannot be written. A stdout closed by its reader
+(``takiff ... | head -c 0``) ends the command silently with exit code 1.
 Exit codes for decompose: 0 decomposed and verified, 2 precondition refused
 (witness printed), 3 internal-consistency failure. Seeded commands read
 their seed from --seed alone.
@@ -13,6 +14,7 @@ their seed from --seed alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +52,7 @@ def _emit(payload, out: str | None, human: bool = False) -> None:
     text = "\n".join(payload) + "\n" if human else jsonio.dumps(payload)
     if not out:
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -359,6 +362,11 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the final
+        # flush at interpreter exit does not raise the same error again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

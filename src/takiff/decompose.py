@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Protocol, Sequence
 
 from . import matrices as mx
@@ -305,20 +306,26 @@ def builtin_solver(rep: Representation,
 # The level recursion
 # ---------------------------------------------------------------------------
 
+def _block_velocities(rep: Representation, ring: Ring,
+                      blocks: Sequence[VariableBlock]):
+    """velocity(i, k): the Killing velocity of basis element i on blocks[k], built once."""
+    return cache(lambda i, k: killing_velocity(rep, i, ring, list(blocks[k].variables())))
+
+
 def _block_sum(rep: Representation, ring: Ring,
                coefficients: Sequence[Sequence[Polynomial]],
-               blocks: Sequence[VariableBlock], j: int) -> tuple[Polynomial, ...]:
+               velocity, j: int) -> tuple[Polynomial, ...]:
     """sum_r rho(b_r) f_{j-r} over the given levels b_0, b_1, ... of coefficients.
 
-    This is the one place the Toeplitz block sum of rho_m(b) F is written.
+    ``velocity`` comes from ``_block_velocities`` over ``ring``. This is the
+    one place the Toeplitz block sum of rho_m(b) F is written.
     """
     d = rep.algebra.dim
     pairs = []
     for r, level in enumerate(coefficients):
         if len(level) != d:
             raise StructuralError(f"{len(level)} coefficients for {d} basis elements")
-        coords = list(blocks[j - r].variables())
-        pairs += [(coeff, killing_velocity(rep, i, ring, coords))
+        pairs += [(coeff, velocity(i, j - r))
                   for i, coeff in enumerate(level) if not coeff.is_zero()]
     return tuple(Polynomial.combination(ring, ((c, vel[t]) for c, vel in pairs))
                  for t in range(rep.space_dim))
@@ -339,8 +346,9 @@ def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
     if len(coefficients) != m + 1:
         raise StructuralError(
             f"{len(coefficients)} coefficient levels, expected {m + 1}")
+    velocity = _block_velocities(lifted.base_rep, ring, blocks)
     return tuple(p for j in range(m + 1)
-                 for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], blocks, j))
+                 for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], velocity, j))
 
 
 def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
@@ -412,7 +420,8 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
     lower = tuple(tuple(p.cast(ring) for p in level)
                   for level in sub_dec.coefficients)
 
-    correction = _block_sum(lifted.base_rep, ring, lower, blocks, m)
+    correction = _block_sum(lifted.base_rep, ring, lower,
+                            _block_velocities(lifted.base_rep, ring, blocks), m)
     residual = [a - c for a, c in
                 zip(field.components[m * n:], correction)]
 

@@ -80,18 +80,6 @@ def is_invariant(rep: Representation, phi: Polynomial) -> bool:
     return all(apply_killing(rep, i, phi).is_zero() for i in range(rep.algebra.dim))
 
 
-def killing_combination(rep: Representation, coeffs: Sequence[Polynomial],
-                        ring: Ring, coords: Sequence[Var]) -> tuple[Polynomial, ...]:
-    """Components of sum_i coeffs[i] * (rho(x_i) v) in the coordinates ``coords``."""
-    if len(coeffs) != rep.algebra.dim:
-        raise StructuralError(
-            f"{len(coeffs)} coefficients for {rep.algebra.dim} basis elements")
-    pairs = [(coeff, killing_velocity(rep, i, ring, coords))
-             for i, coeff in enumerate(coeffs) if not coeff.is_zero()]
-    return tuple(Polynomial.combination(ring, ((c, vel[t]) for c, vel in pairs))
-                 for t in range(rep.space_dim))
-
-
 @dataclass(frozen=True)
 class InvariantFamily:
     """Generators of an invariant subalgebra, verified at construction."""

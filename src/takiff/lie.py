@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import matrices as mx
 from .errors import StructuralError, ValidationError
-from .matrices import Matrix, Vector
+from .matrices import Matrix
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,6 @@ class LieAlgebra:
                             f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
                             f"({self.names[i]},{self.names[j]},{self.names[k]}): "
                             f"residual {residual}")
-
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        """Bracket of two coefficient vectors."""
-        d = self.dim
-        acc = [Fraction(0)] * d
-        for i in range(d):
-            if u[i] == 0:
-                continue
-            for j in range(d):
-                if v[j] == 0:
-                    continue
-                row = self.c[i][j]
-                coeff = u[i] * v[j]
-                for k in range(d):
-                    if row[k]:
-                        acc[k] += coeff * row[k]
-        return tuple(acc)
 
 
 def make_lie_algebra(names: Sequence[str], constants: Sequence) -> LieAlgebra:

@@ -3,9 +3,9 @@
 Variables are grouped into named blocks; a variable is addressed as
 ``(block_name, index)`` with ``0 <= index < block_size``. Blocks carry a role,
 ``state`` or ``parameter``, which downstream code uses to tell the acted-on
-coordinates apart from auxiliary parameters. Coefficients are
-``fractions.Fraction``: always in lowest terms with positive denominator, so
-every identity test in this package is exact.
+coordinates apart from auxiliary parameters. Coefficients are exact: an
+``int`` when integral, else a ``fractions.Fraction`` in lowest terms with
+positive denominator, so every identity test in this package is exact.
 
 A polynomial is stored as a map from monomials to nonzero coefficients
 (canonical form); equality is structural equality of ring and term map. All
@@ -26,9 +26,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StructuralError
 
-# Exact rational scalar used everywhere; Fraction guarantees lowest terms and
-# a positive denominator.
-Scalar = Fraction
+# Exact rational scalar used everywhere: an int when integral, else a Fraction,
+# which guarantees lowest terms and a positive denominator.
+Scalar = int | Fraction
 
 # A variable is (block name, coordinate index within the block).
 Var = tuple[str, int]
@@ -37,13 +37,15 @@ STATE = "state"
 PARAMETER = "parameter"
 
 
-def _as_scalar(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_scalar(value) -> Scalar:
+    if type(value) is int:
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # a bool, or another int subclass
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise StructuralError(f"not an exact scalar: {value!r} (use int, Fraction or 'p/q' string)")
 
 
@@ -86,13 +88,16 @@ class Ring:
     blocks: tuple[VariableBlock, ...]
 
     def __post_init__(self):
-        # name -> block; not a dataclass field, so equality and hashing ignore it
+        # name -> block, and the set of all variables; not dataclass fields, so
+        # equality and hashing ignore them
         index: dict[str, VariableBlock] = {}
         for b in self.blocks:
             if b.name in index:
                 raise StructuralError(f"duplicate block names in ring: {self.names()}")
             index[b.name] = b
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_vars", frozenset(
+            v for b in self.blocks for v in b.variables()))
 
     @staticmethod
     def of(*blocks: VariableBlock) -> "Ring":
@@ -111,8 +116,7 @@ class Ring:
         return tuple(b.name for b in self.blocks)
 
     def has_var(self, var: Var) -> bool:
-        b = self._index.get(var[0])
-        return b is not None and 0 <= var[1] < b.size
+        return var in self._vars
 
     def variables(self) -> Iterator[Var]:
         for b in self.blocks:
@@ -227,14 +231,15 @@ class Polynomial:
     __slots__ = ("ring", "terms")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, ring: Ring, terms: Mapping[Monomial, Scalar]):
+        clean: dict[Monomial, Scalar] = {}
+        ring_vars = ring._vars
         for mono, coeff in terms.items():
             c = _as_scalar(coeff)
             if c == 0:
                 continue
-            for var in mono.variables():
-                if not ring.has_var(var):
+            for var, _ in mono.exps:
+                if var not in ring_vars:
                     raise StructuralError(
                         f"variable {var[0]}.{var[1]} not in ring with blocks {ring.names()}")
             clean[mono] = c
@@ -258,10 +263,10 @@ class Polynomial:
     def variable(ring: Ring, var: Var) -> "Polynomial":
         if not ring.has_var(var):
             raise StructuralError(f"variable {var[0]}.{var[1]} not in ring {ring.names()}")
-        return Polynomial(ring, {Monomial.of(var): Fraction(1)})
+        return Polynomial(ring, {Monomial.of(var): 1})
 
     @staticmethod
-    def linear(ring: Ring, coeffs: Mapping[Var, Fraction]) -> "Polynomial":
+    def linear(ring: Ring, coeffs: Mapping[Var, Scalar]) -> "Polynomial":
         return Polynomial(ring, {Monomial.of(v): c for v, c in coeffs.items()})
 
     @staticmethod
@@ -272,7 +277,7 @@ class Polynomial:
         may also be an exact scalar. The products are accumulated into one
         term map, so only the result is constructed.
         """
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for a, b in pairs:
             if isinstance(a, Polynomial):
                 _require_ring(ring, a)
@@ -296,8 +301,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self.terms.get(mono, 0)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
@@ -310,7 +315,7 @@ class Polynomial:
             return 0
         return max(m.block_degree(block_name) for m in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in the canonical deterministic order (by monomial)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0].exps)
 
@@ -324,7 +329,7 @@ class Polynomial:
         _require_ring(self.ring, other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+            s = out.get(mono, 0) + coeff
             if s == 0:
                 out.pop(mono, None)
             else:
@@ -390,7 +395,7 @@ class Polynomial:
         if not self.ring.has_var(var):
             raise StructuralError(
                 f"cannot differentiate by {var[0]}.{var[1]}: not in ring {self.ring.names()}")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             e = mono.exponent(var)
             if e == 0:
@@ -401,7 +406,7 @@ class Polynomial:
             else:
                 reduced[var] = e - 1
             m = Monomial.from_map(reduced)
-            s = out.get(m, Fraction(0)) + coeff * e
+            s = out.get(m, 0) + coeff * e
             if s == 0:
                 out.pop(m, None)
             else:
@@ -452,7 +457,7 @@ class Polynomial:
                     raise StructuralError(
                         f"variable {var[0]}.{var[1]} neither substituted nor present "
                         f"in target ring {ring.names()}")
-                value = Polynomial(ring, {Monomial.of(var, e): Fraction(1)})
+                value = Polynomial(ring, {Monomial.of(var, e): 1})
             power_cache[key] = value
             return value
 
@@ -464,9 +469,9 @@ class Polynomial:
             total = total + term
         return total
 
-    def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:
+    def evaluate(self, assignment: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a rational point; every variable in use must be assigned."""
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for var, e in mono.exps:
@@ -483,7 +488,7 @@ class Polynomial:
         homogeneous of the keyed degree in the named block.
         """
         self.ring.block(block_name)
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             d = mono.block_degree(block_name)
             buckets.setdefault(d, {})[mono] = coeff
@@ -539,7 +544,7 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     for i in range(source.size):
         curve = Polynomial(
             work,
-            {Monomial.of(t_var, r).mul(Monomial.of((blocks[r].name, i))): Fraction(1)
+            {Monomial.of(t_var, r).mul(Monomial.of((blocks[r].name, i))): 1
              for r in range(m + 1)},
         )
         mapping[(source.name, i)] = curve
@@ -558,7 +563,7 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     return out
 
 
-def matrix_apply(matrix: Sequence[Sequence[Fraction]],
+def matrix_apply(matrix: Sequence[Sequence[Scalar]],
                  polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Multiply a rational matrix into a vector of polynomials, exactly."""
     if not polys:

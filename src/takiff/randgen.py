@@ -161,8 +161,10 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
     every lifted invariant; it is the canonical positive input for the
     decomposition pipeline.
     """
-    if level < 0:
-        raise ValidationError(f"level must be nonnegative, got {level}")
+    for name, value, least in (("level", level, 0), ("max_degree", max_degree, 0),
+                               ("num_terms", num_terms, 1), ("coeff_bound", coeff_bound, 1)):
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
     algebra, rep = make_standard(kind, **kind_params)
     lifted = build_lift(rep, level)
     ring = instance_ring(level, rep.space_dim, parameters)

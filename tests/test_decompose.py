@@ -287,6 +287,24 @@ def test_decompose_refuses_with_witness():
     assert not info.value.witness.is_zero()
 
 
+def test_reconstruction_builds_each_killing_velocity_once(monkeypatch):
+    inst = generate_instance("so_n", 3, seed=11, n=3)
+    assert not any(p.is_zero() for level in inst.coefficients for p in level)
+    calls = []
+    original = decompose.killing_velocity
+
+    def counted(rep, i, ring, coords):
+        calls.append((i, coords[0][0]))
+        return original(rep, i, ring, coords)
+
+    monkeypatch.setattr(decompose, "killing_velocity", counted)
+    components = decompose.reconstruct_components(
+        inst.lifted, inst.field.ring, inst.coefficients)
+    assert components == inst.field.components
+    # 3 basis elements on 4 blocks, against 1 + 2 + 3 + 4 block sums of 3
+    assert sorted(calls) == sorted({(i, f"f{k}") for i in range(3) for k in range(4)})
+
+
 def test_decompose_prechecks_annihilation_once(monkeypatch):
     inst = generate_instance("so_n", 3, seed=11, n=3)
     solver = builtin_solver(inst.rep)

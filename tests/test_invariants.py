@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from takiff import matrices as mx
+from takiff.decompose import _block_sum, _block_velocities
 from takiff.errors import InternalConsistencyError, StructuralError, ValidationError
 from takiff.invariants import (
     InvariantFamily,
@@ -15,7 +16,6 @@ from takiff.invariants import (
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
-    killing_combination,
     killing_velocity,
     lift_family,
     lift_invariant,
@@ -91,15 +91,15 @@ def test_killing_combination_and_field():
     _, rho = so_n(3)
     ring = state_ring(3)
     coeffs = [Polynomial.constant(ring, c) for c in (1, 0, 2)]
-    coords = ring.state_variables()
-    combo = killing_combination(rho, coeffs, ring, coords)
+    velocity = _block_velocities(rho, ring, ring.state_blocks())
+    combo = _block_sum(rho, ring, [coeffs], velocity, 0)
     manual = mx.add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
     with pytest.raises(StructuralError):
-        killing_combination(rho, coeffs[:2], ring, coords)
+        _block_sum(rho, ring, [coeffs[:2]], velocity, 0)
     with pytest.raises(StructuralError):
-        killing_combination(rho, coeffs + coeffs[:1], ring, coords)
+        _block_sum(rho, ring, [coeffs + coeffs[:1]], velocity, 0)
 
 
 def test_invariant_family_is_verified():

@@ -53,12 +53,11 @@ def test_shape_errors():
 def test_sl2_bracket_table():
     g, _ = sl2()
     assert g.names == ("e", "h", "f")
-    e, h, f = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert g.bracket(h, e) == (Fraction(2), Fraction(0), Fraction(0))
-    assert g.bracket(h, f) == (Fraction(0), Fraction(0), Fraction(-2))
-    assert g.bracket(e, f) == (Fraction(0), Fraction(1), Fraction(0))
-    assert g.bracket(e, e) == (Fraction(0),) * 3
-    assert g.c[0][2] == (Fraction(0), Fraction(1), Fraction(0))
+    e, h, f = 0, 1, 2
+    assert g.c[h][e] == (Fraction(2), Fraction(0), Fraction(0))
+    assert g.c[h][f] == (Fraction(0), Fraction(0), Fraction(-2))
+    assert g.c[e][f] == (Fraction(0), Fraction(1), Fraction(0))
+    assert g.c[e][e] == (Fraction(0),) * 3
 
 
 def test_so2_generator_is_pinned():

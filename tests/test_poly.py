@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from takiff import jsonio
 from takiff.errors import StructuralError
 from takiff.poly import (
     PARAMETER,
@@ -132,6 +133,36 @@ def test_derivation_kernel_matches_sympy():
         assert sympy.expand(_to_sympy(sympy, got, symbols) - want) == 0
 
 
+def test_derivative_and_curve_expansion_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2028)
+
+    def mixed_poly(ring, **kw):
+        # integral and non-integral coefficients side by side
+        return rand_poly(rng, ring, **kw) / 2 + rand_poly(rng, ring, **kw)
+
+    symbols = {v: sympy.Symbol(f"{v[0]}{v[1]}") for v in XW.variables()}
+    for _ in range(20):
+        p = mixed_poly(XW)
+        v = rng.choice(list(XW.variables()))
+        want = sympy.diff(_to_sympy(sympy, p, symbols), symbols[v])
+        assert sympy.expand(_to_sympy(sympy, p.derivative(v), symbols) - want) == 0
+
+    blocks = tuple(VariableBlock(f"f{k}", 3, STATE) for k in range(3))
+    xs = {v: sympy.Symbol(f"{v[0]}{v[1]}") for v in X.variables()}
+    fs = {v: sympy.Symbol(f"{v[0]}_{v[1]}") for v in Ring(blocks).variables()}
+    t = sympy.Symbol("t")
+    curve = {xs[("x", i)]: sum(t ** k * fs[(f"f{k}", i)] for k in range(3)) for i in range(3)}
+    fractional = False
+    for _ in range(10):
+        phi = mixed_poly(X, terms=4)
+        fractional |= any(type(c) is Fraction for c in phi.terms.values())
+        expanded = sympy.expand(_to_sympy(sympy, phi, xs).subs(curve, simultaneous=True))
+        for k, coeff in enumerate(substitute_curve(phi, blocks)):
+            assert sympy.expand(_to_sympy(sympy, coeff, fs) - expanded.coeff(t, k)) == 0
+    assert fractional
+
+
 def test_sum_of_products_kernel_matches_sympy():
     sympy = pytest.importorskip("sympy")
     symbols = {v: sympy.Symbol(f"{v[0]}{v[1]}") for v in XW.variables()}
@@ -222,6 +253,51 @@ def test_combination_rejects_a_ring_mismatch_in_any_pair(pairs, alien, data):
     bad = (alien, b) if data.draw(st.booleans(), label="left") else (a, alien)
     with pytest.raises(StructuralError, match="ring mismatch"):
         Polynomial.combination(XW, pairs[:k] + [bad] + pairs[k + 1:])
+
+
+def assert_int_when_integral(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (c.denominator == 1)
+
+
+@LAWS
+@given(PAIRS, polynomials(XW), polynomials(XW), polynomials(X),
+       SCALARS.filter(bool))
+def test_stored_coefficients_are_int_exactly_when_integral(pairs, p, q, phi, c):
+    blocks = tuple(VariableBlock(f"f{k}", 3, STATE) for k in range(2))
+    results = [p, Polynomial.combination(XW, pairs), p + q, p - q, p / c,
+               p.derivative(("x", 0)), p.derivative(("w", 0)),
+               *p.homogeneous_components("x").values(),
+               *substitute_curve(phi, blocks)]
+    for r in results:
+        assert_int_when_integral(r)
+
+
+def test_integral_coefficients_read_the_same_as_int_or_fraction():
+    mono = Monomial.of(("x", 0))
+    as_int = Polynomial(X, {mono: 3, Monomial.unit(): Fraction(-1, 2)})
+    as_fraction = Polynomial(X, {mono: Fraction(3), Monomial.unit(): "-2/4"})
+    as_string = Polynomial(X, {mono: "6/2", Monomial.unit(): "-1/2"})
+    assert as_int == as_fraction == as_string
+    # the term map compares equal to the all-Fraction map of earlier releases
+    assert as_int.terms == {mono: Fraction(3), Monomial.unit(): Fraction(-1, 2)}
+    assert type(as_fraction.coefficient(mono)) is int
+    assert type(as_fraction.coefficient(Monomial.of(("x", 1)))) is int
+    for p in (as_int, as_fraction, as_string):
+        assert str(p) == "-1/2 + 3*x.0"
+        assert jsonio.dumps(jsonio.polynomial_to_json(p)) == jsonio.dumps(
+            jsonio.polynomial_to_json(as_int))
+    assert '"3"' in jsonio.dumps(jsonio.polynomial_to_json(as_int))
+
+
+def test_bool_scalars_are_accepted_as_zero_and_one():
+    one = Polynomial.constant(X, True)
+    assert one == Polynomial.constant(X, 1)
+    assert type(one.coefficient(Monomial.unit())) is int
+    assert Polynomial.constant(X, False).is_zero()
+    x0 = var(X, "x", 0)
+    assert x0 * True == x0 and (x0 * False).is_zero()
 
 
 def test_derivative_unknown_variable():

@@ -1,10 +1,15 @@
 """JSON interchange, deterministic generation, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import takiff
 from takiff import jsonio
 from takiff import matrices as mx
 from takiff.cli import main
@@ -167,6 +172,19 @@ def test_generated_instance_annihilates_its_invariants():
         assert annihilates_invariants(inst.field, gens) == (True, None)
     with pytest.raises(ValidationError):
         generate_instance("so_n", -1, seed=1, n=2)
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("max_degree", "--degree", -1), ("num_terms", "--terms", 0),
+    ("num_terms", "--terms", -3), ("coeff_bound", "--coeff-bound", 0),
+])
+def test_generate_rejects_degenerate_sizes(name, flag, value, capsys):
+    with pytest.raises(ValidationError, match=name):
+        generate_instance("so_n", 1, seed=1, n=3, **{name: value})
+    assert main(["generate", "--kind", "so_n", "--n", "3", "--level", "1",
+                 flag, str(value)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {name}")
 
 
 # -- the command line --------------------------------------------------------
@@ -362,6 +380,23 @@ def test_cli_unwritable_out_is_a_structural_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {tmp_path}")
+
+
+def test_cli_closed_stdout_exits_cleanly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left, so the first write breaks the pipe
+    src = str(Path(takiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "takiff.cli", "generate", "--kind", "so_n",
+             "--n", "3", "--level", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_cli_generate_without_required_parameter(capsys):
