@@ -3,25 +3,34 @@
 Variables are grouped into named blocks; a variable is addressed as
 ``(block_name, index)`` with ``0 <= index < block_size``. Blocks carry a role,
 ``state`` or ``parameter``, which downstream code uses to tell the acted-on
-coordinates apart from auxiliary parameters. Coefficients are exact: an
-``int`` when integral, else a ``fractions.Fraction`` in lowest terms with
-positive denominator, so every identity test in this package is exact.
+coordinates apart from auxiliary parameters.
 
-A polynomial is stored as a map from monomials to nonzero coefficients
-(canonical form); equality is structural equality of ring and term map. All
-values are immutable after construction. A ``VectorField`` is a tuple of
+A polynomial is stored as integer numerators over one denominator: a map from
+monomials to nonzero ``int`` numerators, and one positive ``int`` denominator
+coprime to the numerators' content (their gcd); the zero polynomial has
+denominator 1. That form is canonical, so equality is equality of ring,
+denominator and numerator map. The arithmetic kernels run on ``int`` only:
+each scales its inputs to the lcm of their denominators and divides one gcd
+out of its result. ``terms`` and ``coefficient`` read the exact value of a
+coefficient: an ``int`` when integral, else a ``fractions.Fraction`` in lowest
+terms with positive denominator, so every identity test in this package is
+exact.
+
+All values are immutable after construction. A ``VectorField`` is a tuple of
 polynomials, one per state coordinate; ``Polynomial.directional_derivative``
 applies such a velocity to a polynomial.
 
-Every sum of products ``sum a_i * b_i`` in the package, a single product
-included, goes through one kernel, ``Polynomial.combination``: it collects
-all the products in one term map and constructs only the result.
+Every sum of products ``sum a_i * b_i`` in the package, a single product and
+a sum or difference included, goes through one kernel,
+``Polynomial.combination``: it collects all the products in one numerator
+map and constructs only the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StructuralError
@@ -47,6 +56,21 @@ def _as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise StructuralError(f"not an exact scalar: {value!r} (use int, Fraction or 'p/q' string)")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """An exact scalar as (numerator, positive denominator) in lowest terms."""
+    c = _as_scalar(value)
+    return c.numerator, c.denominator
+
+
+def _quotient(num: int, den: int) -> Scalar:
+    """The exact scalar num / den, for a positive den."""
+    if den == 1:
+        return num
+    if num % den == 0:
+        return num // den
+    return Fraction(num, den)
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:
@@ -147,104 +171,127 @@ class Ring:
         return Ring(self.blocks + tuple(blocks))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """A product of variables with positive integer exponents.
 
-    ``exps`` is sorted by variable and never stores a zero exponent, so equal
-    monomials are structurally equal and hashable.
+    The tuple holds ``(var, exponent)`` pairs sorted by variable and never a
+    zero exponent, so equal monomials are equal tuples; hashing, equality and
+    ordering are the tuple's own.
     """
 
-    exps: tuple[tuple[Var, int], ...]
+    __slots__ = ()
+
+    @property
+    def exps(self) -> tuple[tuple[Var, int], ...]:
+        return self
 
     @staticmethod
     def unit() -> "Monomial":
-        return Monomial(())
+        return _UNIT
 
     @staticmethod
     def of(var: Var, power: int = 1) -> "Monomial":
         if power < 0:
             raise StructuralError(f"negative exponent {power} for {var}")
         if power == 0:
-            return Monomial(())
+            return _UNIT
         return Monomial(((var, power),))
 
     @staticmethod
     def from_map(exps: Mapping[Var, int]) -> "Monomial":
-        items = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+        items = sorted((v, e) for v, e in exps.items() if e != 0)
         for _, e in items:
             if e < 0:
                 raise StructuralError("negative exponent in monomial")
         return Monomial(items)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def block_degree(self, block_name: str) -> int:
-        return sum(e for (name, _), e in self.exps if name == block_name)
+        return sum(e for (name, _), e in self if name == block_name)
 
     def variables(self) -> Iterator[Var]:
-        for v, _ in self.exps:
+        for v, _ in self:
             yield v
 
-    def exponent(self, var: Var) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self.exps:
+        if not self:
             return other
-        if not other.exps:
+        if not other:
             return self
-        merged = dict(self.exps)
-        for v, e in other.exps:
+        merged = dict(self)
+        for v, e in other:
             merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(sorted(merged.items()))
 
     def without_block(self, block_name: str) -> "Monomial":
-        return Monomial(tuple((v, e) for v, e in self.exps if v[0] != block_name))
+        return Monomial((v, e) for v, e in self if v[0] != block_name)
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
         parts = []
-        for (name, idx), e in self.exps:
+        for (name, idx), e in self:
             parts.append(f"{name}.{idx}" if e == 1 else f"{name}.{idx}^{e}")
         return "*".join(parts)
 
 
+_UNIT = Monomial()
+
+
 def _require_ring(ring: Ring, p: "Polynomial") -> None:
-    if p.ring != ring:
+    # operands nearly always share the ring object; the identity test skips
+    # the dataclass __eq__ (3% of a decompose-mix pass, see CHANGES.md)
+    if p.ring is not ring and p.ring != ring:
         raise StructuralError(f"ring mismatch: {ring.names()} vs {p.ring.names()}")
 
 
 class Polynomial:
     """A sparse polynomial over a ring of variable blocks.
 
-    Canonical form: no zero coefficients stored; two polynomials are equal iff
-    their rings and term maps are equal. Instances are immutable; arithmetic
-    returns new objects and requires identical rings on both sides.
+    Canonical form: nonzero ``int`` numerators over one positive denominator
+    coprime to their content; two polynomials are equal iff their rings,
+    denominators and numerator maps are equal. Instances are immutable;
+    arithmetic returns new objects and requires identical rings on both sides.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_num", "_den")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Scalar]):
-        clean: dict[Monomial, Scalar] = {}
+        for mono in terms:
+            if type(mono) is not Monomial:
+                raise StructuralError(f"polynomial term key {mono!r} is not a Monomial")
+        scalars = [(mono, _as_scalar(coeff)) for mono, coeff in terms.items()]
+        den = lcm(*(c.denominator for _, c in scalars))
+        self._set(ring, {mono: c.numerator * (den // c.denominator)
+                         for mono, c in scalars if c}, den)
+
+    @classmethod
+    def _make(cls, ring: Ring, num: dict[Monomial, int], den: int) -> "Polynomial":
+        """The polynomial num / den from nonzero numerators and a positive den."""
+        p = object.__new__(cls)
+        p._set(ring, num, den)
+        return p
+
+    def _set(self, ring: Ring, num: dict[Monomial, int], den: int) -> None:
+        # every variable must belong to the ring; then divide out the common
+        # factor of the denominator and the numerators, once
         ring_vars = ring._vars
-        for mono, coeff in terms.items():
-            c = _as_scalar(coeff)
-            if c == 0:
-                continue
-            for var, _ in mono.exps:
+        for mono in num:
+            for var, _ in mono:
                 if var not in ring_vars:
                     raise StructuralError(
                         f"variable {var[0]}.{var[1]} not in ring with blocks {ring.names()}")
-            clean[mono] = c
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {mono: c // g for mono, c in num.items()}
+                den //= g
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -257,7 +304,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
-        return Polynomial(ring, {Monomial.unit(): _as_scalar(value)})
+        return Polynomial(ring, {_UNIT: _as_scalar(value)})
 
     @staticmethod
     def variable(ring: Ring, var: Var) -> "Polynomial":
@@ -274,50 +321,64 @@ class Polynomial:
         """The sum of a * b over ``pairs`` of (a, b), built as one polynomial.
 
         Every b, and every a that is a polynomial, lives over ``ring``; an a
-        may also be an exact scalar. The products are accumulated into one
-        term map, so only the result is constructed.
+        may also be an exact scalar. The numerators of each product are
+        accumulated into one map over the lcm of the products' denominators,
+        so only the result is constructed.
         """
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
+        get = out.get
+        den = 1
         for a, b in pairs:
             if isinstance(a, Polynomial):
                 _require_ring(ring, a)
-                left = a.terms.items()
+                left, d = a._num, a._den
             else:
-                c = _as_scalar(a)
-                left = ((Monomial.unit(), c),) if c else ()
+                n, d = _ratio(a)
+                left = {_UNIT: n} if n else {}
             _require_ring(ring, b)
-            for m1, c1 in left:
-                for m2, c2 in b.terms.items():
+            right = b._num
+            if not (left and right):
+                continue
+            d *= b._den
+            if den % d:  # raise the common denominator to lcm(den, d)
+                grow = d // gcd(den, d)
+                out = {m: c * grow for m, c in out.items()}
+                get = out.get
+                den *= grow
+            scale = den // d
+            for m1, c1 in left.items():
+                c1 *= scale
+                for m2, c2 in right.items():
                     m = m1.mul(m2)
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-        return Polynomial(ring, out)
+                    out[m] = get(m, 0) + c1 * c2
+        return Polynomial._make(ring, {m: c for m, c in out.items() if c}, den)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Monomial, Scalar]:
+        """Monomial -> exact nonzero coefficient; a new map on each read."""
+        den = self._den
+        if den == 1:
+            return dict(self._num)
+        return {mono: _quotient(c, den) for mono, c in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, 0)
+        return _quotient(self._num.get(mono, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(m.degree() for m in self.terms)
+        return max((m.degree() for m in self._num), default=0)
 
     def block_degree(self, block_name: str) -> int:
-        if not self.terms:
-            return 0
-        return max(m.block_degree(block_name) for m in self.terms)
+        return max((m.block_degree(block_name) for m in self._num), default=0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in the canonical deterministic order (by monomial)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].exps)
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -326,27 +387,19 @@ class Polynomial:
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        _require_ring(self.ring, other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Polynomial(self.ring, out)
+        return Polynomial.combination(self.ring, ((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.ring, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return Polynomial.combination(self.ring, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -361,9 +414,16 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _as_scalar(other))
-        return NotImplemented
+        """Division by a nonzero exact scalar: it rescales the denominator."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        n, d = _ratio(other)
+        if n == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        if n < 0:
+            n, d = -n, -d
+        return Polynomial._make(
+            self.ring, {m: c * d for m, c in self._num.items()}, self._den * n)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -382,7 +442,8 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self._den == other._den and self.ring == other.ring
+                and self._num == other._num)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -395,23 +456,16 @@ class Polynomial:
         if not self.ring.has_var(var):
             raise StructuralError(
                 f"cannot differentiate by {var[0]}.{var[1]}: not in ring {self.ring.names()}")
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(var)
-            if e == 0:
-                continue
-            reduced = {v: k for v, k in mono.exps}
-            if e == 1:
-                del reduced[var]
-            else:
-                reduced[var] = e - 1
-            m = Monomial.from_map(reduced)
-            s = out.get(m, 0) + coeff * e
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+        # lowering the exponent of var is injective on the monomials that
+        # contain it, so no two terms land on the same monomial
+        out: dict[Monomial, int] = {}
+        for mono, c in self._num.items():
+            for k, (v, e) in enumerate(mono):
+                if v == var:
+                    lowered = ((var, e - 1),) if e > 1 else ()
+                    out[Monomial(mono[:k] + lowered + mono[k + 1:])] = c * e
+                    break
+        return Polynomial._make(self.ring, out, self._den)
 
     def directional_derivative(self, velocity: Mapping[Var, "Polynomial"]) -> "Polynomial":
         """The derivation sum_v velocity[v] * d self / d v, exactly.
@@ -431,7 +485,7 @@ class Polynomial:
         move between rings that share blocks, e.g. when a block is re-tagged
         from state to parameter.
         """
-        return Polynomial(ring, self.terms)
+        return Polynomial._make(ring, self._num, self._den)
 
     def substitute(self, mapping: Mapping[Var, "Polynomial"], ring: Ring) -> "Polynomial":
         """Replace mapped variables by polynomials over ``ring``.
@@ -461,25 +515,28 @@ class Polynomial:
             power_cache[key] = value
             return value
 
-        total = Polynomial.zero(ring)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(ring, coeff)
-            for var, e in mono.exps:
+        def image(mono: Monomial) -> Polynomial:
+            term = Polynomial.constant(ring, 1)
+            for var, e in mono:
                 term = term * var_power(var, e)
-            total = total + term
-        return total
+            return term
+
+        total = Polynomial.combination(ring, ((c, image(mono)) for mono, c in self._num.items()))
+        if self._den == 1:
+            return total
+        return Polynomial._make(ring, total._num, total._den * self._den)
 
     def evaluate(self, assignment: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a rational point; every variable in use must be assigned."""
         total = 0
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for var, e in mono.exps:
+        for mono, c in self._num.items():
+            value = c
+            for var, e in mono:
                 if var not in assignment:
                     raise StructuralError(f"no value for variable {var[0]}.{var[1]}")
                 value *= _as_scalar(assignment[var]) ** e
             total += value
-        return total
+        return _as_scalar(Fraction(total, self._den))
 
     def homogeneous_components(self, block_name: str) -> dict[int, "Polynomial"]:
         """Split by degree in one block, treating other blocks as constants.
@@ -488,18 +545,19 @@ class Polynomial:
         homogeneous of the keyed degree in the named block.
         """
         self.ring.block(block_name)
-        buckets: dict[int, dict[Monomial, Scalar]] = {}
-        for mono, coeff in self.terms.items():
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for mono, c in self._num.items():
             d = mono.block_degree(block_name)
-            buckets.setdefault(d, {})[mono] = coeff
-        return {d: Polynomial(self.ring, t) for d, t in sorted(buckets.items())}
+            buckets.setdefault(d, {})[mono] = c
+        return {d: Polynomial._make(self.ring, t, self._den)
+                for d, t in sorted(buckets.items())}
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
-            if not mono.exps:
+            if not mono:
                 parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(str(mono))
@@ -558,8 +616,8 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
         if comp is None:
             out.append(Polynomial.zero(target))
         else:
-            stripped = {mono.without_block(t_name): c for mono, c in comp.terms.items()}
-            out.append(Polynomial(target, stripped))
+            stripped = {mono.without_block(t_name): c for mono, c in comp._num.items()}
+            out.append(Polynomial._make(target, stripped, comp._den))
     return out
 
 

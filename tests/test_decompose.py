@@ -1,6 +1,7 @@
 """Decomposition of invariant-annihilating fields into Killing coefficients."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -36,8 +37,10 @@ from takiff.lie import (
     so_n,
 )
 from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock, matrix_apply
-from takiff.randgen import generate_instance
+from takiff.randgen import SplitMix64, generate_instance, random_antisymmetric
 from takiff.takiff_algebra import build_lift
+
+from matrix_reference import add
 
 
 def level_ring(m, n, params=()):
@@ -59,7 +62,7 @@ def element_matrix(rep, element):
     n = rep.space_dim
     acc = mx.zeros(n, n)
     for coeff, m in zip(element, rep.matrices):
-        acc = mx.add(acc, mx.scale(m, coeff))
+        acc = add(acc, mx.scale(m, coeff))
     return acc
 
 
@@ -151,6 +154,71 @@ def test_homotopy_solve_with_weighted_form():
           (Polynomial.constant(ring, 2), zero))
     # G m is antisymmetric for the weighted form
     assert gm[0][1] == -gm[1][0]
+
+
+def _sympy_poly(sympy, p, symbols):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(symbols[v] ** e for v, e in mono.exps))
+                for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("gram", [((2, 1), (1, 3)), ((2, 1, 0), (1, 3, 1), (0, 1, 2))],
+                         ids=["n2", "n3"])
+def test_homotopy_solve_matches_sympy_linsolve(gram):
+    """Each x-degree d of the homotopy matrix solves the linear system that
+    sympy.linsolve sets up on its own: G M = b antisymmetric with b x = c_d,
+    where c = G a and the unknowns are the coefficients of b at degree d - 1."""
+    sympy = pytest.importorskip("sympy")
+    gram = mx.mat(gram)
+    n = len(gram)
+    ring = base_ring(n)
+    x = variables(ring, "x", n)
+    xs = [sympy.Symbol(f"x{i}") for i in range(n)]
+    symbols = {("x", i): xs[i] for i in range(n)}
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    rng = SplitMix64(2026 + n)
+    fractional = False
+    for _ in range(6):
+        b = random_antisymmetric(rng, ring, n, max_degree=3, num_terms=3)
+        # a = G^-1 b x annihilates (1/2) x^T G x
+        fld = VectorField(ring, matrix_apply(mx.inverse(gram), matrix_apply(b, x)))
+        m = quadratic_base_solve(BilinearForm(gram), fld)
+        gm = [[_sympy_poly(sympy, Polynomial.combination(
+            ring, ((gram[i][k], m[k][j]) for k in range(n))), symbols)
+            for j in range(n)] for i in range(n)]
+        fractional |= any(c.denominator != 1 for row in m for p in row
+                          for c in p.terms.values())
+        for i in range(n):
+            assert gm[i][i] == 0
+            for j in range(n):
+                assert sympy.expand(gm[i][j] + gm[j][i]) == 0
+        c = [sympy.Poly(_sympy_poly(sympy, p, symbols), *xs)
+             for p in matrix_apply(gram, fld.components)]
+        degrees = {sum(mono) for p in c for mono in p.monoms() if p.coeff_monomial(mono)}
+        for d in sorted(degrees):
+            monos = [sympy.Mul(*(xs[k] for k in ks))
+                     for ks in combinations_with_replacement(range(n), d - 1)]
+            unknowns = {(pair, mu): sympy.Symbol(f"u_{pair[0]}{pair[1]}_{k}")
+                        for pair in pairs for k, mu in enumerate(monos)}
+            entry = {}
+            for (p, q) in pairs:
+                entry[p, q] = sum(unknowns[(p, q), mu] * mu for mu in monos)
+                entry[q, p] = -entry[p, q]
+            equations = []
+            for i in range(n):
+                part = sum((coeff * sympy.Mul(*(v ** e for v, e in zip(xs, mono)))
+                            for mono, coeff in c[i].terms() if sum(mono) == d),
+                           sympy.Integer(0))
+                lhs = sum(entry[i, j] * xs[j] for j in range(n) if (i, j) in entry)
+                equations += sympy.Poly(sympy.expand(lhs - part), *xs).coeffs()
+            (general,) = sympy.linsolve(equations, list(unknowns.values()))
+            # the homotopy's slice is one member of the linsolve family
+            homotopy = [sympy.Poly(gm[p][q], *xs).coeff_monomial(mu)
+                        for (p, q), mu in unknowns]
+            member = sympy.linsolve([g - h for g, h in zip(general, homotopy)],
+                                    list(unknowns.values()))
+            assert member != sympy.EmptySet
+    assert fractional
 
 
 def test_homotopy_solve_refuses_radial_field():

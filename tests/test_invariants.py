@@ -35,6 +35,8 @@ from takiff.poly import (
 )
 from takiff.takiff_algebra import build_lift
 
+from matrix_reference import add
+
 
 def state_ring(n, name="x"):
     return Ring.of(VariableBlock(name, n, STATE))
@@ -93,7 +95,7 @@ def test_killing_combination_and_field():
     coeffs = [Polynomial.constant(ring, c) for c in (1, 0, 2)]
     velocity = _block_velocities(rho, ring, ring.state_blocks())
     combo = _block_sum(rho, ring, [coeffs], velocity, 0)
-    manual = mx.add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
+    manual = add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
     with pytest.raises(StructuralError):

@@ -1,5 +1,6 @@
 """Polynomial core: canonical form, arithmetic, calculus, curve expansion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,15 @@ def test_unknown_variable_rejected():
         Polynomial(X, {Monomial.of(("y", 0)): Fraction(1)})
     with pytest.raises(StructuralError):
         Polynomial.variable(X, ("x", 3))
+
+
+def test_term_keys_must_be_monomials():
+    # a plain tuple of (var, exponent) pairs hashes and compares like a
+    # Monomial, so it must be refused where it enters, not merged silently
+    with pytest.raises(StructuralError, match="not a Monomial"):
+        Polynomial(X, {(("x", 0), 1): 1})
+    with pytest.raises(StructuralError, match="not a Monomial"):
+        Polynomial(X, {Monomial.of(("x", 0)): 1, (): 2})
 
 
 def test_ring_mismatch_rejected():
@@ -274,6 +284,44 @@ def test_stored_coefficients_are_int_exactly_when_integral(pairs, p, q, phi, c):
         assert_int_when_integral(r)
 
 
+def assert_canonical(p):
+    """The stored form: nonzero int numerators over a positive int denominator
+    coprime to their content, read back as int-when-integral coefficients."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert_int_when_integral(p)
+    assert Polynomial(p.ring, p.terms) == p
+
+
+@LAWS
+@given(PAIRS, polynomials(XW), polynomials(XW), SCALARS.filter(bool),
+       SCALARS.filter(bool))
+def test_kernel_results_are_canonical(pairs, p, q, k, h):
+    results = [Polynomial.combination(XW, pairs), p + q, p - q, -p, p * k, p / k,
+               (p / k) / h, p.derivative(("x", 0)), p.derivative(("w", 0)),
+               (p / k).derivative(("x", 1)), *(p / k).homogeneous_components("x").values()]
+    for r in results:
+        assert_canonical(r)
+    assert (p / k) * k == p
+    # one value reached by two routes compares equal
+    assert Polynomial(XW, {m: c / k for m, c in p.terms.items()}) == p / k
+    assert (p + q) / k == p / k + q / k
+    assert p - q == p + (-q) == -(q - p)
+    assert (p / k) / h == p / (k * h)
+    assert Polynomial.combination(XW, [(k, p), (h, q)]) == p * k + q * h
+    assert (p / k).derivative(("x", 0)) == p.derivative(("x", 0)) / k
+
+
+def test_zero_has_denominator_one():
+    x0 = var(X, "x", 0)
+    for zero in (Polynomial.zero(X), x0 / 3 - x0 / 3, (x0 / 3).derivative(("x", 1)),
+                 Polynomial.combination(X, [(Fraction(1, 2), x0), (Fraction(-1, 2), x0)])):
+        assert zero.is_zero() and zero._den == 1 and zero == Polynomial.zero(X)
+    with pytest.raises(ZeroDivisionError):
+        x0 / 0
+
+
 def test_integral_coefficients_read_the_same_as_int_or_fraction():
     mono = Monomial.of(("x", 0))
     as_int = Polynomial(X, {mono: 3, Monomial.unit(): Fraction(-1, 2)})
@@ -317,6 +365,19 @@ def test_substitute_matches_pointwise_evaluation():
         assert composed.evaluate(point) == direct
 
 
+def test_substitute_of_a_fractional_polynomial():
+    rng = random.Random(29)
+    target = Ring.of(VariableBlock("y", 2, STATE))
+    for k in (2, 3, 6):
+        p = rand_poly(rng, X)
+        images = {("x", i): rand_poly(rng, target, 2, 3) / rng.randint(1, 4) for i in range(3)}
+        composed = (p / k).substitute(images, target)
+        assert composed == p.substitute(images, target) / k
+        point = rand_point(rng, target)
+        assert composed.evaluate(point) == (p / k).evaluate(
+            {v: images[v].evaluate(point) for v in images})
+
+
 def test_substitute_requires_target_ring_images():
     p = var(X, "x", 0)
     with pytest.raises(StructuralError):
@@ -327,6 +388,14 @@ def test_evaluate_requires_all_variables():
     p = var(X, "x", 0) * var(X, "x", 1)
     with pytest.raises(StructuralError):
         p.evaluate({("x", 0): Fraction(1)})
+
+
+def test_evaluate_returns_int_when_integral():
+    half_x0 = var(X, "x", 0) / 2
+    value = half_x0.evaluate({("x", 0): 4})
+    assert value == 2 and type(value) is int
+    assert half_x0.evaluate({("x", 0): Fraction(3)}) == Fraction(3, 2)
+    assert type(Polynomial.zero(X).evaluate({})) is int
 
 
 def test_homogeneous_components_reassemble():

@@ -8,12 +8,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import takiff
 from takiff import jsonio
 from takiff import matrices as mx
 from takiff.cli import main
 from takiff.decompose import (
+    Decomposition,
     VectorField,
     annihilates_invariants,
     builtin_solver,
@@ -22,7 +25,7 @@ from takiff.decompose import (
 from takiff.errors import StructuralError, ValidationError
 from takiff.invariants import lift_family, quadratic_invariant
 from takiff.lie import killing_form, sl2, so_n
-from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock
+from takiff.poly import PARAMETER, STATE, Monomial, Polynomial, Ring, VariableBlock
 from takiff.randgen import (
     SplitMix64,
     generate_instance,
@@ -116,6 +119,51 @@ def test_field_and_decomposition_roundtrip():
     dec = takiff_decompose(inst.lifted, solver, inst.field)
     back = jsonio.decomposition_from_json(jsonio.decomposition_to_json(dec))
     assert back == dec
+
+
+# -- round trips of fractional values, as properties ---------------------------
+
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+# two state blocks f0, f1 of size 2 after a parameter block w
+LEVEL_RING = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("f0", 2, STATE),
+                     VariableBlock("f1", 2, STATE))
+
+
+def fractional_polynomials(ring):
+    monomials = st.dictionaries(st.sampled_from(list(ring.variables())),
+                                st.integers(1, 3), max_size=3).map(Monomial.from_map)
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return st.dictionaries(monomials, coeffs, max_size=4).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+def assert_round_trip(to_json, from_json, value):
+    text = jsonio.dumps(to_json(value))
+    back = from_json(jsonio.loads(text))
+    assert back == value
+    assert jsonio.dumps(to_json(back)) == text
+
+
+@ROUND_TRIP
+@given(fractional_polynomials(LEVEL_RING))
+def test_polynomial_json_round_trip(p):
+    assert_round_trip(jsonio.polynomial_to_json, jsonio.polynomial_from_json, p)
+
+
+@ROUND_TRIP
+@given(st.lists(fractional_polynomials(LEVEL_RING), min_size=4, max_size=4))
+def test_field_json_round_trip(components):
+    fld = VectorField(LEVEL_RING, tuple(components))
+    assert_round_trip(jsonio.field_to_json, jsonio.field_from_json, fld)
+
+
+@ROUND_TRIP
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(fractional_polynomials(LEVEL_RING), min_size=width, max_size=width)
+    .map(tuple), min_size=1, max_size=3)))
+def test_decomposition_json_round_trip(levels):
+    dec = Decomposition(LEVEL_RING, tuple(levels))
+    assert_round_trip(jsonio.decomposition_to_json, jsonio.decomposition_from_json, dec)
 
 
 def test_dumps_is_byte_deterministic():

@@ -17,6 +17,8 @@ from takiff.takiff_algebra import (
     verify_flip_identity,
 )
 
+from matrix_reference import add, sub
+
 
 def basis_vec(dim, k):
     return tuple(Fraction(int(i == k)) for i in range(dim))
@@ -153,10 +155,10 @@ def dense_homomorphism_defect(g, mats):
     n = len(mats[0])
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = mx.sub(mx.mul(mats[i], mats[j]), mx.mul(mats[j], mats[i]))
+            lhs = sub(mx.mul(mats[i], mats[j]), mx.mul(mats[j], mats[i]))
             rhs = mx.zeros(n, n)
             for k, coeff in enumerate(g.c[i][j]):
-                rhs = mx.add(rhs, mx.scale(mats[k], coeff))
+                rhs = add(rhs, mx.scale(mats[k], coeff))
             for r in range(n):
                 for s in range(n):
                     if lhs[r][s] != rhs[r][s]:
