@@ -8,14 +8,17 @@ block w, annihilates the lifted invariants when
 The Dixmier property asserts that such a field is a Killing combination:
 a_j = sum_{r <= j} rho(b_r) f_{j-r} for polynomial coefficients b. This
 module makes that constructive. The base case (m = 0, quadratic invariant
-(1/2) B(v, v)) is solved in closed form by a per-degree homotopy: with
-c = G a, so that sum c_i x_i = 0, each x-homogeneous degree d gives the
+(1/2) B(v, v)) is solved in closed form by a homotopy: with c = G a, so that
+sum c_i x_i = 0, and c_i^(d) the part of c_i of degree d in x, the
 antisymmetric matrix
 
-    b_ij = (dc_i/dx_j - dc_j/dx_i) / (d + 1),
+    b_ij = sum_d (dc_i^(d)/dx_j - dc_j^(d)/dx_i) / (d + 1)
 
-and b x = c follows from the Euler identity together with the derivative of
-the syzygy (sum_j x_j dc_j/dx_i = -c_i). Higher levels reduce to lower ones:
+satisfies b x = c, degree by degree, by the Euler identity together with the
+derivative of the syzygy (sum_j x_j dc_j/dx_i = -c_i). Each entry above the
+diagonal is one polynomial combination over all degrees, b_ji = -b_ij, and
+M = G^(-1) b uses the inverse Gram matrix that the form computes once and
+keeps (``BilinearForm.inverse``). Higher levels reduce to lower ones:
 re-tag the top block f_m as a parameter, decompose the truncated field,
 subtract the correction c_m = sum_{r<m} rho(b_r) f_{m-r}, and base-solve the
 residual against f_0 with every other block as a parameter. That block sum
@@ -125,9 +128,13 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
     """Closed-form matrix M with a = M x and G M antisymmetric.
 
     The field must satisfy B(a(w, x), x) = 0 as a polynomial; that syzygy is
-    checked first and its failure is a refusal carrying the residual. The
-    matrix is assembled per x-homogeneous degree by the homotopy formula and
-    the reconstruction a = M x is re-verified before returning.
+    checked first and its failure is a refusal carrying the residual. Each
+    entry b_ij above the diagonal of the homotopy matrix is one combination
+    over all x-degrees d of the pairs (1/(d+1), dc_i^(d)/dx_j) and
+    (-1/(d+1), dc_j^(d)/dx_i), and b_ji = -b_ij. M = G^(-1) b reads the
+    inverse Gram matrix cached on the form, so repeated solves over one form
+    invert it once. The reconstruction a = M x is re-verified before
+    returning.
     """
     blocks = field.state_blocks
     if len(blocks) != 1:
@@ -153,21 +160,17 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
             # impossible: the degree-1 part of the syzygy is sum_i c_i^(0) x_i
             raise InternalConsistencyError(
                 f"x-free component {parts[0]} in c_{i} despite a zero syzygy")
-    degrees = sorted({d for parts in by_degree for d in parts})
     zero = Polynomial.zero(ring)
     b = [[zero] * n for _ in range(n)]
-    for d in degrees:
-        for i in range(n):
-            ci = by_degree[i].get(d, zero)
-            for j in range(i + 1, n):
-                cj = by_degree[j].get(d, zero)
-                entry = (ci.derivative((x.name, j))
-                         - cj.derivative((x.name, i))) / (d + 1)
-                if entry.is_zero():
-                    continue
-                b[i][j] = b[i][j] + entry
-                b[j][i] = b[j][i] - entry
-    ginv = mx.inverse(gram)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = Polynomial.combination(ring, [
+                *((Fraction(1, d + 1), ci.derivative((x.name, j)))
+                  for d, ci in by_degree[i].items()),
+                *((Fraction(-1, d + 1), cj.derivative((x.name, i)))
+                  for d, cj in by_degree[j].items())])
+            b[j][i] = -b[i][j]
+    ginv = form.inverse
     matrix = tuple(
         tuple(Polynomial.combination(ring, ((ginv[i][k], b[k][j]) for k in range(n)))
               for j in range(n))

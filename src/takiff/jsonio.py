@@ -112,7 +112,7 @@ def _terms_from_json(data: Sequence[Mapping], ring: Ring) -> Polynomial:
         mono = Monomial.from_map({_var_from_key(k): _expect(e, int, f"exponent of {k!r}")
                                   for k, e in _get(item, "exps", dict).items()})
         coeff = scalar_from_str(_get(item, "coeff", object))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
     return Polynomial(ring, terms)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import matrices as mx
@@ -163,6 +164,14 @@ class BilinearForm:
 
     def is_nondegenerate(self) -> bool:
         return mx.det(self.gram) != 0
+
+    @cached_property
+    def inverse(self) -> Matrix:
+        """The inverse Gram matrix, computed on first read and kept with the form.
+
+        Raises ValidationError when the form is degenerate.
+        """
+        return mx.inverse(self.gram)
 
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         return sum(

@@ -16,6 +16,12 @@ coefficient: an ``int`` when integral, else a ``fractions.Fraction`` in lowest
 terms with positive denominator, so every identity test in this package is
 exact.
 
+A ``Monomial`` is a tuple of ``(var, exponent)`` pairs sorted by variable. The
+product of two monomials is an ordered insertion: each pair of the shorter
+factor is placed into the longer one at the position found by bisection,
+adding exponents when the variable is already there, so no map is built and
+nothing is sorted.
+
 All values are immutable after construction. A ``VectorField`` is a tuple of
 polynomials, one per state coordinate; ``Polynomial.directional_derivative``
 applies such a velocity to a polynomial.
@@ -28,6 +34,7 @@ map and constructs only the result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -216,14 +223,25 @@ class Monomial(tuple):
             yield v
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self:
-            return other
+        """The product: each pair of the shorter factor inserted into the longer.
+
+        Both factors are sorted, so each insertion point is found by bisection
+        to the right of the previous one; a shared variable adds exponents.
+        """
+        if len(self) < len(other):
+            self, other = other, self
         if not other:
             return self
-        merged = dict(self)
-        for v, e in other:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(sorted(merged.items()))
+        out = self
+        k = 0
+        for var, e in other:
+            k = bisect_left(out, (var,), k)
+            if k < len(out) and out[k][0] == var:
+                out = out[:k] + ((var, out[k][1] + e),) + out[k + 1:]
+            else:
+                out = out[:k] + ((var, e),) + out[k:]
+            k += 1
+        return Monomial(out)
 
     def without_block(self, block_name: str) -> "Monomial":
         return Monomial((v, e) for v, e in self if v[0] != block_name)

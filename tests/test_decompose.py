@@ -232,6 +232,90 @@ def test_homotopy_solve_refuses_radial_field():
         assert witness == expected
 
 
+def per_degree_homotopy(gram, field):
+    """Reference homotopy: b accumulated one x-degree at a time, then G^-1 b."""
+    ring = field.ring
+    (x,) = field.state_blocks
+    n = x.size
+    by_degree = [p.homogeneous_components(x.name)
+                 for p in matrix_apply(gram, field.components)]
+    zero = Polynomial.zero(ring)
+    b = [[zero] * n for _ in range(n)]
+    for d in sorted({d for parts in by_degree for d in parts}):
+        for i in range(n):
+            ci = by_degree[i].get(d, zero)
+            for j in range(i + 1, n):
+                cj = by_degree[j].get(d, zero)
+                entry = (ci.derivative((x.name, j)) - cj.derivative((x.name, i))) / (d + 1)
+                b[i][j] = b[i][j] + entry
+                b[j][i] = b[j][i] - entry
+    ginv = mx.inverse(gram)
+    return tuple(tuple(sum((b[k][j] * ginv[i][k] for k in range(n)), zero)
+                       for j in range(n)) for i in range(n))
+
+
+def seeded_base_fields(gram, seed, count=4):
+    """Fields G^-1 b x on V with a parameter block, for random antisymmetric b."""
+    n = len(gram)
+    ring = Ring.of(VariableBlock("w", 2, PARAMETER), VariableBlock("x", n, STATE))
+    x = variables(ring, "x", n)
+    rng = SplitMix64(seed)
+    ginv = mx.inverse(gram)
+    return [VectorField(ring, matrix_apply(ginv, matrix_apply(
+        random_antisymmetric(rng, ring, n, max_degree=3, num_terms=4), x)))
+        for _ in range(count)]
+
+
+SO3_GRAM, SO4_GRAM = mx.identity(3), mx.identity(4)
+SL2_KILLING_GRAM = killing_form(sl2()[0]).gram
+
+
+@pytest.mark.parametrize("gram", [SO3_GRAM, SO4_GRAM, SL2_KILLING_GRAM],
+                         ids=["so3", "so4", "sl2-killing"])
+def test_homotopy_solve_equals_the_per_degree_reference(gram):
+    form = BilinearForm(gram)
+    fractional = False
+    for fld in seeded_base_fields(gram, seed=2026 + len(gram)):
+        m = quadratic_base_solve(form, fld)
+        assert m == per_degree_homotopy(gram, fld)
+        fractional |= any(p._den != 1 for row in m for p in row)
+    assert fractional  # the 1/(d + 1) weights are exercised
+
+
+def test_repeated_solves_invert_the_gram_matrix_once(monkeypatch):
+    form = killing_form(sl2()[0])
+    fields = seeded_base_fields(form.gram, seed=7)
+    inverted = []
+    inverse = mx.inverse
+
+    def counted(a):
+        inverted.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(mx, "inverse", counted)
+    for fld in fields:
+        quadratic_base_solve(form, fld)
+    assert inverted == [form.gram]
+    # a second form with an equal Gram matrix keeps its own inverse
+    quadratic_base_solve(BilinearForm(form.gram), fields[0])
+    assert len(inverted) == 2
+
+
+def test_homotopy_solve_refusal_carries_the_syzygy_witness():
+    gram = SL2_KILLING_GRAM
+    fld = seeded_base_fields(gram, seed=5, count=1)[0]
+    ring = fld.ring
+    x = variables(ring, "x", 3)
+    w0 = Polynomial.variable(ring, ("w", 0))
+    # a += w0 x adds w0 B(x, x) to the syzygy B(a, x), which was zero
+    bent = VectorField(ring, tuple(a + w0 * xi for a, xi in zip(fld.components, x)))
+    with pytest.raises(DecompositionRefused) as info:
+        quadratic_base_solve(BilinearForm(gram), bent)
+    quadratic = sum((x[i] * x[j] * gram[i][j] for i in range(3) for j in range(3)),
+                    Polynomial.zero(ring))
+    assert info.value.witness == w0 * quadratic
+
+
 def test_quadratic_solver_recovers_constant_coefficients():
     g, rho = so_n(3)
     solver = QuadraticBaseSolver(rho, BilinearForm(mx.identity(3)))

@@ -265,6 +265,37 @@ def test_combination_rejects_a_ring_mismatch_in_any_pair(pairs, alien, data):
         Polynomial.combination(XW, pairs[:k] + [bad] + pairs[k + 1:])
 
 
+def dict_merge_product(m1, m2):
+    """Reference product: merge the exponent maps, then sort by variable."""
+    merged = dict(m1)
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+# indices 2 and 10 order differently as numbers and as strings
+MONOMIALS = st.dictionaries(
+    st.sampled_from([(name, i) for name in ("f0", "f1", "w") for i in (0, 1, 2, 10)]),
+    st.integers(1, 4), max_size=7).map(Monomial.from_map)
+
+
+@LAWS
+@given(MONOMIALS, MONOMIALS, MONOMIALS)
+def test_monomial_product_is_the_sorted_merge(a, b, c):
+    ab = a.mul(b)
+    assert type(ab) is Monomial
+    assert tuple(ab) == dict_merge_product(a, b)
+    variables_ = [v for v, _ in ab]
+    assert variables_ == sorted(set(variables_))
+    assert all(type(e) is int and e > 0 for _, e in ab)
+    assert ab.degree() == a.degree() + b.degree()
+    assert ab == b.mul(a)
+    assert ab.mul(c) == a.mul(b.mul(c))
+    unit = Monomial.unit()
+    assert a.mul(unit) == a == unit.mul(a)
+    assert type(a.mul(unit)) is Monomial and type(unit.mul(a)) is Monomial
+
+
 def assert_int_when_integral(p):
     for c in p.terms.values():
         assert type(c) in (int, Fraction)

@@ -24,7 +24,14 @@ from takiff.decompose import (
 )
 from takiff.errors import StructuralError, ValidationError
 from takiff.invariants import lift_family, quadratic_invariant
-from takiff.lie import killing_form, sl2, so_n
+from takiff.lie import (
+    BilinearForm,
+    adjoint_rep,
+    conjugate_representation,
+    killing_form,
+    sl2,
+    so_n,
+)
 from takiff.poly import PARAMETER, STATE, Monomial, Polynomial, Ring, VariableBlock
 from takiff.randgen import (
     SplitMix64,
@@ -69,6 +76,18 @@ def test_malformed_variable_keys():
         data = {"terms": [{"coeff": "1", "exps": {key: 1}}]}
         with pytest.raises(StructuralError):
             jsonio.polynomial_from_json(data, ring)
+
+
+def test_repeated_monomials_in_a_term_list_are_summed():
+    ring = Ring.of(VariableBlock("x", 2, STATE))
+    x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
+    terms = [{"coeff": "1/2", "exps": {"x.0": 1, "x.1": 2}},
+             {"coeff": 3, "exps": {}},
+             {"coeff": "1/3", "exps": {"x.1": 2, "x.0": 1}},
+             {"coeff": "-3", "exps": {}},
+             {"coeff": "7", "exps": {"x.0": 1}}]
+    p = jsonio.polynomial_from_json({"terms": terms}, ring)
+    assert p == x0 * x1 * x1 * Fraction(5, 6) + 7 * x0
 
 
 def _term(coeff, exponent):
@@ -164,6 +183,78 @@ def test_field_json_round_trip(components):
 def test_decomposition_json_round_trip(levels):
     dec = Decomposition(LEVEL_RING, tuple(levels))
     assert_round_trip(jsonio.decomposition_to_json, jsonio.decomposition_from_json, dec)
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def invertible_matrices(n):
+    return st.lists(st.lists(RATIONALS, min_size=n, max_size=n).map(tuple),
+                    min_size=n, max_size=n).map(tuple).filter(lambda a: mx.det(a) != 0)
+
+
+# so(n) and the adjoint of sl2, each as given or conjugated by a rational matrix
+REPRESENTATIONS = st.one_of(
+    st.integers(2, 4).map(lambda n: so_n(n)[1]),
+    st.just(adjoint_rep(sl2()[0])),
+).flatmap(lambda rep: st.one_of(
+    st.just(rep),
+    invertible_matrices(rep.space_dim).map(lambda t: conjugate_representation(rep, t))))
+
+
+@st.composite
+def symmetric_forms(draw):
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(RATIONALS) for i in range(n) for j in range(i, n)}
+    return BilinearForm(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
+                              for i in range(n)))
+
+
+def bilinear_to_json(form):
+    return {"size": form.size, "gram": jsonio.matrix_to_json(form.gram)}
+
+
+def with_float_entry(data, path):
+    """A copy of ``data`` with the scalar string at ``path`` read as a float."""
+    data = json.loads(json.dumps(data))
+    *outer, last = path
+    holder = data
+    for key in outer:
+        holder = holder[key]
+    holder[last] = float(Fraction(holder[last]))
+    return data
+
+
+@ROUND_TRIP
+@given(REPRESENTATIONS, st.data())
+def test_algebra_and_representation_json_round_trip(rep, data):
+    assert_round_trip(jsonio.algebra_to_json, jsonio.algebra_from_json, rep.algebra)
+    assert_round_trip(jsonio.representation_to_json, jsonio.representation_from_json, rep)
+    d, n = rep.algebra.dim, rep.space_dim
+    plane = data.draw(st.integers(0, d - 1), label="plane")
+    row = data.draw(st.integers(0, d - 1), label="row")
+    col = data.draw(st.integers(0, d - 1), label="col")
+    with pytest.raises(StructuralError):
+        jsonio.algebra_from_json(with_float_entry(
+            jsonio.algebra_to_json(rep.algebra), ["c", plane, row, col]))
+    matrix = data.draw(st.integers(0, d - 1), label="matrix")
+    entry = data.draw(st.integers(0, n * n - 1), label="entry")
+    with pytest.raises(StructuralError):
+        jsonio.representation_from_json(with_float_entry(
+            jsonio.representation_to_json(rep), ["matrices", matrix, entry]))
+
+
+@ROUND_TRIP
+@given(symmetric_forms(), st.data())
+def test_bilinear_form_json_round_trip(form, data):
+    text = jsonio.dumps(bilinear_to_json(form))
+    back = jsonio.bilinear_from_json(jsonio.loads(text))
+    assert back == form
+    assert jsonio.dumps(bilinear_to_json(back)) == text
+    row = data.draw(st.integers(0, form.size - 1), label="row")
+    col = data.draw(st.integers(0, form.size - 1), label="col")
+    with pytest.raises(StructuralError):
+        jsonio.bilinear_from_json(with_float_entry(bilinear_to_json(form), ["gram", row, col]))
 
 
 def test_dumps_is_byte_deterministic():
