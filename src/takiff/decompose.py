@@ -224,26 +224,17 @@ class QuadraticBaseSolver:
         self.family = InvariantFamily(
             rep, (quadratic_invariant(form.gram, ring),),
             label or "quadratic")
-        # pivot rows of the flattened basis images; d independent rows exist
-        # iff rho is injective, which the dimension count then upgrades to
-        # rho(g) = so(B)
+        # one elimination finds the pivot rows of the flattened basis images; d
+        # exist iff rho is injective, so with the dimension count rho(g) = so(B)
         flat = tuple(
             tuple(rep.matrices[i][r][s] for i in range(d))
             for r in range(n) for s in range(n))
-        rows: list[int] = []
-        work: list[tuple[Fraction, ...]] = []
-        for idx, row in enumerate(flat):
-            if mx.rank(tuple(work) + (row,)) > len(work):
-                rows.append(idx)
-                work.append(row)
-            if len(rows) == d:
-                break
-        if len(rows) < d:
+        self._flat = flat
+        self._pivot_rows = mx.independent_rows(flat)
+        if len(self._pivot_rows) < d:
             raise ValidationError(
                 "basis images are linearly dependent; cannot span so(B)")
-        self._flat = flat
-        self._pivot_rows = tuple(rows)
-        self._pivot_inverse = mx.inverse(tuple(flat[r] for r in rows))
+        self._pivot_inverse = mx.inverse(tuple(flat[r] for r in self._pivot_rows))
 
     def solve(self, field: VectorField) -> tuple[Polynomial, ...]:
         matrix = quadratic_base_solve(self.form, field)

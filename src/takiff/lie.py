@@ -11,7 +11,8 @@ arithmetic on nonzero entries only: the algebra reads a table of the nonzero
 structure constants, and the representation compares the nonzero entries of
 each commutator with those of the bracket's image (``matrices.sparse_rows``
 and ``matrices.sparse_commutator``). A failed homomorphism check names the
-basis pair and the first entry where the two sides differ.
+basis pair and the first entry where the two sides differ. A matrix algebra
+reads its constants from one factorization of its basis; both checks still run.
 """
 
 from __future__ import annotations
@@ -207,9 +208,11 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
                           ) -> tuple[LieAlgebra, Representation]:
     """Structure constants of a matrix Lie algebra with the given basis.
 
-    Pairwise commutators are expressed over the basis by exact linear solving;
-    a commutator outside the span is a validation error. Returns the algebra
-    together with its defining representation.
+    One factorization: the pivot rows of the flattened basis give a d x d block,
+    inverted once; each [x_i, x_j] with i < j reads its coordinates from it,
+    checked exactly against the whole basis, and c[j][i] = -c[i][j], c[i][i] = 0.
+    Dependent basis matrices, or a commutator outside their span, are
+    validation errors. Returns the algebra with its defining representation.
     """
     d = len(names)
     if len(mats) != d:
@@ -217,25 +220,24 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
     n = len(mats[0])
     flat_basis = mx.transpose(tuple(
         tuple(m[r][s] for r in range(n) for s in range(n)) for m in mats))
-    constants = []
+    pivots = mx.independent_rows(flat_basis)
+    if len(pivots) < d:
+        raise ValidationError("basis matrices are linearly dependent")
+    pivot_inverse = mx.inverse(tuple(flat_basis[r] for r in pivots))
     rows = tuple(mx.sparse_rows(m) for m in mats)
     zero = Fraction(0)
+    constants = [[(zero,) * d] * d for _ in range(d)]
     for i in range(d):
-        plane = []
-        for j in range(d):
-            target = [zero] * (n * n)
-            for (r, s), x in mx.sparse_commutator(rows[i], rows[j]).items():
-                target[r * n + s] = x
-            target = tuple(target)
-            coeffs = mx.solve(flat_basis, target)
-            if coeffs is None:
+        for j in range(i + 1, d):
+            bracket = mx.sparse_commutator(rows[i], rows[j])
+            target = tuple(bracket.get(divmod(k, n), zero) for k in range(n * n))
+            coeffs = mx.mat_vec(pivot_inverse, [target[k] for k in pivots])
+            if mx.mat_vec(flat_basis, coeffs) != target:
                 raise ValidationError(
                     f"[{names[i]}, {names[j]}] is outside the span of the basis")
-            if mx.mat_vec(flat_basis, coeffs) != target:
-                raise ValidationError("inconsistent solve for structure constants")
-            plane.append(tuple(coeffs))
-        constants.append(tuple(plane))
-    algebra = LieAlgebra(tuple(names), tuple(constants))
+            constants[i][j] = coeffs
+            constants[j][i] = tuple(-x for x in coeffs)
+    algebra = LieAlgebra(tuple(names), tuple(tuple(plane) for plane in constants))
     return algebra, Representation(algebra, tuple(mats))
 
 

@@ -2,7 +2,8 @@
 
 The dense helpers work on tuples of tuples of Fraction, the public Matrix
 type. Sizes stay at desk scale (a few dozen rows), so plain Gaussian
-elimination is enough and keeps all results exact.
+elimination is enough and keeps all results exact; ``independent_rows`` and one
+``inverse`` factor a spanning set once for the coordinates of every vector.
 
 The sparse validation kernel serves the exhaustive homomorphism checks:
 ``sparse_rows`` keeps only the nonzero entries of each row, and
@@ -69,7 +70,8 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a)
+    nonzero = [(k, y) for k, y in enumerate(v) if y]
+    return tuple(sum((row[k] * y for k, y in nonzero if row[k]), Fraction(0)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -144,11 +146,16 @@ def _eliminate(a: Matrix, rhs: Matrix | None):
     return work, extra, pivots
 
 
+def independent_rows(a: Matrix) -> tuple[int, ...]:
+    """Indices of the rows of ``a`` outside the span of the rows before them.
+
+    The pivot columns of ``transpose(a)``: the rows a greedy rank loop keeps.
+    """
+    return tuple(_eliminate(transpose(a), None)[2])
+
+
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    _, _, pivots = _eliminate(a, None)
-    return len(pivots)
+    return len(independent_rows(a))  # kept for perfbench's layer tracer
 
 
 def det(a: Matrix) -> Fraction:

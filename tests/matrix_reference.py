@@ -1,7 +1,9 @@
-"""Dense entrywise matrix sum and difference, the tests' reference arithmetic.
+"""Reference linear algebra for the tests.
 
-The library needs neither: its checks run on sparse rows (``matrices``) and
-its sums of products on polynomials (``poly``).
+Dense entrywise matrix sum and difference: the library needs neither, since
+its checks run on sparse rows (``matrices``) and its sums of products on
+polynomials (``poly``). A greedy incremental-rank row selection, the
+reference for ``matrices.independent_rows``.
 """
 
 from takiff.matrices import Matrix
@@ -13,3 +15,25 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def greedy_independent_rows(a: Matrix) -> tuple[int, ...]:
+    """Add the rows of ``a`` one at a time; keep each that raises the rank.
+
+    A row raises the rank when it does not reduce to zero against the rows
+    kept so far. Each kept row is stored reduced against the earlier ones and
+    scaled to 1 at its pivot column, so one pass of reductions suffices.
+    """
+    kept: list[int] = []
+    basis: list[tuple[int, list]] = []
+    for idx, row in enumerate(a):
+        v = list(row)
+        for col, b in basis:
+            if v[col]:
+                factor = v[col]
+                v = [x - factor * y for x, y in zip(v, b)]
+        pivot = next((col for col, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis.append((pivot, [x / v[pivot] for x in v]))
+            kept.append(idx)
+    return tuple(kept)

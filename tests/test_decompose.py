@@ -349,6 +349,27 @@ def test_quadratic_solver_validation():
         QuadraticBaseSolver(rho, BilinearForm(mx.zeros(3, 3)))
     with pytest.raises(StructuralError):
         QuadraticBaseSolver(rho, BilinearForm(mx.identity(2)))
+    # dim(g) = dim so(3), but the basis images span only a line
+    a = rho.matrices[0]
+    _, flat_rho = abelian(3, (a, a, mx.zeros(3, 3)))
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        QuadraticBaseSolver(flat_rho, BilinearForm(mx.identity(3)))
+
+
+def test_quadratic_solver_factors_the_basis_images_with_two_eliminations(monkeypatch):
+    _, rho = so_n(4)
+    eliminate = mx._eliminate
+    calls = []
+
+    def counted(a, rhs):
+        calls.append(mx.shape(a))
+        return eliminate(a, rhs)
+
+    monkeypatch.setattr(mx, "_eliminate", counted)
+    QuadraticBaseSolver(rho, BilinearForm(mx.identity(4)))
+    # the pivot search on the transposed 16 x 6 flattened images, then the
+    # inverse of the 6 x 6 pivot block
+    assert calls == [(6, 16), (6, 6)]
 
 
 def test_trivial_solver():

@@ -117,6 +117,52 @@ def test_algebra_from_matrices_rejects_open_span():
         algebra_from_matrices(("a", "b"), (e01, e10))
 
 
+def test_algebra_from_matrices_rejects_dependent_basis():
+    x = mx.mat([[0, 1], [0, 0]])
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        algebra_from_matrices(("a", "b"), (x, x))
+    e, h, f = sl2()[1].matrices
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        algebra_from_matrices(("e", "h", "f", "s"), (e, h, f, add(e, f)))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("so_n", {"n": 2}), ("so_n", {"n": 3}), ("so_n", {"n": 4}), ("so_n", {"n": 5}),
+    ("so_pq", {"p": 2, "q": 1}), ("sl2", {}), ("gl_n", {"n": 2}), ("gl_n", {"n": 3}),
+], ids=["so2", "so3", "so4", "so5", "so21", "sl2", "gl2", "gl3"])
+def test_structure_constants_match_sympy_linsolve(kind, params):
+    """c[i][j] is the unique solution of flat . c = vec([x_i, x_j])."""
+    sympy = pytest.importorskip("sympy")
+    g, rho = make_standard(kind, **params)
+    n, d = rho.space_dim, g.dim
+    mats = [sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in m]) for m in rho.matrices]
+    flat = sympy.Matrix.hstack(*(m.reshape(n * n, 1) for m in mats))
+    unknowns = sympy.symbols(f"c0:{d}")
+    for i in range(d):
+        for j in range(d):
+            bracket = (mats[i] * mats[j] - mats[j] * mats[i]).reshape(n * n, 1)
+            (solution,) = sympy.linsolve((flat, bracket), unknowns)
+            assert not any(v.free_symbols for v in solution), (i, j)
+            assert list(solution) == [sympy.Rational(x.numerator, x.denominator)
+                                      for x in g.c[i][j]], (i, j)
+
+
+def test_so5_factors_its_basis_with_two_eliminations(monkeypatch):
+    eliminate = mx._eliminate
+    calls = []
+
+    def counted(a, rhs):
+        calls.append(mx.shape(a))
+        return eliminate(a, rhs)
+
+    monkeypatch.setattr(mx, "_eliminate", counted)
+    so_n(5)
+    # the pivot search on the transposed 25 x 10 flattened basis, then the
+    # inverse of the 10 x 10 pivot block
+    assert calls == [(10, 25), (10, 10)]
+
+
 def test_representation_homomorphism_enforced():
     g, _ = sl2()
     with pytest.raises(ValidationError):

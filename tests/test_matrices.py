@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from takiff import matrices as mx
 from takiff.errors import StructuralError, ValidationError
 from takiff.lie import so_n
 from takiff.takiff_algebra import build_lift
 
-from matrix_reference import add, sub
+from matrix_reference import add, greedy_independent_rows, sub
 
 
 def rand_matrix(rng, n, m=None):
@@ -84,11 +86,46 @@ def test_inverse():
 
 
 def test_rank():
-    assert mx.rank(()) == 0
-    assert mx.rank(mx.zeros(3, 3)) == 0
-    assert mx.rank(mx.identity(4)) == 4
-    assert mx.rank(mx.mat([[1, 2], [2, 4], [3, 6]])) == 1
-    assert mx.rank(mx.mat([[1, 2, 3], [0, 1, 1]])) == 2
+    # the rank counts the independent rows, and those are the first ones that
+    # raise it
+    cases = (((), ()),
+             (mx.zeros(3, 3), ()),
+             (mx.identity(4), (0, 1, 2, 3)),
+             (mx.mat([[1, 2], [2, 4], [3, 6]]), (0,)),
+             (mx.mat([[1, 2, 3], [0, 1, 1]]), (0, 1)),
+             (mx.mat([[0, 0], [1, 1], [2, 2], [0, 1], [1, 0]]), (1, 3)))
+    for a, rows in cases:
+        assert mx.independent_rows(a) == rows
+        assert mx.rank(a) == len(rows)
+
+
+ENTRIES = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def matrices_with_dependent_rows(draw):
+    """Small rational matrices mixing fresh, zero, repeated and combined rows."""
+    cols = draw(st.integers(1, 4))
+    rows: list[tuple[Fraction, ...]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")
+                                    if rows else ("fresh", "zero")))
+        if kind == "fresh":
+            rows.append(draw(st.tuples(*[ENTRIES] * cols)))
+        elif kind == "zero":
+            rows.append((Fraction(0),) * cols)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(ENTRIES)
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+    return tuple(rows)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(matrices_with_dependent_rows())
+def test_independent_rows_match_the_greedy_rank_loop(a):
+    assert mx.independent_rows(a) == greedy_independent_rows(a)
 
 
 def test_solve():
