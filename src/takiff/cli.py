@@ -261,10 +261,11 @@ def _parser() -> argparse.ArgumentParser:
                     "decompositions, in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, human=False):
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--human", action="store_true",
-                       help="plain-text summary instead of JSON")
+        if human:
+            p.add_argument("--human", action="store_true",
+                           help="plain-text summary instead of JSON")
 
     p = sub.add_parser("build", help="build the level-m Takiff algebra")
     p.add_argument("--algebra", required=True, help="base algebra JSON")
@@ -292,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--level", type=int, default=0,
                    help="check under the level-m lift instead of the base")
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_check_invariant)
 
     p = sub.add_parser("tangency", help="pointwise orbit-tangency of a field")
@@ -300,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="vector field JSON")
     p.add_argument("--points", required=True,
                    help='JSON {"points": [[...]], "parameters": [[...]]}')
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_tangency)
 
     p = sub.add_parser("decompose", help="decompose a field into Killing coefficients")
@@ -311,7 +312,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="expected number of parameter variables (validation only)")
     p.add_argument("--gram", default="identity",
                    help="identity, killing, or a bilinear-form JSON path")
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("verify", help="check a decomposition against a field")
@@ -319,19 +320,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--dec", required=True, help="decomposition JSON")
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("verify-flip", help="block-reversal identity for the coadjoint lift")
     p.add_argument("--algebra", required=True)
     p.add_argument("--level", type=int, required=True)
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_verify_flip)
 
     p = sub.add_parser("suite", help="run named property suites")
     p.add_argument("names", nargs="*", help="suite names (default: all)")
     p.add_argument("--seed", type=int, default=2026)
-    common(p)
+    common(p, human=True)
     p.set_defaults(handler=cmd_suite)
 
     p = sub.add_parser("generate", help="deterministic decomposable instance")

@@ -223,11 +223,10 @@ def faa_di_bruno_lift(phi: Polynomial, m: int,
 
 def _rename_block(mono: Monomial, new: str) -> Monomial:
     """Rename every variable of a single-block monomial into block ``new``."""
-    return Monomial.from_map({(new, idx): e for (_, idx), e in mono.exps})
+    return Monomial.from_map({(new, idx): e for (_, idx), e in mono})
 
 
-def extract_linear_part(phi_k: Polynomial, k: int,
-                        block_name: str | None = None) -> tuple[Polynomial, Polynomial]:
+def extract_linear_part(phi_k: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
     """Split a curve coefficient into its top-block-linear part and remainder.
 
     For k >= 1 coefficient k is affine in the block f_k: the linear part is
@@ -236,7 +235,7 @@ def extract_linear_part(phi_k: Polynomial, k: int,
     f_k contradicts that structure and raises an internal-consistency error.
     (Coefficient 0 is phi(f_0) itself and admits no such split.)
     """
-    name = block_name if block_name is not None else f"f{k}"
+    name = f"f{k}"
     parts = phi_k.homogeneous_components(name)
     bad = [d for d in parts if d >= 2]
     if bad:

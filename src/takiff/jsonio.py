@@ -102,7 +102,7 @@ def _terms_to_json(p: Polynomial) -> list[dict]:
     out = []
     for mono, coeff in p.sorted_terms():
         out.append({"coeff": scalar_to_str(coeff),
-                    "exps": {_var_key(v): e for v, e in mono.exps}})
+                    "exps": {_var_key(v): e for v, e in mono}})
     return out
 
 

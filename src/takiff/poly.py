@@ -188,10 +188,6 @@ class Monomial(tuple):
 
     __slots__ = ()
 
-    @property
-    def exps(self) -> tuple[tuple[Var, int], ...]:
-        return self
-
     @staticmethod
     def unit() -> "Monomial":
         return _UNIT

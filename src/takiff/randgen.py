@@ -17,9 +17,10 @@ from fractions import Fraction
 from . import matrices as mx
 from .decompose import field_from_coefficients
 from .errors import StructuralError, ValidationError
+from .invariants import default_lift_blocks
 from .lie import LieAlgebra, Representation, killing_form, make_standard
 from .matrices import Matrix
-from .poly import PARAMETER, STATE, Monomial, Polynomial, Ring, VariableBlock, VectorField
+from .poly import PARAMETER, Monomial, Polynomial, Ring, VariableBlock, VectorField
 from .takiff_algebra import LiftedRepresentation, build_lift
 
 _MASK = (1 << 64) - 1
@@ -119,12 +120,8 @@ def random_invertible(rng: SplitMix64, n: int, bound: int = 3) -> Matrix:
 
 def instance_ring(level: int, block_size: int, parameters: int) -> Ring:
     """The standard ring for fields on V_m: optional w block, then f_0..f_m."""
-    blocks: list[VariableBlock] = []
-    if parameters:
-        blocks.append(VariableBlock("w", parameters, PARAMETER))
-    blocks.extend(VariableBlock(f"f{k}", block_size, STATE)
-                  for k in range(level + 1))
-    return Ring(tuple(blocks))
+    w = (VariableBlock("w", parameters, PARAMETER),) if parameters else ()
+    return Ring(w + default_lift_blocks(level, block_size))
 
 
 @dataclass(frozen=True)

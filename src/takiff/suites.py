@@ -544,7 +544,7 @@ def suite_refusal(seed: int) -> Report:
         _, rep = make_standard("so_n", n=n)
         solver = builtin_solver(rep)
         lifted = build_lift(rep, m)
-        ring = Ring(tuple(VariableBlock(f"f{k}", n, STATE) for k in range(m + 1)))
+        ring = Ring(default_lift_blocks(m, n))
         field = VectorField(ring, tuple(
             random_polynomial(rng, ring, max_degree=2, num_terms=2)
             for _ in range((m + 1) * n)))

@@ -12,6 +12,10 @@ pattern. A representation rho of g on V lifts to rho_m on V_m = V^{m+1} by
     rho_m(x T^r) : f_s |-> rho(x) f_s   placed in block r+s (dropped past m),
 
 so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
+
+Every dense matrix here (the structure-constant planes of g_m, rho_m, the
+lifted form B_m and the flip theta) is base blocks at block positions, and
+that placement rule lives in one helper, ``_blocks``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from . import matrices as mx
 from .errors import InternalConsistencyError, StructuralError, ValidationError
@@ -43,6 +48,21 @@ def _level_name(base_name: str, r: int) -> str:
     return base_name if r == 0 else f"{base_name}.T{r}"
 
 
+def _blocks(level: int, n: int, placed: Iterable[tuple[int, int, Matrix]]) -> Matrix:
+    """The (level+1)·n square matrix with base block B at block (R, C) for each
+    (R, C, B) in ``placed``; every other entry is zero."""
+    size = (level + 1) * n
+    zero = Fraction(0)
+    rows = [[zero] * size for _ in range(size)]
+    for r, c, block in placed:
+        for a, brow in enumerate(block):
+            row = rows[r * n + a]
+            for b, x in enumerate(brow):
+                if x:
+                    row[c * n + b] = x
+    return tuple(map(tuple, rows))
+
+
 def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
     """Construct g_m; the truncated bracket is re-validated exactly.
 
@@ -51,26 +71,11 @@ def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
     if m < 0:
         raise StructuralError(f"level must be >= 0, got {m}")
     d = base.dim
-    dm = (m + 1) * d
-    zero = Fraction(0)
     names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
-    constants = [[[zero] * dm for _ in range(dm)] for _ in range(dm)]
-    for r in range(m + 1):
-        for s in range(m + 1):
-            if r + s > m:
-                continue
-            shift = (r + s) * d
-            for i in range(d):
-                row = constants[r * d + i]
-                for j in range(d):
-                    cij = base.c[i][j]
-                    target = row[s * d + j]
-                    for k in range(d):
-                        if cij[k]:
-                            target[shift + k] = cij[k]
-    algebra = LieAlgebra(names, tuple(
-        tuple(tuple(row) for row in plane) for plane in constants))
-    return TakiffContext(base, m, algebra)
+    # the plane of x_i T^r: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}
+    planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))
+                   for r in range(m + 1) for i in range(d))
+    return TakiffContext(base, m, LieAlgebra(names, planes))
 
 
 @dataclass(frozen=True)
@@ -98,27 +103,10 @@ def lift_representation(ctx: TakiffContext, rho: Representation) -> LiftedRepres
     """Lift a base representation to g_m; the homomorphism law is re-verified."""
     if rho.algebra != ctx.base:
         raise StructuralError("representation is not over the context's base algebra")
-    d = ctx.base.dim
-    n = rho.space_dim
-    m = ctx.level
-    nm = (m + 1) * n
-    mats = []
-    for r in range(m + 1):
-        for i in range(d):
-            rows = [[Fraction(0)] * nm for _ in range(nm)]
-            block = rho.matrices[i]
-            for s in range(m + 1 - r):
-                out = (r + s) * n
-                src = s * n
-                for a in range(n):
-                    row = rows[out + a]
-                    brow = block[a]
-                    for b in range(n):
-                        if brow[b]:
-                            row[src + b] = brow[b]
-            mats.append(tuple(tuple(row) for row in rows))
-    rep = Representation(ctx.algebra, tuple(mats))
-    return LiftedRepresentation(ctx, rho, rep)
+    m, n = ctx.level, rho.space_dim
+    mats = tuple(_blocks(m, n, ((r + s, s, rho.matrices[i]) for s in range(m + 1 - r)))
+                 for r in range(m + 1) for i in range(ctx.base.dim))
+    return LiftedRepresentation(ctx, rho, Representation(ctx.algebra, mats))
 
 
 @lru_cache(maxsize=None)
@@ -135,13 +123,8 @@ def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
 
 def flip_involution(level: int, block_size: int) -> Matrix:
     """Block reversal (f_0, ..., f_m) -> (f_m, ..., f_0) as a permutation matrix."""
-    n = block_size
-    nm = (level + 1) * n
-    rows = [[Fraction(0)] * nm for _ in range(nm)]
-    for s in range(level + 1):
-        for a in range(n):
-            rows[(level - s) * n + a][s * n + a] = Fraction(1)
-    return tuple(tuple(row) for row in rows)
+    return _blocks(level, block_size,
+                   ((level - s, s, mx.identity(block_size)) for s in range(level + 1)))
 
 
 @dataclass(frozen=True)
@@ -186,17 +169,8 @@ def lift_bilinear_form(ctx: TakiffContext, form: BilinearForm) -> BilinearForm:
         raise ValidationError("input form is degenerate")
     if not form.is_invariant_for(g):
         raise ValidationError("input form is not invariant for the base algebra")
-    d = g.dim
     m = ctx.level
-    dm = (m + 1) * d
-    rows = [[Fraction(0)] * dm for _ in range(dm)]
-    for r in range(m + 1):
-        s = m - r
-        for i in range(d):
-            for j in range(d):
-                if form.gram[i][j]:
-                    rows[r * d + i][s * d + j] = form.gram[i][j]
-    lifted = BilinearForm(tuple(tuple(row) for row in rows))
+    lifted = BilinearForm(_blocks(m, g.dim, ((r, m - r, form.gram) for r in range(m + 1))))
     if not lifted.is_nondegenerate():
         raise InternalConsistencyError("lifted form should be nondegenerate")
     if not lifted.is_invariant_for(ctx.algebra):

@@ -158,7 +158,7 @@ def test_homotopy_solve_with_weighted_form():
 
 def _sympy_poly(sympy, p, symbols):
     return sum((sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(symbols[v] ** e for v, e in mono.exps))
+                * sympy.Mul(*(symbols[v] ** e for v, e in mono))
                 for mono, c in p.terms.items()), sympy.Integer(0))
 
 

@@ -123,7 +123,7 @@ def test_derivative_product_rule():
 
 def _to_sympy(sympy, p, symbols):
     return sum((sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(symbols[v] ** e for v, e in mono.exps))
+                * sympy.Mul(*(symbols[v] ** e for v, e in mono))
                 for mono, c in p.terms.items()), sympy.Integer(0))
 
 

@@ -1,5 +1,7 @@
 """JSON interchange, deterministic generation, and the command line."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import takiff
 from takiff import jsonio
 from takiff import matrices as mx
-from takiff.cli import main
+from takiff.cli import _parser, main
 from takiff.decompose import (
     Decomposition,
     VectorField,
@@ -549,3 +551,124 @@ def test_cli_unknown_suite_and_missing_file(tmp_path, capsys):
     assert main(["build", "--algebra", str(tmp_path / "missing.json"),
                  "--level", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--algebra", "g.json", "--level", "1"],
+    ["lift-rep", "--rep", "rep.json", "--level", "1"],
+    ["lift-invariant", "--rep", "rep.json", "--phi", "q.json", "--level", "1"],
+    ["generate", "--kind", "so_n", "--n", "3", "--level", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_human_is_refused_where_it_would_do_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--human"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --human" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-invariant", "--rep", "rep.json", "--phi", "q.json"],
+    ["tangency", "--rep", "rep.json", "--field", "f.json", "--points", "p.json"],
+    ["decompose", "--rep", "rep.json", "--level", "1", "--field", "f.json"],
+    ["verify", "--rep", "rep.json", "--level", "1", "--field", "f.json", "--dec", "d.json"],
+    ["verify-flip", "--algebra", "g.json", "--level", "1"],
+    ["suite"],
+], ids=lambda argv: argv[0])
+def test_cli_human_is_accepted_where_it_changes_the_output(argv):
+    assert _parser().parse_args(argv + ["--human"]).human is True
+    assert _parser().parse_args(argv).human is False
+
+
+# -- mutated documents through the command line ---------------------------------
+
+def json_sites(node, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_sites(child, path + (key,))
+
+
+def is_scalar_text(value):
+    try:
+        Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return isinstance(value, str)
+
+
+def document_mutations(doc):
+    """Edits that each leave ``doc`` malformed.
+
+    Deleting a whole term or one variable of a monomial leaves a well-formed
+    polynomial, and a basis or block name may be any string, so those edits
+    are not made.
+    """
+    out = []
+    for path, value in json_sites(doc):
+        in_monomial = path[-2:-1] == ("exps",)
+        if path and not in_monomial and not (isinstance(value, dict) and "coeff" in value):
+            out.append(("delete", path, None))
+        out.extend(("set", path, other) for other in (1.5, True, False))
+        if (isinstance(value, int) and not isinstance(value, bool)) or is_scalar_text(value):
+            out.extend(("set", path, other) for other in ("1/0", ""))
+        if in_monomial:
+            block = path[-1].rpartition(".")[0]
+            out.extend(("rename", path, key) for key in (f"{block}.99", "nope.0"))
+    return out
+
+
+def mutated(doc, mutation):
+    kind, path, new = mutation
+    if not path:
+        return new
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    holder = doc
+    for key in outer:
+        holder = holder[key]
+    if kind == "delete":
+        del holder[last]
+    elif kind == "set":
+        holder[last] = new
+    else:
+        holder[new] = holder.pop(last)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def so3_documents(tmp_path_factory):
+    """The rep, field and decomposition of a generated so(3) level-1 instance."""
+    inst = generate_instance("so_n", 1, seed=5, n=3)
+    dec = takiff_decompose(inst.lifted, builtin_solver(inst.rep), inst.field)
+    docs = {"rep": jsonio.representation_to_json(inst.rep),
+            "field": jsonio.field_to_json(inst.field),
+            "dec": jsonio.decomposition_to_json(dec)}
+    root = tmp_path_factory.mktemp("so3")
+    paths = {name: write_json(root / f"{name}.json", doc) for name, doc in docs.items()}
+    return root, docs, paths, {name: document_mutations(doc) for name, doc in docs.items()}
+
+
+CLI_DOCUMENTS = {"decompose": ("rep", "field"), "verify": ("rep", "field", "dec")}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_mutated_document_is_an_error(so3_documents, data):
+    root, docs, paths, mutations = so3_documents
+    command = data.draw(st.sampled_from(sorted(CLI_DOCUMENTS)), label="command")
+    target = data.draw(st.sampled_from(CLI_DOCUMENTS[command]), label="document")
+    mutation = data.draw(st.sampled_from(mutations[target]), label="mutation")
+    files = dict(paths, **{target: write_json(root / "mutated.json",
+                                               mutated(docs[target], mutation))})
+    argv = [command, "--rep", files["rep"], "--level", "1", "--field", files["field"]]
+    if command == "verify":
+        argv += ["--dec", files["dec"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

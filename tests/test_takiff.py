@@ -1,5 +1,6 @@
 """Truncated current algebras, lifted representations, flip and lifted forms."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from takiff import matrices as mx
 from takiff.errors import StructuralError, ValidationError
-from takiff.lie import LieAlgebra, Representation, killing_form, sl2, so_n
+from takiff.lie import BilinearForm, LieAlgebra, Representation, gl_n, killing_form, sl2, so_n
 from takiff.takiff_algebra import (
     build_lift,
     build_takiff,
@@ -123,6 +124,47 @@ def test_lifted_bilinear_form():
     assert lifted.is_invariant_for(ctx.algebra)
 
 
+def trace_form(rho):
+    """B(x, y) = tr(rho(x) rho(y)); nondegenerate for sl2, so(3), so(4) and gl(2)."""
+    mats = rho.matrices
+    return BilinearForm(tuple(tuple(sum(mx.mul(a, b)[k][k] for k in range(rho.space_dim))
+                                    for b in mats) for a in mats))
+
+
+@pytest.mark.parametrize("make", [sl2, lambda: so_n(3), lambda: so_n(4), lambda: gl_n(2)],
+                         ids=["sl2", "so3", "so4", "gl2"])
+@pytest.mark.parametrize("m", range(4))
+def test_layout_matches_the_defining_formulas(make, m):
+    """Every entry of g_m, rho_m, B_m and theta, against the formulas written out.
+
+    Basis element (r, i) of g_m and coordinate (s, a) of V_m sit at r*d + i
+    and s*n + a.
+    """
+    g, rho = make()
+    d, n = g.dim, rho.space_dim
+    form = trace_form(rho)
+    ctx = build_takiff(g, m)
+    lifted = lift_representation(ctx, rho).rep.matrices
+    gram = lift_bilinear_form(ctx, form).gram
+    theta = flip_involution(m, n)
+    levels = range(m + 1)
+    for r, i, s, j, t, k in itertools.product(levels, range(d), repeat=3):
+        # [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}, and zero past level m
+        want = g.c[i][j][k] if t == r + s else 0
+        assert ctx.algebra.c[r * d + i][s * d + j][t * d + k] == want
+    for r, i, t, a, s, b in itertools.product(levels, range(d), levels, range(n),
+                                              levels, range(n)):
+        # rho_m(x_i T^r) sends rho(x_i) f_s into block r + s
+        want = rho.matrices[i][a][b] if t == r + s else 0
+        assert lifted[r * d + i][t * n + a][s * n + b] == want
+    for r, i, s, j in itertools.product(levels, range(d), repeat=2):
+        # B_m(x_i T^r, x_j T^s) = B(x_i, x_j) when r + s = m
+        assert gram[r * d + i][s * d + j] == (form.gram[i][j] if r + s == m else 0)
+    for t, a, s, b in itertools.product(levels, range(n), repeat=2):
+        # theta sends f_s to block m - s
+        assert theta[t * n + a][s * n + b] == (1 if t == m - s and a == b else 0)
+
+
 def test_lifted_form_at_level_zero_is_input():
     g, _ = so_n(3)
     k = killing_form(g)
@@ -133,7 +175,6 @@ def test_lifted_form_at_level_zero_is_input():
 def test_lifted_form_input_validation():
     g, _ = sl2()
     ctx = build_takiff(g, 1)
-    from takiff.lie import BilinearForm
     with pytest.raises(StructuralError):
         lift_bilinear_form(ctx, BilinearForm(mx.identity(2)))
     with pytest.raises(ValidationError):
