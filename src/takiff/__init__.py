@@ -8,13 +8,13 @@ from .errors import (
     TakiffError,
     ValidationError,
 )
+from .matrices import Scalar
 from .poly import (
     PARAMETER,
     STATE,
     Monomial,
     Polynomial,
     Ring,
-    Scalar,
     Var,
     VariableBlock,
     VectorField,
@@ -32,7 +32,6 @@ from .lie import (
     conjugate_representation,
     gl_n,
     killing_form,
-    make_lie_algebra,
     make_standard,
     sl2,
     so_n,

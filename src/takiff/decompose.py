@@ -57,6 +57,7 @@ from .invariants import (
     quadratic_invariant,
 )
 from .lie import BilinearForm, Representation
+from .matrices import Scalar
 from .poly import (
     PARAMETER,
     STATE,
@@ -280,7 +281,7 @@ class TrivialBaseSolver:
 
 
 def builtin_solver(rep: Representation,
-                   gram: Sequence[Sequence[Fraction]] | None = None) -> BaseSolver:
+                   gram: Sequence[Sequence[Scalar]] | None = None) -> BaseSolver:
     """The built-in solver for a representation: trivial or quadratic.
 
     The zero action gets the trivial solver. Anything else gets the quadratic
@@ -289,11 +290,9 @@ def builtin_solver(rep: Representation,
     """
     if all(mx.is_zero(m) for m in rep.matrices):
         return TrivialBaseSolver(rep)
-    n = rep.space_dim
     if gram is None:
-        gram = mx.identity(n)
-    return QuadraticBaseSolver(rep, BilinearForm(tuple(
-        tuple(Fraction(v) for v in row) for row in gram)))
+        gram = mx.identity(rep.space_dim)
+    return QuadraticBaseSolver(rep, BilinearForm(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
 # Change of variables
 # ---------------------------------------------------------------------------
 
-def _blockwise_substitution(ring: Ring, matrix: Sequence[Sequence[Fraction]],
+def _blockwise_substitution(ring: Ring, matrix: Sequence[Sequence[Scalar]],
                             ) -> dict[Var, Polynomial]:
     """v -> matrix v on every state block, parameters untouched."""
     mapping: dict[Var, Polynomial] = {}
@@ -461,7 +460,7 @@ def _blockwise_substitution(ring: Ring, matrix: Sequence[Sequence[Fraction]],
 
 
 def transport_field(field: VectorField,
-                    theta: Sequence[Sequence[Fraction]]) -> VectorField:
+                    theta: Sequence[Sequence[Scalar]]) -> VectorField:
     """The conjugated field v -> theta a(theta^(-1) v), blockwise on V_m."""
     theta_inv = mx.inverse(theta)
     mapping = _blockwise_substitution(field.ring, theta_inv)
@@ -474,7 +473,7 @@ def transport_field(field: VectorField,
 
 
 def transport_decomposition(dec: Decomposition,
-                            theta: Sequence[Sequence[Fraction]]) -> Decomposition:
+                            theta: Sequence[Sequence[Scalar]]) -> Decomposition:
     """Precompose every coefficient with theta^(-1), blockwise on V_m."""
     theta_inv = mx.inverse(theta)
     mapping = _blockwise_substitution(dec.ring, theta_inv)

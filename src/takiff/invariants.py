@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import matrices as mx
 from .errors import InternalConsistencyError, StructuralError, ValidationError
 from .lie import Representation
+from .matrices import Scalar, scalar
 from .poly import (
     STATE,
     Monomial,
@@ -95,16 +95,16 @@ class InvariantFamily:
                     f"generator {k} of family {self.label!r} is not invariant")
 
 
-def quadratic_invariant(gram: Sequence[Sequence[Fraction]], ring: Ring) -> Polynomial:
+def quadratic_invariant(gram: Sequence[Sequence[Scalar]], ring: Ring) -> Polynomial:
     """The quadratic (1/2) B(v, v) over the ring's single state block."""
     coords = ring.state_variables()
     n = len(coords)
-    if len(gram) != n:
+    gram = mx.mat(gram)
+    if mx.shape(gram) != (n, n):
         raise StructuralError("Gram size does not match state dimension")
     # (1/2) sum_i x_i (G x)_i
-    half_gx = [Polynomial.linear(ring, {coords[j]: Fraction(gram[i][j]) / 2
-                                        for j in range(n) if gram[i][j]})
-               for i in range(n)]
+    half_gx = [Polynomial.linear(ring, {coords[j]: g for j, g in enumerate(row) if g}) / 2
+               for row in gram]
     return Polynomial.combination(
         ring, ((Polynomial.variable(ring, v), row) for v, row in zip(coords, half_gx)))
 
@@ -287,14 +287,14 @@ def cylindrical_invariance_check(lifted: LiftedRepresentation,
 
 @dataclass(frozen=True)
 class TangencyResult:
-    point: tuple[Fraction, ...]
+    point: tuple[Scalar, ...]
     member: bool
-    witness: tuple[Fraction, ...] | None
+    witness: tuple[Scalar, ...] | None
 
 
 def tangency_check(rep: Representation, fld: VectorField,
-                   points: Sequence[Sequence[Fraction]],
-                   parameter_values: Sequence[Sequence[Fraction]] | None = None,
+                   points: Sequence[Sequence[Scalar]],
+                   parameter_values: Sequence[Sequence[Scalar]] | None = None,
                    ) -> list[TangencyResult]:
     """Pointwise membership of field values in the span of Killing directions.
 
@@ -312,7 +312,8 @@ def tangency_check(rep: Representation, fld: VectorField,
         if len(point) != len(coords):
             raise StructuralError(
                 f"point {idx} has {len(point)} coordinates, expected {len(coords)}")
-        assignment = {var: Fraction(val) for var, val in zip(coords, point)}
+        vec = tuple(map(scalar, point))
+        assignment = dict(zip(coords, vec))
         if param_vars:
             if parameter_values is None or len(parameter_values) <= idx:
                 raise StructuralError(f"no parameter values for point {idx}")
@@ -321,10 +322,8 @@ def tangency_check(rep: Representation, fld: VectorField,
                 raise StructuralError(
                     f"point {idx}: {len(values)} parameter values for "
                     f"{len(param_vars)} parameter variables")
-            assignment.update({var: Fraction(val)
-                               for var, val in zip(param_vars, values)})
+            assignment.update(zip(param_vars, map(scalar, values)))
         value = tuple(p.evaluate(assignment) for p in fld.components)
-        vec = tuple(Fraction(x) for x in point)
         columns = tuple(mx.mat_vec(m, vec) for m in rep.matrices)
         system = mx.transpose(columns)
         witness = mx.solve(system, value)

@@ -12,21 +12,21 @@ monomial and all objects are dumped with sorted keys, so equal values always
 serialize to identical bytes.
 
 Readers accept nothing inexact or truncated: a scalar is a JSON string or
-integer, and sizes, dimensions and exponents are JSON integers (never
-booleans or floats). Text that does not parse, a missing key and a value of
-the wrong JSON type all raise StructuralError.
+integer, read by ``matrices.scalar``, and sizes, dimensions and exponents are
+JSON integers (never booleans or floats). Text that does not parse, a missing
+key and a value of the wrong JSON type all raise StructuralError.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
+from . import matrices as mx
 from .decompose import Decomposition
 from .errors import StructuralError
 from .lie import BilinearForm, LieAlgebra, Representation
-from .matrices import Matrix
+from .matrices import Matrix, Scalar, scalar
 from .poly import Monomial, Polynomial, Ring, Var, VariableBlock, VectorField
 
 
@@ -49,18 +49,15 @@ def _get(data, key: str, kind: type):
     return _expect(data[key], kind, repr(key))
 
 
-def scalar_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+def scalar_to_str(value: Scalar) -> str:
+    return str(scalar(value))
 
 
-def scalar_from_str(text: str | int) -> Fraction:
+def scalar_from_str(text: str | int) -> Scalar:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise StructuralError(
             f"scalar must be a string or an integer, got {type(text).__name__}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"not a rational scalar: {text!r}") from exc
+    return scalar(text)
 
 
 def matrix_to_json(matrix: Matrix) -> list[list[str]]:
@@ -68,11 +65,8 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(data: Sequence[Sequence[str]]) -> Matrix:
-    out = tuple(tuple(scalar_from_str(v) for v in _expect(row, list, "matrix row"))
-                for row in _expect(data, list, "matrix"))
-    if any(len(row) != len(out[0]) for row in out):
-        raise StructuralError("ragged matrix rows")
-    return out
+    return mx.mat([[scalar_from_str(v) for v in _expect(row, list, "matrix row")]
+                   for row in _expect(data, list, "matrix")])
 
 
 # -- rings and polynomials --------------------------------------------------
@@ -107,7 +101,7 @@ def _terms_to_json(p: Polynomial) -> list[dict]:
 
 
 def _terms_from_json(data: Sequence[Mapping], ring: Ring) -> Polynomial:
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Scalar] = {}
     for item in _expect(data, list, "term list"):
         mono = Monomial.from_map({_var_from_key(k): _expect(e, int, f"exponent of {k!r}")
                                   for k, e in _get(item, "exps", dict).items()})
@@ -168,7 +162,7 @@ def representation_from_json(data: Mapping) -> Representation:
             raise StructuralError(
                 f"matrix has {len(flat)} entries, expected {n * n}")
         values = [scalar_from_str(v) for v in flat]
-        mats.append(tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n)))
+        mats.append([values[r * n:(r + 1) * n] for r in range(n)])
     return Representation(g, tuple(mats))
 
 

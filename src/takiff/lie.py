@@ -4,7 +4,10 @@ An algebra is validated eagerly at construction: antisymmetry of the constants
 and the Jacobi identity are checked exactly, so every downstream computation
 may assume both. Representations are matrices per basis element, with the
 homomorphism identity rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified
-exactly for all basis pairs.
+exactly for all basis pairs. ``LieAlgebra``, ``Representation`` and
+``BilinearForm`` first normalise what they are given: nested sequences become
+tuples and every entry goes through ``matrices.scalar``, so an entry is an
+``int`` or a non-integral ``Fraction``, and a float is refused.
 
 Both checks visit every basis pair (and every triple, for Jacobi) but do
 arithmetic on nonzero entries only: the algebra reads a table of the nonzero
@@ -18,13 +21,12 @@ reads its constants from one factorization of its basis; both checks still run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from . import matrices as mx
 from .errors import StructuralError, ValidationError
-from .matrices import Matrix
+from .matrices import Matrix, Scalar, scalar
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,12 @@ class LieAlgebra:
     """Structure constants c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k."""
 
     names: tuple[str, ...]
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    c: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "c", tuple(tuple(tuple(map(scalar, cij)) for cij in ci)
+                                            for ci in self.c))
         d = len(self.names)
         if d < 1:
             raise ValidationError("algebra dimension must be positive")
@@ -70,28 +75,21 @@ class LieAlgebra:
         # Given antisymmetry, triples with a repeated index hold identically,
         # so i < j < k suffices.
         d = self.dim
-        zero = Fraction(0)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    acc: dict[int, Fraction] = {}
+                    acc: dict[int, Scalar] = {}
                     for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
                         row_a = nonzero[a]
                         for l, coeff in nonzero[b][e]:
                             for p, x in row_a[l]:
-                                acc[p] = acc.get(p, zero) + coeff * x
+                                acc[p] = acc.get(p, 0) + coeff * x
                     if any(acc.values()):
-                        residual = tuple(acc.get(p, zero) for p in range(d))
+                        residual = ", ".join(str(acc.get(p, 0)) for p in range(d))
                         raise ValidationError(
                             f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
                             f"({self.names[i]},{self.names[j]},{self.names[k]}): "
-                            f"residual {residual}")
-
-
-def make_lie_algebra(names: Sequence[str], constants: Sequence) -> LieAlgebra:
-    """Build and validate a LieAlgebra from any nested numeric array."""
-    c = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in constants)
-    return LieAlgebra(tuple(names), c)
+                            f"residual ({residual})")
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,7 @@ class Representation:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "matrices", tuple(map(mx.mat, self.matrices)))
         d = self.algebra.dim
         if len(self.matrices) != d:
             raise StructuralError(f"{len(self.matrices)} matrices for dimension {d}")
@@ -127,7 +126,7 @@ class Representation:
 
 
 def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j: int,
-                        ) -> tuple[tuple[int, int], Fraction, Fraction] | None:
+                        ) -> tuple[tuple[int, int], Scalar, Scalar] | None:
     """Where ``[rho(x_i), rho(x_j)]`` and ``rho([x_i, x_j])`` differ, or None.
 
     ``rows`` holds ``matrices.sparse_rows`` of every ``rho(x_k)``. A defect is
@@ -144,9 +143,8 @@ def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j:
     rhs = {key: v for key, v in rhs.items() if v}
     if lhs == rhs:
         return None
-    zero = Fraction(0)
     entry = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e))
-    return entry, lhs.get(entry, zero), rhs.get(entry, zero)
+    return entry, lhs.get(entry, 0), rhs.get(entry, 0)
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,7 @@ class BilinearForm:
     gram: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "gram", mx.mat(self.gram))
         if not mx.is_symmetric(self.gram):
             raise ValidationError("Gram matrix must be symmetric")
 
@@ -174,13 +173,6 @@ class BilinearForm:
         """
         return mx.inverse(self.gram)
 
-    def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (Fraction(u[i]) * self.gram[i][j] * Fraction(v[j])
-             for i in range(self.size) for j in range(self.size)
-             if self.gram[i][j]),
-            Fraction(0))
-
     def is_invariant_for(self, g: LieAlgebra) -> bool:
         """Exact check of B([z,x],y) + B(x,[z,y]) = 0 on all basis triples."""
         if self.size != g.dim:
@@ -191,10 +183,8 @@ class BilinearForm:
                 zx = g.c[z][x]
                 for y in range(d):
                     zy = g.c[z][y]
-                    lhs = sum((zx[k] * self.gram[k][y] for k in range(d) if zx[k]),
-                              Fraction(0))
-                    rhs = sum((self.gram[x][k] * zy[k] for k in range(d) if zy[k]),
-                              Fraction(0))
+                    lhs = sum(zx[k] * self.gram[k][y] for k in range(d) if zx[k])
+                    rhs = sum(self.gram[x][k] * zy[k] for k in range(d) if zy[k])
                     if lhs + rhs != 0:
                         return False
         return True
@@ -225,27 +215,26 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
         raise ValidationError("basis matrices are linearly dependent")
     pivot_inverse = mx.inverse(tuple(flat_basis[r] for r in pivots))
     rows = tuple(mx.sparse_rows(m) for m in mats)
-    zero = Fraction(0)
-    constants = [[(zero,) * d] * d for _ in range(d)]
+    constants = [[(0,) * d] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             bracket = mx.sparse_commutator(rows[i], rows[j])
-            target = tuple(bracket.get(divmod(k, n), zero) for k in range(n * n))
+            target = tuple(bracket.get(divmod(k, n), 0) for k in range(n * n))
             coeffs = mx.mat_vec(pivot_inverse, [target[k] for k in pivots])
             if mx.mat_vec(flat_basis, coeffs) != target:
                 raise ValidationError(
                     f"[{names[i]}, {names[j]}] is outside the span of the basis")
             constants[i][j] = coeffs
             constants[j][i] = tuple(-x for x in coeffs)
-    algebra = LieAlgebra(tuple(names), tuple(tuple(plane) for plane in constants))
-    return algebra, Representation(algebra, tuple(mats))
+    algebra = LieAlgebra(names, constants)
+    return algebra, Representation(algebra, mats)
 
 
 def _rotation_generator(n: int, i: int, j: int) -> Matrix:
     # sends e_i to e_j and e_j to -e_i; for (0,1) and n=2 this is [[0,-1],[1,0]]
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[j][i] = Fraction(1)
-    rows[i][j] = Fraction(-1)
+    rows = [[0] * n for _ in range(n)]
+    rows[j][i] = 1
+    rows[i][j] = -1
     return tuple(tuple(r) for r in rows)
 
 
@@ -267,7 +256,7 @@ def so_pq(p: int, q: int) -> tuple[LieAlgebra, Representation]:
     n = p + q
     if n < 2 or p < 0 or q < 0:
         raise ValidationError(f"so(p,q) needs p+q >= 2, got p={p}, q={q}")
-    sign = [Fraction(1)] * p + [Fraction(-1)] * q
+    sign = [1] * p + [-1] * q
     names = []
     mats = []
     for i in range(n):
@@ -296,8 +285,8 @@ def gl_n(n: int) -> tuple[LieAlgebra, Representation]:
     for i in range(n):
         for j in range(n):
             names.append(f"E{i}{j}")
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = Fraction(1)
+            rows = [[0] * n for _ in range(n)]
+            rows[i][j] = 1
             mats.append(tuple(tuple(r) for r in rows))
     return algebra_from_matrices(names, mats)
 
@@ -312,12 +301,10 @@ def abelian(dim: int, mats: Sequence[Matrix] | None = None) -> tuple[LieAlgebra,
     if dim < 1:
         raise ValidationError("abelian algebra needs positive dimension")
     names = tuple(f"a{i}" for i in range(dim))
-    zero = Fraction(0)
-    constants = tuple(tuple((zero,) * dim for _ in range(dim)) for _ in range(dim))
-    algebra = LieAlgebra(names, constants)
+    algebra = LieAlgebra(names, (((0,) * dim,) * dim,) * dim)
     if mats is None:
-        mats = tuple(mx.zeros(dim, dim) for _ in range(dim))
-    return algebra, Representation(algebra, tuple(mx.mat(m) for m in mats))
+        mats = (mx.zeros(dim, dim),) * dim
+    return algebra, Representation(algebra, mats)
 
 
 def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
@@ -363,7 +350,7 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 def coadjoint_rep(g: LieAlgebra) -> Representation:
     """Dual action on coefficient vectors: ad*(x) = -transpose(ad(x))."""
     ad = adjoint_rep(g)
-    mats = tuple(mx.scale(mx.transpose(m), Fraction(-1)) for m in ad.matrices)
+    mats = tuple(mx.scale(mx.transpose(m), -1) for m in ad.matrices)
     return Representation(g, mats)
 
 

@@ -1,9 +1,17 @@
-"""Small exact linear-algebra helpers over Fraction entries.
+"""The package's one exact-scalar rule, and small exact linear-algebra helpers.
 
-The dense helpers work on tuples of tuples of Fraction, the public Matrix
-type. Sizes stay at desk scale (a few dozen rows), so plain Gaussian
-elimination is enough and keeps all results exact; ``independent_rows`` and one
-``inverse`` factor a spanning set once for the coordinates of every vector.
+``scalar`` decides what counts as an exact scalar for every value that enters
+the package: matrices, algebras, representations, forms, polynomial
+coefficients and JSON all go through it. An ``int``, a ``fractions.Fraction``
+or a ``'p/q'`` string is returned as an ``int`` when integral, else as a
+lowest-terms ``Fraction``; a float, or a string that is not a rational
+number, is a StructuralError.
+
+The dense helpers work on tuples of tuples of ``int | Fraction`` entries, the
+public Matrix type; ``mat`` builds one through ``scalar``. Sizes stay at desk
+scale (a few dozen rows), so plain Gaussian elimination is enough and keeps
+all results exact; ``independent_rows`` and one ``inverse`` factor a spanning
+set once for the coordinates of every vector.
 
 The sparse validation kernel serves the exhaustive homomorphism checks:
 ``sparse_rows`` keeps only the nonzero entries of each row, and
@@ -20,33 +28,55 @@ from typing import Sequence
 
 from .errors import StructuralError, ValidationError
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
-SparseRows = tuple[dict[int, Fraction], ...]
-SparseMatrix = dict[tuple[int, int], Fraction]
+# An exact rational scalar: an int when integral, else a lowest-terms Fraction.
+Scalar = int | Fraction
+Matrix = tuple[tuple[Scalar, ...], ...]
+Vector = tuple[Scalar, ...]
+SparseRows = tuple[dict[int, Scalar], ...]
+SparseMatrix = dict[tuple[int, int], Scalar]
+
+
+def scalar(value) -> Scalar:
+    """``value`` as an exact scalar: an int when integral, else a Fraction.
+
+    Accepts an int (a bool is 0 or 1), a Fraction or a rational string such
+    as ``'-3'`` or ``'1/2'``; anything else is a StructuralError.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, int):
+        return int(value)  # a bool, or another int subclass
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"not a rational scalar: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise StructuralError(f"not an exact scalar: {value!r} (use int, Fraction or 'p/q' string)")
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    """Normalize nested sequences (ints, Fractions or 'p/q' strings) to a Matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Nested sequences of exact scalars (see ``scalar``) as a Matrix."""
+    out = tuple(tuple(map(scalar, row)) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise StructuralError("ragged matrix rows")
     return out
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
+    return tuple((0,) * cols for _ in range(rows))
 
 
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def scale(a: Matrix, c: Fraction) -> Matrix:
+def scale(a: Matrix, c: Scalar) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
@@ -60,7 +90,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     for row in a:
         out_row = []
         for col in bt:
-            s = Fraction(0)
+            s = 0
             for x, y in zip(row, col):
                 if x and y:
                     s += x * y
@@ -69,9 +99,9 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
     nonzero = [(k, y) for k, y in enumerate(v) if y]
-    return tuple(sum((row[k] * y for k, y in nonzero if row[k]), Fraction(0)) for row in a)
+    return tuple(sum(row[k] * y for k, y in nonzero if row[k]) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -109,8 +139,8 @@ def is_symmetric(a: Matrix) -> bool:
     return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
 
 
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def trace(a: Matrix) -> Scalar:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def _eliminate(a: Matrix, rhs: Matrix | None):
@@ -158,16 +188,16 @@ def rank(a: Matrix) -> int:
     return len(independent_rows(a))  # kept for perfbench's layer tracer
 
 
-def det(a: Matrix) -> Fraction:
+def det(a: Matrix) -> Scalar:
     n, m = shape(a)
     if n != m:
         raise StructuralError(f"determinant of non-square {n}x{m} matrix")
     work = [list(row) for row in a]
-    result = Fraction(1)
+    result = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             result = -result
@@ -189,10 +219,10 @@ def inverse(a: Matrix) -> Matrix:
     if len(pivots) != n:
         raise ValidationError("matrix is singular")
     assert inv_rows is not None
-    return tuple(tuple(row) for row in inv_rows)
+    return mat(inv_rows)
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
+def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
     """One exact solution of ``a x = b``, or None when the system is inconsistent.
 
     Free variables are set to zero, so the answer is a particular solution,
@@ -201,13 +231,13 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
     n_rows, n_cols = shape(a)
     if len(b) != n_rows:
         raise StructuralError(f"rhs length {len(b)} != {n_rows} rows")
-    _, rhs, pivots = _eliminate(a, tuple((Fraction(x),) for x in b))
+    _, rhs, pivots = _eliminate(a, tuple((scalar(x),) for x in b))
     assert rhs is not None
     for i in range(len(pivots), n_rows):
         if rhs[i][0] != 0:
             return None
     # reduced row echelon form with free variables set to zero
-    x = [Fraction(0)] * n_cols
+    x = [0] * n_cols
     for r, c in enumerate(pivots):
         x[c] = rhs[r][0]
     return tuple(x)

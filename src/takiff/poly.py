@@ -41,10 +41,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StructuralError
-
-# Exact rational scalar used everywhere: an int when integral, else a Fraction,
-# which guarantees lowest terms and a positive denominator.
-Scalar = int | Fraction
+from .matrices import Scalar, scalar
 
 # A variable is (block name, coordinate index within the block).
 Var = tuple[str, int]
@@ -53,21 +50,9 @@ STATE = "state"
 PARAMETER = "parameter"
 
 
-def _as_scalar(value) -> Scalar:
-    if type(value) is int:
-        return value
-    if isinstance(value, int):
-        return int(value)  # a bool, or another int subclass
-    if isinstance(value, str):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise StructuralError(f"not an exact scalar: {value!r} (use int, Fraction or 'p/q' string)")
-
-
 def _ratio(value) -> tuple[int, int]:
     """An exact scalar as (numerator, positive denominator) in lowest terms."""
-    c = _as_scalar(value)
+    c = scalar(value)
     return c.numerator, c.denominator
 
 
@@ -277,7 +262,7 @@ class Polynomial:
         for mono in terms:
             if type(mono) is not Monomial:
                 raise StructuralError(f"polynomial term key {mono!r} is not a Monomial")
-        scalars = [(mono, _as_scalar(coeff)) for mono, coeff in terms.items()]
+        scalars = [(mono, scalar(coeff)) for mono, coeff in terms.items()]
         den = lcm(*(c.denominator for _, c in scalars))
         self._set(ring, {mono: c.numerator * (den // c.denominator)
                          for mono, c in scalars if c}, den)
@@ -318,7 +303,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
-        return Polynomial(ring, {_UNIT: _as_scalar(value)})
+        return Polynomial(ring, {_UNIT: value})
 
     @staticmethod
     def variable(ring: Ring, var: Var) -> "Polynomial":
@@ -548,9 +533,9 @@ class Polynomial:
             for var, e in mono:
                 if var not in assignment:
                     raise StructuralError(f"no value for variable {var[0]}.{var[1]}")
-                value *= _as_scalar(assignment[var]) ** e
+                value *= scalar(assignment[var]) ** e
             total += value
-        return _as_scalar(Fraction(total, self._den))
+        return scalar(Fraction(total, self._den))
 
     def homogeneous_components(self, block_name: str) -> dict[int, "Polynomial"]:
         """Split by degree in one block, treating other blocks as constants.

@@ -12,7 +12,6 @@ part of the reproducibility contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import matrices as mx
 from .decompose import field_from_coefficients
@@ -22,6 +21,13 @@ from .lie import LieAlgebra, Representation, killing_form, make_standard
 from .matrices import Matrix
 from .poly import PARAMETER, Monomial, Polynomial, Ring, VariableBlock, VectorField
 from .takiff_algebra import LiftedRepresentation, build_lift
+
+# Upper bounds on a generated field, checked before any work starts; the
+# largest schedule in the suites, tests and benchmark uses degree 3, 6 terms
+# and 1 parameter.
+MAX_DEGREE = 8
+MAX_TERMS = 64
+MAX_PARAMETERS = 8
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -73,14 +79,14 @@ def random_polynomial(rng: SplitMix64, ring: Ring, max_degree: int,
     must redraw.
     """
     variables = list(ring.variables())
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for _ in range(num_terms):
         exps: dict = {}
         for _ in range(rng.integer(0, max_degree)):
             var = variables[rng.below(len(variables))]
             exps[var] = exps.get(var, 0) + 1
         mono = Monomial.from_map(exps)
-        terms[mono] = terms.get(mono, Fraction(0)) + rng.integer(-coeff_bound, coeff_bound)
+        terms[mono] = terms.get(mono, 0) + rng.integer(-coeff_bound, coeff_bound)
     return Polynomial(ring, terms)
 
 
@@ -112,7 +118,7 @@ def random_invertible(rng: SplitMix64, n: int, bound: int = 3) -> Matrix:
     """A random integer matrix with nonzero determinant, by redrawing."""
     while True:
         rows = tuple(
-            tuple(Fraction(rng.integer(-bound, bound)) for _ in range(n))
+            tuple(rng.integer(-bound, bound) for _ in range(n))
             for _ in range(n))
         if mx.det(rows) != 0:
             return rows
@@ -158,10 +164,15 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
     every lifted invariant; it is the canonical positive input for the
     decomposition pipeline.
     """
-    for name, value, least in (("level", level, 0), ("max_degree", max_degree, 0),
-                               ("num_terms", num_terms, 1), ("coeff_bound", coeff_bound, 1)):
+    for name, value, least, most in (("level", level, 0, None),
+                                     ("max_degree", max_degree, 0, MAX_DEGREE),
+                                     ("num_terms", num_terms, 1, MAX_TERMS),
+                                     ("parameters", parameters, 0, MAX_PARAMETERS),
+                                     ("coeff_bound", coeff_bound, 1, None)):
         if value < least:
             raise ValidationError(f"{name} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValidationError(f"{name} must be <= {most}, got {value}")
     algebra, rep = make_standard(kind, **kind_params)
     lifted = build_lift(rep, level)
     ring = instance_ring(level, rep.space_dim, parameters)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import jsonio
@@ -126,12 +125,11 @@ def _jacobi_defect(g: LieAlgebra) -> tuple[int, tuple[int, int, int] | None]:
     Returns (number of triples checked, first failing triple or None).
     """
     d = g.dim
-    zero = Fraction(0)
     checked = 0
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                total = [zero] * d
+                total = [0] * d
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     inner = g.c[a][b]
                     for t in range(d):
@@ -399,7 +397,7 @@ def _oracle_check(n: int, field: VectorField, homotopy) -> tuple[int, list[dict]
             for nu in eq_monos:
                 row = []
                 for (p, q), mu in unknowns:
-                    coeff = Fraction(0)
+                    coeff = 0
                     if p == i and mu.mul(Monomial.of(xvars[q])) == nu:
                         coeff += 1
                     if q == i and mu.mul(Monomial.of(xvars[p])) == nu:
@@ -415,7 +413,7 @@ def _oracle_check(n: int, field: VectorField, homotopy) -> tuple[int, list[dict]
         slice_values = []
         for (p, q), mu in unknowns:
             part = homotopy[p][q].homogeneous_components(x.name).get(d - 1)
-            slice_values.append(part.coefficient(mu) if part is not None else Fraction(0))
+            slice_values.append(part.coefficient(mu) if part is not None else 0)
         for row, want in zip(rows, rhs):
             got = sum(c * v for c, v in zip(row, slice_values))
             checks += 1

@@ -21,7 +21,6 @@ that placement rule lives in one helper, ``_blocks``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -29,6 +28,10 @@ from . import matrices as mx
 from .errors import InternalConsistencyError, StructuralError, ValidationError
 from .lie import BilinearForm, LieAlgebra, Representation, coadjoint_rep
 from .matrices import Matrix
+
+# Largest dense g_m built, counted in structure constants ((m+1) dim g)^3, so
+# dim g_m <= 100; checked before any allocation.
+MAX_STRUCTURE_CONSTANTS = 100 ** 3
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,7 @@ def _blocks(level: int, n: int, placed: Iterable[tuple[int, int, Matrix]]) -> Ma
     """The (level+1)·n square matrix with base block B at block (R, C) for each
     (R, C, B) in ``placed``; every other entry is zero."""
     size = (level + 1) * n
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     for r, c, block in placed:
         for a, brow in enumerate(block):
             row = rows[r * n + a]
@@ -71,6 +73,10 @@ def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
     if m < 0:
         raise StructuralError(f"level must be >= 0, got {m}")
     d = base.dim
+    constants = ((m + 1) * d) ** 3
+    if constants > MAX_STRUCTURE_CONSTANTS:
+        raise StructuralError(f"level {m} of a {d}-dimensional algebra needs {constants} "
+                              f"structure constants, more than {MAX_STRUCTURE_CONSTANTS}")
     names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
     # the plane of x_i T^r: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}
     planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))

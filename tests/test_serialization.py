@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import takiff
-from takiff import jsonio
+from takiff import jsonio, randgen
 from takiff import matrices as mx
 from takiff.cli import _parser, main
 from takiff.decompose import (
@@ -318,14 +318,30 @@ def test_generated_instance_annihilates_its_invariants():
 @pytest.mark.parametrize("name, flag, value", [
     ("max_degree", "--degree", -1), ("num_terms", "--terms", 0),
     ("num_terms", "--terms", -3), ("coeff_bound", "--coeff-bound", 0),
+    ("max_degree", "--degree", randgen.MAX_DEGREE + 1),
+    ("num_terms", "--terms", randgen.MAX_TERMS + 1),
+    ("parameters", "--parameters", randgen.MAX_PARAMETERS + 1),
+    ("parameters", "--parameters", -1),
 ])
-def test_generate_rejects_degenerate_sizes(name, flag, value, capsys):
+def test_generate_rejects_degenerate_sizes(name, flag, value, capsys, monkeypatch):
+    # every bound is checked before any work: no algebra is built
+    def unexpected(*_, **__):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(randgen, "make_standard", unexpected)
     with pytest.raises(ValidationError, match=name):
         generate_instance("so_n", 1, seed=1, n=3, **{name: value})
     assert main(["generate", "--kind", "so_n", "--n", "3", "--level", "1",
                  flag, str(value)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {name}")
+
+
+def test_build_rejects_an_oversized_level(tmp_path, capsys):
+    algebra = write_json(tmp_path / "g.json", jsonio.algebra_to_json(so_n(3)[0]))
+    assert main(["build", "--algebra", algebra, "--level", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "structure constants" in captured.err
 
 
 # -- the command line --------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from takiff import matrices as mx
+from takiff import takiff_algebra
 from takiff.errors import StructuralError, ValidationError
 from takiff.lie import BilinearForm, LieAlgebra, Representation, gl_n, killing_form, sl2, so_n
 from takiff.takiff_algebra import (
@@ -35,6 +36,21 @@ def test_negative_level_rejected():
     g, _ = sl2()
     with pytest.raises(StructuralError):
         build_takiff(g, -1)
+
+
+@pytest.mark.parametrize("level", [33, 10 ** 9])
+def test_oversized_level_rejected_before_any_allocation(level, monkeypatch):
+    # so(3) at level 33 has dimension 102, and 102^3 constants exceed the bound
+    def unexpected(*_):
+        raise AssertionError("a block matrix was allocated")
+
+    monkeypatch.setattr(takiff_algebra, "_blocks", unexpected)
+    g, rho = so_n(3)
+    with pytest.raises(StructuralError, match="structure constants"):
+        build_takiff(g, level)
+    with pytest.raises(StructuralError, match="structure constants"):
+        build_lift(rho, level)
+    assert ((level + 1) * g.dim) ** 3 > takiff_algebra.MAX_STRUCTURE_CONSTANTS
 
 
 def test_names_and_indexing():
@@ -275,5 +291,6 @@ def test_antisymmetric_change_fails_jacobi_with_dense_residual():
     (i, j, k), residual = dense_jacobi_failure(c)
     with pytest.raises(ValidationError, match=re.escape(
             f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
-            f"({g.names[i]},{g.names[j]},{g.names[k]}): residual {residual}")):
+            f"({g.names[i]},{g.names[j]},{g.names[k]}): "
+            f"residual ({', '.join(map(str, residual))})")):
         LieAlgebra(g.names, _constants(c))
