@@ -34,7 +34,12 @@ from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
 from .randgen import generate_instance
 from .suites import RunConfig, run_suite, summary_lines
-from .takiff_algebra import build_lift, build_takiff, verify_flip_identity
+from .takiff_algebra import (
+    LiftedRepresentation,
+    build_lift,
+    build_takiff,
+    verify_flip_identity,
+)
 
 
 def _read(path: str) -> dict:
@@ -85,8 +90,8 @@ def cmd_lift_rep(args) -> int:
 
 def cmd_lift_invariant(args) -> int:
     rep = jsonio.representation_from_json(_read(args.rep))
+    lifted = LiftedRepresentation(rep, args.level)
     phi = jsonio.polynomial_from_json(_read(args.phi))
-    lifted = build_lift(rep, args.level)
     phis = lift_invariant(lifted, phi, allow_non_invariant=args.any)
     _emit([jsonio.polynomial_to_json(p) for p in phis], args.out)
     return 0
@@ -137,6 +142,7 @@ def cmd_tangency(args) -> int:
 
 def cmd_decompose(args) -> int:
     rep = jsonio.representation_from_json(_read(args.rep))
+    lifted = LiftedRepresentation(rep, args.level)
     field = jsonio.field_from_json(_read(args.field))
     if args.params is not None:
         have = sum(b.size for b in field.ring.parameter_blocks())
@@ -145,7 +151,6 @@ def cmd_decompose(args) -> int:
                   file=sys.stderr)
             return 1
     solver = builtin_solver(rep, _gram_for(rep, args.gram))
-    lifted = build_lift(rep, args.level)
     try:
         dec = takiff_decompose(lifted, solver, field)
     except DecompositionRefused as exc:
@@ -184,9 +189,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     rep = jsonio.representation_from_json(_read(args.rep))
+    lifted = LiftedRepresentation(rep, args.level)
     field = jsonio.field_from_json(_read(args.field))
     dec = jsonio.decomposition_from_json(_read(args.dec))
-    lifted = build_lift(rep, args.level)
     passed, residuals = verify_decomposition(lifted, field, dec)
     payload = {
         "passed": passed,

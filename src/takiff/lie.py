@@ -7,7 +7,9 @@ homomorphism identity rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified
 exactly for all basis pairs. ``LieAlgebra``, ``Representation`` and
 ``BilinearForm`` first normalise what they are given: nested sequences become
 tuples and every entry goes through ``matrices.scalar``, so an entry is an
-``int`` or a non-integral ``Fraction``, and a float is refused.
+``int`` or a non-integral ``Fraction``, and a float is refused. Structure
+constants of any shape but d x d x d nested tuples or lists are refused before
+that.
 
 Both checks visit every basis pair (and every triple, for Jacobi) but do
 arithmetic on nonzero entries only: the algebra reads a table of the nonzero
@@ -38,16 +40,18 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "c", tuple(tuple(tuple(map(scalar, cij)) for cij in ci)
-                                            for ci in self.c))
         d = len(self.names)
         if d < 1:
             raise ValidationError("algebra dimension must be positive")
         if len(set(self.names)) != d:
             raise ValidationError(f"duplicate basis names: {self.names}")
-        if len(self.c) != d or any(len(ci) != d for ci in self.c) or any(
-                len(cij) != d for ci in self.c for cij in ci):
+        c, seq = self.c, (tuple, list)
+        if not (isinstance(c, seq) and len(c) == d
+                and all(isinstance(ci, seq) and len(ci) == d for ci in c)
+                and all(isinstance(cij, seq) and len(cij) == d for ci in c for cij in ci)):
             raise StructuralError(f"structure constants must form a {d}x{d}x{d} array")
+        object.__setattr__(self, "c", tuple(tuple(tuple(map(scalar, cij)) for cij in ci)
+                                            for ci in c))
         # nonzero[i][j]: the pairs (k, c[i][j][k]) with a nonzero constant
         nonzero = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci)
                         for ci in self.c)
@@ -307,30 +311,51 @@ def abelian(dim: int, mats: Sequence[Matrix] | None = None) -> tuple[LieAlgebra,
     return algebra, Representation(algebra, mats)
 
 
+def _param(kind: str, params: dict, key: str) -> int:
+    if key not in params:
+        raise StructuralError(f"constructor kind {kind!r} needs parameter {key!r}")
+    return int(params[key])
+
+
 def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
     """Dispatch for the named constructors used by the CLI and the generators.
 
     Kinds: so_n(n), so_pq(p, q), sl2, sl2_adjoint, gl_n(n),
     abelian(dim[, matrices]). A missing parameter raises StructuralError.
     """
-    def need(key: str) -> int:
-        if key not in params:
-            raise StructuralError(f"constructor kind {kind!r} needs parameter {key!r}")
-        return int(params[key])
-
     if kind == "so_n":
-        return so_n(need("n"))
+        return so_n(_param(kind, params, "n"))
     if kind == "so_pq":
-        return so_pq(need("p"), need("q"))
+        return so_pq(_param(kind, params, "p"), _param(kind, params, "q"))
     if kind == "sl2":
         return sl2()
     if kind == "sl2_adjoint":
         g, _ = sl2()
         return g, adjoint_rep(g)
     if kind == "gl_n":
-        return gl_n(need("n"))
+        return gl_n(_param(kind, params, "n"))
     if kind == "abelian":
-        return abelian(need("dim"), params.get("matrices"))
+        return abelian(_param(kind, params, "dim"), params.get("matrices"))
+    raise StructuralError(f"unknown constructor kind {kind!r}")
+
+
+def standard_dim(kind: str, **params) -> int:
+    """dim g of ``make_standard(kind, **params)``, from the parameters alone.
+
+    Nothing is built, so a caller can bound the size first. A size below its
+    range counts as dimension 0, so the constructor still reports it; an
+    unknown kind or a missing parameter raises as ``make_standard`` does.
+    """
+    if kind in ("so_n", "so_pq"):
+        n = (_param(kind, params, "n") if kind == "so_n"
+             else _param(kind, params, "p") + _param(kind, params, "q"))
+        return max(n, 0) * max(n - 1, 0) // 2
+    if kind in ("sl2", "sl2_adjoint"):
+        return 3
+    if kind == "gl_n":
+        return max(_param(kind, params, "n"), 0) ** 2
+    if kind == "abelian":
+        return max(_param(kind, params, "dim"), 0)
     raise StructuralError(f"unknown constructor kind {kind!r}")
 
 

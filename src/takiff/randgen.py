@@ -17,10 +17,10 @@ from . import matrices as mx
 from .decompose import field_from_coefficients
 from .errors import StructuralError, ValidationError
 from .invariants import default_lift_blocks
-from .lie import LieAlgebra, Representation, killing_form, make_standard
+from .lie import LieAlgebra, Representation, killing_form, make_standard, standard_dim
 from .matrices import Matrix
 from .poly import PARAMETER, Monomial, Polynomial, Ring, VariableBlock, VectorField
-from .takiff_algebra import LiftedRepresentation, build_lift
+from .takiff_algebra import LiftedRepresentation, check_level
 
 # Upper bounds on a generated field, checked before any work starts; the
 # largest schedule in the suites, tests and benchmark uses degree 3, 6 terms
@@ -160,6 +160,8 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
                       coeff_bound: int = 3, **kind_params) -> GeneratedInstance:
     """A deterministic decomposable field rho_m(b) F for a standard kind.
 
+    The level and the size of g_m are bounded from the kind's parameters
+    before the base algebra is built, and no dense g_m or rho_m is built.
     The field is a Killing combination by construction, so it annihilates
     every lifted invariant; it is the canonical positive input for the
     decomposition pipeline.
@@ -173,8 +175,9 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
             raise ValidationError(f"{name} must be >= {least}, got {value}")
         if most is not None and value > most:
             raise ValidationError(f"{name} must be <= {most}, got {value}")
+    check_level(standard_dim(kind, **kind_params), level)
     algebra, rep = make_standard(kind, **kind_params)
-    lifted = build_lift(rep, level)
+    lifted = LiftedRepresentation(rep, level)
     ring = instance_ring(level, rep.space_dim, parameters)
     rng = SplitMix64(seed)
     coefficients = random_coefficients(

@@ -13,15 +13,21 @@ pattern. A representation rho of g on V lifts to rho_m on V_m = V^{m+1} by
 
 so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
 
-Every dense matrix here (the structure-constant planes of g_m, rho_m, the
-lifted form B_m and the flip theta) is base blocks at block positions, and
-that placement rule lives in one helper, ``_blocks``.
+That block sum reads rho and m alone, so a ``LiftedRepresentation`` is the
+pair (rho, m). Decomposing, verifying and generating a field read no dense
+g_m or rho_m; those are derived and validated only when first read, and
+``build_lift`` builds both at once (the decomposition recursion still calls
+it for the levels below m). Every dense matrix here (the
+structure-constant planes of g_m, rho_m, the lifted form B_m and the flip
+theta) is base blocks at block positions, and that placement rule lives in
+one helper, ``_blocks``. The size bound on g_m, ``check_level``, runs before
+any of them is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from . import matrices as mx
@@ -29,8 +35,8 @@ from .errors import InternalConsistencyError, StructuralError, ValidationError
 from .lie import BilinearForm, LieAlgebra, Representation, coadjoint_rep
 from .matrices import Matrix
 
-# Largest dense g_m built, counted in structure constants ((m+1) dim g)^3, so
-# dim g_m <= 100; checked before any allocation.
+# Largest g_m, counted in structure constants ((m+1) dim g)^3, so dim g_m <= 100;
+# checked by check_level before any allocation.
 MAX_STRUCTURE_CONSTANTS = 100 ** 3
 
 
@@ -65,18 +71,25 @@ def _blocks(level: int, n: int, placed: Iterable[tuple[int, int, Matrix]]) -> Ma
     return tuple(map(tuple, rows))
 
 
+def check_level(base_dim: int, m: int) -> None:
+    """Refuse a level that is not an int >= 0, or a g_m of more than
+    MAX_STRUCTURE_CONSTANTS structure constants, from the dimensions alone."""
+    if type(m) is not int or m < 0:
+        raise StructuralError(f"level must be an int >= 0, got {m!r}")
+    constants = ((m + 1) * base_dim) ** 3
+    if constants > MAX_STRUCTURE_CONSTANTS:
+        raise StructuralError(f"level {m} of a {base_dim}-dimensional algebra needs "
+                              f"{constants} structure constants, more than "
+                              f"{MAX_STRUCTURE_CONSTANTS}")
+
+
 def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
     """Construct g_m; the truncated bracket is re-validated exactly.
 
     At m = 0 the result equals the base algebra.
     """
-    if m < 0:
-        raise StructuralError(f"level must be >= 0, got {m}")
     d = base.dim
-    constants = ((m + 1) * d) ** 3
-    if constants > MAX_STRUCTURE_CONSTANTS:
-        raise StructuralError(f"level {m} of a {d}-dimensional algebra needs {constants} "
-                              f"structure constants, more than {MAX_STRUCTURE_CONSTANTS}")
+    check_level(d, m)
     names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
     # the plane of x_i T^r: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}
     planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))
@@ -86,15 +99,19 @@ def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
 
 @dataclass(frozen=True)
 class LiftedRepresentation:
-    """rho_m acting on V_m = V^{m+1}, with blocks indexed by level."""
+    """rho lifted to level m, given by the base representation and the level.
 
-    context: TakiffContext
+    Its action on V_m = V^{m+1}, blocks indexed by level, is the block sum in
+    the module docstring, which reads rho and m alone. The dense g_m
+    (``context``) and rho_m (``rep``) are built and validated on first read
+    and kept. Construction refuses the level as ``build_takiff`` would.
+    """
+
     base_rep: Representation
-    rep: Representation
+    level: int
 
-    @property
-    def level(self) -> int:
-        return self.context.level
+    def __post_init__(self):
+        check_level(self.base_rep.algebra.dim, self.level)
 
     @property
     def block_size(self) -> int:
@@ -102,22 +119,38 @@ class LiftedRepresentation:
 
     @property
     def space_dim(self) -> int:
-        return self.rep.space_dim
+        return (self.level + 1) * self.block_size
+
+    @cached_property
+    def context(self) -> TakiffContext:
+        return build_takiff(self.base_rep.algebra, self.level)
+
+    @cached_property
+    def rep(self) -> Representation:
+        return _lifted_rep(self.context, self.base_rep)
 
 
-def lift_representation(ctx: TakiffContext, rho: Representation) -> LiftedRepresentation:
-    """Lift a base representation to g_m; the homomorphism law is re-verified."""
-    if rho.algebra != ctx.base:
-        raise StructuralError("representation is not over the context's base algebra")
+def _lifted_rep(ctx: TakiffContext, rho: Representation) -> Representation:
     m, n = ctx.level, rho.space_dim
     mats = tuple(_blocks(m, n, ((r + s, s, rho.matrices[i]) for s in range(m + 1 - r)))
                  for r in range(m + 1) for i in range(ctx.base.dim))
-    return LiftedRepresentation(ctx, rho, Representation(ctx.algebra, mats))
+    return Representation(ctx.algebra, mats)
+
+
+def lift_representation(ctx: TakiffContext, rho: Representation) -> LiftedRepresentation:
+    """Lift a base representation to g_m; rho_m is built and its homomorphism
+    law re-verified now, over the given g_m."""
+    if rho.algebra != ctx.base:
+        raise StructuralError("representation is not over the context's base algebra")
+    lifted = LiftedRepresentation(rho, ctx.level)
+    lifted.__dict__.update(context=ctx, rep=_lifted_rep(ctx, rho))
+    return lifted
 
 
 @lru_cache(maxsize=None)
 def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
-    """Takiff context plus lifted representation, cached per (rho, level).
+    """Takiff context plus lifted representation, both built now and cached per
+    (rho, level).
 
     The decomposition recursion descends one level at a time and would rebuild
     the same sub-level lifts over and over; all inputs are immutable, so the

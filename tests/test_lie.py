@@ -50,6 +50,10 @@ def test_shape_errors():
         LieAlgebra(("x",), ZERO2)
     with pytest.raises(StructuralError):
         LieAlgebra(("x", "y"), (ZERO2[0],))
+    # nested too shallowly: a scalar or a string where a row or a plane belongs
+    for c in (((0,),), (0,), (("0",),)):
+        with pytest.raises(StructuralError, match="1x1x1 array"):
+            LieAlgebra(("x",), c)
 
 
 def test_sl2_bracket_table():

@@ -11,6 +11,7 @@ from takiff import takiff_algebra
 from takiff.errors import StructuralError, ValidationError
 from takiff.lie import BilinearForm, LieAlgebra, Representation, gl_n, killing_form, sl2, so_n
 from takiff.takiff_algebra import (
+    LiftedRepresentation,
     build_lift,
     build_takiff,
     flip_involution,
@@ -33,9 +34,11 @@ def test_level_zero_equals_base():
 
 
 def test_negative_level_rejected():
-    g, _ = sl2()
+    g, rho = sl2()
     with pytest.raises(StructuralError):
         build_takiff(g, -1)
+    with pytest.raises(StructuralError):
+        LiftedRepresentation(rho, -1)
 
 
 @pytest.mark.parametrize("level", [33, 10 ** 9])
@@ -50,6 +53,8 @@ def test_oversized_level_rejected_before_any_allocation(level, monkeypatch):
         build_takiff(g, level)
     with pytest.raises(StructuralError, match="structure constants"):
         build_lift(rho, level)
+    with pytest.raises(StructuralError, match="structure constants"):
+        LiftedRepresentation(rho, level)
     assert ((level + 1) * g.dim) ** 3 > takiff_algebra.MAX_STRUCTURE_CONSTANTS
 
 
