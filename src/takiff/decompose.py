@@ -18,20 +18,25 @@ satisfies b x = c, degree by degree, by the Euler identity together with the
 derivative of the syzygy (sum_j x_j dc_j/dx_i = -c_i). Each entry above the
 diagonal is one polynomial combination over all degrees, b_ji = -b_ij, and
 M = G^(-1) b uses the inverse Gram matrix that the form computes once and
-keeps (``BilinearForm.inverse``). Higher levels reduce to lower ones:
-re-tag the top block f_m as a parameter, decompose the truncated field,
-subtract the correction c_m = sum_{r<m} rho(b_r) f_{m-r}, and base-solve the
-residual against f_0 with every other block as a parameter. That block sum
-is written once, in ``_block_sum``: the correction is its r < m case and the
-reconstruction a_j of verify_decomposition its r <= j case.
+keeps (``BilinearForm.inverse``). The higher levels form a triangular
+system, solved in order j = 0..m:
 
-Three guards remain on that path. The annihilation precheck runs once, at
-the top level, and is the only source of refusals. Each level asserts that
-its residual is tangent to the base invariant, and the base solvers re-check
-their own reconstruction exactly. The truncated field needs no second
-precheck: a curve coefficient Phi_k with k < m is the same polynomial at
-levels m and m-1 and does not involve f_m, so the truncated field's residual
-against Phi_k is, term for term, the top-level residual already found zero.
+    rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r},
+
+one base solve per level, all over one ring in which f_0 is the state block
+and f_1..f_m and the parameters w are parameters. The correction
+sum_{r<j} rho(b_r) f_{j-r} reads only the levels already solved. That block
+sum is written once, in ``_block_sum``: the correction is its r < j case and
+the reconstruction a_j of verify_decomposition its r <= j case, and one
+table of Killing velocities serves every level.
+
+Three guards remain on that path. The annihilation precheck runs once,
+before the loop, and is the only source of refusals. Each level j >= 1
+asserts that its residual is tangent to the base invariant, and the base
+solvers re-check their own reconstruction exactly. No level needs a precheck
+of its own: the field and the Killing combination of b_0..b_{j-1} agree on
+f_0..f_{j-1} and both annihilate Phi_j, whose f_j-gradient is the gradient
+of phi at f_0, so their difference, the level-j residual, is tangent to phi.
 
 Decompositions are not unique; only the reconstruction identity is promised.
 """
@@ -68,7 +73,7 @@ from .poly import (
     VectorField,
     matrix_apply,
 )
-from .takiff_algebra import LiftedRepresentation, build_lift
+from .takiff_algebra import LiftedRepresentation
 
 
 @dataclass(frozen=True)
@@ -184,11 +189,13 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
 
 
 class BaseSolver(Protocol):
-    """What the recursion needs from a level-0 solver.
+    """What the decomposition needs from a level-0 solver.
 
     ``rep`` and ``family`` identify the base case; ``solve`` takes a field on
     V (one state block, any parameter blocks) and returns one polynomial
-    coefficient per basis element, or raises DecompositionRefused.
+    coefficient per basis element, or raises DecompositionRefused. A level-m
+    decomposition calls it m + 1 times, once per level, on fields over one
+    ring: f_0 is the state block, f_1..f_m and w are parameters.
     """
 
     rep: Representation
@@ -296,7 +303,7 @@ def builtin_solver(rep: Representation,
 
 
 # ---------------------------------------------------------------------------
-# The level recursion
+# The triangular system over the levels
 # ---------------------------------------------------------------------------
 
 def _block_velocities(rep: Representation, ring: Ring,
@@ -367,12 +374,13 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
 
     The annihilation precondition is checked once, against the solver's
     family lifted to level m; failure is a refusal with the first nonzero
-    residual as witness. The lower levels of the recursion are not checked
-    again: for k < m the level-(m-1) residual against Phi_k equals the
-    level-m one, since Phi_k does not involve f_m. On success the returned
+    residual as witness. Then b_0..b_m are solved in order, each by one base
+    solve of rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in
+    which f_0 is the state block and everything else a parameter. A refusal
+    of that solve at level j >= 1 names the level. On success the returned
     coefficients satisfy the reconstruction identity exactly; the per-level
     tangency assertion and the base solvers' reconstruction checks, never
-    expected to fire, guard each step of the recursion.
+    expected to fire, guard each step.
     """
     if solver.rep != lifted.base_rep:
         raise StructuralError(
@@ -386,58 +394,38 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     if not ok:
         raise DecompositionRefused(
             "field does not annihilate the lifted invariants", witness=witness)
-    return _decompose_annihilating(lifted, solver, field,
-                                   generators[::lifted.level + 1])
 
-
-def _decompose_annihilating(lifted: LiftedRepresentation, solver: BaseSolver,
-                            field: VectorField,
-                            base_invariants: Sequence[Polynomial]) -> Decomposition:
-    """The recursion below the precheck; ``base_invariants`` are the phi(f_0)."""
-    m = lifted.level
+    m, n = lifted.level, field.block_size
     ring = field.ring
-    if m == 0:
-        return Decomposition(ring, (tuple(solver.solve(field)),))
-
-    n = field.block_size
     blocks = field.state_blocks
-    top = blocks[-1]
-
-    # recurse with f_m as a parameter; the truncation annihilates Phi_0..Phi_{m-1}
-    # by the top-level precheck, as none of them involves f_m
-    sub_ring = ring.with_role(top.name, PARAMETER)
-    sub_field = VectorField(
-        sub_ring, tuple(p.cast(sub_ring) for p in field.components[:m * n]))
-    sub_lift = build_lift(lifted.base_rep, m - 1)
-    sub_dec = _decompose_annihilating(sub_lift, solver, sub_field, base_invariants)
-    lower = tuple(tuple(p.cast(ring) for p in level)
-                  for level in sub_dec.coefficients)
-
-    correction = _block_sum(lifted.base_rep, ring, lower,
-                            _block_velocities(lifted.base_rep, ring, blocks), m)
-    residual = [a - c for a, c in
-                zip(field.components[m * n:], correction)]
-
-    along_f0 = dict(zip(blocks[0].variables(), residual))
-    for phi_0 in base_invariants:
-        pairing = phi_0.cast(ring).directional_derivative(along_f0)
-        if not pairing.is_zero():
-            raise InternalConsistencyError(
-                f"level-{m} residual is not tangent to the base invariant: {pairing}")
-
     base_ring = ring
     for b in blocks[1:]:
         base_ring = base_ring.with_role(b.name, PARAMETER)
-    base_field = VectorField(
-        base_ring, tuple(p.cast(base_ring) for p in residual))
-    try:
-        top_coeffs = solver.solve(base_field)
-    except DecompositionRefused as exc:
-        raise DecompositionRefused(
-            f"base solver refused the level-{m} residual: {exc}",
-            witness=exc.witness) from exc
-    upper = tuple(p.cast(ring) for p in top_coeffs)
-    return Decomposition(ring, lower + (upper,))
+    base_invariants = [phi.cast(ring) for phi in generators[::m + 1]]
+    velocity = _block_velocities(lifted.base_rep, ring, blocks)
+    levels: list[tuple[Polynomial, ...]] = []
+    for j in range(m + 1):
+        residual = field.components[j * n:(j + 1) * n]
+        if j:
+            correction = _block_sum(lifted.base_rep, ring, levels, velocity, j)
+            residual = [a - c for a, c in zip(residual, correction)]
+            along_f0 = dict(zip(blocks[0].variables(), residual))
+            for phi_0 in base_invariants:
+                pairing = phi_0.directional_derivative(along_f0)
+                if not pairing.is_zero():
+                    raise InternalConsistencyError(
+                        f"level-{j} residual is not tangent to the base invariant: {pairing}")
+        base_field = VectorField(base_ring, tuple(p.cast(base_ring) for p in residual))
+        try:
+            coeffs = solver.solve(base_field)
+        except DecompositionRefused as exc:
+            if j == 0:
+                raise
+            raise DecompositionRefused(
+                f"base solver refused the level-{j} residual: {exc}",
+                witness=exc.witness) from exc
+        levels.append(tuple(p.cast(ring) for p in coeffs))
+    return Decomposition(ring, tuple(levels))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class DecompositionRefused(TakiffError):
 class InternalConsistencyError(TakiffError):
     """A derived identity that must hold on valid inputs was observed false.
 
-    Raised from inline assertions inside the decomposition recursion and the
-    linear-part splitter. Firing one of these indicates a bug or an invalid
-    hand-built input, never a legitimate refusal.
+    Raised from inline assertions in the decomposition's level loop, the base
+    solvers and the linear-part splitter. Firing one of these indicates a bug
+    or an invalid hand-built input, never a legitimate refusal.
     """

@@ -314,14 +314,19 @@ def abelian(dim: int, mats: Sequence[Matrix] | None = None) -> tuple[LieAlgebra,
 def _param(kind: str, params: dict, key: str) -> int:
     if key not in params:
         raise StructuralError(f"constructor kind {kind!r} needs parameter {key!r}")
-    return int(params[key])
+    value = params[key]
+    if type(value) is not int:
+        raise StructuralError(
+            f"constructor kind {kind!r} needs an int {key!r}, got {value!r}")
+    return value
 
 
 def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
     """Dispatch for the named constructors used by the CLI and the generators.
 
     Kinds: so_n(n), so_pq(p, q), sl2, sl2_adjoint, gl_n(n),
-    abelian(dim[, matrices]). A missing parameter raises StructuralError.
+    abelian(dim[, matrices]). A missing parameter, or one that is not an
+    ``int`` (a bool or a float 3.0 included), raises StructuralError.
     """
     if kind == "so_n":
         return so_n(_param(kind, params, "n"))

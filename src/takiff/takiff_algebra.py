@@ -15,9 +15,9 @@ so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
 
 That block sum reads rho and m alone, so a ``LiftedRepresentation`` is the
 pair (rho, m). Decomposing, verifying and generating a field read no dense
-g_m or rho_m; those are derived and validated only when first read, and
-``build_lift`` builds both at once (the decomposition recursion still calls
-it for the levels below m). Every dense matrix here (the
+g_m or rho_m, at level m or below; those are derived and validated only when
+first read, and ``build_lift`` builds both at once for the commands and
+suites that read them. Every dense matrix here (the
 structure-constant planes of g_m, rho_m, the lifted form B_m and the flip
 theta) is base blocks at block positions, and that placement rule lives in
 one helper, ``_blocks``. The size bound on g_m, ``check_level``, runs before
@@ -152,9 +152,10 @@ def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
     """Takiff context plus lifted representation, both built now and cached per
     (rho, level).
 
-    The decomposition recursion descends one level at a time and would rebuild
-    the same sub-level lifts over and over; all inputs are immutable, so the
-    chain is memoized.
+    The callers that read the dense rho_m come here: the ``lift-rep`` and
+    ``check-invariant --level`` commands, the cylindrical check at level
+    m - 1 and the acceptance suites, which lift the same (rho, level) pairs
+    many times. All inputs are immutable, so the result is memoized.
     """
     ctx = build_takiff(rho.algebra, level)
     return lift_representation(ctx, rho)

@@ -23,6 +23,7 @@ from takiff.decompose import (
 )
 from takiff.errors import (
     DecompositionRefused,
+    InternalConsistencyError,
     StructuralError,
     ValidationError,
 )
@@ -476,6 +477,78 @@ def test_reconstruction_builds_each_killing_velocity_once(monkeypatch):
     assert components == inst.field.components
     # 3 basis elements on 4 blocks, against 1 + 2 + 3 + 4 block sums of 3
     assert sorted(calls) == sorted({(i, f"f{k}") for i in range(3) for k in range(4)})
+
+
+def test_decomposition_builds_each_killing_velocity_once(monkeypatch):
+    inst = generate_instance("so_n", 3, seed=11, n=3)
+    solver = builtin_solver(inst.rep)
+    calls = []
+    original = decompose.killing_velocity
+
+    def counted(rep, i, ring, coords):
+        calls.append((i, coords[0][0]))
+        return original(rep, i, ring, coords)
+
+    monkeypatch.setattr(decompose, "killing_velocity", counted)
+    takiff_decompose(inst.lifted, solver, inst.field)
+    # the corrections read rho(x_i) f_k for k = 1..3 only, each built once
+    assert sorted(calls) == sorted((i, f"f{k}") for i in range(3) for k in range(1, 4))
+
+
+class StubSolver:
+    """The built-in so(3) solver, except on one chosen call of ``solve``."""
+
+    def __init__(self, rep, on_call, action):
+        self._inner = builtin_solver(rep)
+        self.rep, self.family = self._inner.rep, self._inner.family
+        self._on_call, self._action = on_call, action
+        self.calls = 0
+
+    def solve(self, field):
+        self.calls += 1
+        coeffs = self._inner.solve(field)
+        if self.calls == self._on_call:
+            return self._action(field, coeffs)
+        return coeffs
+
+
+STUB_WITNESS = Polynomial.constant(base_ring(3), 7)
+
+
+def stub_refusal(field, coeffs):
+    raise DecompositionRefused("stub refusal", witness=STUB_WITNESS)
+
+
+def perturbed_b0(field, coeffs):
+    return (coeffs[0] + 1,) + tuple(coeffs[1:])
+
+
+def test_a_refusal_at_level_1_is_wrapped_with_the_level():
+    inst = generate_instance("so_n", 2, seed=11, n=3)
+    solver = StubSolver(inst.rep, 2, stub_refusal)
+    with pytest.raises(DecompositionRefused) as info:
+        takiff_decompose(inst.lifted, solver, inst.field)
+    assert str(info.value) == "base solver refused the level-1 residual: stub refusal"
+    assert info.value.witness is STUB_WITNESS
+    assert solver.calls == 2
+
+
+def test_a_refusal_at_level_0_passes_through_unwrapped():
+    inst = generate_instance("so_n", 2, seed=11, n=3)
+    solver = StubSolver(inst.rep, 1, stub_refusal)
+    with pytest.raises(DecompositionRefused) as info:
+        takiff_decompose(inst.lifted, solver, inst.field)
+    assert str(info.value) == "stub refusal"
+    assert info.value.witness is STUB_WITNESS
+    assert solver.calls == 1
+
+
+def test_a_wrong_b0_fails_the_level_1_tangency_guard():
+    inst = generate_instance("so_n", 2, seed=11, n=3)
+    solver = StubSolver(inst.rep, 1, perturbed_b0)
+    with pytest.raises(InternalConsistencyError, match="level-1 residual is not tangent"):
+        takiff_decompose(inst.lifted, solver, inst.field)
+    assert solver.calls == 1
 
 
 def test_decompose_prechecks_annihilation_once(monkeypatch):

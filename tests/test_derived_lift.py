@@ -110,13 +110,10 @@ def test_cli_builds_no_g_m_to_decompose_verify_or_generate(tmp_path, monkeypatch
     files = _instance_files(tmp_path, m)
     capsys.readouterr()
     levels = _count_build_takiff(monkeypatch)
-    for command in ("generate", "verify", "lift-invariant"):
+    for command in ("generate", "decompose", "verify", "lift-invariant"):
         build_lift.cache_clear()
         assert main(_argv(command, files, m)) == 0
         assert levels == [], command
-    # the decomposition recursion still builds the levels below m, and no other
-    assert main(_argv("decompose", files, m)) == 0
-    assert sorted(levels) == list(range(m))
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "lift-invariant", "generate"])
@@ -156,7 +153,9 @@ def test_standard_dim_is_the_dimension_make_standard_builds(kind, params):
 
 
 @pytest.mark.parametrize("kind, params", [("so_n", {}), ("so_pq", {"p": 2}),
-                                          ("gl_n", {}), ("abelian", {}), ("sp_n", {})])
+                                          ("gl_n", {}), ("abelian", {}), ("sp_n", {}),
+                                          ("so_n", {"n": 3.7}), ("so_n", {"n": "3"}),
+                                          ("so_n", {"n": True}), ("gl_n", {"n": 3.0})])
 def test_standard_dim_refuses_as_make_standard_does(kind, params):
     with pytest.raises(StructuralError) as built:
         make_standard(kind, **params)
