@@ -14,6 +14,7 @@ their seed from --seed alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -259,7 +260,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; each ``parse_args`` returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="takiff",
         description="Takiff algebras, lifted invariants, and Killing-field "

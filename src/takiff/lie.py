@@ -1,10 +1,14 @@
 """Finite-dimensional Lie algebras over the rationals, given by structure constants.
 
-An algebra is validated eagerly at construction: antisymmetry of the constants
-and the Jacobi identity are checked exactly, so every downstream computation
-may assume both. Representations are matrices per basis element, with the
-homomorphism identity rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified
-exactly for all basis pairs. ``LieAlgebra``, ``Representation`` and
+An algebra a caller builds is validated eagerly at construction: antisymmetry
+of the constants and the Jacobi identity are checked exactly, so every
+downstream computation may assume both. Representations are matrices per
+basis element, with the homomorphism identity
+rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified exactly for all basis
+pairs. The one exception is a Takiff lift g_m or rho_m: it is derived from a
+base that was checked here, by a construction under which the identities
+carry over, so it is valid by construction and built through ``_derived``
+without re-checking. ``LieAlgebra``, ``Representation`` and
 ``BilinearForm`` first normalise what they are given: nested sequences become
 tuples and every entry goes through ``matrices.scalar``, so an entry is an
 ``int`` or a non-integral ``Fraction``, and a float is refused. Structure
@@ -149,6 +153,20 @@ def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j:
         return None
     entry = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e))
     return entry, lhs.get(entry, 0), rhs.get(entry, 0)
+
+
+def _derived(cls: type, **fields):
+    """A ``LieAlgebra`` or ``Representation`` with the given fields, without its checks.
+
+    Precondition: every field is already normalised (tuples of exact scalars),
+    and the caller derives the fields from an already-validated base by a
+    construction that is proved correct, so the checks cannot fail. Input from
+    outside the package goes through the public constructors, which check it.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

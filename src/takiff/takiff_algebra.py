@@ -14,10 +14,17 @@ pattern. A representation rho of g on V lifts to rho_m on V_m = V^{m+1} by
 so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
 
 That block sum reads rho and m alone, so a ``LiftedRepresentation`` is the
-pair (rho, m). Decomposing, verifying and generating a field read no dense
-g_m or rho_m, at level m or below; those are derived and validated only when
-first read, and ``build_lift`` builds both at once for the commands and
-suites that read them. Every dense matrix here (the
+pair (rho, m), and a ``TakiffContext`` is the pair (g, m). Decomposing,
+verifying and generating a field read no dense g_m or rho_m, at level m or
+below; those are derived only when first read, and ``build_lift`` builds both
+at once for the commands and suites that read them.
+
+g_m and rho_m are not re-checked. g_m is g tensor A and rho_m is rho tensor
+the regular action of A, with A = K[T]/(T^{m+1}) commutative and associative,
+so antisymmetry, the Jacobi identity and the homomorphism law carry over from
+the base algebra and representation, which were checked exactly when they were
+built. The ``jacobi`` and ``homomorphism`` suites check the lifts over their
+grid with their own code. Every dense matrix here (the
 structure-constant planes of g_m, rho_m, the lifted form B_m and the flip
 theta) is base blocks at block positions, and that placement rule lives in
 one helper, ``_blocks``. The size bound on g_m, ``check_level``, runs before
@@ -32,7 +39,7 @@ from typing import Iterable
 
 from . import matrices as mx
 from .errors import InternalConsistencyError, StructuralError, ValidationError
-from .lie import BilinearForm, LieAlgebra, Representation, coadjoint_rep
+from .lie import BilinearForm, LieAlgebra, Representation, _derived, coadjoint_rep
 from .matrices import Matrix
 
 # Largest g_m, counted in structure constants ((m+1) dim g)^3, so dim g_m <= 100;
@@ -42,15 +49,27 @@ MAX_STRUCTURE_CONSTANTS = 100 ** 3
 
 @dataclass(frozen=True)
 class TakiffContext:
-    """A base algebra, a truncation level, and the derived algebra g_m.
+    """A base algebra and a truncation level; g_m (``algebra``) is derived from them.
 
     Basis element (r, i) of g_m stands for x_i T^r and sits at flat index
-    r * dim(base) + i.
+    r * dim(base) + i. Construction refuses the level by ``check_level``.
     """
 
     base: LieAlgebra
     level: int
-    algebra: LieAlgebra
+
+    def __post_init__(self):
+        check_level(self.base.dim, self.level)
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """g_m, built on first read: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}."""
+        m, base, d = self.level, self.base, self.base.dim
+        names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
+        # the plane of x_i T^r holds [x_i, x_j] at block (s, r + s)
+        planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))
+                       for r in range(m + 1) for i in range(d))
+        return _derived(LieAlgebra, names=names, c=planes)
 
 
 def _level_name(base_name: str, r: int) -> str:
@@ -84,17 +103,11 @@ def check_level(base_dim: int, m: int) -> None:
 
 
 def build_takiff(base: LieAlgebra, m: int) -> TakiffContext:
-    """Construct g_m; the truncated bracket is re-validated exactly.
+    """The context of g_m; its algebra is derived from the base on first read.
 
-    At m = 0 the result equals the base algebra.
+    At m = 0 that algebra equals the base algebra.
     """
-    d = base.dim
-    check_level(d, m)
-    names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
-    # the plane of x_i T^r: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}
-    planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))
-                   for r in range(m + 1) for i in range(d))
-    return TakiffContext(base, m, LieAlgebra(names, planes))
+    return TakiffContext(base, m)
 
 
 @dataclass(frozen=True)
@@ -103,8 +116,8 @@ class LiftedRepresentation:
 
     Its action on V_m = V^{m+1}, blocks indexed by level, is the block sum in
     the module docstring, which reads rho and m alone. The dense g_m
-    (``context``) and rho_m (``rep``) are built and validated on first read
-    and kept. Construction refuses the level as ``build_takiff`` would.
+    (``context``) and rho_m (``rep``) are derived on first read and kept.
+    Construction refuses the level as ``TakiffContext`` does.
     """
 
     base_rep: Representation
@@ -134,12 +147,12 @@ def _lifted_rep(ctx: TakiffContext, rho: Representation) -> Representation:
     m, n = ctx.level, rho.space_dim
     mats = tuple(_blocks(m, n, ((r + s, s, rho.matrices[i]) for s in range(m + 1 - r)))
                  for r in range(m + 1) for i in range(ctx.base.dim))
-    return Representation(ctx.algebra, mats)
+    return _derived(Representation, algebra=ctx.algebra, matrices=mats)
 
 
 def lift_representation(ctx: TakiffContext, rho: Representation) -> LiftedRepresentation:
-    """Lift a base representation to g_m; rho_m is built and its homomorphism
-    law re-verified now, over the given g_m."""
+    """Lift rho, a representation of the context's base algebra, to g_m; rho_m
+    is derived from rho now."""
     if rho.algebra != ctx.base:
         raise StructuralError("representation is not over the context's base algebra")
     lifted = LiftedRepresentation(rho, ctx.level)
@@ -149,7 +162,7 @@ def lift_representation(ctx: TakiffContext, rho: Representation) -> LiftedRepres
 
 @lru_cache(maxsize=None)
 def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
-    """Takiff context plus lifted representation, both built now and cached per
+    """Takiff context plus lifted representation, both derived now and cached per
     (rho, level).
 
     The callers that read the dense rho_m come here: the ``lift-rep`` and

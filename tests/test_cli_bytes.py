@@ -12,6 +12,7 @@ import pytest
 
 from takiff import jsonio
 from takiff.cli import main
+from takiff.lie import make_standard
 from takiff.poly import Polynomial, VectorField
 
 
@@ -106,3 +107,30 @@ def test_cli_refusal_bytes(tmp_path):
                  "--out", str(refused)]) == 2
     assert json.loads(refused.read_text(encoding="utf-8"))["witness"] is not None
     assert _sha(refused) == REFUSAL_SHA256
+
+
+# (command, kind, level) -> sha256 of the printed g_m or rho_m
+LIFT_SHA256 = {
+    ("build", "sl2", 2):
+        "f06d2ad06c62d3f2a93b6586f4c75b9c7c054f382cf0c23341c34676bac34e94",
+    ("build", "so_n", 3):
+        "97ce9034392b047393e89bab6c64a074d104b56ffa6fa616e6a1d6c651dbf101",
+    ("lift-rep", "so_n", 2):
+        "a34847ca7f602fa80224006dbdb1ad985baf701f7019f6b1e0196630478a5f63",
+    ("lift-rep", "sl2_adjoint", 3):
+        "1c5de7036f9b711c3cecc2101b24c51089046976fde372cd46afa7734f74ee30",
+}
+
+
+@pytest.mark.parametrize("case", list(LIFT_SHA256), ids=lambda c: f"{c[0]}-{c[1]}-m{c[2]}")
+def test_cli_lift_bytes(tmp_path, case):
+    command, kind, level = case
+    g, rho = make_standard(kind, **({"n": 3} if kind == "so_n" else {}))
+    if command == "build":
+        flag, payload = "--algebra", jsonio.algebra_to_json(g)
+    else:
+        flag, payload = "--rep", jsonio.representation_to_json(rho)
+    out = tmp_path / "lifted.json"
+    assert main([command, flag, _write(tmp_path / "in.json", payload),
+                 "--level", str(level), "--out", str(out)]) == 0
+    assert _sha(out) == LIFT_SHA256[case]

@@ -1,19 +1,29 @@
 """A lift is its base representation and its level: g_m and rho_m are derived
-on first read, and every entry point bounds the level before it allocates."""
+on first read, valid by construction, and every entry point bounds the level
+before it allocates."""
 
 import json
 import re
 
 import pytest
 
-from takiff import jsonio, randgen, takiff_algebra
+from takiff import jsonio, lie, randgen, takiff_algebra
 from takiff import matrices as mx
 from takiff.cli import main
 from takiff.errors import StructuralError
 from takiff.invariants import quadratic_invariant
-from takiff.lie import gl_n, make_standard, sl2, so_n, standard_dim
+from takiff.lie import (
+    LieAlgebra,
+    Representation,
+    conjugate_representation,
+    gl_n,
+    make_standard,
+    sl2,
+    so_n,
+    standard_dim,
+)
 from takiff.poly import STATE, Ring, VariableBlock
-from takiff.takiff_algebra import LiftedRepresentation, build_lift
+from takiff.takiff_algebra import LiftedRepresentation, TakiffContext, build_lift
 
 BASES = {"sl2": sl2, "so3": lambda: so_n(3), "so4": lambda: so_n(4), "gl2": lambda: gl_n(2)}
 
@@ -38,6 +48,61 @@ def test_derived_lift_builds_on_first_read_only(monkeypatch):
     assert levels == []
     assert lifted.rep is lifted.rep and lifted.context is lifted.context
     assert levels == [2]
+
+
+def _so4_signed_permutation():
+    # e_0 -> -e_2, e_1 -> e_0, e_2 -> e_3, e_3 -> -e_1
+    g, rho = so_n(4)
+    theta = ((0, 1, 0, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, 0, 1, 0))
+    return g, conjugate_representation(rho, theta)
+
+
+# (name, base, highest level)
+ORACLE_GRID = [("so3", lambda: so_n(3), 4), ("so4", lambda: so_n(4), 3),
+               ("sl2_adjoint", lambda: make_standard("sl2_adjoint"), 4),
+               ("gl2", lambda: gl_n(2), 2),
+               ("so4_signed_permutation", _so4_signed_permutation, 2)]
+
+
+@pytest.mark.parametrize("make, m", [(make, m) for _, make, top in ORACLE_GRID
+                                     for m in range(top + 1)],
+                         ids=[f"{name}-m{m}" for name, _, top in ORACLE_GRID
+                              for m in range(top + 1)])
+def test_derived_lift_passes_the_validating_constructors(make, m):
+    _, rho = make()
+    build_lift.cache_clear()
+    lifted = build_lift(rho, m)
+    ctx = lifted.context
+    assert LieAlgebra(ctx.algebra.names, ctx.algebra.c) == ctx.algebra
+    assert Representation(ctx.algebra, lifted.rep.matrices) == lifted.rep
+
+
+def test_a_context_refuses_an_oversized_level_before_any_block(monkeypatch):
+    monkeypatch.setattr(takiff_algebra, "_blocks", _unexpected)
+    g, _ = so_n(3)
+    with pytest.raises(StructuralError, match="structure constants"):
+        TakiffContext(g, 10 ** 9)
+
+
+def test_a_cold_lift_runs_no_jacobi_or_homomorphism_check(monkeypatch):
+    _, rho = so_n(4)
+    calls = {"jacobi": 0, "homomorphism": 0}
+    jacobi, defect = LieAlgebra._check_jacobi, lie.homomorphism_defect
+
+    def counted_jacobi(self, nonzero):
+        calls["jacobi"] += 1
+        return jacobi(self, nonzero)
+
+    def counted_defect(*args):
+        calls["homomorphism"] += 1
+        return defect(*args)
+
+    monkeypatch.setattr(LieAlgebra, "_check_jacobi", counted_jacobi)
+    monkeypatch.setattr(lie, "homomorphism_defect", counted_defect)
+    build_lift.cache_clear()
+    lifted = build_lift(rho, 3)
+    assert lifted.rep.algebra is lifted.context.algebra
+    assert calls == {"jacobi": 0, "homomorphism": 0}
 
 
 @pytest.mark.parametrize("level", [1.5, True, "1"])

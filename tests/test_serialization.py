@@ -595,6 +595,18 @@ def test_cli_human_is_accepted_where_it_changes_the_output(argv):
     assert _parser().parse_args(argv).human is False
 
 
+def test_cli_builds_its_parser_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    _parser.cache_clear()
+    out = tmp_path / "so4.json"
+    assert main(["generate", "--kind", "so_n", "--n", "4", "--level", "0",
+                 "--out", str(out)]) == 0
+    assert main(["generate", "--kind", "so_n", "--level", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constructor kind 'so_n' needs parameter 'n'\n"
+    assert _parser.cache_info().misses == 1
+
+
 # -- mutated documents through the command line ---------------------------------
 
 def json_sites(node, path=()):

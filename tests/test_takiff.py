@@ -246,6 +246,7 @@ def dense_jacobi_failure(c):
 
 def test_lifted_homomorphism_checks_every_basis_pair(monkeypatch):
     _, rho = so_n(3)
+    lifted = build_lift(rho, 2)
     calls = []
     commutator = mx.sparse_commutator
 
@@ -254,8 +255,7 @@ def test_lifted_homomorphism_checks_every_basis_pair(monkeypatch):
         return commutator(a, b)
 
     monkeypatch.setattr(mx, "sparse_commutator", counted)
-    build_lift.cache_clear()
-    build_lift(rho, 2)
+    Representation(lifted.context.algebra, lifted.rep.matrices)
     assert len(calls) == 9 * 8 // 2
 
 
