@@ -15,11 +15,10 @@ antisymmetric matrix
     b_ij = sum_d (dc_i^(d)/dx_j - dc_j^(d)/dx_i) / (d + 1)
 
 satisfies b x = c, degree by degree, by the Euler identity together with the
-derivative of the syzygy (sum_j x_j dc_j/dx_i = -c_i). Each entry above the
-diagonal is one polynomial combination over all degrees, b_ji = -b_ij, and
-M = G^(-1) b uses the inverse Gram matrix that the form computes once and
-keeps (``BilinearForm.inverse``). The higher levels form a triangular
-system, solved in order j = 0..m:
+derivative of the syzygy (sum_j x_j dc_j/dx_i = -c_i). Since so(B) has the
+coordinates X -> the entries above the diagonal of G X, the coefficients are
+read from those entries of b, and G is never inverted. The higher levels form
+a triangular system, solved in order j = 0..m:
 
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r},
 
@@ -32,8 +31,8 @@ table of Killing velocities serves every level.
 
 Three guards remain on that path. The annihilation precheck runs once,
 before the loop, and is the only source of refusals. Each level j >= 1
-asserts that its residual is tangent to the base invariant, and the base
-solvers re-check their own reconstruction exactly. No level needs a precheck
+asserts that its residual is tangent to the base invariant, and the
+quadratic solver re-checks b x = c exactly. No level needs a precheck
 of its own: the field and the Killing combination of b_0..b_{j-1} agree on
 f_0..f_{j-1} and both annihilate Phi_j, whose f_j-gradient is the gradient
 of phi at f_0, so their difference, the level-j residual, is tangent to phi.
@@ -129,18 +128,14 @@ def annihilates_invariants(field: VectorField,
 # Base case on V: quadratic invariant, homotopy formula
 # ---------------------------------------------------------------------------
 
-def quadratic_base_solve(form: BilinearForm, field: VectorField,
-                         ) -> tuple[tuple[Polynomial, ...], ...]:
-    """Closed-form matrix M with a = M x and G M antisymmetric.
+def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
+    """The antisymmetric homotopy matrix b with b x = G a, checked exactly.
 
     The field must satisfy B(a(w, x), x) = 0 as a polynomial; that syzygy is
     checked first and its failure is a refusal carrying the residual. Each
-    entry b_ij above the diagonal of the homotopy matrix is one combination
-    over all x-degrees d of the pairs (1/(d+1), dc_i^(d)/dx_j) and
-    (-1/(d+1), dc_j^(d)/dx_i), and b_ji = -b_ij. M = G^(-1) b reads the
-    inverse Gram matrix cached on the form, so repeated solves over one form
-    invert it once. The reconstruction a = M x is re-verified before
-    returning.
+    entry b_ij above the diagonal is one combination over all x-degrees d of
+    the pairs (1/(d+1), dc_i^(d)/dx_j) and (-1/(d+1), dc_j^(d)/dx_i), and
+    b_ji = -b_ij. The reconstruction b x = c is re-verified before returning.
     """
     blocks = field.state_blocks
     if len(blocks) != 1:
@@ -150,11 +145,9 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
     if form.size != n:
         raise StructuralError(f"form size {form.size} does not match state size {n}")
     ring = field.ring
-    a = field.components
-    gram = form.gram
     xs = [Polynomial.variable(ring, (x.name, j)) for j in range(n)]
 
-    c = matrix_apply(gram, a)
+    c = matrix_apply(form.gram, field.components)
     syzygy = Polynomial.combination(ring, zip(c, xs))
     if not syzygy.is_zero():
         raise DecompositionRefused(
@@ -176,16 +169,26 @@ def quadratic_base_solve(form: BilinearForm, field: VectorField,
                 *((Fraction(-1, d + 1), cj.derivative((x.name, i)))
                   for d, cj in by_degree[j].items())])
             b[j][i] = -b[i][j]
-    ginv = form.inverse
-    matrix = tuple(
-        tuple(Polynomial.combination(ring, ((ginv[i][k], b[k][j]) for k in range(n)))
-              for j in range(n))
-        for i in range(n))
     for i in range(n):
-        if Polynomial.combination(ring, zip(matrix[i], xs)) != a[i]:
+        if Polynomial.combination(ring, zip(b[i], xs)) != c[i]:
             raise InternalConsistencyError(
                 f"homotopy reconstruction failed at component {i}")
-    return matrix
+    return b
+
+
+def quadratic_base_solve(form: BilinearForm, field: VectorField,
+                         ) -> tuple[tuple[Polynomial, ...], ...]:
+    """Closed-form matrix M = G^(-1) b with a = M x and G M antisymmetric.
+
+    b is ``_homotopy``'s; the inverse Gram matrix is cached on the form.
+    """
+    b = _homotopy(form, field)
+    ginv = form.inverse
+    n = form.size
+    return tuple(
+        tuple(Polynomial.combination(field.ring, ((ginv[i][k], b[k][j]) for k in range(n)))
+              for j in range(n))
+        for i in range(n))
 
 
 class BaseSolver(Protocol):
@@ -209,12 +212,13 @@ class QuadraticBaseSolver:
 
     Validated at construction: B symmetric nondegenerate, the quadratic
     (1/2) B(v, v) invariant, dim(g) equal to dim so(B) = n(n-1)/2, and
-    rho injective on the basis. Under those checks rho(g) = so(B), so the
-    homotopy matrix M can always be rewritten over the basis images; the
-    rewrite is still re-verified entry by entry.
+    rho injective on the basis. Then rho(g) = so(B), with coordinates
+    X -> the entries above the diagonal of G X: the d x d matrix U of those
+    entries of each G rho(x_k) is inverted once, and a solve applies U^(-1)
+    to the entries above the diagonal of the homotopy matrix b = G M.
     """
 
-    def __init__(self, rep: Representation, form: BilinearForm, label: str = ""):
+    def __init__(self, rep: Representation, form: BilinearForm):
         n = rep.space_dim
         if form.size != n:
             raise StructuralError(
@@ -230,30 +234,22 @@ class QuadraticBaseSolver:
         self.form = form
         ring = Ring.of(VariableBlock("x", n, STATE))
         self.family = InvariantFamily(
-            rep, (quadratic_invariant(form.gram, ring),),
-            label or "quadratic")
-        # one elimination finds the pivot rows of the flattened basis images; d
-        # exist iff rho is injective, so with the dimension count rho(g) = so(B)
-        flat = tuple(
-            tuple(rep.matrices[i][r][s] for i in range(d))
-            for r in range(n) for s in range(n))
-        self._flat = flat
-        self._pivot_rows = mx.independent_rows(flat)
-        if len(self._pivot_rows) < d:
+            rep, (quadratic_invariant(form.gram, ring),), "quadratic")
+        # The family check proved every G rho(x_k) antisymmetric, so its entries
+        # above the diagonal determine it; U is invertible iff rho is injective,
+        # and then, with the dimension count, rho(g) = so(B).
+        self._upper = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        images = [mx.mul(form.gram, m) for m in rep.matrices]
+        try:
+            self._coordinates = mx.inverse(
+                tuple(tuple(image[i][j] for image in images) for i, j in self._upper))
+        except ValidationError:
             raise ValidationError(
-                "basis images are linearly dependent; cannot span so(B)")
-        self._pivot_inverse = mx.inverse(tuple(flat[r] for r in self._pivot_rows))
+                "basis images are linearly dependent; cannot span so(B)") from None
 
     def solve(self, field: VectorField) -> tuple[Polynomial, ...]:
-        matrix = quadratic_base_solve(self.form, field)
-        n = self.rep.space_dim
-        flat_m = tuple(matrix[r][s] for r in range(n) for s in range(n))
-        coeffs = matrix_apply(self._pivot_inverse,
-                              [flat_m[row] for row in self._pivot_rows])
-        if matrix_apply(self._flat, coeffs) != flat_m:
-            raise InternalConsistencyError(
-                "homotopy matrix fell outside the span of the basis images")
-        return coeffs
+        b = _homotopy(self.form, field)
+        return matrix_apply(self._coordinates, [b[i][j] for i, j in self._upper])
 
 
 class TrivialBaseSolver:
@@ -263,7 +259,7 @@ class TrivialBaseSolver:
     it exactly when every component vanishes; the decomposition is then zero.
     """
 
-    def __init__(self, rep: Representation, label: str = ""):
+    def __init__(self, rep: Representation):
         for i, m in enumerate(rep.matrices):
             if not mx.is_zero(m):
                 raise ValidationError(
@@ -274,7 +270,7 @@ class TrivialBaseSolver:
         ring = Ring.of(VariableBlock("x", n, STATE))
         self.family = InvariantFamily(
             rep, tuple(Polynomial.variable(ring, ("x", i)) for i in range(n)),
-            label or "coordinates")
+            "coordinates")
 
     def solve(self, field: VectorField) -> tuple[Polynomial, ...]:
         if len(field.state_blocks) != 1:

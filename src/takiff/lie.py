@@ -223,13 +223,20 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
     One factorization: the pivot rows of the flattened basis give a d x d block,
     inverted once; each [x_i, x_j] with i < j reads its coordinates from it,
     checked exactly against the whole basis, and c[j][i] = -c[i][j], c[i][i] = 0.
-    Dependent basis matrices, or a commutator outside their span, are
-    validation errors. Returns the algebra with its defining representation.
+    An empty basis, or matrices that are not square of one size, are
+    structural errors; dependent basis matrices, or a commutator outside
+    their span, are validation errors. Returns the algebra with its defining
+    representation.
     """
     d = len(names)
     if len(mats) != d:
         raise StructuralError("one matrix per basis name required")
+    if not mats:
+        raise StructuralError("a matrix algebra needs at least one basis matrix")
+    mats = tuple(map(mx.mat, mats))
     n = len(mats[0])
+    if any(mx.shape(m) != (n, n) for m in mats):
+        raise StructuralError("representation matrices must be square, equal sizes")
     flat_basis = mx.transpose(tuple(
         tuple(m[r][s] for r in range(n) for s in range(n)) for m in mats))
     pivots = mx.independent_rows(flat_basis)
@@ -342,8 +349,8 @@ def _param(kind: str, params: dict, key: str) -> int:
 def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
     """Dispatch for the named constructors used by the CLI and the generators.
 
-    Kinds: so_n(n), so_pq(p, q), sl2, sl2_adjoint, gl_n(n),
-    abelian(dim[, matrices]). A missing parameter, or one that is not an
+    Kinds: so_n(n), so_pq(p, q), sl2, sl2_adjoint, gl_n(n), abelian(dim)
+    (the zero action). A missing parameter, or one that is not an
     ``int`` (a bool or a float 3.0 included), raises StructuralError.
     """
     if kind == "so_n":
@@ -358,7 +365,7 @@ def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:
     if kind == "gl_n":
         return gl_n(_param(kind, params, "n"))
     if kind == "abelian":
-        return abelian(_param(kind, params, "dim"), params.get("matrices"))
+        return abelian(_param(kind, params, "dim"))
     raise StructuralError(f"unknown constructor kind {kind!r}")
 
 

@@ -87,6 +87,9 @@ class VariableBlock:
     def __post_init__(self):
         if not self.name:
             raise StructuralError("variable block needs a nonempty name")
+        if type(self.size) is not int:
+            raise StructuralError(
+                f"block {self.name!r}: size must be an int, got {self.size!r}")
         if self.size < 1:
             raise StructuralError(f"block {self.name!r}: size must be positive, got {self.size}")
         if self.role not in (STATE, PARAMETER):
@@ -179,6 +182,8 @@ class Monomial(tuple):
 
     @staticmethod
     def of(var: Var, power: int = 1) -> "Monomial":
+        if type(power) is not int:
+            raise StructuralError(f"exponent {power!r} for {var} is not an int")
         if power < 0:
             raise StructuralError(f"negative exponent {power} for {var}")
         if power == 0:
@@ -187,11 +192,12 @@ class Monomial(tuple):
 
     @staticmethod
     def from_map(exps: Mapping[Var, int]) -> "Monomial":
-        items = sorted((v, e) for v, e in exps.items() if e != 0)
-        for _, e in items:
+        for v, e in exps.items():
+            if type(e) is not int:
+                raise StructuralError(f"exponent {e!r} for {v} is not an int")
             if e < 0:
                 raise StructuralError("negative exponent in monomial")
-        return Monomial(items)
+        return Monomial(sorted((v, e) for v, e in exps.items() if e))
 
     def degree(self) -> int:
         return sum(e for _, e in self)

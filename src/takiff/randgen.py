@@ -144,12 +144,16 @@ class GeneratedInstance:
     field: VectorField
 
 
-def standard_gram(kind: str, rep: Representation) -> Matrix | None:
+def standard_gram(kind: str, rep: Representation, **kind_params) -> Matrix | None:
     """The Gram matrix the built-in solver needs for a standard kind.
 
-    Orthogonal kinds use the identity implicitly (None); the adjoint of sl2
-    needs its Killing form.
+    so(n) uses the identity implicitly (None); so(p, q) needs the form
+    diag(1 x p, -1 x q) it preserves, and the adjoint of sl2 its Killing form.
     """
+    if kind == "so_pq":
+        signs = [1] * kind_params["p"] + [-1] * kind_params["q"]
+        return tuple(tuple(s if i == j else 0 for j in range(len(signs)))
+                     for i, s in enumerate(signs))
     if kind == "sl2_adjoint":
         return killing_form(rep.algebra).gram
     return None
@@ -166,11 +170,15 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
     every lifted invariant; it is the canonical positive input for the
     decomposition pipeline.
     """
+    if type(seed) is not int:
+        raise StructuralError(f"seed must be an int, got {seed!r}")
     for name, value, least, most in (("level", level, 0, None),
                                      ("max_degree", max_degree, 0, MAX_DEGREE),
                                      ("num_terms", num_terms, 1, MAX_TERMS),
                                      ("parameters", parameters, 0, MAX_PARAMETERS),
                                      ("coeff_bound", coeff_bound, 1, None)):
+        if type(value) is not int:
+            raise StructuralError(f"{name} must be an int, got {value!r}")
         if value < least:
             raise ValidationError(f"{name} must be >= {least}, got {value}")
         if most is not None and value > most:
@@ -184,4 +192,4 @@ def generate_instance(kind: str, level: int, seed: int, max_degree: int = 2,
         rng, algebra.dim, level + 1, ring, max_degree, num_terms, coeff_bound)
     field = field_from_coefficients(lifted, ring, coefficients)
     return GeneratedInstance(kind, seed, algebra, rep, lifted,
-                             standard_gram(kind, rep), coefficients, field)
+                             standard_gram(kind, rep, **kind_params), coefficients, field)

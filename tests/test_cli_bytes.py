@@ -25,10 +25,10 @@ def _write(path, payload) -> str:
     return str(path)
 
 
-def _generate(tmp_path, kind, n, level, seed):
+def _generate(tmp_path, kind, n, level, seed, extra=()):
     out = tmp_path / "generated.json"
     argv = ["generate", "--kind", kind, "--level", str(level), "--seed", str(seed),
-            "--out", str(out)]
+            "--out", str(out), *extra]
     if n is not None:
         argv += ["--n", str(n)]
     assert main(argv) == 0
@@ -84,6 +84,28 @@ def test_cli_pipeline_bytes(tmp_path, case):
     assert main(["verify", "--rep", rep, "--level", str(level), "--field", field,
                  "--dec", dec, "--out", str(verified)]) == 0
     assert (_sha(generated), _sha(decomposed)) == PIPELINE_SHA256[case]
+    assert _sha(verified) == VERIFIED_SHA256
+
+
+GRAM_FILE_SHA256 = "2708e8182607b45218f03bdeb63822cd40f8fe0c7aa76fdc26eef20455afa28d"
+
+
+def test_cli_decompose_bytes_with_a_gram_file(tmp_path):
+    """so(2,1) at m = 2, decomposed with --gram FILE holding diag(1, 1, -1)."""
+    _, payload = _generate(tmp_path, "so_pq", None, 2, 42, extra=("--p", "2", "--q", "1"))
+    rep = _write(tmp_path / "rep.json", payload["representation"])
+    field = _write(tmp_path / "field.json", payload["field"])
+    gram = _write(tmp_path / "gram.json",
+                  {"size": 3, "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]})
+    decomposed = tmp_path / "decomposed.json"
+    assert main(["decompose", "--rep", rep, "--level", "2", "--field", field,
+                 "--gram", gram, "--out", str(decomposed)]) == 0
+    dec = _write(tmp_path / "dec.json",
+                 json.loads(decomposed.read_text(encoding="utf-8"))["decomposition"])
+    verified = tmp_path / "verified.json"
+    assert main(["verify", "--rep", rep, "--level", "2", "--field", field,
+                 "--dec", dec, "--out", str(verified)]) == 0
+    assert _sha(decomposed) == GRAM_FILE_SHA256
     assert _sha(verified) == VERIFIED_SHA256
 
 

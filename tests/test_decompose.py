@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from takiff import decompose
 from takiff import matrices as mx
@@ -36,8 +38,17 @@ from takiff.lie import (
     killing_form,
     sl2,
     so_n,
+    so_pq,
 )
-from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock, matrix_apply
+from takiff.poly import (
+    PARAMETER,
+    STATE,
+    Monomial,
+    Polynomial,
+    Ring,
+    VariableBlock,
+    matrix_apply,
+)
 from takiff.randgen import SplitMix64, generate_instance, random_antisymmetric
 from takiff.takiff_algebra import build_lift
 
@@ -357,7 +368,7 @@ def test_quadratic_solver_validation():
         QuadraticBaseSolver(flat_rho, BilinearForm(mx.identity(3)))
 
 
-def test_quadratic_solver_factors_the_basis_images_with_two_eliminations(monkeypatch):
+def test_quadratic_solver_factors_the_basis_images_with_one_elimination(monkeypatch):
     _, rho = so_n(4)
     eliminate = mx._eliminate
     calls = []
@@ -368,9 +379,82 @@ def test_quadratic_solver_factors_the_basis_images_with_two_eliminations(monkeyp
 
     monkeypatch.setattr(mx, "_eliminate", counted)
     QuadraticBaseSolver(rho, BilinearForm(mx.identity(4)))
-    # the pivot search on the transposed 16 x 6 flattened images, then the
-    # inverse of the 6 x 6 pivot block
-    assert calls == [(6, 16), (6, 6)]
+    # the inverse of the 6 x 6 matrix of so(B) coordinates of the images
+    assert calls == [(6, 6)]
+
+
+SO21_GRAM = mx.mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+THETA = mx.mat([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+SOLVER_CASES = {
+    "so3": (so_n(3)[1], SO3_GRAM),
+    "so4": (so_n(4)[1], SO4_GRAM),
+    "sl2-killing": (adjoint_rep(sl2()[0]), SL2_KILLING_GRAM),
+    "so21": (so_pq(2, 1)[1], SO21_GRAM),
+    # theta rho theta^-1 preserves theta^-T theta^-1; its so(B) coordinate
+    # matrix is not symmetric, unlike those of the four cases above
+    "so3-conjugated": (conjugate_representation(so_n(3)[1], THETA),
+                       mx.mul(mx.transpose(mx.inverse(THETA)), mx.inverse(THETA))),
+}
+COORDINATES = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+
+def drawn_polynomial(data, ring, variables):
+    """A small polynomial with integer coefficients in the given variables."""
+    term = st.tuples(st.integers(-4, 4), st.lists(st.sampled_from(variables), max_size=2))
+    terms = {}
+    for coeff, factors in data.draw(st.lists(term, max_size=3)):
+        mono = Monomial.from_map({v: factors.count(v) for v in factors})
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Polynomial(ring, terms)
+
+
+def killing_field(rep, ring, coefficients):
+    """The components of rho(c) x for polynomial coefficients c."""
+    x = variables(ring, "x", rep.space_dim)
+    images = [matrix_apply(m, x) for m in rep.matrices]
+    return tuple(Polynomial.combination(ring, ((c, image[i]) for c, image in
+                                               zip(coefficients, images)))
+                 for i in range(rep.space_dim))
+
+
+@pytest.mark.parametrize("case", list(SOLVER_CASES))
+@COORDINATES
+@given(data=st.data())
+def test_quadratic_solver_reads_the_so_b_coordinates(case, data):
+    rep, gram = SOLVER_CASES[case]
+    solver = QuadraticBaseSolver(rep, BilinearForm(gram))
+    n, d = rep.space_dim, rep.algebra.dim
+    ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", n, STATE))
+    w = [("w", 0)]
+    # x-free coefficients are the unique coordinates of rho(c) in so(B)
+    constant = tuple(drawn_polynomial(data, ring, w) for _ in range(d))
+    assert solver.solve(VectorField(ring, killing_field(rep, ring, constant))) == constant
+    # x-dependent ones are not unique, but they reconstruct the field
+    varying = tuple(drawn_polynomial(data, ring, w + [("x", i) for i in range(n)])
+                    for _ in range(d))
+    field = killing_field(rep, ring, varying)
+    assert killing_field(rep, ring, solver.solve(VectorField(ring, field))) == field
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_so_pq_instance_decomposes_with_its_standard_gram(p, q, m):
+    inst = generate_instance("so_pq", m, seed=40 + m, p=p, q=q)
+    assert inst.gram == tuple(tuple((1 if i < p else -1) if i == j else 0
+                                    for j in range(p + q)) for i in range(p + q))
+    dec = takiff_decompose(inst.lifted, builtin_solver(inst.rep, inst.gram), inst.field)
+    assert verify_decomposition(inst.lifted, inst.field, dec)[0]
+
+
+def test_decompose_through_the_quadratic_solver_never_inverts_the_gram_matrix(monkeypatch):
+    def unexpected(self):
+        raise AssertionError("the Gram matrix was inverted")
+
+    monkeypatch.setattr(BilinearForm, "inverse", property(unexpected))
+    for kind, params in (("so_n", {"n": 4}), ("sl2_adjoint", {}), ("so_pq", {"p": 2, "q": 1})):
+        inst = generate_instance(kind, 2, seed=3, **params)
+        dec = takiff_decompose(inst.lifted, builtin_solver(inst.rep, inst.gram), inst.field)
+        assert verify_decomposition(inst.lifted, inst.field, dec)[0]
 
 
 def test_trivial_solver():

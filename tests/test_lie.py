@@ -130,6 +130,20 @@ def test_algebra_from_matrices_rejects_dependent_basis():
         algebra_from_matrices(("e", "h", "f", "s"), (e, h, f, add(e, f)))
 
 
+E01_2, E01_3 = mx.mat([[0, 1], [0, 0]]), mx.mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("names, mats, message", [
+    ((), (), "at least one basis matrix"),
+    (("a",), (((0, 1), (0,)),), "ragged matrix rows"),
+    (("a",), (((0, 1, 0), (0, 0, 0)),), "square, equal sizes"),
+    (("a", "b"), (E01_2, E01_3), "square, equal sizes"),
+], ids=["empty", "ragged", "non-square", "unequal-sizes"])
+def test_algebra_from_matrices_refuses_malformed_shapes(names, mats, message):
+    with pytest.raises(StructuralError, match=message):
+        algebra_from_matrices(names, mats)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("so_n", {"n": 2}), ("so_n", {"n": 3}), ("so_n", {"n": 4}), ("so_n", {"n": 5}),
     ("so_pq", {"p": 2, "q": 1}), ("sl2", {}), ("gl_n", {"n": 2}), ("gl_n", {"n": 3}),

@@ -70,6 +70,18 @@ def test_unknown_variable_rejected():
         Polynomial.variable(X, ("x", 3))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Monomial.of(("x", 0), 1.5), "not an int"),
+    (lambda: Monomial.from_map({("x", 0): 1.5}), "not an int"),
+    (lambda: Monomial.from_map({("x", 0): 2.0}), "not an int"),
+    (lambda: VariableBlock("y", 2.5), "size must be an int"),
+], ids=["of", "from_map", "from_map-integral-float", "block-size"])
+def test_non_int_exponents_and_sizes_are_refused(build, message):
+    # an exponent 1.5 would make the derivative's coefficient a float
+    with pytest.raises(StructuralError, match=message):
+        build()
+
+
 def test_term_keys_must_be_monomials():
     # a plain tuple of (var, exponent) pairs hashes and compares like a
     # Monomial, so it must be refused where it enters, not merged silently

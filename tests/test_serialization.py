@@ -337,6 +337,17 @@ def test_generate_rejects_degenerate_sizes(name, flag, value, capsys, monkeypatc
     assert captured.out == "" and captured.err.startswith(f"error: {name}")
 
 
+@pytest.mark.parametrize("name", ["max_degree", "num_terms", "parameters",
+                                  "coeff_bound", "seed"])
+def test_generate_instance_refuses_a_non_int_size(name, monkeypatch):
+    def unexpected(*_, **__):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(randgen, "make_standard", unexpected)
+    with pytest.raises(StructuralError, match=f"{name} must be an int"):
+        generate_instance("so_n", 1, **{"seed": 1, "n": 3, name: 2.5})
+
+
 def test_build_rejects_an_oversized_level(tmp_path, capsys):
     algebra = write_json(tmp_path / "g.json", jsonio.algebra_to_json(so_n(3)[0]))
     assert main(["build", "--algebra", algebra, "--level", "40"]) == 1
@@ -378,6 +389,23 @@ def test_cli_generate_decompose_verify(tmp_path):
     assert result["verification"]["passed"] is True
     dec_only = write_json(tmp_path / "only_dec.json", result["decomposition"])
     assert main(["verify", "--rep", rep, "--level", "1", "--field", field,
+                 "--dec", dec_only]) == 0
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 2)])
+def test_cli_so_pq_instance_decomposes_with_its_own_gram(tmp_path, p, q):
+    gen = tmp_path / "inst.json"
+    assert main(["generate", "--kind", "so_pq", "--p", str(p), "--q", str(q),
+                 "--level", "2", "--seed", "5", "--out", str(gen)]) == 0
+    payload = read_json(gen)
+    rep = write_json(tmp_path / "rep.json", payload["representation"])
+    field = write_json(tmp_path / "field.json", payload["field"])
+    gram = write_json(tmp_path / "gram.json", {"size": p + q, "gram": payload["gram"]})
+    dec_path = tmp_path / "dec.json"
+    assert main(["decompose", "--rep", rep, "--level", "2", "--field", field,
+                 "--gram", gram, "--out", str(dec_path)]) == 0
+    dec_only = write_json(tmp_path / "only_dec.json", read_json(dec_path)["decomposition"])
+    assert main(["verify", "--rep", rep, "--level", "2", "--field", field,
                  "--dec", dec_only]) == 0
 
 
