@@ -30,6 +30,7 @@ from .errors import (
     InternalConsistencyError,
     StructuralError,
     TakiffError,
+    ValidationError,
 )
 from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
@@ -151,7 +152,12 @@ def cmd_decompose(args) -> int:
             print(f"error: field has {have} parameter variables, expected {args.params}",
                   file=sys.stderr)
             return 1
-    solver = builtin_solver(rep, _gram_for(rep, args.gram))
+    try:
+        solver = builtin_solver(rep, _gram_for(rep, args.gram))
+    except ValidationError as exc:
+        raise ValidationError(
+            f"--gram {args.gram} does not suit this representation: {exc} "
+            "(pass --gram killing or a bilinear-form JSON file)") from exc
     try:
         dec = takiff_decompose(lifted, solver, field)
     except DecompositionRefused as exc:

@@ -29,13 +29,12 @@ sum is written once, in ``_block_sum``: the correction is its r < j case and
 the reconstruction a_j of verify_decomposition its r <= j case, and one
 table of Killing velocities serves every level.
 
-Three guards remain on that path. The annihilation precheck runs once,
-before the loop, and is the only source of refusals. Each level j >= 1
-asserts that its residual is tangent to the base invariant, and the
-quadratic solver re-checks b x = c exactly. No level needs a precheck
-of its own: the field and the Killing combination of b_0..b_{j-1} agree on
-f_0..f_{j-1} and both annihilate Phi_j, whose f_j-gradient is the gradient
-of phi at f_0, so their difference, the level-j residual, is tangent to phi.
+Two guards remain on that path. Each level j pairs its residual with the
+gradient of every base invariant at f_0. That is the whole annihilation check:
+if b_0..b_{j-1} reconstruct a_0..a_{j-1}, the derivative of Phi_j along a is
+exactly this pairing, since the Killing combination annihilates Phi_j and the
+f_j-gradient of Phi_j is the gradient of phi at f_0. So a refusal at level j
+first confirms that premise, and a faulty solver is never blamed on the field.
 
 Decompositions are not unique; only the reconstruction identity is promised.
 """
@@ -56,8 +55,8 @@ from .errors import (
 )
 from .invariants import (
     InvariantFamily,
+    _rename_block,
     killing_velocity,
-    lift_family,
     quadratic_invariant,
 )
 from .lie import BilinearForm, Representation
@@ -368,15 +367,12 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
                      field: VectorField) -> Decomposition:
     """Decompose an annihilating field on V_m into Killing coefficients.
 
-    The annihilation precondition is checked once, against the solver's
-    family lifted to level m; failure is a refusal with the first nonzero
-    residual as witness. Then b_0..b_m are solved in order, each by one base
-    solve of rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in
-    which f_0 is the state block and everything else a parameter. A refusal
-    of that solve at level j >= 1 names the level. On success the returned
-    coefficients satisfy the reconstruction identity exactly; the per-level
-    tangency assertion and the base solvers' reconstruction checks, never
-    expected to fire, guard each step.
+    b_0..b_m are solved in order, each by one base solve of
+    rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in which
+    f_0 is the state block and everything else a parameter. A residual that
+    does not annihilate the solver's invariants at f_0 is refused with the
+    pairing as witness, once the levels below are confirmed to reconstruct
+    a_0..a_{j-1}. A solver's own refusal at level j >= 1 names the level.
     """
     if solver.rep != lifted.base_rep:
         raise StructuralError(
@@ -385,19 +381,18 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
         raise StructuralError(
             f"field shape (level {field.level}, block {field.block_size}) does "
             f"not match the lift (level {lifted.level}, block {lifted.block_size})")
-    generators = lift_family(lifted, solver.family, field.state_blocks)
-    ok, witness = annihilates_invariants(field, generators)
-    if not ok:
-        raise DecompositionRefused(
-            "field does not annihilate the lifted invariants", witness=witness)
-
     m, n = lifted.level, field.block_size
     ring = field.ring
     blocks = field.state_blocks
     base_ring = ring
     for b in blocks[1:]:
         base_ring = base_ring.with_role(b.name, PARAMETER)
-    base_invariants = [phi.cast(ring) for phi in generators[::m + 1]]
+    if any(len(phi.ring.blocks) != 1 for phi in solver.family.generators):
+        raise StructuralError("the solver's invariants must live over a single block")
+    base_invariants = [
+        Polynomial(base_ring, {_rename_block(mono, blocks[0].name): c
+                               for mono, c in phi.terms.items()})
+        for phi in solver.family.generators]
     velocity = _block_velocities(lifted.base_rep, ring, blocks)
     levels: list[tuple[Polynomial, ...]] = []
     for j in range(m + 1):
@@ -405,13 +400,16 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
         if j:
             correction = _block_sum(lifted.base_rep, ring, levels, velocity, j)
             residual = [a - c for a, c in zip(residual, correction)]
-            along_f0 = dict(zip(blocks[0].variables(), residual))
-            for phi_0 in base_invariants:
-                pairing = phi_0.directional_derivative(along_f0)
-                if not pairing.is_zero():
-                    raise InternalConsistencyError(
-                        f"level-{j} residual is not tangent to the base invariant: {pairing}")
         base_field = VectorField(base_ring, tuple(p.cast(base_ring) for p in residual))
+        ok, pairing = annihilates_invariants(base_field, base_invariants)
+        if not ok:
+            for i in range(j):
+                if _block_sum(lifted.base_rep, ring, levels[:i + 1], velocity, i) != \
+                        field.components[i * n:(i + 1) * n]:
+                    raise InternalConsistencyError(
+                        f"the level-{i} coefficients do not reconstruct a_{i}")
+            raise DecompositionRefused("field does not annihilate the lifted invariants",
+                                       witness=pairing.cast(ring))
         try:
             coeffs = solver.solve(base_field)
         except DecompositionRefused as exc:

@@ -85,8 +85,9 @@ class VariableBlock:
     role: str = STATE
 
     def __post_init__(self):
-        if not self.name:
-            raise StructuralError("variable block needs a nonempty name")
+        if type(self.name) is not str or not self.name:
+            raise StructuralError(
+                f"variable block needs a nonempty str name, got {self.name!r}")
         if type(self.size) is not int:
             raise StructuralError(
                 f"block {self.name!r}: size must be an int, got {self.size!r}")

@@ -494,7 +494,8 @@ def suite_roundtrip(seed: int) -> Report:
         checks += 1
         if not ok:
             witnesses.append(_poly_witness("manufactured-not-annihilating", witness,
-                                           trial=trial, kind=kind, level=m))
+                                           trial=trial, algebra=_grid_label(kind, params),
+                                           level=m))
             continue
         dec = takiff_decompose(inst.lifted, solver, inst.field)
         exact, residuals = verify_decomposition(inst.lifted, inst.field, dec)
@@ -502,7 +503,8 @@ def suite_roundtrip(seed: int) -> Report:
         if not exact:
             bad = next(p for p in residuals if not p.is_zero())
             witnesses.append(_poly_witness("reconstruction-residual", bad,
-                                           trial=trial, kind=kind, level=m))
+                                           trial=trial, algebra=_grid_label(kind, params),
+                                           level=m))
     details = ("50 seeded coefficient maps, so(2)/so(3)/sl2-adjoint, m <= 3, "
                "degree <= 2, one parameter variable",)
     return Report("roundtrip", not witnesses, checks, details, tuple(witnesses))

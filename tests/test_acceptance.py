@@ -10,9 +10,13 @@ they check or find still fails here.
 """
 
 import hashlib
+import json
 import time
 
-from takiff import jsonio
+import pytest
+
+from takiff import jsonio, suites
+from takiff.decompose import Decomposition, takiff_decompose
 from takiff.suites import SUITES, RunConfig
 
 SEED = RunConfig().seed
@@ -115,3 +119,41 @@ def test_transport_under_change_of_basis():
     # seeded invertible theta: both the freshly decomposed and the
     # transported coefficients verify under the conjugated action
     run_criterion("transport", min_checks=20)
+
+
+# A failing suite reports its witnesses and still serializes.
+
+def run_broken(name, monkeypatch, attr, replacement):
+    monkeypatch.setattr(suites, attr, replacement)
+    report = SUITES[name](SEED)
+    assert report.passed is False
+    assert report.witnesses
+    return json.loads(jsonio.dumps(report.to_json()))["witnesses"]
+
+
+def wrong_b0(lifted, solver, field):
+    dec = takiff_decompose(lifted, solver, field)
+    first = dec.coefficients[0]
+    return Decomposition(dec.ring, ((first[0] + 1,) + first[1:],) + dec.coefficients[1:])
+
+
+def reported_not_annihilating(field, generators):
+    return False, field.components[0] + 1
+
+
+@pytest.mark.parametrize("attr, replacement, kind", [
+    ("takiff_decompose", wrong_b0, "reconstruction-residual"),
+    ("annihilates_invariants", reported_not_annihilating, "manufactured-not-annihilating"),
+])
+def test_a_failing_roundtrip_reports_its_witnesses(monkeypatch, attr, replacement, kind):
+    witnesses = run_broken("roundtrip", monkeypatch, attr, replacement)
+    assert {w["kind"] for w in witnesses} == {kind}
+    assert witnesses[0]["algebra"] == "so_n(n=2)"
+
+
+def test_a_failing_refusal_suite_reports_its_witnesses(monkeypatch):
+    witnesses = run_broken("refusal", monkeypatch, "takiff_decompose",
+                           lambda lifted, solver, field: None)
+    kinds = [w["kind"] for w in witnesses]
+    assert kinds[:3] == ["radial-accepted"] * 3
+    assert set(kinds[3:]) == {"non-annihilating-accepted"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takiff import decompose
+from takiff import decompose, invariants
 from takiff import matrices as mx
 from takiff.decompose import (
     Decomposition,
@@ -29,12 +29,14 @@ from takiff.errors import (
     StructuralError,
     ValidationError,
 )
-from takiff.invariants import lift_family
+from takiff.invariants import InvariantFamily, lift_family
 from takiff.lie import (
     BilinearForm,
     abelian,
     adjoint_rep,
+    coadjoint_rep,
     conjugate_representation,
+    gl_n,
     killing_form,
     sl2,
     so_n,
@@ -49,8 +51,13 @@ from takiff.poly import (
     VariableBlock,
     matrix_apply,
 )
-from takiff.randgen import SplitMix64, generate_instance, random_antisymmetric
-from takiff.takiff_algebra import build_lift
+from takiff.randgen import (
+    SplitMix64,
+    generate_instance,
+    random_antisymmetric,
+    random_polynomial,
+)
+from takiff.takiff_algebra import build_lift, build_takiff
 
 from matrix_reference import add
 
@@ -579,6 +586,33 @@ def test_decomposition_builds_each_killing_velocity_once(monkeypatch):
     assert sorted(calls) == sorted((i, f"f{k}") for i in range(3) for k in range(1, 4))
 
 
+RECONSTRUCTION_CASES = {
+    "so2": so_n(2)[1],
+    "so3": so_n(3)[1],
+    "sl2-adjoint": adjoint_rep(sl2()[0]),
+    "gl2": gl_n(2)[1],
+}
+
+
+@pytest.mark.parametrize("case", list(RECONSTRUCTION_CASES))
+@COORDINATES
+@given(m=st.integers(0, 3), data=st.data())
+def test_reconstruction_equals_the_dense_lifted_action(case, m, data):
+    # rho_m(b) F = sum_{r,i} b_r[i] rho_m(x_i T^r) F, with rho_m read densely
+    rep = RECONSTRUCTION_CASES[case]
+    lifted = build_lift(rep, m)
+    n, d = rep.space_dim, rep.algebra.dim
+    ring = level_ring(m, n, params=[("w", 1)])
+    names = list(ring.variables())
+    b = [[drawn_polynomial(data, ring, names) for _ in range(d)] for _ in range(m + 1)]
+    F = [Polynomial.variable(ring, v) for v in ring.state_variables()]
+    images = [matrix_apply(matrix, F) for matrix in lifted.rep.matrices]
+    expected = tuple(Polynomial.combination(ring, (
+        (b[r][i], images[r * d + i][t]) for r in range(m + 1) for i in range(d)))
+        for t in range((m + 1) * n))
+    assert decompose.reconstruct_components(lifted, ring, b) == expected
+
+
 class StubSolver:
     """The built-in so(3) solver, except on one chosen call of ``solve``."""
 
@@ -627,53 +661,102 @@ def test_a_refusal_at_level_0_passes_through_unwrapped():
     assert solver.calls == 1
 
 
-def test_a_wrong_b0_fails_the_level_1_tangency_guard():
+def test_a_wrong_b0_is_an_internal_error_at_level_0_not_a_refusal():
     inst = generate_instance("so_n", 2, seed=11, n=3)
     solver = StubSolver(inst.rep, 1, perturbed_b0)
-    with pytest.raises(InternalConsistencyError, match="level-1 residual is not tangent"):
+    # the wrong b_0 leaves a level-1 residual off the invariant; the premise
+    # of that refusal fails at level 0, so the field is not blamed
+    with pytest.raises(InternalConsistencyError, match="level-0 coefficients"):
         takiff_decompose(inst.lifted, solver, inst.field)
     assert solver.calls == 1
 
 
-def test_decompose_prechecks_annihilation_once(monkeypatch):
+def test_decompose_checks_annihilation_once_per_level(monkeypatch):
     inst = generate_instance("so_n", 3, seed=11, n=3)
     solver = builtin_solver(inst.rep)
-    calls = []
-    original = decompose.annihilates_invariants
+    checks, solves = [], []
+    original, solve = decompose.annihilates_invariants, solver.solve
 
     def counted(field, generators):
-        calls.append(field.level)
+        checks.append(field.ring.state_blocks())
         return original(field, generators)
 
-    substitutions = []
-    substitute = Polynomial.substitute
+    def counted_solve(field):
+        solves.append(field)
+        return solve(field)
 
-    def counted_substitute(self, mapping, ring):
-        substitutions.append(ring)
-        return substitute(self, mapping, ring)
+    def unexpected(*args):
+        raise AssertionError("the decomposition path lifts or substitutes")
 
     monkeypatch.setattr(decompose, "annihilates_invariants", counted)
-    monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
+    monkeypatch.setattr(solver, "solve", counted_solve)
+    monkeypatch.setattr(Polynomial, "substitute", unexpected)
+    monkeypatch.setattr(invariants, "substitute_curve", unexpected)
     dec = takiff_decompose(inst.lifted, solver, inst.field)
     assert verify_decomposition(inst.lifted, inst.field, dec)[0]
-    assert calls == [3]
-    # the one substitution is the curve expansion of the precheck; the
-    # per-level tangency checks reuse its phi(f_0)
-    assert len(substitutions) == 1
-
-    # f_3 += p f_0 breaks only Phi_3, whose f_3-gradient is f_0
+    # one check per level, each on the level's base field over f_0
     ring = inst.field.ring
     blocks = ring.state_blocks()
+    assert checks == [(blocks[0],)] * 4
+    assert len(solves) == 4
+
+    # f_3 += p f_0 breaks only Phi_3, whose f_3-gradient is f_0
     f0 = variables(ring, blocks[0].name, 3)
     p = Polynomial.variable(ring, (blocks[1].name, 0)) * 2 + 1
     comps = list(inst.field.components)
     for i in range(3):
         comps[3 * 3 + i] = comps[3 * 3 + i] + p * f0[i]
-    calls.clear()
+    checks.clear()
+    solves.clear()
     with pytest.raises(DecompositionRefused) as info:
         takiff_decompose(inst.lifted, solver, VectorField(ring, tuple(comps)))
-    assert calls == [3]
+    assert len(checks) == 4 and len(solves) == 3
     assert info.value.witness == p * sum((x * x for x in f0), start=Polynomial.zero(ring))
+
+
+def flip(p, m):
+    """p with every variable f_k renamed to f_{m-k}: the block reversal theta."""
+    return Polynomial(p.ring, {
+        Monomial.from_map({(f"f{m - int(name[1:])}", i): e for (name, i), e in mono}): c
+        for mono, c in p.terms.items()})
+
+
+def flip_field(fld, m, n):
+    """theta a(theta F): blocks reversed, variables renamed f_k -> f_{m-k}."""
+    return VectorField(fld.ring, tuple(flip(p, m) for j in reversed(range(m + 1))
+                                       for p in fld.components[j * n:(j + 1) * n]))
+
+
+@pytest.mark.parametrize("g", [so_n(3)[0], sl2()[0]], ids=["so3", "sl2"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_coadjoint_fields_of_g_m_decompose_through_the_flip(g, m):
+    # theta rho_m(X) theta = ad*_{g_m}(X) for rho the coadjoint action of g,
+    # so a field for ad*_{g_m} is a flipped field for rho_m
+    rho = coadjoint_rep(g)
+    n = g.dim
+    lifted = build_lift(rho, m)
+    solver = builtin_solver(rho, mx.inverse(killing_form(g).gram))
+    ring = level_ring(m, n)
+    rng = SplitMix64(m)
+    b = [[random_polynomial(rng, ring, 2, 2) for _ in range(n)] for _ in range(m + 1)]
+    coadjoint = flip_field(field_from_coefficients(lifted, ring, b), m, n)
+
+    # the same Killing combination, read densely through ad* of g_m itself
+    tau = coadjoint_rep(build_takiff(g, m).algebra)
+    F = [Polynomial.variable(ring, v) for v in ring.state_variables()]
+
+    def through_tau(coefficients):
+        images = [matrix_apply(matrix, F) for matrix in tau.matrices]
+        flat = [flip(c, m) for level in coefficients for c in level]
+        return tuple(Polynomial.combination(ring, zip(flat, (image[t] for image in images)))
+                     for t in range((m + 1) * n))
+
+    assert coadjoint.components == through_tau(b)
+
+    pulled = flip_field(coadjoint, m, n)
+    dec = takiff_decompose(lifted, solver, pulled)
+    assert verify_decomposition(lifted, pulled, dec)[0]
+    assert coadjoint.components == through_tau(dec.coefficients)
 
 
 def test_decompose_shape_checks():
@@ -686,6 +769,13 @@ def test_decompose_shape_checks():
         takiff_decompose(lifted, builtin_solver(other), fld)
     with pytest.raises(StructuralError):
         takiff_decompose(build_lift(rho, 2), builtin_solver(rho), fld)
+    # an invariant with a parameter block cannot be renamed onto f_0 alone
+    solver = builtin_solver(rho)
+    with_w = Ring.of(VariableBlock("x", 2, STATE), VariableBlock("w", 1, PARAMETER))
+    phi = solver.family.generators[0].cast(with_w) * Polynomial.variable(with_w, ("w", 0))
+    solver.family = InvariantFamily(rho, (phi,), "scaled")
+    with pytest.raises(StructuralError, match="single block"):
+        takiff_decompose(lifted, solver, fld)
 
 
 def test_verify_decomposition_detects_perturbation():

@@ -82,6 +82,14 @@ def test_non_int_exponents_and_sizes_are_refused(build, message):
         build()
 
 
+def test_block_names_must_be_nonempty_strings():
+    # jsonio reads a block name back only as a string, so a name 7 would be
+    # written and then refused on the way in
+    for name in (7, ("x",), ""):
+        with pytest.raises(StructuralError, match="nonempty str name"):
+            VariableBlock(name, 2)
+
+
 def test_term_keys_must_be_monomials():
     # a plain tuple of (var, exponent) pairs hashes and compares like a
     # Monomial, so it must be refused where it enters, not merged silently

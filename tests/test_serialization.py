@@ -409,6 +409,20 @@ def test_cli_so_pq_instance_decomposes_with_its_own_gram(tmp_path, p, q):
                  "--dec", dec_only]) == 0
 
 
+def test_cli_decompose_names_the_gram_option_when_the_identity_does_not_suit(tmp_path, capsys):
+    gen = tmp_path / "inst.json"
+    assert main(["generate", "--kind", "so_pq", "--p", "2", "--q", "1",
+                 "--level", "1", "--seed", "5", "--out", str(gen)]) == 0
+    payload = read_json(gen)
+    rep = write_json(tmp_path / "rep.json", payload["representation"])
+    field = write_json(tmp_path / "field.json", payload["field"])
+    capsys.readouterr()
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --gram identity does not suit this representation: ")
+    assert "generator 0 of family 'quadratic' is not invariant" in err
+
+
 @pytest.mark.parametrize("reshape", [
     lambda level: level + [[{"coeff": "1", "exps": {}}]],
     lambda level: level[:-1],
