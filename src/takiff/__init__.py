@@ -67,7 +67,6 @@ from .decompose import (
     annihilates_invariants,
     builtin_solver,
     field_from_coefficients,
-    quadratic_base_solve,
     takiff_decompose,
     transport_decomposition,
     transport_field,

@@ -175,21 +175,6 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
     return b
 
 
-def quadratic_base_solve(form: BilinearForm, field: VectorField,
-                         ) -> tuple[tuple[Polynomial, ...], ...]:
-    """Closed-form matrix M = G^(-1) b with a = M x and G M antisymmetric.
-
-    b is ``_homotopy``'s; the inverse Gram matrix is cached on the form.
-    """
-    b = _homotopy(form, field)
-    ginv = form.inverse
-    n = form.size
-    return tuple(
-        tuple(Polynomial.combination(field.ring, ((ginv[i][k], b[k][j]) for k in range(n)))
-              for j in range(n))
-        for i in range(n))
-
-
 class BaseSolver(Protocol):
     """What the decomposition needs from a level-0 solver.
 
@@ -214,7 +199,7 @@ class QuadraticBaseSolver:
     rho injective on the basis. Then rho(g) = so(B), with coordinates
     X -> the entries above the diagonal of G X: the d x d matrix U of those
     entries of each G rho(x_k) is inverted once, and a solve applies U^(-1)
-    to the entries above the diagonal of the homotopy matrix b = G M.
+    to the entries above the diagonal of the homotopy matrix b (b x = G a).
     """
 
     def __init__(self, rep: Representation, form: BilinearForm):

@@ -36,7 +36,6 @@ from .poly import (
     Var,
     VariableBlock,
     VectorField,
-    fresh_name,
     substitute_curve,
 )
 from .takiff_algebra import LiftedRepresentation, build_lift
@@ -118,13 +117,14 @@ def default_lift_blocks(level: int, block_size: int) -> tuple[VariableBlock, ...
 
 
 def lift_invariant(lifted: LiftedRepresentation, phi: Polynomial,
-                   blocks: Sequence[VariableBlock] | None = None,
                    allow_non_invariant: bool = False) -> list[Polynomial]:
     """All m+1 curve coefficients of an invariant phi, over blocks f_0..f_m.
 
-    phi must be invariant for the base representation; the lift of a
-    non-invariant function is still well defined as a t-expansion but loses
-    the invariance guarantee, so it is refused unless explicitly allowed.
+    The coefficients live over ``default_lift_blocks(m, n)``, the blocks
+    f0..fm of V_m. phi must be invariant for the base representation; the
+    lift of a non-invariant function is still well defined as a t-expansion
+    but loses the invariance guarantee, so it is refused unless explicitly
+    allowed.
     """
     if len(phi.ring.blocks) != 1 or phi.ring.blocks[0].size != lifted.block_size:
         raise StructuralError(
@@ -133,19 +133,14 @@ def lift_invariant(lifted: LiftedRepresentation, phi: Polynomial,
         raise ValidationError(
             "phi is not invariant for the base representation "
             "(pass allow_non_invariant=True to lift anyway)")
-    if blocks is None:
-        blocks = default_lift_blocks(lifted.level, lifted.block_size)
-    if len(blocks) != lifted.level + 1:
-        raise StructuralError(f"need {lifted.level + 1} blocks, got {len(blocks)}")
-    return substitute_curve(phi, blocks)
+    return substitute_curve(phi, default_lift_blocks(lifted.level, lifted.block_size))
 
 
-def lift_family(lifted: LiftedRepresentation, family: InvariantFamily,
-                blocks: Sequence[VariableBlock] | None = None) -> list[Polynomial]:
+def lift_family(lifted: LiftedRepresentation, family: InvariantFamily) -> list[Polynomial]:
     """Every curve coefficient of every generator, in generator-major order."""
     out: list[Polynomial] = []
     for phi in family.generators:
-        out.extend(lift_invariant(lifted, phi, blocks))
+        out.extend(lift_invariant(lifted, phi))
     return out
 
 
@@ -166,8 +161,7 @@ def _weighted_partitions(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, k, [])
 
 
-def faa_di_bruno_lift(phi: Polynomial, m: int,
-                      blocks: Sequence[VariableBlock] | None = None) -> list[Polynomial]:
+def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
     """Curve coefficients of phi computed from higher directional derivatives.
 
     Independent of the t-expansion path: coefficient k is assembled as
@@ -176,31 +170,23 @@ def faa_di_bruno_lift(phi: Polynomial, m: int,
             (1 / prod q_j!) * D_{f_1}^{q_1} ... D_{f_k}^{q_k} phi  at  f_0,
 
     where D_{f_j} phi = sum_i f_{j,i} d phi / d x_i is the directional
-    derivative along block f_j. All arithmetic is exact.
+    derivative along block f_j. The coefficients live over
+    ``default_lift_blocks(m, n)``. All arithmetic is exact.
     """
     if len(phi.ring.blocks) != 1:
         raise StructuralError("phi must live over a single block")
-    source = phi.ring.blocks[0]
-    n = source.size
-    if blocks is None:
-        blocks = default_lift_blocks(m, n)
-    if len(blocks) != m + 1:
-        raise StructuralError(f"need {m + 1} blocks, got {len(blocks)}")
-    for b in blocks:
-        if b.size != n:
-            raise StructuralError(f"block {b.name!r} has size {b.size}, expected {n}")
-
-    x_name = fresh_name("x", [b.name for b in blocks])
-    x_block = VariableBlock(x_name, n, STATE)
-    target = Ring(tuple(blocks))
-    work = Ring((x_block,) + tuple(blocks[1:]))
-    phi_work = Polynomial(work, {_rename_block(mono, x_name): c
+    n = phi.ring.blocks[0].size
+    blocks = default_lift_blocks(m, n)
+    x_block = VariableBlock("x", n, STATE)
+    target = Ring(blocks)
+    work = Ring((x_block,) + blocks[1:])
+    phi_work = Polynomial(work, {_rename_block(mono, "x"): c
                                  for mono, c in phi.terms.items()})
-    into_f0 = {(x_name, i): Polynomial.variable(target, (blocks[0].name, i))
+    into_f0 = {("x", i): Polynomial.variable(target, (blocks[0].name, i))
                for i in range(n)}
 
     # directions[j - 1] is the velocity x_i -> f_{j,i} of D_{f_j}
-    directions = [{(x_name, i): Polynomial.variable(work, (b.name, i)) for i in range(n)}
+    directions = [{("x", i): Polynomial.variable(work, (b.name, i)) for i in range(n)}
                   for b in blocks[1:]]
 
     out = [phi_work.substitute(into_f0, target)]
@@ -249,35 +235,22 @@ def cylindrical_invariance_check(lifted: LiftedRepresentation,
                                  theta: Polynomial) -> tuple[bool, bool]:
     """Invariance of a top-block-free function, tested at both levels.
 
-    theta is a function on V_{m-1}: either its ring has m blocks, or it has
-    the full m+1 blocks with the top block unused. The first boolean views
-    theta as a function on V_m constant in the top block and tests invariance
-    for the level-m action; the second tests invariance for the
+    theta is a function on V_{m-1}: its ring is exactly the blocks
+    f0..f_{m-1} of ``default_lift_blocks(m - 1, n)``. The first boolean views
+    theta as a function on V_m constant in the top block f_m and tests
+    invariance for the level-m action; the second tests invariance for the
     level-(m-1) action directly. The two answers agree identically.
     """
     m = lifted.level
     if m < 1:
         raise StructuralError("cylindrical check needs level >= 1")
     n = lifted.block_size
-    blocks = theta.ring.blocks
-    if len(blocks) == m + 1 and theta.block_degree(blocks[-1].name) == 0:
-        inner = theta.cast(Ring(blocks[:-1]))
-    elif len(blocks) == m:
-        inner = theta
-    else:
+    if theta.ring.blocks != default_lift_blocks(m - 1, n):
         raise StructuralError(
-            f"theta must be free of the top block and live over {m} "
-            f"(or {m + 1}) blocks of size {n}, got {theta.ring.names()}")
-    if any(b.size != n for b in inner.ring.blocks):
-        raise StructuralError(
-            f"theta blocks must all have size {n}, got {theta.ring.names()}")
-
-    top_name = fresh_name(f"f{m}", [b.name for b in inner.ring.blocks])
-    extended = inner.ring.extended(VariableBlock(top_name, n, STATE))
-    as_level_m = is_invariant(lifted.rep, inner.cast(extended))
-
-    sub_lift = build_lift(lifted.base_rep, m - 1)
-    as_level_m_minus_1 = is_invariant(sub_lift.rep, inner)
+            f"theta must live over the {m} blocks f0..f{m - 1} of size {n}, "
+            f"got {theta.ring.names()}")
+    as_level_m = is_invariant(lifted.rep, theta.cast(Ring(default_lift_blocks(m, n))))
+    as_level_m_minus_1 = is_invariant(build_lift(lifted.base_rep, m - 1).rep, theta)
     return (as_level_m, as_level_m_minus_1)
 
 
@@ -301,12 +274,20 @@ def tangency_check(rep: Representation, fld: VectorField,
     At each sample point v the field value a(w, v) is compared, by an exact
     rank test, with the span of {rho(x_i) v}; when the value lies in the span
     the witness coefficients of one exact combination are reported.
-    Non-membership is a result, not an error.
+    Non-membership is a result, not an error. A field with parameters needs
+    exactly one row of values per point, and a field without them takes none.
     """
     coords = _state_coordinates(fld.ring, rep.space_dim)
     param_vars: list[Var] = []
     for b in fld.ring.parameter_blocks():
         param_vars.extend(b.variables())
+    if not param_vars and parameter_values is not None:
+        raise StructuralError("parameter values given for a field without parameters")
+    if param_vars and (parameter_values is None or len(parameter_values) != len(points)):
+        rows = 0 if parameter_values is None else len(parameter_values)
+        raise StructuralError(
+            f"parameter values: {rows} rows for {len(points)} points, "
+            "expected one row per point")
     results = []
     for idx, point in enumerate(points):
         if len(point) != len(coords):
@@ -315,8 +296,6 @@ def tangency_check(rep: Representation, fld: VectorField,
         vec = tuple(map(scalar, point))
         assignment = dict(zip(coords, vec))
         if param_vars:
-            if parameter_values is None or len(parameter_values) <= idx:
-                raise StructuralError(f"no parameter values for point {idx}")
             values = parameter_values[idx]
             if len(values) != len(param_vars):
                 raise StructuralError(

@@ -114,9 +114,8 @@ def polynomial_to_json(p: Polynomial) -> dict:
     return {"ring": ring_to_json(p.ring), "terms": _terms_to_json(p)}
 
 
-def polynomial_from_json(data: Mapping, ring: Ring | None = None) -> Polynomial:
-    if ring is None:
-        ring = ring_from_json(_get(data, "ring", list))
+def polynomial_from_json(data: Mapping) -> Polynomial:
+    ring = ring_from_json(_get(data, "ring", list))
     return _terms_from_json(_get(data, "terms", list), ring)
 
 

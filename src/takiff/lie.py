@@ -27,7 +27,6 @@ reads its constants from one factorization of its basis; both checks still run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from . import matrices as mx
@@ -47,6 +46,9 @@ class LieAlgebra:
         d = len(self.names)
         if d < 1:
             raise ValidationError("algebra dimension must be positive")
+        for name in self.names:
+            if type(name) is not str or not name:
+                raise StructuralError(f"basis name must be a nonempty str, got {name!r}")
         if len(set(self.names)) != d:
             raise ValidationError(f"duplicate basis names: {self.names}")
         c, seq = self.c, (tuple, list)
@@ -113,6 +115,8 @@ class Representation:
         if len(self.matrices) != d:
             raise StructuralError(f"{len(self.matrices)} matrices for dimension {d}")
         n = len(self.matrices[0])
+        if n < 1:
+            raise StructuralError("representation space dimension must be positive")
         for m in self.matrices:
             if mx.shape(m) != (n, n):
                 raise StructuralError("representation matrices must be square, equal sizes")
@@ -187,14 +191,6 @@ class BilinearForm:
     def is_nondegenerate(self) -> bool:
         return mx.det(self.gram) != 0
 
-    @cached_property
-    def inverse(self) -> Matrix:
-        """The inverse Gram matrix, computed on first read and kept with the form.
-
-        Raises ValidationError when the form is degenerate.
-        """
-        return mx.inverse(self.gram)
-
     def is_invariant_for(self, g: LieAlgebra) -> bool:
         """Exact check of B([z,x],y) + B(x,[z,y]) = 0 on all basis triples."""
         if self.size != g.dim:
@@ -267,8 +263,17 @@ def _rotation_generator(n: int, i: int, j: int) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
+def _int_param(kind: str, key: str, value) -> int:
+    """``value`` when it is an ``int`` (a bool or a float 3.0 is not), else StructuralError."""
+    if type(value) is not int:
+        raise StructuralError(
+            f"constructor kind {kind!r} needs an int {key!r}, got {value!r}")
+    return value
+
+
 def so_n(n: int) -> tuple[LieAlgebra, Representation]:
     """so(n) with basis the rotation generators r_ij (i < j, lexicographic)."""
+    _int_param("so_n", "n", n)
     if n < 2:
         raise ValidationError(f"so(n) needs n >= 2, got {n}")
     names = []
@@ -282,7 +287,7 @@ def so_n(n: int) -> tuple[LieAlgebra, Representation]:
 
 def so_pq(p: int, q: int) -> tuple[LieAlgebra, Representation]:
     """so(p, q) for the diagonal form diag(1,...,1,-1,...,-1)."""
-    n = p + q
+    n = _int_param("so_pq", "p", p) + _int_param("so_pq", "q", q)
     if n < 2 or p < 0 or q < 0:
         raise ValidationError(f"so(p,q) needs p+q >= 2, got p={p}, q={q}")
     sign = [1] * p + [-1] * q
@@ -307,6 +312,7 @@ def sl2() -> tuple[LieAlgebra, Representation]:
 
 def gl_n(n: int) -> tuple[LieAlgebra, Representation]:
     """gl(n) with the elementary-matrix basis E_ij, acting on the natural space."""
+    _int_param("gl_n", "n", n)
     if n < 1:
         raise ValidationError(f"gl(n) needs n >= 1, got {n}")
     names = []
@@ -320,30 +326,20 @@ def gl_n(n: int) -> tuple[LieAlgebra, Representation]:
     return algebra_from_matrices(names, mats)
 
 
-def abelian(dim: int, mats: Sequence[Matrix] | None = None) -> tuple[LieAlgebra, Representation]:
-    """Abelian algebra of the given dimension.
-
-    When matrices are supplied they must commute pairwise (the representation
-    validator enforces this); otherwise the zero action on a space of the same
-    dimension is used.
-    """
+def abelian(dim: int) -> tuple[LieAlgebra, Representation]:
+    """Abelian algebra of the given dimension with the zero action on K^dim."""
+    _int_param("abelian", "dim", dim)
     if dim < 1:
         raise ValidationError("abelian algebra needs positive dimension")
     names = tuple(f"a{i}" for i in range(dim))
     algebra = LieAlgebra(names, (((0,) * dim,) * dim,) * dim)
-    if mats is None:
-        mats = (mx.zeros(dim, dim),) * dim
-    return algebra, Representation(algebra, mats)
+    return algebra, Representation(algebra, (mx.zeros(dim, dim),) * dim)
 
 
 def _param(kind: str, params: dict, key: str) -> int:
     if key not in params:
         raise StructuralError(f"constructor kind {kind!r} needs parameter {key!r}")
-    value = params[key]
-    if type(value) is not int:
-        raise StructuralError(
-            f"constructor kind {kind!r} needs an int {key!r}, got {value!r}")
-    return value
+    return _int_param(kind, key, params[key])
 
 
 def make_standard(kind: str, **params) -> tuple[LieAlgebra, Representation]:

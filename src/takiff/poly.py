@@ -432,15 +432,14 @@ class Polynomial:
             self.ring, {m: c * d for m, c in self._num.items()}, self._den * n)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise StructuralError(f"polynomial power must be a nonnegative int, got {n!r}")
         result = Polynomial.constant(self.ring, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
+            if n > 1:
                 base = base * base
             n >>= 1
         return result
@@ -680,8 +679,3 @@ class VectorField:
     @property
     def block_size(self) -> int:
         return self.state_blocks[0].size
-
-    @staticmethod
-    def zero(ring: Ring) -> "VectorField":
-        total = sum(b.size for b in ring.state_blocks())
-        return VectorField(ring, (Polynomial.zero(ring),) * total)

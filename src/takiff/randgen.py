@@ -114,11 +114,11 @@ def random_antisymmetric(rng: SplitMix64, ring: Ring, n: int, max_degree: int,
     return tuple(tuple(r) for r in rows)
 
 
-def random_invertible(rng: SplitMix64, n: int, bound: int = 3) -> Matrix:
-    """A random integer matrix with nonzero determinant, by redrawing."""
+def random_invertible(rng: SplitMix64, n: int) -> Matrix:
+    """A random integer matrix with entries in [-3, 3] and nonzero determinant, by redrawing."""
     while True:
         rows = tuple(
-            tuple(rng.integer(-bound, bound) for _ in range(n))
+            tuple(rng.integer(-3, 3) for _ in range(n))
             for _ in range(n))
         if mx.det(rows) != 0:
             return rows

@@ -16,9 +16,9 @@ from typing import Callable, Iterator, Sequence
 from . import jsonio
 from . import matrices as mx
 from .decompose import (
+    _homotopy,
     annihilates_invariants,
     builtin_solver,
-    quadratic_base_solve,
     takiff_decompose,
     transport_decomposition,
     transport_field,
@@ -253,7 +253,7 @@ def suite_linearity(seed: int) -> Report:
             lifted = build_lift(rep, m)
             blocks = default_lift_blocks(m, n)
             ring = Ring(blocks)
-            phis = lift_invariant(lifted, phi, blocks)
+            phis = lift_invariant(lifted, phi)
             for k, phi_k in enumerate(phis):
                 for j in range(k + 1, m + 1):
                     checks += 1
@@ -327,12 +327,11 @@ def suite_cylindrical(seed: int) -> Report:
     for trial in range(50):
         m = rng.integer(1, 3)
         lifted = build_lift(rep, m)
-        inner_blocks = default_lift_blocks(m - 1, n)
-        inner_ring = Ring(inner_blocks)
+        inner_ring = Ring(default_lift_blocks(m - 1, n))
         if rng.below(2):
             # manufactured invariant: polynomial in the level-(m-1) coefficients
             sub_lift = build_lift(rep, m - 1)
-            phis = lift_invariant(sub_lift, phi, inner_blocks)
+            phis = lift_invariant(sub_lift, phi)
             theta = Polynomial.zero(inner_ring)
             for _ in range(rng.integer(1, 3)):
                 term = Polynomial.constant(inner_ring, rng.integer(-3, 3))
@@ -439,8 +438,8 @@ def suite_base_solver(seed: int) -> Report:
         b = random_antisymmetric(rng, ring, n, max_degree=3, num_terms=3)
         xs = [Polynomial.variable(ring, ("x", i)) for i in range(n)]
         field = VectorField(ring, matrix_apply(b, xs))
-        form = BilinearForm(mx.identity(n))
-        matrix = quadratic_base_solve(form, field)
+        # with G = I the homotopy matrix b is the matrix M of a = M x
+        matrix = _homotopy(BilinearForm(mx.identity(n)), field)
         checks += 1
         recon = matrix_apply(matrix, xs)
         if recon != field.components:
@@ -458,7 +457,7 @@ def suite_base_solver(seed: int) -> Report:
         b = random_antisymmetric(rng, ring, n, max_degree=2, num_terms=3)
         xs = [Polynomial.variable(ring, ("x", i)) for i in range(n)]
         field = VectorField(ring, matrix_apply(b, xs))
-        matrix = quadratic_base_solve(BilinearForm(mx.identity(n)), field)
+        matrix = _homotopy(BilinearForm(mx.identity(n)), field)
         done, failures = _oracle_check(n, field, matrix)
         checks += done
         witnesses.extend(failures)
@@ -489,7 +488,7 @@ def suite_roundtrip(seed: int) -> Report:
         inst = generate_instance(kind, m, seed=rng.next_u64(), max_degree=2,
                                  num_terms=3, parameters=1, **params)
         solver = builtin_solver(inst.rep, inst.gram)
-        generators = lift_family(inst.lifted, solver.family, inst.field.state_blocks)
+        generators = lift_family(inst.lifted, solver.family)
         ok, witness = annihilates_invariants(inst.field, generators)
         checks += 1
         if not ok:
@@ -548,7 +547,7 @@ def suite_refusal(seed: int) -> Report:
         field = VectorField(ring, tuple(
             random_polynomial(rng, ring, max_degree=2, num_terms=2)
             for _ in range((m + 1) * n)))
-        generators = lift_family(lifted, solver.family, field.state_blocks)
+        generators = lift_family(lifted, solver.family)
         ok, _ = annihilates_invariants(field, generators)
         if ok:
             continue  # rejection sampling: keep only non-annihilating fields

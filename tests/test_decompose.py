@@ -17,7 +17,6 @@ from takiff.decompose import (
     annihilates_invariants,
     builtin_solver,
     field_from_coefficients,
-    quadratic_base_solve,
     takiff_decompose,
     transport_decomposition,
     transport_field,
@@ -32,6 +31,7 @@ from takiff.errors import (
 from takiff.invariants import InvariantFamily, lift_family
 from takiff.lie import (
     BilinearForm,
+    Representation,
     abelian,
     adjoint_rep,
     coadjoint_rep,
@@ -90,7 +90,6 @@ def test_vector_field_validation():
     zero = Polynomial.zero(ring)
     fld = VectorField(ring, (zero,) * 4)
     assert fld.level == 1 and fld.block_size == 2
-    assert VectorField.zero(ring).components == (zero,) * 4
     with pytest.raises(StructuralError):
         VectorField(ring, (zero,) * 3)
     only_params = Ring.of(VariableBlock("w", 2, PARAMETER))
@@ -120,7 +119,7 @@ def test_annihilation_check():
     lifted = build_lift(rho, 1)
     ring = level_ring(1, 2)
     solver = builtin_solver(rho)
-    gens = lift_family(lifted, solver.family, ring.state_blocks())
+    gens = lift_family(lifted, solver.family)
     f0 = variables(ring, "f0", 2)
     f1 = variables(ring, "f1", 2)
     rotation = VectorField(ring, (-f0[1], f0[0], -f1[1], f1[0]))
@@ -132,13 +131,18 @@ def test_annihilation_check():
         annihilates_invariants(VectorField(base_ring(2), (Polynomial.zero(base_ring(2)),) * 2), gens)
 
 
+def homotopy(gram, field):
+    """The homotopy matrix b with b x = G a."""
+    return decompose._homotopy(BilinearForm(gram), field)
+
+
 def test_homotopy_solve_two_dimensional():
     ring = base_ring(2)
     x = variables(ring, "x", 2)
     fld = VectorField(ring, (-x[1], x[0]))
-    m = quadratic_base_solve(BilinearForm(mx.identity(2)), fld)
-    assert m == ((Polynomial.zero(ring), -Polynomial.constant(ring, 1)),
-                 (Polynomial.constant(ring, 1), Polynomial.zero(ring)))
+    b = homotopy(mx.identity(2), fld)
+    assert b == [[Polynomial.zero(ring), -Polynomial.constant(ring, 1)],
+                 [Polynomial.constant(ring, 1), Polynomial.zero(ring)]]
 
 
 def test_homotopy_solve_three_dimensional():
@@ -146,17 +150,17 @@ def test_homotopy_solve_three_dimensional():
     x = variables(ring, "x", 3)
     zero = Polynomial.zero(ring)
     fld = VectorField(ring, (x[1] * x[2], -x[0] * x[2], zero))
-    m = quadratic_base_solve(BilinearForm(mx.identity(3)), fld)
-    assert m[0][1] == x[2] * Fraction(2, 3)
-    assert m[0][2] == x[1] / 3
-    assert m[1][2] == -x[0] / 3
+    b = homotopy(mx.identity(3), fld)
+    assert b[0][1] == x[2] * Fraction(2, 3)
+    assert b[0][2] == x[1] / 3
+    assert b[1][2] == -x[0] / 3
     for i in range(3):
-        assert m[i][i].is_zero()
+        assert b[i][i].is_zero()
         for j in range(3):
-            assert m[i][j] == -m[j][i]
-    # reconstruction identity, by hand
+            assert b[i][j] == -b[j][i]
+    # reconstruction identity b x = a (G = I), by hand
     for i in range(3):
-        recon = sum((m[i][j] * x[j] for j in range(3)), zero)
+        recon = sum((b[i][j] * x[j] for j in range(3)), zero)
         assert recon == fld.components[i]
 
 
@@ -165,14 +169,12 @@ def test_homotopy_solve_with_weighted_form():
     ring = base_ring(2)
     x = variables(ring, "x", 2)
     fld = VectorField(ring, (-2 * x[1], x[0]))
-    m = quadratic_base_solve(BilinearForm(gram), fld)
+    b = homotopy(gram, fld)
     zero = Polynomial.zero(ring)
-    assert m == ((zero, Polynomial.constant(ring, -2)),
-                 (Polynomial.constant(ring, 1), zero))
-    gm = ((zero, Polynomial.constant(ring, -2)),
-          (Polynomial.constant(ring, 2), zero))
-    # G m is antisymmetric for the weighted form
-    assert gm[0][1] == -gm[1][0]
+    # a = M x with M = ((0, -2), (1, 0)), so b = G M, antisymmetric for the weighted form
+    assert b == [[zero, Polynomial.constant(ring, -2)],
+                 [Polynomial.constant(ring, 2), zero]]
+    assert matrix_apply(b, x) == matrix_apply(gram, fld.components)
 
 
 def _sympy_poly(sympy, p, symbols):
@@ -185,7 +187,7 @@ def _sympy_poly(sympy, p, symbols):
                          ids=["n2", "n3"])
 def test_homotopy_solve_matches_sympy_linsolve(gram):
     """Each x-degree d of the homotopy matrix solves the linear system that
-    sympy.linsolve sets up on its own: G M = b antisymmetric with b x = c_d,
+    sympy.linsolve sets up on its own: b antisymmetric with b x = c_d,
     where c = G a and the unknowns are the coefficients of b at degree d - 1."""
     sympy = pytest.importorskip("sympy")
     gram = mx.mat(gram)
@@ -198,14 +200,12 @@ def test_homotopy_solve_matches_sympy_linsolve(gram):
     rng = SplitMix64(2026 + n)
     fractional = False
     for _ in range(6):
-        b = random_antisymmetric(rng, ring, n, max_degree=3, num_terms=3)
-        # a = G^-1 b x annihilates (1/2) x^T G x
-        fld = VectorField(ring, matrix_apply(mx.inverse(gram), matrix_apply(b, x)))
-        m = quadratic_base_solve(BilinearForm(gram), fld)
-        gm = [[_sympy_poly(sympy, Polynomial.combination(
-            ring, ((gram[i][k], m[k][j]) for k in range(n))), symbols)
-            for j in range(n)] for i in range(n)]
-        fractional |= any(c.denominator != 1 for row in m for p in row
+        drawn = random_antisymmetric(rng, ring, n, max_degree=3, num_terms=3)
+        # a = G^-1 drawn x annihilates (1/2) x^T G x
+        fld = VectorField(ring, matrix_apply(mx.inverse(gram), matrix_apply(drawn, x)))
+        b = homotopy(gram, fld)
+        gm = [[_sympy_poly(sympy, b[i][j], symbols) for j in range(n)] for i in range(n)]
+        fractional |= any(c.denominator != 1 for row in b for p in row
                           for c in p.terms.values())
         for i in range(n):
             assert gm[i][i] == 0
@@ -232,12 +232,14 @@ def test_homotopy_solve_matches_sympy_linsolve(gram):
                 equations += sympy.Poly(sympy.expand(lhs - part), *xs).coeffs()
             (general,) = sympy.linsolve(equations, list(unknowns.values()))
             # the homotopy's slice is one member of the linsolve family
-            homotopy = [sympy.Poly(gm[p][q], *xs).coeff_monomial(mu)
-                        for (p, q), mu in unknowns]
-            member = sympy.linsolve([g - h for g, h in zip(general, homotopy)],
+            degree_slice = [sympy.Poly(gm[p][q], *xs).coeff_monomial(mu)
+                            for (p, q), mu in unknowns]
+            member = sympy.linsolve([g - h for g, h in zip(general, degree_slice)],
                                     list(unknowns.values()))
             assert member != sympy.EmptySet
-    assert fractional
+    # for n = 2 the antisymmetric b with b x = c is unique, so b is the drawn
+    # integral matrix; for n = 3 the 1/(d + 1) weights give fractions
+    assert fractional == (n == 3)
 
 
 def test_homotopy_solve_refuses_radial_field():
@@ -245,14 +247,14 @@ def test_homotopy_solve_refuses_radial_field():
         ring = base_ring(n)
         x = variables(ring, "x", n)
         with pytest.raises(DecompositionRefused) as info:
-            quadratic_base_solve(BilinearForm(mx.identity(n)), VectorField(ring, x))
+            homotopy(mx.identity(n), VectorField(ring, x))
         witness = info.value.witness
         expected = sum((xi * xi for xi in x), Polynomial.zero(ring))
         assert witness == expected
 
 
 def per_degree_homotopy(gram, field):
-    """Reference homotopy: b accumulated one x-degree at a time, then G^-1 b."""
+    """Reference homotopy: b accumulated one x-degree at a time."""
     ring = field.ring
     (x,) = field.state_blocks
     n = x.size
@@ -268,9 +270,7 @@ def per_degree_homotopy(gram, field):
                 entry = (ci.derivative((x.name, j)) - cj.derivative((x.name, i))) / (d + 1)
                 b[i][j] = b[i][j] + entry
                 b[j][i] = b[j][i] - entry
-    ginv = mx.inverse(gram)
-    return tuple(tuple(sum((b[k][j] * ginv[i][k] for k in range(n)), zero)
-                       for j in range(n)) for i in range(n))
+    return b
 
 
 def seeded_base_fields(gram, seed, count=4):
@@ -292,32 +292,12 @@ SL2_KILLING_GRAM = killing_form(sl2()[0]).gram
 @pytest.mark.parametrize("gram", [SO3_GRAM, SO4_GRAM, SL2_KILLING_GRAM],
                          ids=["so3", "so4", "sl2-killing"])
 def test_homotopy_solve_equals_the_per_degree_reference(gram):
-    form = BilinearForm(gram)
     fractional = False
     for fld in seeded_base_fields(gram, seed=2026 + len(gram)):
-        m = quadratic_base_solve(form, fld)
-        assert m == per_degree_homotopy(gram, fld)
-        fractional |= any(p._den != 1 for row in m for p in row)
+        b = homotopy(gram, fld)
+        assert b == per_degree_homotopy(gram, fld)
+        fractional |= any(p._den != 1 for row in b for p in row)
     assert fractional  # the 1/(d + 1) weights are exercised
-
-
-def test_repeated_solves_invert_the_gram_matrix_once(monkeypatch):
-    form = killing_form(sl2()[0])
-    fields = seeded_base_fields(form.gram, seed=7)
-    inverted = []
-    inverse = mx.inverse
-
-    def counted(a):
-        inverted.append(a)
-        return inverse(a)
-
-    monkeypatch.setattr(mx, "inverse", counted)
-    for fld in fields:
-        quadratic_base_solve(form, fld)
-    assert inverted == [form.gram]
-    # a second form with an equal Gram matrix keeps its own inverse
-    quadratic_base_solve(BilinearForm(form.gram), fields[0])
-    assert len(inverted) == 2
 
 
 def test_homotopy_solve_refusal_carries_the_syzygy_witness():
@@ -329,7 +309,7 @@ def test_homotopy_solve_refusal_carries_the_syzygy_witness():
     # a += w0 x adds w0 B(x, x) to the syzygy B(a, x), which was zero
     bent = VectorField(ring, tuple(a + w0 * xi for a, xi in zip(fld.components, x)))
     with pytest.raises(DecompositionRefused) as info:
-        quadratic_base_solve(BilinearForm(gram), bent)
+        homotopy(gram, bent)
     quadratic = sum((x[i] * x[j] * gram[i][j] for i in range(3) for j in range(3)),
                     Polynomial.zero(ring))
     assert info.value.witness == w0 * quadratic
@@ -370,7 +350,7 @@ def test_quadratic_solver_validation():
         QuadraticBaseSolver(rho, BilinearForm(mx.identity(2)))
     # dim(g) = dim so(3), but the basis images span only a line
     a = rho.matrices[0]
-    _, flat_rho = abelian(3, (a, a, mx.zeros(3, 3)))
+    flat_rho = Representation(abelian(3)[0], (a, a, mx.zeros(3, 3)))
     with pytest.raises(ValidationError, match="linearly dependent"):
         QuadraticBaseSolver(flat_rho, BilinearForm(mx.identity(3)))
 
@@ -454,14 +434,16 @@ def test_so_pq_instance_decomposes_with_its_standard_gram(p, q, m):
 
 
 def test_decompose_through_the_quadratic_solver_never_inverts_the_gram_matrix(monkeypatch):
-    def unexpected(self):
-        raise AssertionError("the Gram matrix was inverted")
+    def unexpected(a):
+        raise AssertionError(f"a matrix was inverted: {a}")
 
-    monkeypatch.setattr(BilinearForm, "inverse", property(unexpected))
     for kind, params in (("so_n", {"n": 4}), ("sl2_adjoint", {}), ("so_pq", {"p": 2, "q": 1})):
         inst = generate_instance(kind, 2, seed=3, **params)
-        dec = takiff_decompose(inst.lifted, builtin_solver(inst.rep, inst.gram), inst.field)
-        assert verify_decomposition(inst.lifted, inst.field, dec)[0]
+        solver = builtin_solver(inst.rep, inst.gram)
+        with monkeypatch.context() as patch:
+            patch.setattr(mx, "inverse", unexpected)
+            dec = takiff_decompose(inst.lifted, solver, inst.field)
+            assert verify_decomposition(inst.lifted, inst.field, dec)[0]
 
 
 def test_trivial_solver():
@@ -764,7 +746,7 @@ def test_decompose_shape_checks():
     _, other = so_n(3)
     lifted = build_lift(rho, 1)
     ring = level_ring(1, 2)
-    fld = VectorField.zero(ring)
+    fld = VectorField(ring, (Polynomial.zero(ring),) * 4)
     with pytest.raises(StructuralError):
         takiff_decompose(lifted, builtin_solver(other), fld)
     with pytest.raises(StructuralError):

@@ -12,7 +12,6 @@ from takiff.invariants import (
     InvariantFamily,
     apply_killing,
     cylindrical_invariance_check,
-    default_lift_blocks,
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
@@ -163,9 +162,6 @@ def test_lift_shape_checks():
     q3 = quadratic_invariant(mx.identity(3), state_ring(3))
     with pytest.raises(StructuralError):
         lift_invariant(lifted, q3)
-    q = quadratic_invariant(mx.identity(2), state_ring(2))
-    with pytest.raises(StructuralError):
-        lift_invariant(lifted, q, blocks=default_lift_blocks(2, 2))
 
 
 def test_lift_family_is_generator_major():
@@ -232,15 +228,17 @@ def test_cylindrical_agreement():
     assert cylindrical_invariance_check(lifted, bad) == (False, False)
 
 
-def test_cylindrical_accepts_full_ring_when_top_block_unused():
+def test_cylindrical_refuses_theta_over_the_full_ring():
     _, rho = so_n(2)
     lifted = build_lift(rho, 1)
     q = quadratic_invariant(mx.identity(2), state_ring(2))
     phis = lift_invariant(lifted, q)  # over (f0, f1)
-    theta = phis[0]  # free of f1 but expressed over the full ring
-    assert cylindrical_invariance_check(lifted, theta) == (True, True)
+    with pytest.raises(StructuralError):
+        cylindrical_invariance_check(lifted, phis[0])  # free of f1, but over f0, f1
     with pytest.raises(StructuralError):
         cylindrical_invariance_check(lifted, phis[1])  # uses the top block
+    with pytest.raises(StructuralError):
+        cylindrical_invariance_check(lifted, q)  # one block, but not named f0
     with pytest.raises(StructuralError):
         cylindrical_invariance_check(build_lift(rho, 0), q)
 
@@ -254,6 +252,8 @@ def test_tangency_of_rotation_field():
     assert all(r.member for r in results)
     assert results[0].witness == (Fraction(1),)
     assert results[1].witness == (Fraction(1),)
+    with pytest.raises(StructuralError, match="without parameters"):
+        tangency_check(rho, fld, [(1, 0)], parameter_values=[(5,)])
 
 
 def test_tangency_of_radial_field():
@@ -274,7 +274,9 @@ def test_tangency_with_parameters():
     fld = VectorField(ring, (-w * x1, w * x0))
     results = tangency_check(rho, fld, [(1, 0)], parameter_values=[(5,)])
     assert results[0].member and results[0].witness == (Fraction(5),)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="0 rows for 1 points"):
         tangency_check(rho, fld, [(1, 0)])
+    with pytest.raises(StructuralError, match="2 rows for 1 points"):
+        tangency_check(rho, fld, [(1, 0)], parameter_values=[(5,), (6,)])
     with pytest.raises(StructuralError):
         tangency_check(rho, fld, [(1, 0, 0)], parameter_values=[(5,)])

@@ -1,5 +1,6 @@
 """Lie algebra construction, validation, and standard examples."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,7 +111,7 @@ def test_abelian_rejects_noncommuting_matrices():
     e01 = mx.mat([[0, 1], [0, 0]])
     e10 = mx.mat([[0, 0], [1, 0]])
     with pytest.raises(ValidationError):
-        abelian(2, (e01, e10))
+        Representation(abelian(2)[0], (e01, e10))
 
 
 def test_algebra_from_matrices_rejects_open_span():
@@ -249,3 +250,16 @@ def test_make_standard_dispatch():
     assert make_standard("gl_n", n=1)[0].dim == 1
     with pytest.raises(StructuralError):
         make_standard("su_n", n=2)
+
+
+@pytest.mark.parametrize("build, kind, params", [
+    (so_n, "so_n", {"n": 3.0}), (so_n, "so_n", {"n": "3"}), (so_n, "so_n", {"n": True}),
+    (so_pq, "so_pq", {"p": 1.0, "q": 2}), (so_pq, "so_pq", {"p": 1, "q": "2"}),
+    (gl_n, "gl_n", {"n": 2.0}), (abelian, "abelian", {"dim": 2.0}),
+], ids=["so_n-float", "so_n-str", "so_n-bool", "so_pq-float", "so_pq-str", "gl_n-float",
+        "abelian-float"])
+def test_constructors_refuse_a_size_that_is_not_an_int(build, kind, params):
+    with pytest.raises(StructuralError, match="needs an int") as direct:
+        build(*params.values())
+    with pytest.raises(StructuralError, match=re.escape(str(direct.value))):
+        make_standard(kind, **params)

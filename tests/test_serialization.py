@@ -28,6 +28,8 @@ from takiff.errors import StructuralError, ValidationError
 from takiff.invariants import lift_family, quadratic_invariant
 from takiff.lie import (
     BilinearForm,
+    LieAlgebra,
+    Representation,
     adjoint_rep,
     conjugate_representation,
     killing_form,
@@ -62,7 +64,6 @@ def test_polynomial_roundtrip():
     p = w * f0 * f0 / 2 - 3 * f1 + 7
     data = jsonio.polynomial_to_json(p)
     assert jsonio.polynomial_from_json(data) == p
-    assert jsonio.polynomial_from_json({"terms": data["terms"]}, ring) == p
 
 
 def test_variable_keys_allow_dotted_block_names():
@@ -75,9 +76,10 @@ def test_malformed_variable_keys():
     ring = Ring.of(VariableBlock("x", 1, STATE))
     # ".5" parses as the empty block name, which the ring then rejects
     for key in ("x", "x.", "x.one", ".5"):
-        data = {"terms": [{"coeff": "1", "exps": {key: 1}}]}
+        data = {"ring": jsonio.ring_to_json(ring),
+                "terms": [{"coeff": "1", "exps": {key: 1}}]}
         with pytest.raises(StructuralError):
-            jsonio.polynomial_from_json(data, ring)
+            jsonio.polynomial_from_json(data)
 
 
 def test_repeated_monomials_in_a_term_list_are_summed():
@@ -88,7 +90,7 @@ def test_repeated_monomials_in_a_term_list_are_summed():
              {"coeff": "1/3", "exps": {"x.1": 2, "x.0": 1}},
              {"coeff": "-3", "exps": {}},
              {"coeff": "7", "exps": {"x.0": 1}}]
-    p = jsonio.polynomial_from_json({"terms": terms}, ring)
+    p = jsonio.polynomial_from_json({"ring": jsonio.ring_to_json(ring), "terms": terms})
     assert p == x0 * x1 * x1 * Fraction(5, 6) + 7 * x0
 
 
@@ -121,6 +123,19 @@ def test_algebra_and_representation_roundtrip():
     flat["matrices"][0] = flat["matrices"][0][:-1]
     with pytest.raises(StructuralError):
         jsonio.representation_from_json(flat)
+
+
+def test_what_the_constructors_accept_round_trips():
+    # algebra_from_json reads a basis name only as a str and
+    # representation_from_json a positive space_dim, so the constructors
+    # refuse the rest rather than write what cannot be read back
+    g = LieAlgebra(("α", "x.0"), (((0, 0), (0, 0)), ((0, 0), (0, 0))))
+    assert jsonio.algebra_from_json(jsonio.algebra_to_json(g)) == g
+    for name in (1, None, ""):
+        with pytest.raises(StructuralError, match="basis name"):
+            LieAlgebra((name,), (((0,),),))
+    with pytest.raises(StructuralError, match="dimension must be positive"):
+        Representation(LieAlgebra(("a",), (((0,),),)), ((),))
 
 
 def test_bilinear_roundtrip():
@@ -309,7 +324,7 @@ def test_generated_instance_annihilates_its_invariants():
     for kind, params in (("so_n", {"n": 2}), ("so_n", {"n": 3}), ("sl2_adjoint", {})):
         inst = generate_instance(kind, 2, seed=17, **params)
         solver = builtin_solver(inst.rep, inst.gram)
-        gens = lift_family(inst.lifted, solver.family, inst.field.state_blocks)
+        gens = lift_family(inst.lifted, solver.family)
         assert annihilates_invariants(inst.field, gens) == (True, None)
     with pytest.raises(ValidationError):
         generate_instance("so_n", -1, seed=1, n=2)
@@ -522,6 +537,22 @@ def test_cli_tangency_human(tmp_path):
                  "--human", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("outside") and lines[1].startswith("tangent")
+
+
+@pytest.mark.parametrize("with_w, parameters", [(False, [["5"]]), (True, [["5"], ["6"]])],
+                         ids=["no-parameter-block", "extra-row"])
+def test_cli_tangency_refuses_parameter_values_it_would_ignore(tmp_path, capsys,
+                                                                with_w, parameters):
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    w = (VariableBlock("w", 1, PARAMETER),) if with_w else ()
+    ring = Ring(w + (VariableBlock("f0", 2, STATE),))
+    radial = VectorField(ring, tuple(Polynomial.variable(ring, ("f0", i)) for i in range(2)))
+    field = write_json(tmp_path / "field.json", jsonio.field_to_json(radial))
+    pts = write_json(tmp_path / "pts.json", {"points": [["1", "0"]], "parameters": parameters})
+    assert main(["tangency", "--rep", rep, "--field", field, "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parameter values" in captured.err
 
 
 def test_cli_suite_runs(tmp_path):
