@@ -29,12 +29,13 @@ sum is written once, in ``_block_sum``: the correction is its r < j case and
 the reconstruction a_j of verify_decomposition its r <= j case, and one
 table of Killing velocities serves every level.
 
-Two guards remain on that path. Each level j pairs its residual with the
-gradient of every base invariant at f_0. That is the whole annihilation check:
-if b_0..b_{j-1} reconstruct a_0..a_{j-1}, the derivative of Phi_j along a is
-exactly this pairing, since the Killing combination annihilates Phi_j and the
-f_j-gradient of Phi_j is the gradient of phi at f_0. So a refusal at level j
-first confirms that premise, and a faulty solver is never blamed on the field.
+The base solve is the only annihilation check. If b_0..b_{j-1} reconstruct
+a_0..a_{j-1}, the derivative of Phi_j along a is the pairing of the level-j
+residual with the gradient of phi at f_0, since the Killing combination
+annihilates Phi_j and the f_j-gradient of Phi_j is the gradient of phi at f_0.
+A solver refuses exactly the fields with a nonzero pairing (BaseSolver), so
+its refusal at level j is the field's, once that premise is confirmed: a
+faulty solver is never blamed on the field.
 
 Decompositions are not unique; only the reconstruction identity is promised.
 """
@@ -53,12 +54,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .invariants import (
-    InvariantFamily,
-    _rename_block,
-    killing_velocity,
-    quadratic_invariant,
-)
+from .invariants import InvariantFamily, killing_velocity, quadratic_invariant
 from .lie import BilinearForm, Representation
 from .matrices import Scalar
 from .poly import (
@@ -178,11 +174,14 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
 class BaseSolver(Protocol):
     """What the decomposition needs from a level-0 solver.
 
-    ``rep`` and ``family`` identify the base case; ``solve`` takes a field on
-    V (one state block, any parameter blocks) and returns one polynomial
-    coefficient per basis element, or raises DecompositionRefused. A level-m
-    decomposition calls it m + 1 times, once per level, on fields over one
-    ring: f_0 is the state block, f_1..f_m and w are parameters.
+    ``rep`` and ``family`` identify the base case. ``solve`` takes a field a on V
+    (one state block, any parameter blocks) and either returns one exact
+    polynomial coefficient per basis element, or refuses exactly the fields that
+    do not annihilate ``family``, raising DecompositionRefused with the first
+    nonzero pairing sum_i a_i dphi/dx_i as witness; takiff_decompose has no other
+    annihilation check. A level-m decomposition calls it m + 1 times, once per
+    level, on fields over one ring: f_0 is the state block, f_1..f_m and w are
+    parameters.
     """
 
     rep: Representation
@@ -311,10 +310,10 @@ def _block_sum(rep: Representation, ring: Ring,
                  for t in range(rep.space_dim))
 
 
-def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
-                           coefficients: Sequence[Sequence[Polynomial]],
-                           ) -> tuple[Polynomial, ...]:
-    """The field rho_m(b) F for given coefficients, block by block.
+def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
+                            coefficients: Sequence[Sequence[Polynomial]],
+                            ) -> VectorField:
+    """The Killing combination rho_m(b) F as a vector field, block by block.
 
     Block j is sum_{r <= j} rho(b_r) f_{j-r} over the ring's state blocks.
     """
@@ -327,15 +326,9 @@ def reconstruct_components(lifted: LiftedRepresentation, ring: Ring,
         raise StructuralError(
             f"{len(coefficients)} coefficient levels, expected {m + 1}")
     velocity = _block_velocities(lifted.base_rep, ring, blocks)
-    return tuple(p for j in range(m + 1)
-                 for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], velocity, j))
-
-
-def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
-                            coefficients: Sequence[Sequence[Polynomial]],
-                            ) -> VectorField:
-    """Manufacture the Killing combination rho_m(b) F as a vector field."""
-    return VectorField(ring, reconstruct_components(lifted, ring, coefficients))
+    return VectorField(ring, tuple(
+        p for j in range(m + 1)
+        for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], velocity, j)))
 
 
 def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
@@ -343,7 +336,7 @@ def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
     """Exact check of the reconstruction identity, with per-component residuals."""
     if dec.ring != field.ring:
         raise StructuralError("decomposition and field live over different rings")
-    recon = reconstruct_components(lifted, field.ring, dec.coefficients)
+    recon = field_from_coefficients(lifted, field.ring, dec.coefficients).components
     residuals = tuple(a - r for a, r in zip(field.components, recon))
     return all(p.is_zero() for p in residuals), residuals
 
@@ -354,10 +347,11 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
 
     b_0..b_m are solved in order, each by one base solve of
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in which
-    f_0 is the state block and everything else a parameter. A residual that
-    does not annihilate the solver's invariants at f_0 is refused with the
-    pairing as witness, once the levels below are confirmed to reconstruct
-    a_0..a_{j-1}. A solver's own refusal at level j >= 1 names the level.
+    f_0 is the state block and everything else a parameter. The solver's
+    refusal of a level is the field's refusal: once the levels below are
+    confirmed to reconstruct a_0..a_{j-1}, DecompositionRefused is raised
+    with the solver's witness over the field's ring and the solver's refusal
+    as its cause.
     """
     if solver.rep != lifted.base_rep:
         raise StructuralError(
@@ -372,12 +366,6 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     base_ring = ring
     for b in blocks[1:]:
         base_ring = base_ring.with_role(b.name, PARAMETER)
-    if any(len(phi.ring.blocks) != 1 for phi in solver.family.generators):
-        raise StructuralError("the solver's invariants must live over a single block")
-    base_invariants = [
-        Polynomial(base_ring, {_rename_block(mono, blocks[0].name): c
-                               for mono, c in phi.terms.items()})
-        for phi in solver.family.generators]
     velocity = _block_velocities(lifted.base_rep, ring, blocks)
     levels: list[tuple[Polynomial, ...]] = []
     for j in range(m + 1):
@@ -385,24 +373,18 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
         if j:
             correction = _block_sum(lifted.base_rep, ring, levels, velocity, j)
             residual = [a - c for a, c in zip(residual, correction)]
-        base_field = VectorField(base_ring, tuple(p.cast(base_ring) for p in residual))
-        ok, pairing = annihilates_invariants(base_field, base_invariants)
-        if not ok:
+        try:
+            coeffs = solver.solve(
+                VectorField(base_ring, tuple(p.cast(base_ring) for p in residual)))
+        except DecompositionRefused as exc:
             for i in range(j):
                 if _block_sum(lifted.base_rep, ring, levels[:i + 1], velocity, i) != \
                         field.components[i * n:(i + 1) * n]:
                     raise InternalConsistencyError(
-                        f"the level-{i} coefficients do not reconstruct a_{i}")
+                        f"the level-{i} coefficients do not reconstruct a_{i}") from exc
+            witness = None if exc.witness is None else exc.witness.cast(ring)
             raise DecompositionRefused("field does not annihilate the lifted invariants",
-                                       witness=pairing.cast(ring))
-        try:
-            coeffs = solver.solve(base_field)
-        except DecompositionRefused as exc:
-            if j == 0:
-                raise
-            raise DecompositionRefused(
-                f"base solver refused the level-{j} residual: {exc}",
-                witness=exc.witness) from exc
+                                       witness=witness) from exc
         levels.append(tuple(p.cast(ring) for p in coeffs))
     return Decomposition(ring, tuple(levels))
 

@@ -38,7 +38,7 @@ from .poly import (
     VectorField,
     substitute_curve,
 )
-from .takiff_algebra import LiftedRepresentation, build_lift
+from .takiff_algebra import LiftedRepresentation, build_lift, require_level
 
 
 def _state_coordinates(ring: Ring, space_dim: int) -> list[Var]:
@@ -170,9 +170,10 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
             (1 / prod q_j!) * D_{f_1}^{q_1} ... D_{f_k}^{q_k} phi  at  f_0,
 
     where D_{f_j} phi = sum_i f_{j,i} d phi / d x_i is the directional
-    derivative along block f_j. The coefficients live over
-    ``default_lift_blocks(m, n)``. All arithmetic is exact.
+    derivative along block f_j. The level m must be an int >= 0; the
+    coefficients live over ``default_lift_blocks(m, n)``. All arithmetic is exact.
     """
+    require_level(m)
     if len(phi.ring.blocks) != 1:
         raise StructuralError("phi must live over a single block")
     n = phi.ring.blocks[0].size
@@ -180,7 +181,7 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
     x_block = VariableBlock("x", n, STATE)
     target = Ring(blocks)
     work = Ring((x_block,) + blocks[1:])
-    phi_work = Polynomial(work, {_rename_block(mono, "x"): c
+    phi_work = Polynomial(work, {Monomial.from_map({("x", i): e for (_, i), e in mono}): c
                                  for mono, c in phi.terms.items()})
     into_f0 = {("x", i): Polynomial.variable(target, (blocks[0].name, i))
                for i in range(n)}
@@ -205,11 +206,6 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
             total = total + term.substitute(into_f0, target) / denom
         out.append(total)
     return out
-
-
-def _rename_block(mono: Monomial, new: str) -> Monomial:
-    """Rename every variable of a single-block monomial into block ``new``."""
-    return Monomial.from_map({(new, idx): e for (_, idx), e in mono})
 
 
 def extract_linear_part(phi_k: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:

@@ -272,17 +272,11 @@ def _int_param(kind: str, key: str, value) -> int:
 
 
 def so_n(n: int) -> tuple[LieAlgebra, Representation]:
-    """so(n) with basis the rotation generators r_ij (i < j, lexicographic)."""
+    """so(n) = so(n, 0), with basis the rotation generators r_ij (i < j, lexicographic)."""
     _int_param("so_n", "n", n)
     if n < 2:
         raise ValidationError(f"so(n) needs n >= 2, got {n}")
-    names = []
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            names.append(f"r{i}{j}")
-            mats.append(_rotation_generator(n, i, j))
-    return algebra_from_matrices(names, mats)
+    return so_pq(n, 0)
 
 
 def so_pq(p: int, q: int) -> tuple[LieAlgebra, Representation]:

@@ -163,9 +163,6 @@ class Ring:
             for b in self.blocks
         ))
 
-    def extended(self, *blocks: VariableBlock) -> "Ring":
-        return Ring(self.blocks + tuple(blocks))
-
 
 class Monomial(tuple):
     """A product of variables with positive integer exponents.

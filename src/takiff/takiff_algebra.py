@@ -90,11 +90,16 @@ def _blocks(level: int, n: int, placed: Iterable[tuple[int, int, Matrix]]) -> Ma
     return tuple(map(tuple, rows))
 
 
-def check_level(base_dim: int, m: int) -> None:
-    """Refuse a level that is not an int >= 0, or a g_m of more than
-    MAX_STRUCTURE_CONSTANTS structure constants, from the dimensions alone."""
+def require_level(m: int) -> None:
+    """Refuse a level that is not an int >= 0; a bool is not an int here."""
     if type(m) is not int or m < 0:
         raise StructuralError(f"level must be an int >= 0, got {m!r}")
+
+
+def check_level(base_dim: int, m: int) -> None:
+    """Refuse a level by ``require_level``, or a g_m of more than
+    MAX_STRUCTURE_CONSTANTS structure constants, from the dimensions alone."""
+    require_level(m)
     constants = ((m + 1) * base_dim) ** 3
     if constants > MAX_STRUCTURE_CONSTANTS:
         raise StructuralError(f"level {m} of a {base_dim}-dimensional algebra needs "

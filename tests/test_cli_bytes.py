@@ -113,7 +113,7 @@ REFUSAL_SHA256 = "89d19043e5727793ddb4fd603b1f97062998d48ffa0cdf1875e1c0c1210c5c
 
 
 def test_cli_refusal_bytes(tmp_path):
-    """f_2 += f_0 on a generated so(3), m=2 field: the precheck refuses it."""
+    """f_2 += f_0 on a generated so(3), m=2 field: the level-2 base solve refuses it."""
     _, payload = _generate(tmp_path, "so_n", 3, 2, 14)
     fld = jsonio.field_from_json(payload["field"])
     n = fld.block_size

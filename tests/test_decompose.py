@@ -28,7 +28,7 @@ from takiff.errors import (
     StructuralError,
     ValidationError,
 )
-from takiff.invariants import InvariantFamily, lift_family
+from takiff.invariants import lift_family
 from takiff.lie import (
     BilinearForm,
     Representation,
@@ -470,6 +470,36 @@ def test_builtin_solver_dispatch():
     assert solver.form.gram == mx.identity(2)
 
 
+CONTRACT_CASES = {
+    **{case: SOLVER_CASES[case] for case in ("so3", "so4", "sl2-killing", "so21")},
+    "trivial-abelian2": (abelian(2)[1], None),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_CASES))
+@COORDINATES
+@given(data=st.data())
+def test_a_solver_refuses_exactly_the_fields_that_do_not_annihilate_its_family(case, data):
+    # the BaseSolver contract, on which takiff_decompose rests its refusals
+    rep, gram = CONTRACT_CASES[case]
+    solver = builtin_solver(rep, gram)
+    n, d = rep.space_dim, rep.algebra.dim
+    ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", n, STATE))
+    names = [("w", 0)] + [("x", i) for i in range(n)]
+    components = killing_field(rep, ring, [drawn_polynomial(data, ring, names)
+                                           for _ in range(d)])
+    if data.draw(st.booleans()):
+        components = tuple(k + drawn_polynomial(data, ring, names) for k in components)
+    field = VectorField(ring, components)
+    ok, pairing = annihilates_invariants(field, solver.family.generators)
+    if ok:
+        assert killing_field(rep, ring, solver.solve(field)) == field.components
+    else:
+        with pytest.raises(DecompositionRefused) as info:
+            solver.solve(field)
+        assert info.value.witness == pairing
+
+
 def check_roundtrip(rho, m, coefficient_builder, params=()):
     lifted = build_lift(rho, m)
     ring = level_ring(m, rho.space_dim, params)
@@ -545,9 +575,8 @@ def test_reconstruction_builds_each_killing_velocity_once(monkeypatch):
         return original(rep, i, ring, coords)
 
     monkeypatch.setattr(decompose, "killing_velocity", counted)
-    components = decompose.reconstruct_components(
-        inst.lifted, inst.field.ring, inst.coefficients)
-    assert components == inst.field.components
+    field = field_from_coefficients(inst.lifted, inst.field.ring, inst.coefficients)
+    assert field == inst.field
     # 3 basis elements on 4 blocks, against 1 + 2 + 3 + 4 block sums of 3
     assert sorted(calls) == sorted({(i, f"f{k}") for i in range(3) for k in range(4)})
 
@@ -592,7 +621,7 @@ def test_reconstruction_equals_the_dense_lifted_action(case, m, data):
     expected = tuple(Polynomial.combination(ring, (
         (b[r][i], images[r * d + i][t]) for r in range(m + 1) for i in range(d)))
         for t in range((m + 1) * n))
-    assert decompose.reconstruct_components(lifted, ring, b) == expected
+    assert field_from_coefficients(lifted, ring, b).components == expected
 
 
 class StubSolver:
@@ -623,64 +652,59 @@ def perturbed_b0(field, coeffs):
     return (coeffs[0] + 1,) + tuple(coeffs[1:])
 
 
-def test_a_refusal_at_level_1_is_wrapped_with_the_level():
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_solver_refusal_is_the_field_refusal_at_every_level(level):
     inst = generate_instance("so_n", 2, seed=11, n=3)
-    solver = StubSolver(inst.rep, 2, stub_refusal)
+    solver = StubSolver(inst.rep, level + 1, stub_refusal)
     with pytest.raises(DecompositionRefused) as info:
         takiff_decompose(inst.lifted, solver, inst.field)
-    assert str(info.value) == "base solver refused the level-1 residual: stub refusal"
-    assert info.value.witness is STUB_WITNESS
-    assert solver.calls == 2
-
-
-def test_a_refusal_at_level_0_passes_through_unwrapped():
-    inst = generate_instance("so_n", 2, seed=11, n=3)
-    solver = StubSolver(inst.rep, 1, stub_refusal)
-    with pytest.raises(DecompositionRefused) as info:
-        takiff_decompose(inst.lifted, solver, inst.field)
-    assert str(info.value) == "stub refusal"
-    assert info.value.witness is STUB_WITNESS
-    assert solver.calls == 1
+    assert str(info.value) == "field does not annihilate the lifted invariants"
+    cause = info.value.__cause__
+    assert isinstance(cause, DecompositionRefused)
+    assert str(cause) == "stub refusal" and cause.witness is STUB_WITNESS
+    assert info.value.witness == STUB_WITNESS.cast(inst.field.ring)
+    assert solver.calls == level + 1
 
 
 def test_a_wrong_b0_is_an_internal_error_at_level_0_not_a_refusal():
     inst = generate_instance("so_n", 2, seed=11, n=3)
     solver = StubSolver(inst.rep, 1, perturbed_b0)
-    # the wrong b_0 leaves a level-1 residual off the invariant; the premise
-    # of that refusal fails at level 0, so the field is not blamed
+    # the wrong b_0 leaves a level-1 residual off the invariant, which the
+    # level-1 solve refuses; the premise of that refusal fails at level 0, so
+    # the field is not blamed
     with pytest.raises(InternalConsistencyError, match="level-0 coefficients"):
         takiff_decompose(inst.lifted, solver, inst.field)
-    assert solver.calls == 1
+    assert solver.calls == 2
 
 
-def test_decompose_checks_annihilation_once_per_level(monkeypatch):
+def test_decompose_leaves_the_annihilation_check_to_the_solver(monkeypatch):
     inst = generate_instance("so_n", 3, seed=11, n=3)
     solver = builtin_solver(inst.rep)
-    checks, solves = [], []
-    original, solve = decompose.annihilates_invariants, solver.solve
-
-    def counted(field, generators):
-        checks.append(field.ring.state_blocks())
-        return original(field, generators)
+    solves, refusals = [], []
+    solve = solver.solve
 
     def counted_solve(field):
         solves.append(field)
-        return solve(field)
+        try:
+            return solve(field)
+        except DecompositionRefused:
+            refusals.append(len(solves))
+            raise
 
     def unexpected(*args):
-        raise AssertionError("the decomposition path lifts or substitutes")
+        raise AssertionError("the decomposition path checks, lifts or substitutes")
 
-    monkeypatch.setattr(decompose, "annihilates_invariants", counted)
+    monkeypatch.setattr(decompose, "annihilates_invariants", unexpected)
     monkeypatch.setattr(solver, "solve", counted_solve)
     monkeypatch.setattr(Polynomial, "substitute", unexpected)
     monkeypatch.setattr(invariants, "substitute_curve", unexpected)
     dec = takiff_decompose(inst.lifted, solver, inst.field)
     assert verify_decomposition(inst.lifted, inst.field, dec)[0]
-    # one check per level, each on the level's base field over f_0
+    # one solve per level, each on the level's base field over f_0
     ring = inst.field.ring
     blocks = ring.state_blocks()
-    assert checks == [(blocks[0],)] * 4
-    assert len(solves) == 4
+    assert [fld.state_blocks for fld in solves] == [(blocks[0],)] * 4
+    assert refusals == []
 
     # f_3 += p f_0 breaks only Phi_3, whose f_3-gradient is f_0
     f0 = variables(ring, blocks[0].name, 3)
@@ -688,11 +712,10 @@ def test_decompose_checks_annihilation_once_per_level(monkeypatch):
     comps = list(inst.field.components)
     for i in range(3):
         comps[3 * 3 + i] = comps[3 * 3 + i] + p * f0[i]
-    checks.clear()
     solves.clear()
     with pytest.raises(DecompositionRefused) as info:
         takiff_decompose(inst.lifted, solver, VectorField(ring, tuple(comps)))
-    assert len(checks) == 4 and len(solves) == 3
+    assert len(solves) == 4 and refusals == [4]
     assert info.value.witness == p * sum((x * x for x in f0), start=Polynomial.zero(ring))
 
 
@@ -751,13 +774,6 @@ def test_decompose_shape_checks():
         takiff_decompose(lifted, builtin_solver(other), fld)
     with pytest.raises(StructuralError):
         takiff_decompose(build_lift(rho, 2), builtin_solver(rho), fld)
-    # an invariant with a parameter block cannot be renamed onto f_0 alone
-    solver = builtin_solver(rho)
-    with_w = Ring.of(VariableBlock("x", 2, STATE), VariableBlock("w", 1, PARAMETER))
-    phi = solver.family.generators[0].cast(with_w) * Polynomial.variable(with_w, ("w", 0))
-    solver.family = InvariantFamily(rho, (phi,), "scaled")
-    with pytest.raises(StructuralError, match="single block"):
-        takiff_decompose(lifted, solver, fld)
 
 
 def test_verify_decomposition_detects_perturbation():

@@ -187,6 +187,14 @@ def test_faa_di_bruno_agrees_with_curve_expansion():
         assert faa_di_bruno_lift(phi, m) == direct
 
 
+@pytest.mark.parametrize("m", [-1, 1.0, "2", True, None])
+def test_faa_di_bruno_refuses_a_level_that_is_not_an_int(m):
+    phi = Polynomial.variable(state_ring(2), ("x", 0)) ** 2
+    with pytest.raises(StructuralError) as info:
+        faa_di_bruno_lift(phi, m)
+    assert str(info.value) == f"level must be an int >= 0, got {m!r}"
+
+
 def test_faa_di_bruno_handles_name_collision():
     # a source block named like a target block must not capture variables
     ring = state_ring(1, name="f1")

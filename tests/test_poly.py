@@ -506,8 +506,6 @@ def test_ring_role_operations():
     assert XW.block("x").role == STATE  # original untouched
     assert XW.state_variables() == [("x", 0), ("x", 1)]
     assert retagged.state_variables() == []
-    grown = XW.extended(VariableBlock("z", 2, STATE))
-    assert grown.names() == ("x", "w", "z")
     with pytest.raises(StructuralError):
         Ring.of(VariableBlock("x", 1, STATE), VariableBlock("x", 2, STATE))
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import takiff
-from takiff import jsonio, randgen
+from takiff import cli, jsonio, randgen
 from takiff import matrices as mx
 from takiff.cli import _parser, main
 from takiff.decompose import (
@@ -25,7 +25,7 @@ from takiff.decompose import (
     takiff_decompose,
 )
 from takiff.errors import StructuralError, ValidationError
-from takiff.invariants import lift_family, quadratic_invariant
+from takiff.invariants import lift_family, lift_invariant, quadratic_invariant
 from takiff.lie import (
     BilinearForm,
     LieAlgebra,
@@ -44,6 +44,7 @@ from takiff.randgen import (
     random_invertible,
     random_polynomial,
 )
+from takiff.takiff_algebra import build_lift
 
 
 def test_scalar_strings():
@@ -537,6 +538,121 @@ def test_cli_tangency_human(tmp_path):
                  "--human", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("outside") and lines[1].startswith("tangent")
+
+
+def test_cli_tangency_json(tmp_path):
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    field = write_json(tmp_path / "field.json", radial_field_json(2, 0))
+    pts = write_json(tmp_path / "pts.json", {"points": [["1", "0"], ["0", "0"]]})
+    out = tmp_path / "tan.json"
+    assert main(["tangency", "--rep", rep, "--field", field, "--points", pts,
+                 "--out", str(out)]) == 0
+    results = read_json(out)
+    assert [sorted(r) for r in results] == [["member", "point", "witness"]] * 2
+    assert [r["member"] for r in results] == [False, True]
+    assert results[0]["point"] == ["1", "0"]
+
+
+def test_cli_check_invariant_at_a_level_and_in_plain_text(tmp_path):
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    q = quadratic_invariant(mx.identity(2), Ring.of(VariableBlock("x", 2, STATE)))
+    top = lift_invariant(build_lift(rho, 1), q)[1]
+    lifted = write_json(tmp_path / "q1.json", jsonio.polynomial_to_json(top))
+    f0 = write_json(tmp_path / "f0.json", jsonio.polynomial_to_json(
+        Polynomial.variable(top.ring, ("f0", 0))))
+    out = tmp_path / "out"
+    assert main(["check-invariant", "--rep", rep, "--phi", lifted, "--level", "1",
+                 "--out", str(out)]) == 0
+    assert read_json(out) == {"invariant": True, "failures": []}
+    assert main(["check-invariant", "--rep", rep, "--phi", lifted, "--level", "1",
+                 "--human", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "invariant\n"
+    assert main(["check-invariant", "--rep", rep, "--phi", f0, "--level", "1",
+                 "--human", "--out", str(out)]) == 1
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "not invariant" and lines[1] == "  basis 0: nonzero residual"
+
+
+def generated_files(tmp_path, level=1):
+    """rep.json and field.json of a generated so(3) instance at the level."""
+    gen = tmp_path / "inst.json"
+    assert main(["generate", "--kind", "so_n", "--n", "3", "--level", str(level),
+                 "--seed", "5", "--out", str(gen)]) == 0
+    payload = read_json(gen)
+    return (write_json(tmp_path / "rep.json", payload["representation"]),
+            write_json(tmp_path / "field.json", payload["field"]))
+
+
+def test_cli_decompose_and_verify_in_plain_text(tmp_path):
+    rep, field = generated_files(tmp_path)
+    out = tmp_path / "out.txt"
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field,
+                 "--human", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "decomposed and verified"
+    assert [line[:4] for line in lines[1:]] == ["b_0 ", "b_1 "]
+    dec_path = tmp_path / "dec.json"
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field,
+                 "--out", str(dec_path)]) == 0
+    dec = write_json(tmp_path / "only_dec.json", read_json(dec_path)["decomposition"])
+    assert main(["verify", "--rep", rep, "--level", "1", "--field", field,
+                 "--dec", dec, "--human", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "verified\n"
+    # a_0 += 1 is neither reconstructed nor tangent to the invariant
+    fld = jsonio.field_from_json(read_json(Path(field)))
+    bent = write_json(tmp_path / "bent.json", jsonio.field_to_json(
+        VectorField(fld.ring, (fld.components[0] + 1,) + fld.components[1:])))
+    assert main(["verify", "--rep", rep, "--level", "1", "--field", bent,
+                 "--dec", dec, "--human", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "MISMATCH\n"
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", bent,
+                 "--human", "--out", str(out)]) == 2
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "refused: field does not annihilate the lifted invariants"
+    assert lines[1].startswith("witness: ") and len(lines) == 2
+
+
+def test_cli_verify_flip_in_plain_text(tmp_path):
+    algebra = write_json(tmp_path / "g.json", jsonio.algebra_to_json(sl2()[0]))
+    out = tmp_path / "flip.txt"
+    assert main(["verify-flip", "--algebra", algebra, "--level", "2",
+                 "--human", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "level 2, dim 9: flip identity holds\n"
+
+
+class WrongCoefficientSolver:
+    """The built-in solver, except that one level's b gets 1 added to its first entry."""
+
+    def __init__(self, inner, on_call):
+        self.rep, self.family = inner.rep, inner.family
+        self._inner, self._on_call, self.calls = inner, on_call, 0
+
+    def solve(self, field):
+        self.calls += 1
+        coeffs = self._inner.solve(field)
+        if self.calls == self._on_call:
+            return (coeffs[0] + 1,) + coeffs[1:]
+        return coeffs
+
+
+@pytest.mark.parametrize("on_call, message", [
+    # a wrong b_0 makes the level-1 solve refuse, and its premise fails
+    (1, "the level-0 coefficients do not reconstruct a_0"),
+    # a wrong b_1 at the top level is caught by the verification
+    (2, "reconstruction residual is nonzero"),
+], ids=["refusal-premise", "verification"])
+def test_cli_decompose_exits_3_on_an_internal_consistency_failure(
+        tmp_path, capsys, monkeypatch, on_call, message):
+    rep, field = generated_files(tmp_path)
+    monkeypatch.setattr(cli, "builtin_solver", lambda rep, gram: WrongCoefficientSolver(
+        builtin_solver(rep, gram), on_call))
+    capsys.readouterr()
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal consistency failure: {message}\n"
 
 
 @pytest.mark.parametrize("with_w, parameters", [(False, [["5"]]), (True, [["5"], ["6"]])],
