@@ -144,6 +144,28 @@ def lift_family(lifted: LiftedRepresentation, family: InvariantFamily) -> list[P
     return out
 
 
+# Most weighted partitions faa_di_bruno_lift enumerates over its coefficients
+# 1..m, that is sum_{k<=m} p(k): m <= 25 fits, and m = 26 needs 11,731.
+MAX_FAA_DI_BRUNO_PARTITIONS = 10_000
+
+
+def _partition_total(m: int, bound: int) -> int:
+    """sum_{k=1..m} p(k) by Euler's pentagonal recurrence, or the first partial
+    sum above ``bound``; the work stops there, whatever m is."""
+    p, total = [1], 0
+    while len(p) <= m and total <= bound:
+        k, pk, j = len(p), 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= k:
+                    pk += sign * p[k - g]
+            j += 1
+        p.append(pk)
+        total += pk
+    return total
+
+
 def _weighted_partitions(k: int) -> Iterator[tuple[int, ...]]:
     """All (q_1, ..., q_k) with q_1 + 2 q_2 + ... + k q_k = k, by direct recursion."""
 
@@ -170,10 +192,15 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
             (1 / prod q_j!) * D_{f_1}^{q_1} ... D_{f_k}^{q_k} phi  at  f_0,
 
     where D_{f_j} phi = sum_i f_{j,i} d phi / d x_i is the directional
-    derivative along block f_j. The level m must be an int >= 0; the
-    coefficients live over ``default_lift_blocks(m, n)``. All arithmetic is exact.
+    derivative along block f_j. The level m must be an int >= 0 whose
+    coefficients need at most MAX_FAA_DI_BRUNO_PARTITIONS partitions in all,
+    counted before any is enumerated; the coefficients live over
+    ``default_lift_blocks(m, n)``. All arithmetic is exact.
     """
     require_level(m)
+    if _partition_total(m, MAX_FAA_DI_BRUNO_PARTITIONS) > MAX_FAA_DI_BRUNO_PARTITIONS:
+        raise StructuralError(
+            f"level {m} needs more than {MAX_FAA_DI_BRUNO_PARTITIONS} weighted partitions")
     if len(phi.ring.blocks) != 1:
         raise StructuralError("phi must live over a single block")
     n = phi.ring.blocks[0].size

@@ -16,11 +16,18 @@ coefficient: an ``int`` when integral, else a ``fractions.Fraction`` in lowest
 terms with positive denominator, so every identity test in this package is
 exact.
 
-A ``Monomial`` is a tuple of ``(var, exponent)`` pairs sorted by variable. The
-product of two monomials is an ordered insertion: each pair of the shorter
-factor is placed into the longer one at the position found by bisection,
-adding exponents when the variable is already there, so no map is built and
-nothing is sorted.
+A ``Monomial`` is a tuple of ``(var, exponent)`` pairs sorted by variable; that
+is its form wherever a monomial enters or leaves a ``Polynomial``. Inside, the
+numerator map is keyed by packed exponent vectors (M. Monagan and R. Pearce,
+CASC 2007): one ``int`` per monomial, holding the exponent of the ring's k-th
+variable, in ring order, in bits [16k, 16k + 16). The top bit of each field is
+a guard bit, so an exponent is at most ``MAX_EXPONENT`` = 32767 and two valid
+keys add without a carry between fields: the product of two monomials is one
+integer addition. Every result key is tested once for a set guard bit, so an
+exponent overflow is a ``StructuralError``, never a silently wrong monomial.
+Keys are encoded against the ring where monomials come in (construction,
+``coefficient``) and decoded, sorted by variable, where they go out
+(``terms``, ``sorted_terms``, ``substitute``, ``evaluate``).
 
 All values are immutable after construction. A ``VectorField`` is a tuple of
 polynomials, one per state coordinate; ``Polynomial.directional_derivative``
@@ -34,7 +41,6 @@ map and constructs only the result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -48,6 +54,12 @@ Var = tuple[str, int]
 
 STATE = "state"
 PARAMETER = "parameter"
+
+# A packed monomial key gives each variable a field of _BITS bits whose top
+# bit is a guard bit, so an exponent is at most MAX_EXPONENT.
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -108,16 +120,23 @@ class Ring:
     blocks: tuple[VariableBlock, ...]
 
     def __post_init__(self):
-        # name -> block, and the set of all variables; not dataclass fields, so
+        # name -> block, variable -> bit offset of its field in a packed key,
+        # variables in ring order, the guard bits of all fields, the bound every
+        # key stays below and the block layout; not dataclass fields, so
         # equality and hashing ignore them
         index: dict[str, VariableBlock] = {}
         for b in self.blocks:
             if b.name in index:
                 raise StructuralError(f"duplicate block names in ring: {self.names()}")
             index[b.name] = b
+        order = tuple(self.variables())
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_vars", frozenset(
-            v for b in self.blocks for v in b.variables()))
+        object.__setattr__(self, "_shift", {v: _BITS * k for k, v in enumerate(order)})
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_guard", sum(1 << (_BITS * k + _BITS - 1)
+                                               for k in range(len(order))))
+        object.__setattr__(self, "_limit", 1 << (_BITS * len(order)))
+        object.__setattr__(self, "_layout", tuple((b.name, b.size) for b in self.blocks))
 
     @staticmethod
     def of(*blocks: VariableBlock) -> "Ring":
@@ -136,7 +155,7 @@ class Ring:
         return tuple(b.name for b in self.blocks)
 
     def has_var(self, var: Var) -> bool:
-        return var in self._vars
+        return var in self._shift
 
     def variables(self) -> Iterator[Var]:
         for b in self.blocks:
@@ -208,28 +227,11 @@ class Monomial(tuple):
             yield v
 
     def mul(self, other: "Monomial") -> "Monomial":
-        """The product: each pair of the shorter factor inserted into the longer.
-
-        Both factors are sorted, so each insertion point is found by bisection
-        to the right of the previous one; a shared variable adds exponents.
-        """
-        if len(self) < len(other):
-            self, other = other, self
-        if not other:
-            return self
-        out = self
-        k = 0
+        """The product: the exponent maps merged, then sorted by variable."""
+        merged = dict(self)
         for var, e in other:
-            k = bisect_left(out, (var,), k)
-            if k < len(out) and out[k][0] == var:
-                out = out[:k] + ((var, out[k][1] + e),) + out[k + 1:]
-            else:
-                out = out[:k] + ((var, e),) + out[k:]
-            k += 1
-        return Monomial(out)
-
-    def without_block(self, block_name: str) -> "Monomial":
-        return Monomial((v, e) for v, e in self if v[0] != block_name)
+            merged[var] = merged.get(var, 0) + e
+        return Monomial(sorted(merged.items()))
 
     def __str__(self) -> str:
         if not self:
@@ -241,6 +243,44 @@ class Monomial(tuple):
 
 
 _UNIT = Monomial()
+
+
+def _encode(ring: Ring, mono: Monomial) -> int:
+    """The packed key of a monomial over ``ring``."""
+    shift = ring._shift
+    key = 0
+    for var, e in mono:
+        s = shift.get(var)
+        if s is None:
+            raise StructuralError(
+                f"variable {var[0]}.{var[1]} not in ring with blocks {ring.names()}")
+        if not 0 < e <= MAX_EXPONENT:
+            raise StructuralError(
+                f"exponent {e} of {var[0]}.{var[1]} is outside 1..{MAX_EXPONENT}")
+        key += e << s
+    return key
+
+
+def _decode(ring: Ring, key: int) -> Monomial:
+    """The monomial of a packed key over ``ring``, its pairs sorted by variable."""
+    order = ring._order
+    pairs = []
+    while key:
+        s = (key.bit_length() - 1) // _BITS * _BITS  # the highest nonzero field
+        e = key >> s
+        pairs.append((order[s // _BITS], e))
+        key -= e << s
+    pairs.sort()
+    return Monomial(pairs)
+
+
+def _field_sum(key: int) -> int:
+    """The sum of the exponent fields of a packed key."""
+    total = 0
+    while key:
+        total += key & _FIELD
+        key >>= _BITS
+    return total
 
 
 def _require_ring(ring: Ring, p: "Polynomial") -> None:
@@ -268,25 +308,26 @@ class Polynomial:
                 raise StructuralError(f"polynomial term key {mono!r} is not a Monomial")
         scalars = [(mono, scalar(coeff)) for mono, coeff in terms.items()]
         den = lcm(*(c.denominator for _, c in scalars))
-        self._set(ring, {mono: c.numerator * (den // c.denominator)
+        self._set(ring, {_encode(ring, mono): c.numerator * (den // c.denominator)
                          for mono, c in scalars if c}, den)
 
     @classmethod
-    def _make(cls, ring: Ring, num: dict[Monomial, int], den: int) -> "Polynomial":
+    def _make(cls, ring: Ring, num: dict[int, int], den: int) -> "Polynomial":
         """The polynomial num / den from nonzero numerators and a positive den."""
         p = object.__new__(cls)
         p._set(ring, num, den)
         return p
 
-    def _set(self, ring: Ring, num: dict[Monomial, int], den: int) -> None:
-        # every variable must belong to the ring; then divide out the common
-        # factor of the denominator and the numerators, once
-        ring_vars = ring._vars
-        for mono in num:
-            for var, _ in mono:
-                if var not in ring_vars:
-                    raise StructuralError(
-                        f"variable {var[0]}.{var[1]} not in ring with blocks {ring.names()}")
+    def _set(self, ring: Ring, num: dict[int, int], den: int) -> None:
+        # every key must be a monomial of the ring with no exponent field
+        # overflowed into its guard bit; then divide out the common factor of
+        # the denominator and the numerators, once
+        guard, limit = ring._guard, ring._limit
+        for key in num:
+            if key & guard or key >= limit:
+                raise StructuralError(
+                    f"a monomial exponent exceeds {MAX_EXPONENT} in ring with "
+                    f"blocks {ring.names()}")
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -328,7 +369,7 @@ class Polynomial:
         accumulated into one map over the lcm of the products' denominators,
         so only the result is constructed.
         """
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         den = 1
         for a, b in pairs:
@@ -337,7 +378,7 @@ class Polynomial:
                 left, d = a._num, a._den
             else:
                 n, d = _ratio(a)
-                left = {_UNIT: n} if n else {}
+                left = {0: n} if n else {}
             _require_ring(ring, b)
             right = b._num
             if not (left and right):
@@ -352,7 +393,7 @@ class Polynomial:
             for m1, c1 in left.items():
                 c1 *= scale
                 for m2, c2 in right.items():
-                    m = m1.mul(m2)
+                    m = m1 + m2
                     out[m] = get(m, 0) + c1 * c2
         return Polynomial._make(ring, {m: c for m, c in out.items() if c}, den)
 
@@ -361,23 +402,35 @@ class Polynomial:
     @property
     def terms(self) -> dict[Monomial, Scalar]:
         """Monomial -> exact nonzero coefficient; a new map on each read."""
-        den = self._den
-        if den == 1:
-            return dict(self._num)
-        return {mono: _quotient(c, den) for mono, c in self._num.items()}
+        ring, den = self.ring, self._den
+        return {_decode(ring, key): _quotient(c, den) for key, c in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return _quotient(self._num.get(mono, 0), self._den)
+        """The coefficient of ``mono``; 0 for a monomial this ring cannot hold."""
+        try:
+            key = _encode(self.ring, mono)
+        except StructuralError:
+            return 0
+        return _quotient(self._num.get(key, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        return max((m.degree() for m in self._num), default=0)
+        return max(map(_field_sum, self._num), default=0)
+
+    def _block_fields(self, block_name: str) -> Iterator[int]:
+        """Each term's key cut down to the named block's fields, in term order."""
+        size = self.ring.block(block_name).size
+        s, mask = self.ring._shift[(block_name, 0)], (1 << (_BITS * size)) - 1
+        return ((key >> s) & mask for key in self._num)
 
     def block_degree(self, block_name: str) -> int:
-        return max((m.block_degree(block_name) for m in self._num), default=0)
+        """Degree in one block; 0 for a block the ring does not have."""
+        if not self.ring.has_block(block_name):
+            return 0
+        return max(map(_field_sum, self._block_fields(block_name)), default=0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in the canonical deterministic order (by monomial)."""
@@ -455,18 +508,18 @@ class Polynomial:
 
     def derivative(self, var: Var) -> "Polynomial":
         """Exact formal partial derivative with respect to one variable."""
-        if not self.ring.has_var(var):
+        s = self.ring._shift.get(var)
+        if s is None:
             raise StructuralError(
                 f"cannot differentiate by {var[0]}.{var[1]}: not in ring {self.ring.names()}")
         # lowering the exponent of var is injective on the monomials that
         # contain it, so no two terms land on the same monomial
-        out: dict[Monomial, int] = {}
-        for mono, c in self._num.items():
-            for k, (v, e) in enumerate(mono):
-                if v == var:
-                    lowered = ((var, e - 1),) if e > 1 else ()
-                    out[Monomial(mono[:k] + lowered + mono[k + 1:])] = c * e
-                    break
+        one = 1 << s
+        out: dict[int, int] = {}
+        for key, c in self._num.items():
+            e = (key >> s) & _FIELD
+            if e:
+                out[key - one] = c * e
         return Polynomial._make(self.ring, out, self._den)
 
     def directional_derivative(self, velocity: Mapping[Var, "Polynomial"]) -> "Polynomial":
@@ -485,9 +538,13 @@ class Polynomial:
 
         Block roles and ordering may differ; monomials are unchanged. Used to
         move between rings that share blocks, e.g. when a block is re-tagged
-        from state to parameter.
+        from state to parameter. Rings with the same block names and sizes in
+        the same order share the packed keys; otherwise each key is re-encoded.
         """
-        return Polynomial._make(ring, self._num, self._den)
+        num = self._num
+        if ring._layout != self.ring._layout:
+            num = {_encode(ring, _decode(self.ring, key)): c for key, c in num.items()}
+        return Polynomial._make(ring, num, self._den)
 
     def substitute(self, mapping: Mapping[Var, "Polynomial"], ring: Ring) -> "Polynomial":
         """Replace mapped variables by polynomials over ``ring``.
@@ -517,13 +574,13 @@ class Polynomial:
             power_cache[key] = value
             return value
 
-        def image(mono: Monomial) -> Polynomial:
+        def image(key: int) -> Polynomial:
             term = Polynomial.constant(ring, 1)
-            for var, e in mono:
+            for var, e in _decode(self.ring, key):
                 term = term * var_power(var, e)
             return term
 
-        total = Polynomial.combination(ring, ((c, image(mono)) for mono, c in self._num.items()))
+        total = Polynomial.combination(ring, ((c, image(key)) for key, c in self._num.items()))
         if self._den == 1:
             return total
         return Polynomial._make(ring, total._num, total._den * self._den)
@@ -531,9 +588,9 @@ class Polynomial:
     def evaluate(self, assignment: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a rational point; every variable in use must be assigned."""
         total = 0
-        for mono, c in self._num.items():
+        for key, c in self._num.items():
             value = c
-            for var, e in mono:
+            for var, e in _decode(self.ring, key):
                 if var not in assignment:
                     raise StructuralError(f"no value for variable {var[0]}.{var[1]}")
                 value *= scalar(assignment[var]) ** e
@@ -546,11 +603,9 @@ class Polynomial:
         The values sum back to the original polynomial; each value is
         homogeneous of the keyed degree in the named block.
         """
-        self.ring.block(block_name)
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for mono, c in self._num.items():
-            d = mono.block_degree(block_name)
-            buckets.setdefault(d, {})[mono] = c
+        buckets: dict[int, dict[int, int]] = {}
+        for (key, c), fields in zip(self._num.items(), self._block_fields(block_name)):
+            buckets.setdefault(_field_sum(fields), {})[key] = c
         return {d: Polynomial._make(self.ring, t, self._den)
                 for d, t in sorted(buckets.items())}
 
@@ -610,17 +665,15 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
         mapping[(source.name, i)] = curve
     expanded = phi.substitute(mapping, work)
 
+    # t is the work ring's first variable: the lowest field of a key is the
+    # power of t, and the key shifted past it is the monomial over the blocks
+    by_t: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    for key, c in expanded._num.items():
+        k = key & _FIELD
+        if k <= m:
+            by_t[k][key >> _BITS] = c
     target = Ring(tuple(blocks))
-    by_t = expanded.homogeneous_components(t_name)
-    out = []
-    for k in range(m + 1):
-        comp = by_t.get(k)
-        if comp is None:
-            out.append(Polynomial.zero(target))
-        else:
-            stripped = {mono.without_block(t_name): c for mono, c in comp._num.items()}
-            out.append(Polynomial._make(target, stripped, comp._den))
-    return out
+    return [Polynomial._make(target, num, expanded._den) for num in by_t]
 
 
 def matrix_apply(matrix: Sequence[Sequence[Scalar]],

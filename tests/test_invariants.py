@@ -1,6 +1,7 @@
 """Killing fields, invariant lifting, linear structure, tangency."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from takiff import matrices as mx
 from takiff.decompose import _block_sum, _block_velocities
 from takiff.errors import InternalConsistencyError, StructuralError, ValidationError
 from takiff.invariants import (
+    MAX_FAA_DI_BRUNO_PARTITIONS,
     InvariantFamily,
+    _partition_total,
+    _weighted_partitions,
     apply_killing,
     cylindrical_invariance_check,
     extract_linear_part,
@@ -193,6 +197,23 @@ def test_faa_di_bruno_refuses_a_level_that_is_not_an_int(m):
     with pytest.raises(StructuralError) as info:
         faa_di_bruno_lift(phi, m)
     assert str(info.value) == f"level must be an int >= 0, got {m!r}"
+
+
+def test_faa_di_bruno_bounds_its_partitions_before_enumerating():
+    ring = state_ring(1)
+    phi = Polynomial.variable(ring, ("x", 0)) ** 2
+    assert _partition_total(20, MAX_FAA_DI_BRUNO_PARTITIONS) == 2713
+    assert [_partition_total(k, 10 ** 9) for k in range(8)] == [
+        sum(1 for j in range(1, k + 1) for _ in _weighted_partitions(j)) for k in range(8)]
+    out = faa_di_bruno_lift(phi, 20)
+    f = [Polynomial.variable(out[0].ring, (f"f{k}", 0)) for k in range(21)]
+    assert out[20] == sum((f[k] * f[20 - k] for k in range(21)), Polynomial.zero(out[0].ring))
+    for m in (40, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(StructuralError,
+                           match=f"level {m} needs more than 10000 weighted partitions"):
+            faa_di_bruno_lift(phi, m)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_faa_di_bruno_handles_name_collision():

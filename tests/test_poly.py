@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from takiff import jsonio
 from takiff.errors import StructuralError
 from takiff.poly import (
+    MAX_EXPONENT,
     PARAMETER,
     STATE,
     Monomial,
@@ -316,6 +317,90 @@ def test_monomial_product_is_the_sorted_merge(a, b, c):
     unit = Monomial.unit()
     assert a.mul(unit) == a == unit.mul(a)
     assert type(a.mul(unit)) is Monomial and type(unit.mul(a)) is Monomial
+
+
+# -- the packed layout, against references on the decoded tuples -----------
+
+# block order is not name order, and indices 2 and 10 occur in every block
+WF = Ring.of(VariableBlock("w", 11, PARAMETER), VariableBlock("f1", 11, STATE),
+             VariableBlock("f0", 11, STATE))
+FW = Ring.of(*(WF.block(name) for name in ("f0", "w", "f1")))
+WF_VARS = [(name, i) for name in ("w", "f1", "f0") for i in (0, 1, 2, 10)]
+WF_POLYS = st.dictionaries(
+    st.dictionaries(st.sampled_from(WF_VARS), st.integers(1, 4), max_size=5).map(
+        Monomial.from_map),
+    SCALARS, max_size=5).map(lambda terms: Polynomial(WF, terms))
+
+
+def from_terms(ring, pairs):
+    """The polynomial of (monomial, coefficient) pairs, repeated monomials summed."""
+    out = {}
+    for mono, c in pairs:
+        out[mono] = out.get(mono, 0) + c
+    return Polynomial(ring, out)
+
+
+@LAWS
+@given(WF_POLYS, st.sampled_from(WF_VARS), st.sampled_from(["w", "f1", "f0"]))
+def test_packed_keys_round_trip_through_the_tuple_form(p, v, block):
+    assert Polynomial(WF, p.terms) == p
+    for mono, c in p.terms.items():
+        assert type(mono) is Monomial and mono == Monomial.from_map(dict(mono))
+        assert p.coefficient(mono) == c
+    assert [m for m, _ in p.sorted_terms()] == sorted(p.terms)
+    for ring in (FW, WF.with_role("w", STATE)):
+        there = p.cast(ring)
+        assert there.ring == ring and there.terms == p.terms
+        assert there.cast(WF) == p
+    assert p.degree() == max((m.degree() for m in p.terms), default=0)
+    assert p.block_degree(block) == max((m.block_degree(block) for m in p.terms), default=0)
+
+    # d/dv of c * prod u^e is c * e * v^(e-1) * prod_{u != v} u^e
+    lowered = []
+    for mono, c in p.terms.items():
+        exps = dict(mono)
+        if v in exps:
+            e = exps[v]
+            exps[v] = e - 1
+            lowered.append((Monomial.from_map(exps), c * e))
+    assert p.derivative(v) == from_terms(WF, lowered)
+
+    parts = p.homogeneous_components(block)
+    by_degree = {}
+    for mono, c in p.terms.items():
+        by_degree.setdefault(mono.block_degree(block), []).append((mono, c))
+    assert parts == {d: from_terms(WF, pairs) for d, pairs in sorted(by_degree.items())}
+
+
+@LAWS
+@given(st.lists(st.tuples(st.one_of(SCALARS, WF_POLYS), WF_POLYS), max_size=4))
+def test_packed_combination_is_the_sum_of_merged_products(pairs):
+    products = []
+    for a, b in pairs:
+        left = a.terms if isinstance(a, Polynomial) else {Monomial.unit(): a}
+        products.extend((Monomial(dict_merge_product(m1, m2)), c1 * c2)
+                        for m1, c1 in left.items() for m2, c2 in b.terms.items())
+    assert Polynomial.combination(WF, pairs) == from_terms(WF, products)
+
+
+def test_exponents_above_the_packed_limit_are_refused():
+    x0, x2 = var(X, "x", 0), var(X, "x", 2)
+    top = Polynomial(X, {Monomial.of(("x", 0), MAX_EXPONENT): 1})
+    assert MAX_EXPONENT == 2 ** 15 - 1
+    assert top == x0 ** MAX_EXPONENT and top.degree() == MAX_EXPONENT
+    assert top.derivative(("x", 0)) == MAX_EXPONENT * x0 ** (MAX_EXPONENT - 1)
+    with pytest.raises(StructuralError, match="exponent 32768 of x.0 is outside 1..32767"):
+        Polynomial(X, {Monomial.of(("x", 0), 2 ** 15): 1})
+    for v in (x0, x2):  # a low field and the ring's last field
+        with pytest.raises(StructuralError, match="exponent exceeds 32767"):
+            v ** (2 ** 15)
+        half = v ** (2 ** 14)
+        with pytest.raises(StructuralError, match="exponent exceeds 32767"):
+            half * half
+    # a monomial the ring cannot hold has coefficient 0
+    assert x0.coefficient(Monomial.of(("y", 0))) == 0
+    assert top.coefficient(Monomial.of(("x", 0), 2 ** 15)) == 0
+    assert top.coefficient(Monomial.of(("x", 0), 40000)) == 0
 
 
 def assert_int_when_integral(p):

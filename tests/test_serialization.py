@@ -477,6 +477,19 @@ def test_cli_decompose_refusal_exit_code(tmp_path):
     assert payload["witness"]["terms"]
 
 
+def test_cli_decompose_refuses_an_exponent_above_the_limit(tmp_path, capsys):
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    doc = radial_field_json(2, 1)
+    doc["components"][0][0]["exps"] = {"f0.0": 40000}
+    field = write_json(tmp_path / "field.json", doc)
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "outside 1..32767" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_decompose_param_count_check(tmp_path, capsys):
     _, rho = so_n(2)
     rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
