@@ -6,15 +6,21 @@ A polynomial is emitted as its ring plus a term list
     {"ring": [{"name": "f0", "size": 2, "role": "state"}],
      "terms": [{"coeff": "1/2", "exps": {"f0.0": 2}}]}
 
-with exponent keys "block.index" (the index is everything after the last
-dot, so block names must not end in ".<digits>"). Terms are sorted by
-monomial and all objects are dumped with sorted keys, so equal values always
-serialize to identical bytes.
+with exponent keys "block.index": the index is everything after the last
+dot and is written in ASCII digits with no leading zero, so block names must
+not end in ".<digits>". Terms are sorted by monomial and all objects are
+dumped with sorted keys, so equal values always serialize to identical bytes.
 
 Readers accept nothing inexact or truncated: a scalar is a JSON string or
 integer, read by ``matrices.scalar``, and sizes, dimensions and exponents are
 JSON integers (never booleans or floats). Text that does not parse, a missing
-key and a value of the wrong JSON type all raise StructuralError.
+key, a value of the wrong JSON type and a variable key in any other spelling
+all raise StructuralError.
+
+A reader parses each document once: every coefficient is read by one
+``scalar_from_str`` call, every distinct variable key is resolved once per
+field or decomposition to its field in the ring's packed monomial keys, and
+each term list goes straight into the packed numerators of ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .decompose import Decomposition
 from .errors import StructuralError
 from .lie import BilinearForm, LieAlgebra, Representation
 from .matrices import Matrix, Scalar, scalar
-from .poly import Monomial, Polynomial, Ring, Var, VariableBlock, VectorField
+from .poly import (MAX_EXPONENT, Polynomial, Ring, Var, VariableBlock, VectorField,
+                   _numerators)
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
@@ -44,9 +51,12 @@ def _expect(value, kind: type, what: str):
 
 def _get(data, key: str, kind: type):
     """``data[key]``: ``data`` must be a JSON object holding ``key`` of type ``kind``."""
-    if key not in _expect(data, dict, f"the value holding {key!r}"):
+    if type(data) is not dict:
+        _expect(data, dict, f"the value holding {key!r}")
+    if key not in data:
         raise StructuralError(f"missing key {key!r}")
-    return _expect(data[key], kind, repr(key))
+    value = data[key]
+    return value if type(value) is kind else _expect(value, kind, repr(key))
 
 
 def scalar_to_str(value: Scalar) -> str:
@@ -54,6 +64,19 @@ def scalar_to_str(value: Scalar) -> str:
 
 
 def scalar_from_str(text: str | int) -> Scalar:
+    """A JSON scalar, a string or an integer, read by ``matrices.scalar``.
+
+    An integral string is read by ``int`` first, which accepts exactly the
+    integral spellings ``Fraction`` accepts (sign, surrounding whitespace,
+    ``_`` between digits) and gives the same value without a ``Fraction``.
+    """
+    if type(text) is str:
+        try:
+            return int(text)
+        except ValueError:
+            return scalar(text)
+    if type(text) is int:
+        return text
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise StructuralError(
             f"scalar must be a string or an integer, got {type(text).__name__}")
@@ -86,8 +109,9 @@ def _var_key(var: Var) -> str:
 
 
 def _var_from_key(key: str) -> Var:
+    """The variable of a canonical key "block.index" (ASCII digits, no leading zero)."""
     name, dot, idx = key.rpartition(".")
-    if not dot or not idx.isdigit():
+    if not (dot and idx.isascii() and idx.isdigit() and (idx == "0" or idx[0] != "0")):
         raise StructuralError(f"malformed variable key {key!r} (want 'block.index')")
     return (name, int(idx))
 
@@ -100,14 +124,46 @@ def _terms_to_json(p: Polynomial) -> list[dict]:
     return out
 
 
-def _terms_from_json(data: Sequence[Mapping], ring: Ring) -> Polynomial:
-    terms: dict[Monomial, Scalar] = {}
+def _check_exponent(ring: Ring, key: str, e, shift: int) -> None:
+    """Raise unless ``e`` is an exponent the packed key of a monomial can hold.
+
+    ``shift`` is the bit offset of the variable of ``key`` in ``ring``, -1
+    when the ring has no such variable; a zero exponent passes, for any key.
+    """
+    _expect(e, int, f"exponent of {key!r}")
+    if e < 0:
+        raise StructuralError("negative exponent in monomial")
+    if e and shift < 0:
+        raise StructuralError(f"variable {key} not in ring with blocks {ring.names()}")
+    if e > MAX_EXPONENT:
+        raise StructuralError(f"exponent {e} of {key} is outside 1..{MAX_EXPONENT}")
+
+
+def _terms_from_json(data: Sequence[Mapping], ring: Ring,
+                     shifts: dict[str, int]) -> Polynomial:
+    """The polynomial of a term list over ``ring``; repeated monomials are summed.
+
+    ``shifts`` maps each variable key already read in this document to its
+    bit offset in ``ring`` (-1 for a variable the ring lacks), so a key is
+    parsed once per document however many terms repeat it.
+    """
+    coeffs: dict[int, Scalar] = {}
     for item in _expect(data, list, "term list"):
-        mono = Monomial.from_map({_var_from_key(k): _expect(e, int, f"exponent of {k!r}")
-                                  for k, e in _get(item, "exps", dict).items()})
-        coeff = scalar_from_str(_get(item, "coeff", object))
-        terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return Polynomial(ring, terms)
+        key = 0
+        for k, e in _get(item, "exps", dict).items():
+            s = shifts.get(k)
+            if s is None:
+                s = shifts[k] = ring._shift.get(_var_from_key(k), -1)
+            if type(e) is not int or not 0 < e <= MAX_EXPONENT or s < 0:
+                _check_exponent(ring, k, e, s)
+                if not e:
+                    continue
+            key += e << s
+        c = scalar_from_str(_get(item, "coeff", object))
+        if key in coeffs:
+            c += coeffs[key]
+        coeffs[key] = c
+    return Polynomial._make(ring, *_numerators(coeffs))
 
 
 def polynomial_to_json(p: Polynomial) -> dict:
@@ -116,7 +172,7 @@ def polynomial_to_json(p: Polynomial) -> dict:
 
 def polynomial_from_json(data: Mapping) -> Polynomial:
     ring = ring_from_json(_get(data, "ring", list))
-    return _terms_from_json(_get(data, "terms", list), ring)
+    return _terms_from_json(_get(data, "terms", list), ring, {})
 
 
 # -- algebras and representations -------------------------------------------
@@ -185,8 +241,9 @@ def field_to_json(field: VectorField) -> dict:
 
 def field_from_json(data: Mapping) -> VectorField:
     ring = ring_from_json(_get(data, "ring", list))
+    shifts: dict[str, int] = {}
     return VectorField(ring, tuple(
-        _terms_from_json(t, ring) for t in _get(data, "components", list)))
+        _terms_from_json(t, ring, shifts) for t in _get(data, "components", list)))
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
@@ -199,8 +256,10 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(data: Mapping) -> Decomposition:
     ring = ring_from_json(_get(data, "ring", list))
+    shifts: dict[str, int] = {}
     return Decomposition(ring, tuple(
-        tuple(_terms_from_json(t, ring) for t in _expect(level, list, "coefficient level"))
+        tuple(_terms_from_json(t, ring, shifts)
+              for t in _expect(level, list, "coefficient level"))
         for level in _get(data, "coefficients", list)))
 
 

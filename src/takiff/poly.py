@@ -274,6 +274,13 @@ def _decode(ring: Ring, key: int) -> Monomial:
     return Monomial(pairs)
 
 
+def _numerators(coeffs: dict[int, Scalar]) -> tuple[dict[int, int], int]:
+    """Exact coefficients by packed key as nonzero numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (den // c.denominator)
+            for key, c in coeffs.items() if c}, den
+
+
 def _field_sum(key: int) -> int:
     """The sum of the exponent fields of a packed key."""
     total = 0
@@ -303,13 +310,17 @@ class Polynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Scalar]):
-        for mono in terms:
+        # monomials given as unsorted tuples can encode to one key: sum them
+        coeffs: dict[int, Scalar] = {}
+        for mono, coeff in terms.items():
             if type(mono) is not Monomial:
                 raise StructuralError(f"polynomial term key {mono!r} is not a Monomial")
-        scalars = [(mono, scalar(coeff)) for mono, coeff in terms.items()]
-        den = lcm(*(c.denominator for _, c in scalars))
-        self._set(ring, {_encode(ring, mono): c.numerator * (den // c.denominator)
-                         for mono, c in scalars if c}, den)
+            key = _encode(ring, mono)
+            c = scalar(coeff)
+            if key in coeffs:
+                c += coeffs[key]
+            coeffs[key] = c
+        self._set(ring, *_numerators(coeffs))
 
     @classmethod
     def _make(cls, ring: Ring, num: dict[int, int], den: int) -> "Polynomial":
@@ -358,7 +369,14 @@ class Polynomial:
 
     @staticmethod
     def linear(ring: Ring, coeffs: Mapping[Var, Scalar]) -> "Polynomial":
-        return Polynomial(ring, {Monomial.of(v): c for v, c in coeffs.items()})
+        # the key of a variable v is 1 << (its bit offset): no Monomial is built
+        shift, keyed = ring._shift, {}
+        for v, c in coeffs.items():
+            if v not in shift:
+                raise StructuralError(
+                    f"variable {v[0]}.{v[1]} not in ring with blocks {ring.names()}")
+            keyed[1 << shift[v]] = scalar(c)
+        return Polynomial._make(ring, *_numerators(keyed))
 
     @staticmethod
     def combination(ring: Ring, pairs: Iterable[tuple]) -> "Polynomial":

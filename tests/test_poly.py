@@ -53,6 +53,9 @@ def test_canonical_form_drops_zeros():
     assert p.terms == {Monomial.unit(): Fraction(2)}
     assert Polynomial.zero(X).is_zero()
     assert (var(X, "x", 0) - var(X, "x", 0)).is_zero()
+    half = Polynomial.linear(X, {("x", 2): Fraction(0), ("x", 1): Fraction(1, 2)})
+    assert half == Polynomial(X, {Monomial.of(("x", 1)): Fraction(1, 2)})
+    assert half._den == 2 and half._num == {1 << 16: 1}
 
 
 def test_structural_equality():
@@ -69,6 +72,8 @@ def test_unknown_variable_rejected():
         Polynomial(X, {Monomial.of(("y", 0)): Fraction(1)})
     with pytest.raises(StructuralError):
         Polynomial.variable(X, ("x", 3))
+    with pytest.raises(StructuralError, match=r"variable x\.3 not in ring with blocks \('x',\)"):
+        Polynomial.linear(X, {("x", 0): 1, ("x", 3): 2})
 
 
 @pytest.mark.parametrize("build, message", [
@@ -100,6 +105,19 @@ def test_term_keys_must_be_monomials():
         Polynomial(X, {(("x", 0), 1): 1})
     with pytest.raises(StructuralError, match="not a Monomial"):
         Polynomial(X, {Monomial.of(("x", 0)): 1, (): 2})
+
+
+def test_monomials_that_encode_to_one_key_are_summed():
+    # the tuple constructor does not sort, so x.0*x.1 can arrive in two spellings
+    x0, x1 = ("x", 0), ("x", 1)
+    mixed, ordered = Monomial(((x1, 1), (x0, 1))), Monomial(((x0, 1), (x1, 1)))
+    product = var(X, "x", 0) * var(X, "x", 1)
+    assert Polynomial(X, {mixed: 1, ordered: 2}) == 3 * product
+    halves = Polynomial(X, {mixed: Fraction(1, 2), ordered: Fraction(1, 2)})
+    assert halves == product
+    assert_canonical(halves)
+    assert Polynomial(X, {mixed: Fraction(1, 2), ordered: Fraction(1, 3)}) == product * 5 / 6
+    assert Polynomial(X, {mixed: Fraction(1, 2), ordered: Fraction(-1, 2)}).is_zero()
 
 
 def test_ring_mismatch_rejected():

@@ -74,13 +74,21 @@ def test_variable_keys_allow_dotted_block_names():
 
 
 def test_malformed_variable_keys():
-    ring = Ring.of(VariableBlock("x", 1, STATE))
+    ring = Ring.of(VariableBlock("x", 4, STATE))
     # ".5" parses as the empty block name, which the ring then rejects
     for key in ("x", "x.", "x.one", ".5"):
         data = {"ring": jsonio.ring_to_json(ring),
                 "terms": [{"coeff": "1", "exps": {key: 1}}]}
         with pytest.raises(StructuralError):
             jsonio.polynomial_from_json(data)
+    # only the canonical index is read: ASCII digits with no leading zero,
+    # so "x.01" beside "x.1" cannot silently drop an exponent
+    for key in ("x.\u00b2", "x.\u0663", "x.01", "x.00", "x.+1", "x. 1"):
+        data = {"ring": jsonio.ring_to_json(ring),
+                "terms": [{"coeff": "1", "exps": {"x.1": 1, key: 2}}]}
+        with pytest.raises(StructuralError) as info:
+            jsonio.polynomial_from_json(data)
+        assert str(info.value) == f"malformed variable key {key!r} (want 'block.index')"
 
 
 def test_repeated_monomials_in_a_term_list_are_summed():
@@ -109,6 +117,42 @@ def _term(coeff, exponent):
 def test_inexact_or_truncated_json_rejected(reader, data):
     with pytest.raises(StructuralError):
         reader(data)
+
+
+def _one_term(exps, coeff="1"):
+    return {"ring": [{"name": "x", "size": 2, "role": "state"}],
+            "terms": [{"coeff": "2", "exps": {"x.0": 1}}, {"coeff": coeff, "exps": exps}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_one_term({"x.1.": 1}), "malformed variable key 'x.1.' (want 'block.index')"),
+    (_one_term({"x.2": 1}), "variable x.2 not in ring with blocks ('x',)"),
+    (_one_term({"y.0": 1}), "variable y.0 not in ring with blocks ('x',)"),
+    (_one_term({"x.1": 1.0}), "exponent of 'x.1' must be an integer, got float"),
+    (_one_term({"x.1": "2"}), "exponent of 'x.1' must be an integer, got str"),
+    (_one_term({"x.1": False}), "exponent of 'x.1' must be an integer, got bool"),
+    (_one_term({"x.1": -1}), "negative exponent in monomial"),
+    (_one_term({"x.1": 32768}), "exponent 32768 of x.1 is outside 1..32767"),
+    (_one_term({"x.1": 1}, 0.5), "scalar must be a string or an integer, got float"),
+    (_one_term({"x.1": 1}, None), "scalar must be a string or an integer, got NoneType"),
+    (_one_term({"x.1": 1}, True), "scalar must be a string or an integer, got bool"),
+    (_one_term({"x.1": 1}, "1/0"), "not a rational scalar: '1/0'"),
+    (_one_term({"x.1": 1}, "0x10"), "not a rational scalar: '0x10'"),
+    (_one_term({"x.1": 1}, ""), "not a rational scalar: ''"),
+], ids=["malformed-key", "index-not-in-ring", "block-not-in-ring", "float-exponent",
+        "string-exponent", "bool-exponent", "negative-exponent", "exponent-above-limit",
+        "float-coeff", "null-coeff", "bool-coeff", "zero-denominator", "hex-coeff",
+        "empty-coeff"])
+def test_one_fault_term_lists_name_their_fault(data, message):
+    with pytest.raises(StructuralError) as info:
+        jsonio.polynomial_from_json(data)
+    assert str(info.value) == message
+
+
+def test_a_zero_exponent_is_omitted_for_any_variable():
+    p = jsonio.polynomial_from_json(_one_term({"x.1": 0, "y.0": 0}, "3"))
+    assert p == Polynomial(Ring.of(VariableBlock("x", 2, STATE)), {
+        Monomial.of(("x", 0)): 2, Monomial.unit(): 3})
 
 
 def test_algebra_and_representation_roundtrip():
@@ -201,6 +245,63 @@ def test_field_json_round_trip(components):
 def test_decomposition_json_round_trip(levels):
     dec = Decomposition(LEVEL_RING, tuple(levels))
     assert_round_trip(jsonio.decomposition_to_json, jsonio.decomposition_from_json, dec)
+
+
+def reference_terms(ring, data):
+    """A term list read term by term: a Monomial per term, summed by Polynomial."""
+    terms = {}
+    for item in data:
+        exps = {}
+        for key, e in item["exps"].items():
+            name, _, index = key.rpartition(".")
+            exps[(name, int(index))] = e
+        mono = Monomial.from_map(exps)
+        terms[mono] = terms.get(mono, 0) + mx.scalar(item["coeff"])
+    return Polynomial(ring, terms)
+
+
+LEVEL_KEYS = [f"{name}.{i}" for name, i in LEVEL_RING.variables()]
+COEFF_TEXTS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.integers(-10**20, 10**20).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).map(str),
+    st.sampled_from(["+3", " 3 ", "3_000", "1.5", "1e3", "-0", "4/2", "-7/14", "0.25e-1"]))
+# few distinct monomials, so repeats are common; exponent keys in any order
+TERM_LISTS = st.lists(st.dictionaries(st.sampled_from(LEVEL_KEYS[:3]), st.integers(0, 2),
+                                      max_size=3), min_size=1, max_size=3).flatmap(
+    lambda monomials: st.lists(st.fixed_dictionaries(
+        {"exps": st.sampled_from(monomials), "coeff": COEFF_TEXTS}), max_size=8))
+
+
+@ROUND_TRIP
+@given(st.lists(TERM_LISTS, min_size=4, max_size=4))
+def test_term_lists_read_like_the_monomial_reference(components):
+    fld = jsonio.field_from_json({"ring": jsonio.ring_to_json(LEVEL_RING),
+                                  "components": components})
+    for p, data in zip(fld.components, components):
+        ref = reference_terms(LEVEL_RING, data)
+        # the order of the terms too: later arithmetic iterates in it
+        assert list(p.terms.items()) == list(ref.terms.items())
+        assert p == ref
+        assert all(type(c) is int for c in p._num.values()) and type(p._den) is int
+
+
+def test_each_variable_key_of_a_document_is_parsed_once(monkeypatch):
+    inst = generate_instance("so_n", 3, seed=3, n=4)
+    data = jsonio.field_to_json(inst.field)
+    occurrences = [key for terms in data["components"] for term in terms
+                   for key in term["exps"]]
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return parse(key)
+
+    parse = jsonio._var_from_key
+    monkeypatch.setattr(jsonio, "_var_from_key", counting)
+    assert jsonio.field_from_json(data) == inst.field
+    assert sorted(calls) == sorted(set(occurrences))
+    assert len(occurrences) > 2 * len(calls)
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -487,6 +588,22 @@ def test_cli_decompose_refuses_an_exponent_above_the_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "outside 1..32767" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("exps", [{"f0.\u00b2": 1}, {"f0.\u0661": 1},
+                                  {"f0.1": 1, "f0.01": 2}],
+                         ids=["superscript", "arabic-indic", "leading-zero"])
+def test_cli_decompose_refuses_a_variable_key_in_another_spelling(tmp_path, capsys, exps):
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    doc = radial_field_json(2, 1)
+    doc["components"][0][0]["exps"] = exps
+    field = write_json(tmp_path / "field.json", doc)
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed variable key ")
     assert "Traceback" not in captured.err
 
 
@@ -844,8 +961,9 @@ def document_mutations(doc):
         if (isinstance(value, int) and not isinstance(value, bool)) or is_scalar_text(value):
             out.extend(("set", path, other) for other in ("1/0", ""))
         if in_monomial:
-            block = path[-1].rpartition(".")[0]
-            out.extend(("rename", path, key) for key in (f"{block}.99", "nope.0"))
+            block, _, index = path[-1].rpartition(".")
+            out.extend(("rename", path, key) for key in (
+                f"{block}.99", "nope.0", f"{block}.\u00b2", f"{block}.0{index}"))
     return out
 
 
