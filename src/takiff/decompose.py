@@ -26,16 +26,16 @@ one base solve per level, all over one ring in which f_0 is the state block
 and f_1..f_m and the parameters w are parameters. The correction
 sum_{r<j} rho(b_r) f_{j-r} reads only the levels already solved. That block
 sum is written once, in ``_block_sum``: the correction is its r < j case and
-the reconstruction a_j of verify_decomposition its r <= j case, and one
-table of Killing velocities serves every level.
+the reconstruction a_j of verify_decomposition its r <= j case.
 
-The base solve is the only annihilation check. If b_0..b_{j-1} reconstruct
-a_0..a_{j-1}, the derivative of Phi_j along a is the pairing of the level-j
-residual with the gradient of phi at f_0, since the Killing combination
-annihilates Phi_j and the f_j-gradient of Phi_j is the gradient of phi at f_0.
-A solver refuses exactly the fields with a nonzero pairing (BaseSolver), so
-its refusal at level j is the field's, once that premise is confirmed: a
-faulty solver is never blamed on the field.
+Each level is checked as it is solved, rho(b_j) f_0 against its residual;
+over all j, these checks are the reconstruction identity. The base solve is
+the only annihilation check. As b_0..b_{j-1} reconstruct a_0..a_{j-1}, the
+derivative of Phi_j along a is the pairing of the level-j residual with the
+gradient of phi at f_0, since the Killing combination annihilates Phi_j and
+the f_j-gradient of Phi_j is the gradient of phi at f_0. A solver refuses
+exactly the fields with a nonzero pairing (BaseSolver), so its refusal at
+level j is the field's: a faulty solver is never blamed on the field.
 
 Decompositions are not unique; only the reconstruction identity is promised.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Protocol, Sequence
 
 from . import matrices as mx
@@ -54,7 +53,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .invariants import InvariantFamily, killing_velocity, quadratic_invariant
+from .invariants import InvariantFamily, quadratic_invariant
 from .lie import BilinearForm, Representation
 from .matrices import Scalar
 from .poly import (
@@ -130,7 +129,7 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
     checked first and its failure is a refusal carrying the residual. Each
     entry b_ij above the diagonal is one combination over all x-degrees d of
     the pairs (1/(d+1), dc_i^(d)/dx_j) and (-1/(d+1), dc_j^(d)/dx_i), and
-    b_ji = -b_ij. The reconstruction b x = c is re-verified before returning.
+    b_ji = -b_ij.
     """
     blocks = field.state_blocks
     if len(blocks) != 1:
@@ -140,10 +139,10 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
     if form.size != n:
         raise StructuralError(f"form size {form.size} does not match state size {n}")
     ring = field.ring
-    xs = [Polynomial.variable(ring, (x.name, j)) for j in range(n)]
 
     c = matrix_apply(form.gram, field.components)
-    syzygy = Polynomial.combination(ring, zip(c, xs))
+    syzygy = Polynomial.variable_combination(
+        ring, ((1, ci, (x.name, i)) for i, ci in enumerate(c)))
     if not syzygy.is_zero():
         raise DecompositionRefused(
             "field does not annihilate the quadratic invariant", witness=syzygy)
@@ -164,10 +163,6 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
                 *((Fraction(-1, d + 1), cj.derivative((x.name, i)))
                   for d, cj in by_degree[j].items())])
             b[j][i] = -b[i][j]
-    for i in range(n):
-        if Polynomial.combination(ring, zip(b[i], xs)) != c[i]:
-            raise InternalConsistencyError(
-                f"homotopy reconstruction failed at component {i}")
     return b
 
 
@@ -181,7 +176,8 @@ class BaseSolver(Protocol):
     nonzero pairing sum_i a_i dphi/dx_i as witness; takiff_decompose has no other
     annihilation check. A level-m decomposition calls it m + 1 times, once per
     level, on fields over one ring: f_0 is the state block, f_1..f_m and w are
-    parameters.
+    parameters. Each returned level is checked against its field, so a faulty
+    solver is an InternalConsistencyError, never a wrong decomposition.
     """
 
     rep: Representation
@@ -285,29 +281,26 @@ def builtin_solver(rep: Representation,
 # The triangular system over the levels
 # ---------------------------------------------------------------------------
 
-def _block_velocities(rep: Representation, ring: Ring,
-                      blocks: Sequence[VariableBlock]):
-    """velocity(i, k): the Killing velocity of basis element i on blocks[k], built once."""
-    return cache(lambda i, k: killing_velocity(rep, i, ring, list(blocks[k].variables())))
-
-
 def _block_sum(rep: Representation, ring: Ring,
                coefficients: Sequence[Sequence[Polynomial]],
-               velocity, j: int) -> tuple[Polynomial, ...]:
+               j: int) -> tuple[Polynomial, ...]:
     """sum_r rho(b_r) f_{j-r} over the given levels b_0, b_1, ... of coefficients.
 
-    ``velocity`` comes from ``_block_velocities`` over ``ring``. This is the
-    one place the Toeplitz block sum of rho_m(b) F is written.
+    Component t is sum_{r,i,s} rho(x_i)_ts b_{r,i} f_{j-r,s} over the state
+    blocks f_k of ``ring``; the one place the block sum of rho_m(b) F is written.
     """
     d = rep.algebra.dim
-    pairs = []
+    blocks = ring.state_blocks()
+    triples: list[list[tuple]] = [[] for _ in range(rep.space_dim)]
     for r, level in enumerate(coefficients):
         if len(level) != d:
             raise StructuralError(f"{len(level)} coefficients for {d} basis elements")
-        pairs += [(coeff, velocity(i, j - r))
-                  for i, coeff in enumerate(level) if not coeff.is_zero()]
-    return tuple(Polynomial.combination(ring, ((c, vel[t]) for c, vel in pairs))
-                 for t in range(rep.space_dim))
+        name = blocks[j - r].name
+        for matrix, coeff in zip(rep.matrices, level):
+            if not coeff.is_zero():
+                for row, out in zip(matrix, triples):
+                    out += [(entry, coeff, (name, s)) for s, entry in enumerate(row) if entry]
+    return tuple(Polynomial.variable_combination(ring, t) for t in triples)
 
 
 def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
@@ -325,10 +318,9 @@ def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
     if len(coefficients) != m + 1:
         raise StructuralError(
             f"{len(coefficients)} coefficient levels, expected {m + 1}")
-    velocity = _block_velocities(lifted.base_rep, ring, blocks)
     return VectorField(ring, tuple(
         p for j in range(m + 1)
-        for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], velocity, j)))
+        for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], j)))
 
 
 def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
@@ -347,11 +339,11 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
 
     b_0..b_m are solved in order, each by one base solve of
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in which
-    f_0 is the state block and everything else a parameter. The solver's
-    refusal of a level is the field's refusal: once the levels below are
-    confirmed to reconstruct a_0..a_{j-1}, DecompositionRefused is raised
-    with the solver's witness over the field's ring and the solver's refusal
-    as its cause.
+    f_0 is the state block and everything else a parameter, and checked
+    against that identity: a mismatch is an InternalConsistencyError. The
+    solver's refusal of a level is the field's refusal, since the levels
+    below are proven: DecompositionRefused is raised with the solver's
+    witness over the field's ring and the solver's refusal as its cause.
     """
     if solver.rep != lifted.base_rep:
         raise StructuralError(
@@ -366,26 +358,23 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     base_ring = ring
     for b in blocks[1:]:
         base_ring = base_ring.with_role(b.name, PARAMETER)
-    velocity = _block_velocities(lifted.base_rep, ring, blocks)
     levels: list[tuple[Polynomial, ...]] = []
     for j in range(m + 1):
         residual = field.components[j * n:(j + 1) * n]
         if j:
-            correction = _block_sum(lifted.base_rep, ring, levels, velocity, j)
-            residual = [a - c for a, c in zip(residual, correction)]
+            correction = _block_sum(lifted.base_rep, ring, levels, j)
+            residual = tuple(a - c for a, c in zip(residual, correction))
         try:
             coeffs = solver.solve(
                 VectorField(base_ring, tuple(p.cast(base_ring) for p in residual)))
         except DecompositionRefused as exc:
-            for i in range(j):
-                if _block_sum(lifted.base_rep, ring, levels[:i + 1], velocity, i) != \
-                        field.components[i * n:(i + 1) * n]:
-                    raise InternalConsistencyError(
-                        f"the level-{i} coefficients do not reconstruct a_{i}") from exc
             witness = None if exc.witness is None else exc.witness.cast(ring)
             raise DecompositionRefused("field does not annihilate the lifted invariants",
                                        witness=witness) from exc
         levels.append(tuple(p.cast(ring) for p in coeffs))
+        if _block_sum(lifted.base_rep, ring, [levels[j]], 0) != residual:
+            raise InternalConsistencyError(
+                f"the level-{j} coefficients do not reconstruct a_{j}")
     return Decomposition(ring, tuple(levels))
 
 
@@ -397,14 +386,14 @@ def _blockwise_substitution(ring: Ring, matrix: Sequence[Sequence[Scalar]],
                             ) -> dict[Var, Polynomial]:
     """v -> matrix v on every state block, parameters untouched."""
     mapping: dict[Var, Polynomial] = {}
+    one = Polynomial.constant(ring, 1)
     for blk in ring.state_blocks():
         if len(matrix) != blk.size:
             raise StructuralError(
                 f"matrix size {len(matrix)} does not fit block {blk.name!r}")
         for i in range(blk.size):
-            mapping[(blk.name, i)] = Polynomial.linear(
-                ring, {(blk.name, k): matrix[i][k]
-                       for k in range(blk.size) if matrix[i][k]})
+            mapping[(blk.name, i)] = Polynomial.variable_combination(
+                ring, ((c, one, (blk.name, k)) for k, c in enumerate(matrix[i])))
     return mapping
 
 

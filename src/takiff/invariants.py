@@ -50,29 +50,17 @@ def _state_coordinates(ring: Ring, space_dim: int) -> list[Var]:
     return coords
 
 
-def killing_velocity(rep: Representation, x_index: int, ring: Ring,
-                     coords: Sequence[Var]) -> tuple[Polynomial, ...]:
-    """Components of the Killing field of basis element x_index over ``ring``.
-
-    ``coords`` are the ring variables standing for the coordinates of the
-    representation space, in order; entry i is the linear polynomial
-    (rho(x) v)_i in them.
-    """
-    if len(coords) != rep.space_dim:
-        raise StructuralError(
-            f"{len(coords)} coordinates for representation space {rep.space_dim}")
-    return tuple(
-        Polynomial.linear(ring, {coords[b]: row[b] for b in range(len(coords)) if row[b]})
-        for row in rep.matrices[x_index])
-
-
 def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynomial:
-    """Exact action of the Killing field of basis element x_index on phi."""
+    """sum_{t,s} rho(x)_ts dphi/dv_t v_s: the Killing field of basis element x_index on phi."""
     if not 0 <= x_index < rep.algebra.dim:
         raise StructuralError(f"basis index {x_index} out of range")
-    coords = phi.ring.state_variables()
-    velocity = killing_velocity(rep, x_index, phi.ring, coords)
-    return phi.directional_derivative(dict(zip(coords, velocity)))
+    coords = _state_coordinates(phi.ring, rep.space_dim)
+    triples = []
+    for v, row in zip(coords, rep.matrices[x_index]):
+        if any(row):
+            dphi = phi.derivative(v)
+            triples += [(entry, dphi, w) for w, entry in zip(coords, row) if entry]
+    return Polynomial.variable_combination(phi.ring, triples)
 
 
 def is_invariant(rep: Representation, phi: Polynomial) -> bool:
@@ -101,11 +89,10 @@ def quadratic_invariant(gram: Sequence[Sequence[Scalar]], ring: Ring) -> Polynom
     gram = mx.mat(gram)
     if mx.shape(gram) != (n, n):
         raise StructuralError("Gram size does not match state dimension")
-    # (1/2) sum_i x_i (G x)_i
-    half_gx = [Polynomial.linear(ring, {coords[j]: g for j, g in enumerate(row) if g}) / 2
-               for row in gram]
-    return Polynomial.combination(
-        ring, ((Polynomial.variable(ring, v), row) for v, row in zip(coords, half_gx)))
+    # (1/2) sum_{i,j} G_ij x_i x_j
+    xs = [Polynomial.variable(ring, v) for v in coords]
+    return Polynomial.variable_combination(ring, (
+        (g, x, coords[j]) for x, row in zip(xs, gram) for j, g in enumerate(row))) / 2
 
 
 # ---------------------------------------------------------------------------

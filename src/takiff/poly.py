@@ -36,7 +36,8 @@ applies such a velocity to a polynomial.
 Every sum of products ``sum a_i * b_i`` in the package, a single product and
 a sum or difference included, goes through one kernel,
 ``Polynomial.combination``: it collects all the products in one numerator
-map and constructs only the result.
+map and constructs only the result. Every linear action, a sum of
+``c * p * v`` over variables v, goes through ``variable_combination``.
 """
 
 from __future__ import annotations
@@ -368,15 +369,37 @@ class Polynomial:
         return Polynomial(ring, {Monomial.of(var): 1})
 
     @staticmethod
-    def linear(ring: Ring, coeffs: Mapping[Var, Scalar]) -> "Polynomial":
-        # the key of a variable v is 1 << (its bit offset): no Monomial is built
-        shift, keyed = ring._shift, {}
-        for v, c in coeffs.items():
-            if v not in shift:
+    def variable_combination(ring: Ring, triples: Iterable[tuple]) -> "Polynomial":
+        """The sum of c * p * v over ``triples`` of (c, p, v), built as one polynomial.
+
+        c is an exact scalar, p a polynomial over ``ring`` and v a variable of
+        it; p * v adds v's key, 1 << (its bit offset), to each key of p.
+        """
+        shift = ring._shift
+        out: dict[int, int] = {}
+        get = out.get
+        den = 1
+        for c, p, v in triples:
+            s = shift.get(v)
+            if s is None:
                 raise StructuralError(
                     f"variable {v[0]}.{v[1]} not in ring with blocks {ring.names()}")
-            keyed[1 << shift[v]] = scalar(c)
-        return Polynomial._make(ring, *_numerators(keyed))
+            _require_ring(ring, p)
+            n, d = _ratio(c)
+            if not (n and p._num):
+                continue
+            d *= p._den
+            if den % d:  # raise the common denominator to lcm(den, d)
+                grow = d // gcd(den, d)
+                out = {m: x * grow for m, x in out.items()}
+                get = out.get
+                den *= grow
+            n *= den // d
+            one = 1 << s
+            for m, x in p._num.items():
+                m += one
+                out[m] = get(m, 0) + n * x
+        return Polynomial._make(ring, {m: x for m, x in out.items() if x}, den)
 
     @staticmethod
     def combination(ring: Ring, pairs: Iterable[tuple]) -> "Polynomial":

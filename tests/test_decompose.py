@@ -564,37 +564,41 @@ def test_decompose_refuses_with_witness():
     assert not info.value.witness.is_zero()
 
 
-def test_reconstruction_builds_each_killing_velocity_once(monkeypatch):
+def counted_block_sums(monkeypatch):
+    """Record the (levels, j) of every _block_sum call; building a variable fails."""
+    calls = []
+    original = decompose._block_sum
+
+    def counted(rep, ring, coefficients, j):
+        calls.append((len(coefficients), j))
+        return original(rep, ring, coefficients, j)
+
+    def unexpected(*args):
+        raise AssertionError("a velocity polynomial was built")
+
+    monkeypatch.setattr(decompose, "_block_sum", counted)
+    monkeypatch.setattr(Polynomial, "variable", unexpected)
+    return calls
+
+
+def test_reconstruction_makes_one_block_sum_per_level(monkeypatch):
     inst = generate_instance("so_n", 3, seed=11, n=3)
     assert not any(p.is_zero() for level in inst.coefficients for p in level)
-    calls = []
-    original = decompose.killing_velocity
-
-    def counted(rep, i, ring, coords):
-        calls.append((i, coords[0][0]))
-        return original(rep, i, ring, coords)
-
-    monkeypatch.setattr(decompose, "killing_velocity", counted)
+    calls = counted_block_sums(monkeypatch)
     field = field_from_coefficients(inst.lifted, inst.field.ring, inst.coefficients)
     assert field == inst.field
-    # 3 basis elements on 4 blocks, against 1 + 2 + 3 + 4 block sums of 3
-    assert sorted(calls) == sorted({(i, f"f{k}") for i in range(3) for k in range(4)})
+    # block j sums levels 0..j
+    assert calls == [(j + 1, j) for j in range(4)]
 
 
-def test_decomposition_builds_each_killing_velocity_once(monkeypatch):
+def test_decomposition_makes_one_correction_and_one_check_per_level(monkeypatch):
     inst = generate_instance("so_n", 3, seed=11, n=3)
     solver = builtin_solver(inst.rep)
-    calls = []
-    original = decompose.killing_velocity
-
-    def counted(rep, i, ring, coords):
-        calls.append((i, coords[0][0]))
-        return original(rep, i, ring, coords)
-
-    monkeypatch.setattr(decompose, "killing_velocity", counted)
+    calls = counted_block_sums(monkeypatch)
     takiff_decompose(inst.lifted, solver, inst.field)
-    # the corrections read rho(x_i) f_k for k = 1..3 only, each built once
-    assert sorted(calls) == sorted((i, f"f{k}") for i in range(3) for k in range(1, 4))
+    # level 0 is only checked; level j >= 1 is corrected by levels 0..j-1,
+    # then checked as rho(b_j) f_0: 2m + 1 calls at m = 3
+    assert calls == [(1, 0)] + [call for j in range(1, 4) for call in ((j, j), (1, 0))]
 
 
 RECONSTRUCTION_CASES = {
@@ -669,12 +673,21 @@ def test_a_solver_refusal_is_the_field_refusal_at_every_level(level):
 def test_a_wrong_b0_is_an_internal_error_at_level_0_not_a_refusal():
     inst = generate_instance("so_n", 2, seed=11, n=3)
     solver = StubSolver(inst.rep, 1, perturbed_b0)
-    # the wrong b_0 leaves a level-1 residual off the invariant, which the
-    # level-1 solve refuses; the premise of that refusal fails at level 0, so
-    # the field is not blamed
+    # the level-0 check catches the wrong b_0 before the level-1 solve, whose
+    # refusal would otherwise blame the field
     with pytest.raises(InternalConsistencyError, match="level-0 coefficients"):
         takiff_decompose(inst.lifted, solver, inst.field)
-    assert solver.calls == 2
+    assert solver.calls == 1
+
+
+def test_a_wrong_top_level_b_is_an_internal_error_not_a_wrong_decomposition():
+    m = 2
+    inst = generate_instance("so_n", m, seed=11, n=3)
+    solver = StubSolver(inst.rep, m + 1, perturbed_b0)
+    with pytest.raises(InternalConsistencyError,
+                       match=f"the level-{m} coefficients do not reconstruct a_{m}"):
+        takiff_decompose(inst.lifted, solver, inst.field)
+    assert solver.calls == m + 1
 
 
 def test_decompose_leaves_the_annihilation_check_to_the_solver(monkeypatch):

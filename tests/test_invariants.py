@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from takiff import matrices as mx
-from takiff.decompose import _block_sum, _block_velocities
+from takiff.decompose import _block_sum
 from takiff.errors import InternalConsistencyError, StructuralError, ValidationError
 from takiff.invariants import (
     MAX_FAA_DI_BRUNO_PARTITIONS,
@@ -19,7 +19,6 @@ from takiff.invariants import (
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
-    killing_velocity,
     lift_family,
     lift_invariant,
     quadratic_invariant,
@@ -58,25 +57,19 @@ def rand_poly(rng, ring, max_degree, terms):
     return Polynomial(ring, out)
 
 
-def test_killing_velocity_of_rotation():
-    _, rho = so_n(2)
-    ring = state_ring(2)
-    x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
-    coords = ring.state_variables()
-    assert killing_velocity(rho, 0, ring, coords) == (-x1, x0)
-    with pytest.raises(StructuralError):
-        killing_velocity(rho, 0, ring, coords[:1])
-
-
 def test_apply_killing_rotation():
     _, rho = so_n(2)
     ring = state_ring(2)
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
+    # the Killing field of the rotation is (-x1, x0)
     assert apply_killing(rho, 0, x0) == -x1
+    assert apply_killing(rho, 0, x1) == x0
     q = quadratic_invariant(mx.identity(2), ring)
     assert apply_killing(rho, 0, q).is_zero()
     with pytest.raises(StructuralError):
         apply_killing(rho, 1, x0)
+    with pytest.raises(StructuralError, match="total size 3, expected 2"):
+        apply_killing(rho, 0, Polynomial.variable(state_ring(3), ("x", 0)))
 
 
 def test_standard_quadratics_are_invariant():
@@ -96,15 +89,14 @@ def test_killing_combination_and_field():
     _, rho = so_n(3)
     ring = state_ring(3)
     coeffs = [Polynomial.constant(ring, c) for c in (1, 0, 2)]
-    velocity = _block_velocities(rho, ring, ring.state_blocks())
-    combo = _block_sum(rho, ring, [coeffs], velocity, 0)
+    combo = _block_sum(rho, ring, [coeffs], 0)
     manual = add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
     with pytest.raises(StructuralError):
-        _block_sum(rho, ring, [coeffs[:2]], velocity, 0)
+        _block_sum(rho, ring, [coeffs[:2]], 0)
     with pytest.raises(StructuralError):
-        _block_sum(rho, ring, [coeffs + coeffs[:1]], velocity, 0)
+        _block_sum(rho, ring, [coeffs + coeffs[:1]], 0)
 
 
 def test_invariant_family_is_verified():

@@ -53,7 +53,9 @@ def test_canonical_form_drops_zeros():
     assert p.terms == {Monomial.unit(): Fraction(2)}
     assert Polynomial.zero(X).is_zero()
     assert (var(X, "x", 0) - var(X, "x", 0)).is_zero()
-    half = Polynomial.linear(X, {("x", 2): Fraction(0), ("x", 1): Fraction(1, 2)})
+    one = Polynomial.constant(X, 1)
+    half = Polynomial.variable_combination(
+        X, [(Fraction(0), one, ("x", 2)), (Fraction(1, 2), one, ("x", 1))])
     assert half == Polynomial(X, {Monomial.of(("x", 1)): Fraction(1, 2)})
     assert half._den == 2 and half._num == {1 << 16: 1}
 
@@ -72,8 +74,9 @@ def test_unknown_variable_rejected():
         Polynomial(X, {Monomial.of(("y", 0)): Fraction(1)})
     with pytest.raises(StructuralError):
         Polynomial.variable(X, ("x", 3))
+    one = Polynomial.constant(X, 1)
     with pytest.raises(StructuralError, match=r"variable x\.3 not in ring with blocks \('x',\)"):
-        Polynomial.linear(X, {("x", 0): 1, ("x", 3): 2})
+        Polynomial.variable_combination(X, [(1, one, ("x", 0)), (2, one, ("x", 3))])
 
 
 @pytest.mark.parametrize("build, message", [
@@ -304,6 +307,30 @@ def test_combination_rejects_a_ring_mismatch_in_any_pair(pairs, alien, data):
     bad = (alien, b) if data.draw(st.booleans(), label="left") else (a, alien)
     with pytest.raises(StructuralError, match="ring mismatch"):
         Polynomial.combination(XW, pairs[:k] + [bad] + pairs[k + 1:])
+
+
+# repeated variables and every block of the ring, zero scalars and zero polynomials
+TRIPLES = st.lists(st.tuples(
+    st.one_of(st.just(Fraction(0)), SCALARS),
+    st.one_of(st.just(Polynomial.zero(XW)), polynomials(XW)),
+    st.sampled_from(list(XW.variables()))), max_size=6)
+
+
+@LAWS
+@given(TRIPLES)
+def test_variable_combination_is_the_combination_with_variables(triples):
+    expected = Polynomial.combination(
+        XW, ((c * p, Polynomial.variable(XW, v)) for c, p, v in triples))
+    assert Polynomial.variable_combination(XW, triples) == expected
+
+
+def test_variable_combination_keeps_the_guard_bit_and_the_ring_check():
+    top = Polynomial(X, {Monomial.of(("x", 0), MAX_EXPONENT): 1})
+    assert Polynomial.variable_combination(X, [(1, top, ("x", 1))]).degree() == MAX_EXPONENT + 1
+    with pytest.raises(StructuralError, match="exponent exceeds 32767"):
+        Polynomial.variable_combination(X, [(1, top, ("x", 0))])
+    with pytest.raises(StructuralError, match="ring mismatch"):
+        Polynomial.variable_combination(X, [(1, Polynomial.constant(XW, 1), ("x", 0))])
 
 
 def dict_merge_product(m1, m2):

@@ -768,10 +768,10 @@ class WrongCoefficientSolver:
 
 
 @pytest.mark.parametrize("on_call, message", [
-    # a wrong b_0 makes the level-1 solve refuse, and its premise fails
+    # a wrong b_0 is caught before the level-1 solve could refuse
     (1, "the level-0 coefficients do not reconstruct a_0"),
-    # a wrong b_1 at the top level is caught by the verification
-    (2, "reconstruction residual is nonzero"),
+    # a wrong b_1 at the top level is caught by the level's own check
+    (2, "the level-1 coefficients do not reconstruct a_1"),
 ], ids=["refusal-premise", "verification"])
 def test_cli_decompose_exits_3_on_an_internal_consistency_failure(
         tmp_path, capsys, monkeypatch, on_call, message):
