@@ -9,13 +9,14 @@ The Dixmier property asserts that such a field is a Killing combination:
 a_j = sum_{r <= j} rho(b_r) f_{j-r} for polynomial coefficients b. This
 module makes that constructive. The base case (m = 0, quadratic invariant
 (1/2) B(v, v)) is solved in closed form by a homotopy: with c = G a, so that
-sum c_i x_i = 0, and c_i^(d) the part of c_i of degree d in x, the
-antisymmetric matrix
+sum c_i x_i = 0, the antisymmetric matrix
 
-    b_ij = sum_d (dc_i^(d)/dx_j - dc_j^(d)/dx_i) / (d + 1)
+    b_ij = H(dc_i/dx_j - dc_j/dx_i),
 
-satisfies b x = c, degree by degree, by the Euler identity together with the
-derivative of the syzygy (sum_j x_j dc_j/dx_i = -c_i). Since so(B) has the
+where H divides each term of degree e in x by e + 2, satisfies b x = c. On
+the part of c of degree d = e + 1 in x, the curl times x is (d + 1) c by the
+Euler identity together with the derivative of the syzygy
+(sum_j x_j dc_j/dx_i = -c_i). Since so(B) has the
 coordinates X -> the entries above the diagonal of G X, the coefficients are
 read from those entries of b, and G is never inverted. The higher levels form
 a triangular system, solved in order j = 0..m:
@@ -123,12 +124,12 @@ def annihilates_invariants(field: VectorField,
 # ---------------------------------------------------------------------------
 
 def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
-    """The antisymmetric homotopy matrix b with b x = G a, checked exactly.
+    """The antisymmetric homotopy matrix b with b x = G a.
 
     The field must satisfy B(a(w, x), x) = 0 as a polynomial; that syzygy is
-    checked first and its failure is a refusal carrying the residual. Each
-    entry b_ij above the diagonal is one combination over all x-degrees d of
-    the pairs (1/(d+1), dc_i^(d)/dx_j) and (-1/(d+1), dc_j^(d)/dx_i), and
+    the only check here, and its failure is a refusal carrying the residual.
+    With c = G a, each entry b_ij above the diagonal is the curl
+    dc_i/dx_j - dc_j/dx_i with each term of x-degree e divided by e + 2, and
     b_ji = -b_ij.
     """
     blocks = field.state_blocks
@@ -147,21 +148,14 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
         raise DecompositionRefused(
             "field does not annihilate the quadratic invariant", witness=syzygy)
 
-    by_degree = [p.homogeneous_components(x.name) for p in c]
-    for i, parts in enumerate(by_degree):
-        if 0 in parts:
-            # impossible: the degree-1 part of the syzygy is sum_i c_i^(0) x_i
-            raise InternalConsistencyError(
-                f"x-free component {parts[0]} in c_{i} despite a zero syzygy")
     zero = Polynomial.zero(ring)
     b = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            b[i][j] = Polynomial.combination(ring, [
-                *((Fraction(1, d + 1), ci.derivative((x.name, j)))
-                  for d, ci in by_degree[i].items()),
-                *((Fraction(-1, d + 1), cj.derivative((x.name, i)))
-                  for d, cj in by_degree[j].items())])
+            curl = c[i].derivative((x.name, j)) - c[j].derivative((x.name, i))
+            b[i][j] = Polynomial.combination(ring, (
+                (Fraction(1, e + 2), part)
+                for e, part in curl.homogeneous_components(x.name).items()))
             b[j][i] = -b[i][j]
     return b
 

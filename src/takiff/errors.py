@@ -30,7 +30,10 @@ class DecompositionRefused(TakiffError):
 class InternalConsistencyError(TakiffError):
     """A derived identity that must hold on valid inputs was observed false.
 
-    Raised from inline assertions in the decomposition's level loop, the base
-    solvers and the linear-part splitter. Firing one of these indicates a bug
-    or an invalid hand-built input, never a legitimate refusal.
+    Raised from inline assertions in the decomposition's level loop (a base
+    solver's level that does not reconstruct its residual), in
+    lift_bilinear_form (a lifted form that is degenerate or not invariant) and
+    in extract_linear_part (a curve coefficient of degree two or more in its
+    top block). Firing one of these indicates a bug or an invalid hand-built
+    input, never a legitimate refusal.
     """

@@ -62,6 +62,10 @@ _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
+# A ring enumerates its variables and packs a field for each into every key,
+# so its size is bounded from the block sizes before anything is enumerated.
+MAX_VARIABLES = 10_000
+
 
 def _ratio(value) -> tuple[int, int]:
     """An exact scalar as (numerator, positive denominator) in lowest terms."""
@@ -130,6 +134,11 @@ class Ring:
             if b.name in index:
                 raise StructuralError(f"duplicate block names in ring: {self.names()}")
             index[b.name] = b
+        size = sum(b.size for b in self.blocks)
+        if size > MAX_VARIABLES:
+            raise StructuralError(
+                f"ring with blocks {self.names()} has {size} variables, "
+                f"more than MAX_VARIABLES = {MAX_VARIABLES}")
         order = tuple(self.variables())
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_shift", {v: _BITS * k for k, v in enumerate(order)})

@@ -84,9 +84,11 @@ def test_unknown_variable_rejected():
     (lambda: Monomial.from_map({("x", 0): 1.5}), "not an int"),
     (lambda: Monomial.from_map({("x", 0): 2.0}), "not an int"),
     (lambda: VariableBlock("y", 2.5), "size must be an int"),
+    (lambda: Ring.of(VariableBlock("x", 10**9)), "more than MAX_VARIABLES"),
     (lambda: var(X, "x", 0) ** True, "nonnegative int"),
     (lambda: var(X, "x", 0) ** 2.0, "nonnegative int"),
-], ids=["of", "from_map", "from_map-integral-float", "block-size", "pow-bool", "pow-float"])
+], ids=["of", "from_map", "from_map-integral-float", "block-size", "ring-size",
+        "pow-bool", "pow-float"])
 def test_non_int_exponents_and_sizes_are_refused(build, message):
     # an exponent 1.5 would make the derivative's coefficient a float
     with pytest.raises(StructuralError, match=message):

@@ -113,7 +113,11 @@ def _term(coeff, exponent):
     (jsonio.polynomial_from_json, _term("1", 1.5)),
     (jsonio.polynomial_from_json, _term("1", True)),
     (jsonio.ring_from_json, [{"name": "x", "size": True, "role": "state"}]),
-], ids=["float-coeff", "float-exponent", "bool-exponent", "bool-size"])
+    (jsonio.ring_from_json, [{"name": "x", "size": 10**9, "role": "state"}]),
+    (jsonio.ring_from_json, [{"name": "x", "size": 6000, "role": "state"},
+                             {"name": "w", "size": 4001, "role": "parameter"}]),
+], ids=["float-coeff", "float-exponent", "bool-exponent", "bool-size",
+        "huge-size", "sizes-over-the-bound"])
 def test_inexact_or_truncated_json_rejected(reader, data):
     with pytest.raises(StructuralError):
         reader(data)
