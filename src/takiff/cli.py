@@ -149,9 +149,8 @@ def cmd_decompose(args) -> int:
     if args.params is not None:
         have = sum(b.size for b in field.ring.parameter_blocks())
         if have != args.params:
-            print(f"error: field has {have} parameter variables, expected {args.params}",
-                  file=sys.stderr)
-            return 1
+            raise StructuralError(
+                f"field has {have} parameter variables, expected {args.params}")
     try:
         solver = builtin_solver(rep, _gram_for(rep, args.gram))
     except ValidationError as exc:

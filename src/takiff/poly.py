@@ -82,17 +82,6 @@ def _quotient(num: int, den: int) -> Scalar:
     return Fraction(num, den)
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """Return ``base`` or the first ``base0``, ``base1``, ... not in ``taken``."""
-    used = set(taken)
-    if base not in used:
-        return base
-    k = 0
-    while f"{base}{k}" in used:
-        k += 1
-    return f"{base}{k}"
-
-
 @dataclass(frozen=True)
 class VariableBlock:
     """A named group of variables of a fixed size, with a state/parameter role."""
@@ -683,11 +672,11 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     """Expand ``phi`` along the polynomial curve ``f_0 + t f_1 + ... + t^m f_m``.
 
     ``phi`` must live over a single block of size n; ``blocks`` are m+1
-    pairwise distinct blocks of the same size n. Substituting
-    ``x_i -> sum_r t^r f_{r,i}`` and collecting powers of the internal formal
-    variable t yields the returned list: entry k is the exact coefficient of
-    t^k, a polynomial over the ring made of the given blocks. Powers of t
-    beyond m are discarded (truncation).
+    pairwise distinct blocks of the same size n. Entry k of the returned list
+    is the exact coefficient of t^k in ``phi(sum_r t^r f_r)``, a polynomial
+    over the ring made of the given blocks. Each term of ``phi`` is multiplied
+    out as a series in t truncated after t^m, so no power of t beyond m is
+    ever formed.
     """
     if len(phi.ring.blocks) != 1:
         raise StructuralError(
@@ -700,30 +689,24 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
             raise StructuralError(
                 f"block {b.name!r} has size {b.size}, expected {source.size}")
     m = len(blocks) - 1
-    t_name = fresh_name("t", [b.name for b in blocks] + [source.name])
-    t_block = VariableBlock(t_name, 1, PARAMETER)
-    work = Ring((t_block,) + tuple(blocks))
-    t_var: Var = (t_name, 0)
+    ring = Ring(tuple(blocks))
+    # x_i is the series (f_{0,i}, ..., f_{m,i}): entry r is the coefficient of t^r
+    curve = [[Polynomial.variable(ring, (b.name, i)) for b in blocks]
+             for i in range(source.size)]
 
-    mapping: dict[Var, Polynomial] = {}
-    for i in range(source.size):
-        curve = Polynomial(
-            work,
-            {Monomial.of(t_var, r).mul(Monomial.of((blocks[r].name, i))): 1
-             for r in range(m + 1)},
-        )
-        mapping[(source.name, i)] = curve
-    expanded = phi.substitute(mapping, work)
+    def times(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
+        return [Polynomial.combination(ring, ((a[r], b[k - r]) for r in range(k + 1)))
+                for k in range(m + 1)]
 
-    # t is the work ring's first variable: the lowest field of a key is the
-    # power of t, and the key shifted past it is the monomial over the blocks
-    by_t: list[dict[int, int]] = [{} for _ in range(m + 1)]
-    for key, c in expanded._num.items():
-        k = key & _FIELD
-        if k <= m:
-            by_t[k][key >> _BITS] = c
-    target = Ring(tuple(blocks))
-    return [Polynomial._make(target, num, expanded._den) for num in by_t]
+    terms = []
+    for mono, c in phi.terms.items():
+        series = [Polynomial.constant(ring, 1)] + [Polynomial.zero(ring)] * m
+        for (_, i), e in mono:
+            for _ in range(e):
+                series = times(series, curve[i])
+        terms.append((c, series))
+    return [Polynomial.combination(ring, ((c, series[k]) for c, series in terms))
+            for k in range(m + 1)]
 
 
 def matrix_apply(matrix: Sequence[Sequence[Scalar]],

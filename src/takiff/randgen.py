@@ -101,14 +101,13 @@ def random_coefficients(rng: SplitMix64, dim: int, levels: int, ring: Ring,
 
 
 def random_antisymmetric(rng: SplitMix64, ring: Ring, n: int, max_degree: int,
-                         num_terms: int, coeff_bound: int = 3,
-                         ) -> tuple[tuple[Polynomial, ...], ...]:
+                         num_terms: int) -> tuple[tuple[Polynomial, ...], ...]:
     """A random antisymmetric n x n polynomial matrix over the ring."""
     zero = Polynomial.zero(ring)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = random_polynomial(rng, ring, max_degree, num_terms, coeff_bound)
+            p = random_polynomial(rng, ring, max_degree, num_terms)
             rows[i][j] = p
             rows[j][i] = -p
     return tuple(tuple(r) for r in rows)

@@ -18,7 +18,6 @@ from takiff.poly import (
     Polynomial,
     Ring,
     VariableBlock,
-    fresh_name,
     matrix_apply,
     substitute_curve,
 )
@@ -204,19 +203,36 @@ def test_derivative_and_curve_expansion_match_sympy():
         want = sympy.diff(_to_sympy(sympy, p, symbols), symbols[v])
         assert sympy.expand(_to_sympy(sympy, p.derivative(v), symbols) - want) == 0
 
-    blocks = tuple(VariableBlock(f"f{k}", 3, STATE) for k in range(3))
-    xs = {v: sympy.Symbol(f"{v[0]}{v[1]}") for v in X.variables()}
-    fs = {v: sympy.Symbol(f"{v[0]}_{v[1]}") for v in Ring(blocks).variables()}
+    xs = {v: sympy.Symbol(f"x{v[1]}") for v in X.variables()}
     t = sympy.Symbol("t")
-    curve = {xs[("x", i)]: sum(t ** k * fs[(f"f{k}", i)] for k in range(3)) for i in range(3)}
-    fractional = False
-    for _ in range(10):
-        phi = mixed_poly(X, terms=4)
-        fractional |= any(type(c) is Fraction for c in phi.terms.values())
+
+    def check_curve(phi, names):
+        # names[k] is the block of f_k; a target block may share phi's block name
+        blocks = tuple(VariableBlock(name, 3, STATE) for name in names)
+        fs = {v: sympy.Symbol(f"f{names.index(v[0])}_{v[1]}")
+              for v in Ring(blocks).variables()}
+        curve = {xs[("x", i)]: sum(t ** k * fs[(name, i)] for k, name in enumerate(names))
+                 for i in range(3)}
         expanded = sympy.expand(_to_sympy(sympy, phi, xs).subs(curve, simultaneous=True))
-        for k, coeff in enumerate(substitute_curve(phi, blocks)):
+        out = substitute_curve(phi, blocks)
+        assert len(out) == len(names)
+        for k, coeff in enumerate(out):
+            assert coeff.ring == Ring(blocks)
             assert sympy.expand(_to_sympy(sympy, coeff, fs) - expanded.coeff(t, k)) == 0
+
+    fractional = False
+    for m in (0, 1, 2, 4):
+        names = [f"f{k}" for k in range(m + 1)]
+        for _ in range(10 if m == 2 else 3):
+            phi = mixed_poly(X, terms=4)
+            fractional |= any(type(c) is Fraction for c in phi.terms.values())
+            check_curve(phi, names)
     assert fractional
+    # a constant term stays in the t^0 coefficient
+    check_curve(mixed_poly(X, terms=3) + Fraction(5, 3), ["f0", "f1", "f2"])
+    # a target block named like phi's own block is just another block
+    check_curve(mixed_poly(X, terms=4), ["x", "f1"])
+    check_curve(mixed_poly(X, terms=4), ["f0", "x", "f2"])
 
 
 def test_sum_of_products_kernel_matches_sympy():
@@ -619,6 +635,12 @@ def test_substitute_curve_truncates():
     f0 = Polynomial.variable(Ring(blocks), ("f0", 0))
     f1 = Polynomial.variable(Ring(blocks), ("f1", 0))
     assert out[1] == 3 * f0 * f0 * f1
+    # a high power at a low level, against the closed forms of its coefficients
+    blocks = tuple(VariableBlock(f"f{k}", 1, STATE) for k in range(3))
+    f0, f1, f2 = (Polynomial.variable(Ring(blocks), (f"f{k}", 0)) for k in range(3))
+    out = substitute_curve(var(source, "x", 0) ** 200, blocks)
+    assert out == [f0 ** 200, 200 * f0 ** 199 * f1,
+                   19900 * f0 ** 198 * f1 ** 2 + 200 * f0 ** 199 * f2]
 
 
 def test_substitute_curve_validates_blocks():
@@ -650,12 +672,6 @@ def test_cast_between_compatible_rings():
     assert q.ring == retagged
     with pytest.raises(StructuralError):
         var(XW, "w", 0).cast(Ring.of(VariableBlock("x", 2, STATE)))
-
-
-def test_fresh_name_avoids_collisions():
-    assert fresh_name("t", ["x", "y"]) == "t"
-    assert fresh_name("t", ["t"]) == "t0"
-    assert fresh_name("t", ["t", "t0", "t1"]) == "t2"
 
 
 def test_matrix_apply():

@@ -617,7 +617,7 @@ def test_cli_decompose_param_count_check(tmp_path, capsys):
     field = write_json(tmp_path / "field.json", radial_field_json(2, 0))
     assert main(["decompose", "--rep", rep, "--level", "0", "--field", field,
                  "--params", "2"]) == 1
-    assert "parameter variables" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: field has 0 parameter variables, expected 2\n"
 
 
 def test_cli_check_invariant(tmp_path):
