@@ -1,10 +1,12 @@
 """Command-line surface: build, lift, check, decompose, verify, generate.
 
 Every subcommand reads and writes the JSON formats of jsonio; output goes to
-stdout unless --out is given. Malformed input, including JSON that does not
-parse or does not have the documented shape and a path that cannot be read
-as UTF-8 text, is reported on stderr as ``error: ...`` with exit code 1, and
-so is an --out path that cannot be written. A stdout closed by its reader
+stdout unless --out is given, as the same UTF-8 bytes whatever the locale.
+Malformed input, including JSON that does not parse or does not have the
+documented shape and a path that cannot be read as UTF-8 text, is reported on
+stderr as ``error: ...`` with exit code 1, and so are an --out path that
+cannot be written and output that cannot be encoded as UTF-8 (a lone
+surrogate read from a JSON escape). A stdout closed by its reader
 (``takiff ... | head -c 0``) ends the command silently with exit code 1.
 Exit codes for decompose: 0 decomposed and verified, 2 precondition refused
 (witness printed), 3 internal-consistency failure. Seeded commands read
@@ -57,12 +59,18 @@ def _read(path: str) -> dict:
 def _emit(payload, out: str | None, human: bool = False) -> None:
     """Write a JSON payload, or with ``human`` a list of lines, to --out or stdout."""
     text = "\n".join(payload) + "\n" if human else jsonio.dumps(payload)
+    try:  # before any file is opened, so a failure leaves --out as it was
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise StructuralError(
+            f"cannot encode the output as UTF-8: {exc.object[exc.start:exc.end]!r} "
+            f"({exc.reason})") from exc
     if not out:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     except OSError as exc:
         raise StructuralError(f"cannot write {out}: {exc}") from exc
 

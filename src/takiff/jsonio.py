@@ -11,6 +11,12 @@ dot and is written in ASCII digits with no leading zero, so block names must
 not end in ".<digits>". Terms are sorted by monomial and all objects are
 dumped with sorted keys, so equal values always serialize to identical bytes.
 
+``dumps`` is the one serializer. By contract its text is
+``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` plus a
+newline; it writes a term dict and a list of strings each in one piece, since
+the standard library's indenting encoder is pure Python. The command line
+writes that text as UTF-8 bytes, to stdout and to ``--out`` alike.
+
 Readers accept nothing inexact or truncated: a scalar is a JSON string or
 integer, read by ``matrices.scalar``, and sizes, dimensions and exponents are
 JSON integers (never booleans or floats). Text that does not parse, a missing
@@ -26,6 +32,7 @@ each term list goes straight into the packed numerators of ``Polynomial``.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _escape
 from typing import Any, Mapping, Sequence
 
 from . import matrices as mx
@@ -270,9 +277,77 @@ def points_from_json(data: Mapping) -> tuple[Matrix, Matrix | None]:
     return points, None if params is None else matrix_from_json(params)
 
 
+def _fallback(value, ind: str) -> str:
+    """``value`` written by ``json.dumps`` itself, its lines moved to ``ind``."""
+    return json.dumps(value, indent=2, sort_keys=True,
+                      ensure_ascii=False).replace("\n", ind)
+
+
+def _term(term: dict, ind: str) -> str | None:
+    """A term ``{"coeff": str, "exps": {str: int}}`` at ``ind``; None for any other dict."""
+    coeff, exps = term.get("coeff"), term.get("exps")
+    if len(term) != 2 or type(coeff) is not str or type(exps) is not dict:
+        return None
+    inner = ind + "  "
+    if not exps:
+        return f'{{{inner}"coeff": {_escape(coeff)},{inner}"exps": {{}}{ind}}}'
+    pairs = []
+    for k, e in sorted(exps.items()):
+        if type(k) is not str or type(e) is not int:
+            return None
+        pairs.append(f"{_escape(k)}: {e}")
+    var = inner + "  "
+    return (f'{{{inner}"coeff": {_escape(coeff)},{inner}"exps": '
+            f'{{{var}{f",{var}".join(pairs)}{inner}}}{ind}}}')
+
+
+def _dump(value, ind: str) -> str:
+    """``value`` as indented JSON text whose lines after the first start at ``ind``.
+
+    ``ind`` is a newline and the indent of the line ``value`` starts on.
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = ind + "  "
+        try:  # a list of strings is written by one join, not one chunk per item
+            body = f",{inner}".join(map(_escape, value))
+        except TypeError:
+            body = f",{inner}".join([_dump(v, inner) for v in value])
+        return f"[{inner}{body}{ind}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        text = _term(value, ind)
+        if text is not None:
+            return text
+        if not all(type(k) is str for k in value):
+            return _fallback(value, ind)
+        inner = ind + "  "
+        body = f",{inner}".join([f"{_escape(k)}: {_dump(value[k], inner)}"
+                                 for k in sorted(value)])
+        return f"{{{inner}{body}{ind}}}"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    return _fallback(value, ind)
+
+
 def dumps(obj: Any) -> str:
-    """The one serializer: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The one serializer: sorted keys, two-space indent, trailing newline.
+
+    Its text is ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, by contract. A term dict and a list of strings are each
+    written in one piece; a float, a dict with a key that is not a ``str`` and
+    any other type are handed to ``json.dumps``.
+    """
+    return _dump(obj, "\n") + "\n"
 
 
 def loads(text: str) -> Any:

@@ -11,9 +11,11 @@ import json
 import pytest
 
 from takiff import jsonio
+from takiff import matrices as mx
 from takiff.cli import main
-from takiff.lie import make_standard
-from takiff.poly import Polynomial, VectorField
+from takiff.invariants import quadratic_invariant
+from takiff.lie import LieAlgebra, make_standard
+from takiff.poly import PARAMETER, STATE, Polynomial, Ring, VariableBlock, VectorField
 
 
 def _sha(path) -> str:
@@ -156,3 +158,123 @@ def test_cli_lift_bytes(tmp_path, case):
     assert main([command, flag, _write(tmp_path / "in.json", payload),
                  "--level", str(level), "--out", str(out)]) == 0
     assert _sha(out) == LIFT_SHA256[case]
+
+
+# -- every other JSON document the command line writes ---------------------------
+
+def _so3_with_an_invariant(tmp_path):
+    """rep.json of so(3) and q.json of its invariant (x0^2 + x1^2 + x2^2) / 2."""
+    _, rho = make_standard("so_n", n=3)
+    ring = Ring.of(VariableBlock("x", 3, STATE))
+    return (_write(tmp_path / "rep.json", jsonio.representation_to_json(rho)),
+            _write(tmp_path / "q.json", jsonio.polynomial_to_json(
+                quadratic_invariant(mx.identity(3), ring))))
+
+
+def _build_with_quoted_names(tmp_path):
+    """g_2 of sl2 with basis names that need escaping and a non-ASCII letter."""
+    g, _ = make_standard("sl2")
+    g = LieAlgebra(("h", "eé\"q", "f\\\t "), g.c)
+    return ["build", "--algebra", _write(tmp_path / "g.json", jsonio.algebra_to_json(g)),
+            "--level", "2"], 0
+
+
+def _lift_invariant(tmp_path):
+    rep, q = _so3_with_an_invariant(tmp_path)
+    return ["lift-invariant", "--rep", rep, "--phi", q, "--level", "2"], 0
+
+
+def _lift_invariant_any(tmp_path):
+    rep, _ = _so3_with_an_invariant(tmp_path)
+    ring = Ring.of(VariableBlock("x", 3, STATE))
+    x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
+    phi = _write(tmp_path / "phi.json", jsonio.polynomial_to_json(x0 * x0 * x1 - x1 / 3))
+    return ["lift-invariant", "--rep", rep, "--phi", phi, "--level", "2", "--any"], 0
+
+
+def _check_invariant_fails(tmp_path):
+    rep, _ = _so3_with_an_invariant(tmp_path)
+    ring = Ring.of(VariableBlock("x", 3, STATE))
+    x0, x1, x2 = (Polynomial.variable(ring, ("x", i)) for i in range(3))
+    phi = _write(tmp_path / "phi.json", jsonio.polynomial_to_json(x0 * x1 + x2 * x2 / 2))
+    return ["check-invariant", "--rep", rep, "--phi", phi], 1
+
+
+def _check_invariant_at_a_level(tmp_path):
+    rep, _ = _so3_with_an_invariant(tmp_path)
+    ring = Ring(tuple(VariableBlock(f"f{k}", 3, STATE) for k in range(2)))
+    phi = _write(tmp_path / "phi.json", jsonio.polynomial_to_json(
+        Polynomial.variable(ring, ("f0", 0)) * Polynomial.variable(ring, ("f1", 2))))
+    return ["check-invariant", "--rep", rep, "--phi", phi, "--level", "1"], 1
+
+
+def _tangency(tmp_path):
+    """so(3) rotation field plus p times the radial one: tangent only where p v = 0."""
+    rep, _ = _so3_with_an_invariant(tmp_path)
+    ring = Ring((VariableBlock("f0", 3, STATE), VariableBlock("p", 1, PARAMETER)))
+    f, p = ([Polynomial.variable(ring, ("f0", i)) for i in range(3)],
+            Polynomial.variable(ring, ("p", 0)))
+    comps = (f[1] + p * f[0], -f[0] + 2 * f[2] + p * f[1], -2 * f[1] + p * f[2])
+    field = _write(tmp_path / "field.json",
+                   jsonio.field_to_json(VectorField(ring, comps)))
+    points = _write(tmp_path / "points.json", {
+        "points": [["1", "0", "0"], ["1/2", "-3", "2"], ["1", "2", "3"], ["0", "0", "0"]],
+        "parameters": [["0"], ["0"], ["7/2"], ["5"]]})
+    return ["tangency", "--rep", rep, "--field", field, "--points", points], 0
+
+
+def _verify_flip(algebra_kind, level):
+    def argv(tmp_path):
+        g, _ = make_standard(algebra_kind, **({"n": 3} if algebra_kind == "so_n" else {}))
+        return ["verify-flip", "--algebra",
+                _write(tmp_path / "g.json", jsonio.algebra_to_json(g)),
+                "--level", str(level)], 0
+    return argv
+
+
+def _verify_mismatch(tmp_path):
+    """A decomposition checked against its field with 1 added to a_0: residuals."""
+    _, payload = _generate(tmp_path, "so_n", 3, 1, 11)
+    rep = _write(tmp_path / "rep.json", payload["representation"])
+    field = _write(tmp_path / "field.json", payload["field"])
+    decomposed = tmp_path / "decomposed.json"
+    assert main(["decompose", "--rep", rep, "--level", "1", "--field", field,
+                 "--out", str(decomposed)]) == 0
+    dec = _write(tmp_path / "dec.json",
+                 json.loads(decomposed.read_text(encoding="utf-8"))["decomposition"])
+    fld = jsonio.field_from_json(payload["field"])
+    bent = _write(tmp_path / "bent.json", jsonio.field_to_json(VectorField(
+        fld.ring, (fld.components[0] + 1,) + fld.components[1:])))
+    return ["verify", "--rep", rep, "--level", "1", "--field", bent, "--dec", dec], 1
+
+
+# name -> (argv and exit code of a command that writes JSON, sha256 of what it writes)
+DOCUMENT_SHA256 = {
+    "build-quoted-names": (_build_with_quoted_names,
+        "41c898095862c033dfd96d4324a031c2b1ab7f59ff2f1717182df8aec2795190"),
+    "lift-invariant": (_lift_invariant,
+        "bd6715b18887dfd40a2687c077a75df4a3dc3662870d25ddbf083bbe9815a9d5"),
+    "lift-invariant-any": (_lift_invariant_any,
+        "3063aa86a5a60fb8eaa5747fda68dd7fd7b78f4a23bf3b0e8a07c9d8ed763dbd"),
+    "check-invariant-fails": (_check_invariant_fails,
+        "28441985b90dc7da6705136b29c31d7f23203288e79dc2719436e577438ec1fe"),
+    "check-invariant-level": (_check_invariant_at_a_level,
+        "eaad4a2de2002092c412a3d9c2ea3c251c489efde22feea94ef32b3ef06c739e"),
+    "tangency": (_tangency,
+        "12f835eb6a0ebc14da177e5e70431572ce45dabc315b9f7c3280a82528fde88e"),
+    "verify-flip-sl2-m2": (_verify_flip("sl2", 2),
+        "dfbd14955e12f1e162be6a0a9ff8fcd27535095c5a18780df336f79024a45302"),
+    "verify-flip-so3-m3": (_verify_flip("so_n", 3),
+        "c745d35f8a4a3e5aac73c73b5a0cb0e0868c852c619cc6fb8828457c4a1b62b3"),
+    "verify-mismatch": (_verify_mismatch,
+        "4bf23df2498e0d3f5e7e591a32a2c2d24a8daca8276010ffc5e86f2b59668ed7"),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_SHA256))
+def test_cli_document_bytes(tmp_path, name):
+    make_argv, digest = DOCUMENT_SHA256[name]
+    argv, code = make_argv(tmp_path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert _sha(out) == digest

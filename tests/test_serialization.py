@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,6 +391,85 @@ def test_dumps_is_byte_deterministic():
     assert text_a.endswith("\n")
     parsed = json.loads(text_a)
     assert list(parsed) == sorted(parsed)
+
+
+# -- the serializer against json.dumps --------------------------------------------
+
+def reference_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# non-ASCII letters, control characters, quotes, backslashes and lone surrogates
+awkward_text = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "é",
+                     "φ", "\U0001f600", "\ud800", "\udfff"])), max_size=8)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(min_value=2 ** 64, max_value=2 ** 300), awkward_text)
+exponent_maps = st.dictionaries(awkward_text, st.integers(0, 2 ** 70), max_size=4)
+terms = st.fixed_dictionaries({"coeff": awkward_text, "exps": exponent_maps})
+# dicts that look like terms and are not: each one differs from a term in one place
+term_lookalikes = st.one_of(
+    st.fixed_dictionaries({"coeff": st.integers() | st.booleans() | st.none(),
+                           "exps": exponent_maps}),
+    st.fixed_dictionaries({"coeff": awkward_text, "exps": st.dictionaries(
+        awkward_text, st.booleans() | st.none() | exponent_maps | awkward_text,
+        min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"coeff": awkward_text, "exps": exponent_maps},
+                          optional={"extra": json_scalars, "": json_scalars}),
+    st.fixed_dictionaries({"coeff": awkward_text, "exps": st.lists(json_scalars)}),
+    st.fixed_dictionaries({"coeff": awkward_text}),
+)
+
+
+def strings_with_one_other(strings_and_value):
+    strings, index, other = strings_and_value
+    return strings[:index] + [other] + strings[index:]
+
+
+json_values = st.recursive(
+    json_scalars | terms | term_lookalikes,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(awkward_text, children, max_size=4),
+        st.lists(awkward_text, max_size=6),
+        # a list of strings with one item of another type, placed anywhere
+        st.tuples(st.lists(awkward_text, max_size=5), st.integers(0, 5),
+                  children).map(strings_with_one_other),
+    ),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(json_values)
+def test_dumps_is_json_dumps_byte_for_byte(value):
+    assert jsonio.dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], {"coeff": "1", "exps": {}},
+    {"coeff": "1", "exps": {"x.10": 1, "x.2": 3}}, [{"coeff": "-1/2", "exps": {"x.0": 0}}],
+    1.5, [1.5, -0.0, 1e300], {"x": float("nan")}, {1: "a", 2: ["b", {3: []}]},
+    {"coeff": "1", "exps": {1: 2}}, {"a": {"b": ("c", 2), "d": [{"e": ()}]}},
+    ["x", 2 ** 200, None, True, False, -7],
+], ids=repr)
+def test_dumps_is_json_dumps_on_edge_values(value):
+    """Empty containers, exponents to sort; floats, non-str keys, tuples go to json.dumps."""
+    assert jsonio.dumps(value) == reference_dumps(value)
+
+
+def test_dumps_peak_memory_is_at_most_three_times_its_text():
+    """The lifted so(5) rep at m = 3: a list of strings is joined, not chunked."""
+    _, rho = so_n(5)
+    payload = jsonio.representation_to_json(build_lift(rho, 3).rep)
+    tracemalloc.start()
+    try:
+        text = jsonio.dumps(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 1_170_244
+    assert peak <= 3 * len(text)
 
 
 def test_splitmix64_reference_stream():
@@ -862,17 +942,72 @@ def test_cli_unwritable_out_is_a_structural_error(tmp_path, capsys, argv):
     assert captured.err.startswith(f"error: cannot write {tmp_path}")
 
 
+def renamed_block_files(tmp_path, name):
+    """rep.json and field.json of a generated so(3) level-1 instance, block f0 renamed.
+
+    ``name`` is spliced into the JSON text, so a ``\\ud800`` in it is read as
+    a lone surrogate.
+    """
+    inst = generate_instance("so_n", 1, seed=5, n=3)
+    text = json.dumps(jsonio.field_to_json(inst.field)).replace('"f0', '"' + name)
+    field = tmp_path / "field.json"
+    field.write_text(text, encoding="utf-8")
+    return (write_json(tmp_path / "rep.json", jsonio.representation_to_json(inst.rep)),
+            str(field))
+
+
+def cli_env(**extra):
+    """The environment of a ``python -m takiff.cli`` child that imports this takiff."""
+    src = str(Path(takiff.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+SURROGATE_ERROR = "error: cannot encode the output as UTF-8: '\\ud800' (surrogates not allowed)\n"
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"], ids=["absent", "present"])
+def test_cli_output_that_is_not_utf8_is_a_structural_error(tmp_path, capsys, existing):
+    """A lone surrogate in a block name reaches the output: exit 1, --out untouched."""
+    rep, field = renamed_block_files(tmp_path, "\\ud800f0")
+    argv = ["decompose", "--rep", rep, "--level", "1", "--field", field]
+    out = tmp_path / "out.json"
+    if existing is not None:
+        out.write_text(existing, encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", SURROGATE_ERROR)
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == existing
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", SURROGATE_ERROR)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_cli_stdout_carries_the_utf8_bytes_of_out_whatever_the_locale(tmp_path, encoding):
+    rep, field = renamed_block_files(tmp_path, "\u03c60")
+    argv = [sys.executable, "-m", "takiff.cli", "decompose", "--rep", rep,
+            "--level", "1", "--field", field]
+    env = cli_env(PYTHONIOENCODING=encoding)
+    printed = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    out = tmp_path / "out.json"
+    written = subprocess.run(argv + ["--out", str(out)], capture_output=True,
+                             env=env, timeout=120)
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert printed.stdout == out.read_bytes()
+    assert '"\u03c60.0"' in printed.stdout.decode("utf-8")
+
+
 def test_cli_closed_stdout_exits_cleanly():
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader is left, so the first write breaks the pipe
-    src = str(Path(takiff.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "takiff.cli", "generate", "--kind", "so_n",
              "--n", "3", "--level", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
