@@ -1,22 +1,33 @@
 """Command-line surface: build, lift, check, decompose, verify, generate.
 
-Every subcommand reads and writes the JSON formats of jsonio; output goes to
-stdout unless --out is given, as the same UTF-8 bytes whatever the locale.
-Malformed input, including JSON that does not parse or does not have the
-documented shape and a path that cannot be read as UTF-8 text, is reported on
-stderr as ``error: ...`` with exit code 1, and so are an --out path that
-cannot be written and output that cannot be encoded as UTF-8 (a lone
-surrogate read from a JSON escape). A stdout closed by its reader
-(``takiff ... | head -c 0``) ends the command silently with exit code 1.
-Exit codes for decompose: 0 decomposed and verified, 2 precondition refused
-(witness printed), 3 internal-consistency failure. Seeded commands read
-their seed from --seed alone.
+Every subcommand reads and writes the JSON formats of jsonio. A handler
+``cmd_*`` reads its inputs and computes, and writes nothing: it returns its
+exit code, its JSON payload and its --human lines (None where the
+subcommand has no --human). The lines are an iterable that formats no
+polynomial or scalar before it is read, so JSON output pays for no text.
+
+``main`` alone writes, through ``_emit``, to stdout unless --out is given,
+as the same UTF-8 bytes whatever the locale. ``main`` alone maps errors to
+exit codes, for every subcommand:
+
+- 1, with ``error: ...`` on stderr: malformed input (JSON that does not parse
+  or lacks the documented shape, a path that cannot be read as UTF-8 text,
+  a missing one included), an --out path that cannot be written, output
+  that cannot be encoded as UTF-8, and a number, read or written, past the
+  interpreter's limit on int/str conversion;
+- 3, with ``internal consistency failure: ...``: an InternalConsistencyError;
+- 1, silently: a stdout closed by its reader (``takiff ... | head -c 0``).
+
+decompose exits 2 when its precondition is refused (witness printed), and
+check-invariant, verify, verify-flip and suite exit 1 on a negative answer.
+Seeded commands read their seed from --seed alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -33,6 +44,7 @@ from .errors import (
     StructuralError,
     TakiffError,
     ValidationError,
+    digit_limit_error,
 )
 from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
@@ -49,17 +61,22 @@ from .takiff_algebra import (
 def _read(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
     except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
     return jsonio.loads(text)
 
 
 def _emit(payload, out: str | None, human: bool = False) -> None:
-    """Write a JSON payload, or with ``human`` a list of lines, to --out or stdout."""
-    text = "\n".join(payload) + "\n" if human else jsonio.dumps(payload)
-    try:  # before any file is opened, so a failure leaves --out as it was
+    """Write a JSON payload, or with ``human`` an iterable of lines, to --out or stdout.
+
+    The text is built and encoded before any file is opened, so a failure
+    leaves --out as it was.
+    """
+    try:
+        text = "\n".join(payload) + "\n" if human else jsonio.dumps(payload)
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise digit_limit_error("cannot write a number of") from exc
+    try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise StructuralError(
@@ -84,30 +101,30 @@ def _gram_for(rep, choice: str):
     return jsonio.bilinear_from_json(_read(choice)).gram
 
 
-def cmd_build(args) -> int:
+def _tuple_text(values) -> str:
+    """``(a, b, c)``: each value written by ``str``."""
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
+def cmd_build(args):
     g = jsonio.algebra_from_json(_read(args.algebra))
-    ctx = build_takiff(g, args.level)
-    _emit(jsonio.algebra_to_json(ctx.algebra), args.out)
-    return 0
+    return 0, jsonio.algebra_to_json(build_takiff(g, args.level).algebra), None
 
 
-def cmd_lift_rep(args) -> int:
+def cmd_lift_rep(args):
     rep = jsonio.representation_from_json(_read(args.rep))
-    lifted = build_lift(rep, args.level)
-    _emit(jsonio.representation_to_json(lifted.rep), args.out)
-    return 0
+    return 0, jsonio.representation_to_json(build_lift(rep, args.level).rep), None
 
 
-def cmd_lift_invariant(args) -> int:
+def cmd_lift_invariant(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     lifted = LiftedRepresentation(rep, args.level)
     phi = jsonio.polynomial_from_json(_read(args.phi))
     phis = lift_invariant(lifted, phi, allow_non_invariant=args.any)
-    _emit([jsonio.polynomial_to_json(p) for p in phis], args.out)
-    return 0
+    return 0, [jsonio.polynomial_to_json(p) for p in phis], None
 
 
-def cmd_check_invariant(args) -> int:
+def cmd_check_invariant(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     phi = jsonio.polynomial_from_json(_read(args.phi))
     if args.level:
@@ -118,17 +135,14 @@ def cmd_check_invariant(args) -> int:
         if not residual.is_zero():
             failures.append({"basis": i,
                              "residual": jsonio.polynomial_to_json(residual)})
+    lines = itertools.chain(
+        ["not invariant" if failures else "invariant"],
+        (f"  basis {f['basis']}: nonzero residual" for f in failures))
     payload = {"invariant": not failures, "failures": failures}
-    if args.human:
-        lines = ["invariant" if not failures else "not invariant"]
-        lines += [f"  basis {f['basis']}: nonzero residual" for f in failures]
-        _emit(lines, args.out, human=True)
-    else:
-        _emit(payload, args.out)
-    return 0 if not failures else 1
+    return (1 if failures else 0), payload, lines
 
 
-def cmd_tangency(args) -> int:
+def cmd_tangency(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     field = jsonio.field_from_json(_read(args.field))
     points, params = jsonio.points_from_json(_read(args.points))
@@ -139,18 +153,12 @@ def cmd_tangency(args) -> int:
         "witness": None if r.witness is None
         else [jsonio.scalar_to_str(v) for v in r.witness],
     } for r in results]
-    if args.human:
-        lines = []
-        for r in results:
-            where = "(" + ", ".join(str(v) for v in r.point) + ")"
-            lines.append(f"{'tangent' if r.member else 'outside'} at {where}")
-        _emit(lines, args.out, human=True)
-    else:
-        _emit(payload, args.out)
-    return 0
+    lines = (f"{'tangent' if r.member else 'outside'} at {_tuple_text(r.point)}"
+             for r in results)
+    return 0, payload, lines
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     lifted = LiftedRepresentation(rep, args.level)
     field = jsonio.field_from_json(_read(args.field))
@@ -168,35 +176,24 @@ def cmd_decompose(args) -> int:
     try:
         dec = takiff_decompose(lifted, solver, field)
     except DecompositionRefused as exc:
-        witness = (jsonio.polynomial_to_json(exc.witness)
-                   if exc.witness is not None else None)
-        if args.human:
-            lines = [f"refused: {exc}"]
-            if exc.witness is not None:
-                lines.append(f"witness: {exc.witness}")
-            _emit(lines, args.out, human=True)
-        else:
-            _emit({"refused": str(exc), "witness": witness}, args.out)
-        return 2
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 3
+        witness = exc.witness
+        payload = {"refused": str(exc), "witness": None if witness is None
+                   else jsonio.polynomial_to_json(witness)}
+        lines = itertools.chain([f"refused: {exc}"],
+                                (f"witness: {w}" for w in [witness] if w is not None))
+        return 2, payload, lines
     # takiff_decompose checks every level as it solves it
     payload = {
         "decomposition": jsonio.decomposition_to_json(dec),
         "verification": {"passed": True, "residuals_zero": True},
     }
-    if args.human:
-        lines = ["decomposed and verified"]
-        for r, level in enumerate(dec.coefficients):
-            lines.append(f"b_{r} = (" + ", ".join(str(p) for p in level) + ")")
-        _emit(lines, args.out, human=True)
-    else:
-        _emit(payload, args.out)
-    return 0
+    lines = itertools.chain(
+        ["decomposed and verified"],
+        (f"b_{r} = {_tuple_text(level)}" for r, level in enumerate(dec.coefficients)))
+    return 0, payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     lifted = LiftedRepresentation(rep, args.level)
     field = jsonio.field_from_json(_read(args.field))
@@ -207,14 +204,10 @@ def cmd_verify(args) -> int:
         "residuals": [jsonio.polynomial_to_json(p) for p in residuals
                       if not p.is_zero()],
     }
-    if args.human:
-        _emit(["verified" if passed else "MISMATCH"], args.out, human=True)
-    else:
-        _emit(payload, args.out)
-    return 0 if passed else 1
+    return (0 if passed else 1), payload, ["verified" if passed else "MISMATCH"]
 
 
-def cmd_verify_flip(args) -> int:
+def cmd_verify_flip(args):
     g = jsonio.algebra_from_json(_read(args.algebra))
     report = verify_flip_identity(g, args.level)
     payload = {
@@ -223,27 +216,19 @@ def cmd_verify_flip(args) -> int:
         "passed": report.passed,
         "failing_basis": report.failing_basis,
     }
-    if args.human:
-        status = "flip identity holds" if report.passed else \
-            f"flip identity FAILS at basis {report.failing_basis}"
-        _emit([f"level {report.level}, dim {report.dim}: {status}"], args.out,
-              human=True)
-    else:
-        _emit(payload, args.out)
-    return 0 if report.passed else 1
+    status = "flip identity holds" if report.passed else \
+        f"flip identity FAILS at basis {report.failing_basis}"
+    return ((0 if report.passed else 1), payload,
+            [f"level {report.level}, dim {report.dim}: {status}"])
 
 
-def cmd_suite(args) -> int:
-    config = RunConfig(seed=args.seed, suites=tuple(args.names))
-    reports = run_suite(config)
-    if args.human:
-        _emit(summary_lines(reports), args.out, human=True)
-    else:
-        _emit([r.to_json() for r in reports], args.out)
-    return 0 if all(r.passed for r in reports) else 1
+def cmd_suite(args):
+    reports = run_suite(RunConfig(seed=args.seed, suites=tuple(args.names)))
+    return ((0 if all(r.passed for r in reports) else 1),
+            [r.to_json() for r in reports], summary_lines(reports))
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     kind_params = {}
     for key in ("n", "p", "q", "dim"):
         value = getattr(args, key)
@@ -264,8 +249,7 @@ def cmd_generate(args) -> int:
                          for level in inst.coefficients],
         "field": jsonio.field_to_json(inst.field),
     }
-    _emit(payload, args.out)
-    return 0
+    return 0, payload, None
 
 
 @functools.cache
@@ -372,12 +356,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    human = getattr(args, "human", False)
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
+        _emit(lines if human else payload, args.out, human)
+        return code
+    except InternalConsistencyError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 3
     except TakiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

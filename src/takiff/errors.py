@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the error for a number past
+the interpreter's limit on int/str conversion."""
 
 from __future__ import annotations
+
+import sys
 
 
 class TakiffError(Exception):
@@ -37,3 +40,13 @@ class InternalConsistencyError(TakiffError):
     top block). Firing one of these indicates a bug or an invalid hand-built
     input, never a legitimate refusal.
     """
+
+
+def digit_limit_error(what: str) -> StructuralError:
+    """The error for a number past the interpreter's limit on int/str conversion.
+
+    ``what`` leads the message, which goes on "more than N digits"; the limit
+    itself is kept, since it guards the parser against quadratic-time input.
+    """
+    return StructuralError(f"{what} more than {sys.get_int_max_str_digits()} digits "
+                           "(the interpreter's limit on int/str conversion)")

@@ -179,10 +179,11 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
             (1 / prod q_j!) * D_{f_1}^{q_1} ... D_{f_k}^{q_k} phi  at  f_0,
 
     where D_{f_j} phi = sum_i f_{j,i} d phi / d x_i is the directional
-    derivative along block f_j. The level m must be an int >= 0 whose
+    derivative along block f_j. phi is placed on block f_0 of the target
+    ring ``default_lift_blocks(m, n)``, where every derivative is taken and
+    every coefficient lives. The level m must be an int >= 0 whose
     coefficients need at most MAX_FAA_DI_BRUNO_PARTITIONS partitions in all,
-    counted before any is enumerated; the coefficients live over
-    ``default_lift_blocks(m, n)``. All arithmetic is exact.
+    counted before any is enumerated. All arithmetic is exact.
     """
     require_level(m)
     if _partition_total(m, MAX_FAA_DI_BRUNO_PARTITIONS) > MAX_FAA_DI_BRUNO_PARTITIONS:
@@ -192,23 +193,21 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
         raise StructuralError("phi must live over a single block")
     n = phi.ring.blocks[0].size
     blocks = default_lift_blocks(m, n)
-    x_block = VariableBlock("x", n, STATE)
-    target = Ring(blocks)
-    work = Ring((x_block,) + blocks[1:])
-    phi_work = Polynomial(work, {Monomial.from_map({("x", i): e for (_, i), e in mono}): c
-                                 for mono, c in phi.terms.items()})
-    into_f0 = {("x", i): Polynomial.variable(target, (blocks[0].name, i))
-               for i in range(n)}
-
-    # directions[j - 1] is the velocity x_i -> f_{j,i} of D_{f_j}
-    directions = [{("x", i): Polynomial.variable(work, (b.name, i)) for i in range(n)}
+    ring = Ring(blocks)
+    f0 = blocks[0].name
+    phi0 = Polynomial(ring, {Monomial.from_map({(f0, i): e for (_, i), e in mono}): c
+                             for mono, c in phi.terms.items()})
+    # directions[j - 1] is the velocity f_{0,i} -> f_{j,i} of D_{f_j}; no velocity
+    # involves f_0, so each derivative taken over this ring is already the one
+    # at f_0, and nothing is substituted
+    directions = [{(f0, i): Polynomial.variable(ring, (b.name, i)) for i in range(n)}
                   for b in blocks[1:]]
 
-    out = [phi_work.substitute(into_f0, target)]
+    out = [phi0]
     for k in range(1, m + 1):
-        total = Polynomial.zero(target)
+        total = Polynomial.zero(ring)
         for q in _weighted_partitions(k):
-            term = phi_work
+            term = phi0
             for qj, direction in zip(q, directions):
                 for _ in range(qj):
                     term = term.directional_derivative(direction)
@@ -217,7 +216,7 @@ def faa_di_bruno_lift(phi: Polynomial, m: int) -> list[Polynomial]:
             if term.is_zero():
                 continue
             denom = math.prod(math.factorial(qj) for qj in q)
-            total = total + term.substitute(into_f0, target) / denom
+            total = total + term / denom
         out.append(total)
     return out
 

@@ -37,7 +37,7 @@ from typing import Any, Mapping, Sequence
 
 from . import matrices as mx
 from .decompose import Decomposition
-from .errors import StructuralError
+from .errors import StructuralError, digit_limit_error
 from .lie import BilinearForm, LieAlgebra, Representation
 from .matrices import Matrix, Scalar, scalar
 from .poly import (MAX_EXPONENT, Polynomial, Ring, Var, VariableBlock, VectorField,
@@ -67,7 +67,10 @@ def _get(data, key: str, kind: type):
 
 
 def scalar_to_str(value: Scalar) -> str:
-    return str(scalar(value))
+    try:
+        return str(scalar(value))
+    except ValueError as exc:  # CPython's limit on int/str conversion
+        raise digit_limit_error("cannot write a number of") from exc
 
 
 def scalar_from_str(text: str | int) -> Scalar:
@@ -355,3 +358,5 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise StructuralError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past CPython's digit limit
+        raise digit_limit_error("invalid JSON: an integer literal has") from exc

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, digit_limit_error
 
 # An exact rational scalar: an int when integral, else a lowest-terms Fraction.
 Scalar = int | Fraction
@@ -40,7 +40,9 @@ def scalar(value) -> Scalar:
     """``value`` as an exact scalar: an int when integral, else a Fraction.
 
     Accepts an int (a bool is 0 or 1), a Fraction or a rational string such
-    as ``'-3'`` or ``'1/2'``; anything else is a StructuralError.
+    as ``'-3'`` or ``'1/2'``; anything else is a StructuralError, and so is a
+    string whose numerator or denominator has more digits than the
+    interpreter converts from text.
     """
     if type(value) is int:
         return value
@@ -50,6 +52,10 @@ def scalar(value) -> Scalar:
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
+            if "integer string conversion" in str(exc):  # CPython's digit limit
+                raise digit_limit_error(
+                    f"rational scalar {value[:20]}... has a numerator or denominator of"
+                ) from exc
             raise StructuralError(f"not a rational scalar: {value!r}") from exc
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value

@@ -692,17 +692,16 @@ def run_suite(config: RunConfig) -> list[Report]:
     return reports
 
 
-def summary_lines(reports: Sequence[Report]) -> list[str]:
-    lines = []
+def summary_lines(reports: Sequence[Report]) -> Iterator[str]:
+    """The plain-text summary of ``reports``, one line at a time."""
     for r in reports:
         status = "ok  " if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.checks} checks ({r.elapsed:.2f}s)")
+        yield f"{status} {r.name}: {r.checks} checks ({r.elapsed:.2f}s)"
         for d in r.details:
-            lines.append(f"       {d}")
+            yield f"       {d}"
     total = sum(r.checks for r in reports)
     failed = [r.name for r in reports if not r.passed]
     if failed:
-        lines.append(f"FAILED: {', '.join(failed)} ({total} checks total)")
+        yield f"FAILED: {', '.join(failed)} ({total} checks total)"
     else:
-        lines.append(f"all {len(reports)} suites passed ({total} checks total)")
-    return lines
+        yield f"all {len(reports)} suites passed ({total} checks total)"

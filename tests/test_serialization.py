@@ -1098,7 +1098,8 @@ def document_mutations(doc):
             out.append(("delete", path, None))
         out.extend(("set", path, other) for other in (1.5, True, False))
         if (isinstance(value, int) and not isinstance(value, bool)) or is_scalar_text(value):
-            out.extend(("set", path, other) for other in ("1/0", ""))
+            # 5,000 digits: past the interpreter's limit on int/str conversion
+            out.extend(("set", path, other) for other in ("1/0", "", "9" * 5000))
         if in_monomial:
             block, _, index = path[-1].rpartition(".")
             out.extend(("rename", path, key) for key in (
