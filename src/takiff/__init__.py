@@ -42,7 +42,6 @@ from .takiff_algebra import (
     TakiffContext,
     build_lift,
     build_takiff,
-    flip_involution,
     lift_bilinear_form,
     lift_representation,
     verify_flip_identity,

@@ -5,10 +5,11 @@ of the constants and the Jacobi identity are checked exactly, so every
 downstream computation may assume both. Representations are matrices per
 basis element, with the homomorphism identity
 rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified exactly for all basis
-pairs. The one exception is a Takiff lift g_m or rho_m: it is derived from a
-base that was checked here, by a construction under which the identities
-carry over, so it is valid by construction and built through ``_derived``
-without re-checking. ``LieAlgebra``, ``Representation`` and
+pairs. The exceptions are valid by construction and built through
+``_derived`` without re-checking: ad is a representation by the Jacobi
+identity, ad* = -ad^T is one because X -> -X^T preserves brackets, and a
+Takiff lift g_m or rho_m is derived from a checked base by a construction
+under which the identities carry over. ``LieAlgebra``, ``Representation`` and
 ``BilinearForm`` first normalise what they are given: nested sequences become
 tuples and every entry goes through ``matrices.scalar``, so an entry is an
 ``int`` or a non-integral ``Fraction``, and a float is refused. Structure
@@ -389,14 +390,13 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
     mats = tuple(
         tuple(tuple(g.c[i][j][k] for j in range(d)) for k in range(d))
         for i in range(d))
-    return Representation(g, mats)
+    return _derived(Representation, algebra=g, matrices=mats)
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
     """Dual action on coefficient vectors: ad*(x) = -transpose(ad(x))."""
-    ad = adjoint_rep(g)
-    mats = tuple(mx.scale(mx.transpose(m), -1) for m in ad.matrices)
-    return Representation(g, mats)
+    mats = tuple(mx.scale(mx.transpose(m), -1) for m in adjoint_rep(g).matrices)
+    return _derived(Representation, algebra=g, matrices=mats)
 
 
 def conjugate_representation(rho: Representation, theta: Matrix) -> Representation:

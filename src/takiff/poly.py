@@ -66,6 +66,11 @@ MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 # so its size is bounded from the block sizes before anything is enumerated.
 MAX_VARIABLES = 10_000
 
+# Most terms substitute_curve writes over all its coefficients, counted before
+# any is built. On a 2-core VM, x0^8 at m = 50 (268,682 terms, about 3 s and
+# 94 MB) fits, and x0^10 at m = 60 (1,743,613 terms, about 29 s) does not.
+MAX_CURVE_TERMS = 500_000
+
 
 def _ratio(value) -> tuple[int, int]:
     """An exact scalar as (numerator, positive denominator) in lowest terms."""
@@ -676,7 +681,8 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     is the exact coefficient of t^k in ``phi(sum_r t^r f_r)``, a polynomial
     over the ring made of the given blocks. Each term of ``phi`` is multiplied
     out as a series in t truncated after t^m, so no power of t beyond m is
-    ever formed.
+    ever formed. An expansion of more than MAX_CURVE_TERMS terms in all is
+    refused, counted by ``_curve_term_count`` before any is built.
     """
     if len(phi.ring.blocks) != 1:
         raise StructuralError(
@@ -689,6 +695,9 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
             raise StructuralError(
                 f"block {b.name!r} has size {b.size}, expected {source.size}")
     m = len(blocks) - 1
+    if _curve_term_count(phi, m) > MAX_CURVE_TERMS:
+        raise StructuralError(f"the curve coefficients of phi to level {m} hold more "
+                              f"than {MAX_CURVE_TERMS} terms")
     ring = Ring(tuple(blocks))
     # x_i is the series (f_{0,i}, ..., f_{m,i}): entry r is the coefficient of t^r
     curve = [[Polynomial.variable(ring, (b.name, i)) for b in blocks]
@@ -707,6 +716,39 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
         terms.append((c, series))
     return [Polynomial.combination(ring, ((c, series[k]) for c, series in terms))
             for k in range(m + 1)]
+
+
+def _curve_term_count(phi: Polynomial, m: int) -> int:
+    """How many terms ``substitute_curve`` writes for phi at level m.
+
+    The monomials of t-degree w in (sum_r t^r f_r)^e are the multisets of e
+    levels that sum to w, one per partition of w into at most e parts. So a
+    term prod_i x_i^{e_i} of phi gives sum_{k <= m} [t^k] prod_i P_{e_i}(t)
+    monomials, where P_e(t) = sum_w p_{<=e}(w) t^w. Distinct terms of phi
+    give disjoint monomials and no coefficient cancels, so the count is exact.
+    """
+    def times(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[r] * b[k - r] for r in range(k + 1)) for k in range(m + 1)]
+
+    def at_most_parts(e: int) -> list[int]:
+        # partitions of w <= m into at most e parts, that is into parts of size <= e
+        p = [1] + [0] * m
+        for part in range(1, min(e, m) + 1):
+            for w in range(part, m + 1):
+                p[w] += p[w - part]
+        return p
+
+    counts: dict[tuple[int, ...], int] = {}
+    total = 0
+    for mono in phi.terms:
+        exponents = tuple(sorted(e for _, e in mono))
+        if exponents not in counts:
+            series = [1] + [0] * m
+            for e in exponents:
+                series = times(series, at_most_parts(e))
+            counts[exponents] = sum(series)
+        total += counts[exponents]
+    return total
 
 
 def matrix_apply(matrix: Sequence[Sequence[Scalar]],

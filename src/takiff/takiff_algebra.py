@@ -25,9 +25,9 @@ so antisymmetry, the Jacobi identity and the homomorphism law carry over from
 the base algebra and representation, which were checked exactly when they were
 built. The ``jacobi`` and ``homomorphism`` suites check the lifts over their
 grid with their own code. Every dense matrix here (the
-structure-constant planes of g_m, rho_m, the lifted form B_m and the flip
-theta) is base blocks at block positions, and that placement rule lives in
-one helper, ``_blocks``. The size bound on g_m, ``check_level``, runs before
+structure-constant planes of g_m, rho_m and the lifted form B_m) is base
+blocks at block positions, and that placement rule lives in one helper,
+``_blocks``. The size bound on g_m, ``check_level``, runs before
 any of them is allocated.
 """
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from . import matrices as mx
 from .errors import InternalConsistencyError, StructuralError, ValidationError
 from .lie import BilinearForm, LieAlgebra, Representation, _derived, coadjoint_rep
 from .matrices import Matrix
@@ -179,12 +178,6 @@ def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
     return lift_representation(ctx, rho)
 
 
-def flip_involution(level: int, block_size: int) -> Matrix:
-    """Block reversal (f_0, ..., f_m) -> (f_m, ..., f_0) as a permutation matrix."""
-    return _blocks(level, block_size,
-                   ((level - s, s, mx.identity(block_size)) for s in range(level + 1)))
-
-
 @dataclass(frozen=True)
 class FlipReport:
     """Outcome of the flip-conjugation identity between the two dual lifts."""
@@ -199,16 +192,18 @@ def verify_flip_identity(g: LieAlgebra, m: int) -> FlipReport:
     """Check theta . rho(X) . theta = tau(X) for every basis element X of g_m.
 
     Here rho is the lift of the coadjoint action of g, tau is the coadjoint
-    action of g_m itself, and theta is the block reversal. Both sides are
-    exact matrices; a failure reports the first offending basis element.
+    action of g_m itself, and theta is the block reversal, which sends
+    coordinate (s, a) of V_m to (m - s, a). So theta M theta is M read at
+    the reversed indices, and no matrix is multiplied. Both sides are exact;
+    a failure reports the first offending basis element.
     """
     ctx = build_takiff(g, m)
     rho = lift_representation(ctx, coadjoint_rep(g))
     tau = coadjoint_rep(ctx.algebra)
-    theta = flip_involution(m, g.dim)
+    flip = [(m - s) * g.dim + a for s in range(m + 1) for a in range(g.dim)]
     for k, name in enumerate(ctx.algebra.names):
-        lhs = mx.mul(mx.mul(theta, rho.rep.matrices[k]), theta)
-        if lhs != tau.matrices[k]:
+        lifted = rho.rep.matrices[k]
+        if tuple(tuple(lifted[p][q] for q in flip) for p in flip) != tau.matrices[k]:
             return FlipReport(m, ctx.algebra.dim, False, name)
     return FlipReport(m, ctx.algebra.dim, True, None)
 

@@ -4,6 +4,7 @@ before it allocates."""
 
 import json
 import re
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from takiff.lie import (
     so_n,
     standard_dim,
 )
-from takiff.poly import STATE, Ring, VariableBlock
+from takiff.poly import STATE, Polynomial, Ring, VariableBlock
 from takiff.takiff_algebra import LiftedRepresentation, TakiffContext, build_lift
 
 BASES = {"sl2": sl2, "so3": lambda: so_n(3), "so4": lambda: so_n(4), "gl2": lambda: gl_n(2)}
@@ -103,6 +104,27 @@ def test_a_cold_lift_runs_no_jacobi_or_homomorphism_check(monkeypatch):
     lifted = build_lift(rho, 3)
     assert lifted.rep.algebra is lifted.context.algebra
     assert calls == {"jacobi": 0, "homomorphism": 0}
+
+
+# (kind, params, level): the base algebra when level is None, else its g_m
+ADJOINT_GRID = [("so_n", {"n": 2}, None), ("so_n", {"n": 4}, None),
+                ("so_pq", {"p": 2, "q": 1}, None), ("gl_n", {"n": 2}, None),
+                ("abelian", {"dim": 2}, None),
+                *(("sl2", {}, m) for m in range(3)), *(("so_n", {"n": 3}, m) for m in range(3))]
+
+
+@pytest.mark.parametrize("kind, params, m", ADJOINT_GRID,
+                         ids=["so2", "so4", "so21", "gl2", "abelian2", "sl2-m0", "sl2-m1",
+                              "sl2-m2", "so3-m0", "so3-m1", "so3-m2"])
+def test_adjoint_and_coadjoint_are_representations(kind, params, m):
+    # adjoint_rep and coadjoint_rep build their Representation without the check
+    g, _ = make_standard(kind, **params)
+    if m is not None:
+        g = takiff_algebra.build_takiff(g, m).algebra
+    for rep in (lie.adjoint_rep(g), lie.coadjoint_rep(g)):
+        rows = tuple(mx.sparse_rows(a) for a in rep.matrices)
+        assert all(lie.homomorphism_defect(g, rows, i, j) is None
+                   for i in range(g.dim) for j in range(g.dim))
 
 
 @pytest.mark.parametrize("level", [1.5, True, "1"])
@@ -195,6 +217,21 @@ def test_cli_refuses_an_oversized_level_before_any_allocation(tmp_path, monkeypa
     assert main(_argv(command, files, 40)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == refusal
+
+
+def test_lift_invariant_refuses_an_oversized_expansion_at_once(tmp_path, capsys):
+    # x0^12 at level 99 over abelian(1) would write 179,249,789 terms
+    _, rho = lie.abelian(1)
+    rep = _write(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    phi = _write(tmp_path / "phi.json", jsonio.polynomial_to_json(x0 ** 12))
+    start = time.process_time()
+    assert main(["lift-invariant", "--rep", rep, "--phi", phi, "--level", "99"]) == 1
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the curve coefficients of phi to level 99 hold more "
+                            "than 500000 terms\n")
 
 
 @pytest.mark.parametrize("flags", [["--kind", "so_n", "--n", "40"],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from takiff import jsonio
 from takiff.errors import StructuralError
 from takiff.poly import (
+    MAX_CURVE_TERMS,
     MAX_EXPONENT,
     PARAMETER,
     STATE,
@@ -19,6 +20,7 @@ from takiff.poly import (
     Ring,
     VariableBlock,
     matrix_apply,
+    _curve_term_count,
     substitute_curve,
 )
 
@@ -641,6 +643,32 @@ def test_substitute_curve_truncates():
     out = substitute_curve(var(source, "x", 0) ** 200, blocks)
     assert out == [f0 ** 200, 200 * f0 ** 199 * f1,
                    19900 * f0 ** 198 * f1 ** 2 + 200 * f0 ** 199 * f2]
+
+
+@LAWS
+@given(st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), SCALARS.filter(bool), max_size=4),
+       st.integers(0, 5))
+def test_curve_term_count_is_the_number_of_terms_written(terms, m):
+    phi = Polynomial(X, {Monomial.from_map({("x", i): e for i, e in enumerate(exps)}): c
+                         for exps, c in terms.items()})
+    blocks = tuple(VariableBlock(f"f{k}", 3, STATE) for k in range(m + 1))
+    written = sum(len(p.terms) for p in substitute_curve(phi, blocks))
+    assert _curve_term_count(phi, m) == written
+
+
+def test_substitute_curve_refuses_more_than_its_bound_before_building(monkeypatch):
+    x0 = var(Ring.of(VariableBlock("x", 1, STATE)), "x", 0)
+    # the sizes that MAX_CURVE_TERMS is set from, and the refused one
+    assert [_curve_term_count(x0 ** e, m) for e, m in ((8, 50), (10, 60), (12, 99))] \
+        == [268_682, 1_743_613, 179_249_789]
+    monkeypatch.setattr(Polynomial, "variable", _unexpected)
+    blocks = tuple(VariableBlock(f"f{k}", 1, STATE) for k in range(61))
+    with pytest.raises(StructuralError, match=f"to level 60 hold more than {MAX_CURVE_TERMS} "):
+        substitute_curve(x0 ** 10, blocks)
+
+
+def _unexpected(*_):
+    raise AssertionError("a polynomial was built before the term count was checked")
 
 
 def test_substitute_curve_validates_blocks():

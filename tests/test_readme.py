@@ -25,7 +25,7 @@ PUBLIC_API = [
     "algebra_from_matrices", "annihilates_invariants", "apply_killing", "build_lift",
     "build_takiff", "builtin_solver", "coadjoint_rep", "conjugate_representation",
     "cylindrical_invariance_check", "decompose", "errors", "extract_linear_part",
-    "faa_di_bruno_lift", "field_from_coefficients", "flip_involution",
+    "faa_di_bruno_lift", "field_from_coefficients",
     "generate_instance", "gl_n", "invariants", "is_invariant", "jsonio", "killing_form",
     "lie", "lift_bilinear_form", "lift_family", "lift_invariant", "lift_representation",
     "make_standard", "matrices", "matrix_apply", "poly", "quadratic_invariant",

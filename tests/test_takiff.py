@@ -2,29 +2,36 @@
 
 import itertools
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from takiff import matrices as mx
-from takiff import takiff_algebra
+from takiff import jsonio, takiff_algebra
+from takiff.cli import main
 from takiff.errors import StructuralError, ValidationError
-from takiff.lie import BilinearForm, LieAlgebra, Representation, gl_n, killing_form, sl2, so_n
+from takiff.lie import (
+    BilinearForm,
+    LieAlgebra,
+    Representation,
+    adjoint_rep,
+    gl_n,
+    killing_form,
+    sl2,
+    so_n,
+)
 from takiff.takiff_algebra import (
+    FlipReport,
     LiftedRepresentation,
     build_lift,
     build_takiff,
-    flip_involution,
     lift_bilinear_form,
     lift_representation,
     verify_flip_identity,
 )
 
 from matrix_reference import add, sub
-
-
-def basis_vec(dim, k):
-    return tuple(Fraction(int(i == k)) for i in range(dim))
 
 
 def test_level_zero_equals_base():
@@ -113,20 +120,43 @@ def test_build_lift_is_cached():
     assert build_lift(rho, 2) is build_lift(rho, 2)
 
 
-def test_flip_is_an_involution():
-    theta = flip_involution(2, 2)
-    assert mx.mul(theta, theta) == mx.identity(6)
-    assert theta != mx.identity(6)
-    # block s maps to block level - s
-    assert mx.mat_vec(theta, basis_vec(6, 0)) == basis_vec(6, 4)
-
-
 def test_flip_identity_holds():
     for g, _ in (sl2(), so_n(3)):
         for m in (0, 1, 2):
             report = verify_flip_identity(g, m)
             assert report.passed and report.failing_basis is None
             assert report.dim == (m + 1) * g.dim
+
+
+def test_flip_identity_holds_at_the_largest_level_within_a_budget(monkeypatch):
+    # sl2 and so(3) at m = 32: dim g_m = 99, the largest g_m that check_level allows
+    monkeypatch.setattr(mx, "mul", _unexpected_product)
+    start = time.process_time()
+    for g, _ in (sl2(), so_n(3)):
+        report = verify_flip_identity(g, 32)
+        assert (report.passed, report.dim) == (True, 99)
+    assert time.process_time() - start < 5.0
+
+
+def _unexpected_product(*_):
+    raise AssertionError("the flip check multiplies no matrices")
+
+
+def test_flip_identity_fails_at_the_first_differing_basis(monkeypatch, tmp_path):
+    # lift ad where ad* belongs: the two differ for sl2, and agree for so(3),
+    # whose ad matrices are antisymmetric
+    lift = takiff_algebra.lift_representation
+    monkeypatch.setattr(takiff_algebra, "lift_representation",
+                        lambda ctx, rho: lift(ctx, adjoint_rep(rho.algebra)))
+    g, _ = sl2()
+    assert verify_flip_identity(g, 1) == FlipReport(1, 6, False, "e")
+    assert verify_flip_identity(so_n(3)[0], 1).passed
+    algebra = tmp_path / "g.json"
+    algebra.write_text(jsonio.dumps(jsonio.algebra_to_json(g)), encoding="utf-8")
+    out = tmp_path / "flip.txt"
+    assert main(["verify-flip", "--algebra", str(algebra), "--level", "1",
+                 "--human", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "level 1, dim 6: flip identity FAILS at basis e\n"
 
 
 def test_lifted_bilinear_form():
@@ -156,7 +186,7 @@ def trace_form(rho):
                          ids=["sl2", "so3", "so4", "gl2"])
 @pytest.mark.parametrize("m", range(4))
 def test_layout_matches_the_defining_formulas(make, m):
-    """Every entry of g_m, rho_m, B_m and theta, against the formulas written out.
+    """Every entry of g_m, rho_m and B_m, against the formulas written out.
 
     Basis element (r, i) of g_m and coordinate (s, a) of V_m sit at r*d + i
     and s*n + a.
@@ -167,7 +197,6 @@ def test_layout_matches_the_defining_formulas(make, m):
     ctx = build_takiff(g, m)
     lifted = lift_representation(ctx, rho).rep.matrices
     gram = lift_bilinear_form(ctx, form).gram
-    theta = flip_involution(m, n)
     levels = range(m + 1)
     for r, i, s, j, t, k in itertools.product(levels, range(d), repeat=3):
         # [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}, and zero past level m
@@ -181,9 +210,6 @@ def test_layout_matches_the_defining_formulas(make, m):
     for r, i, s, j in itertools.product(levels, range(d), repeat=2):
         # B_m(x_i T^r, x_j T^s) = B(x_i, x_j) when r + s = m
         assert gram[r * d + i][s * d + j] == (form.gram[i][j] if r + s == m else 0)
-    for t, a, s, b in itertools.product(levels, range(n), repeat=2):
-        # theta sends f_s to block m - s
-        assert theta[t * n + a][s * n + b] == (1 if t == m - s and a == b else 0)
 
 
 def test_lifted_form_at_level_zero_is_input():
