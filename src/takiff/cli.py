@@ -48,6 +48,7 @@ from .errors import (
 )
 from .invariants import apply_killing, lift_invariant, tangency_check
 from .lie import killing_form
+from .poly import MAX_CURVE_TERMS
 from .randgen import generate_instance
 from .suites import RunConfig, run_suite, summary_lines
 from .takiff_algebra import (
@@ -101,6 +102,14 @@ def _gram_for(rep, choice: str):
     return jsonio.bilinear_from_json(_read(choice)).gram
 
 
+def _check_rings_written(count: int, what: str, blocks: int) -> None:
+    """Refuse a list of ``count`` polynomials that each repeat a ring of ``blocks``
+    blocks, as jsonio writes them, past MAX_CURVE_TERMS ring entries in all."""
+    if count * blocks > MAX_CURVE_TERMS:
+        raise StructuralError(f"{count} {what} over a ring of {blocks} blocks would write "
+                              f"{count * blocks} ring entries, more than {MAX_CURVE_TERMS}")
+
+
 def _tuple_text(values) -> str:
     """``(a, b, c)``: each value written by ``str``."""
     return "(" + ", ".join(map(str, values)) + ")"
@@ -119,6 +128,7 @@ def cmd_lift_rep(args):
 def cmd_lift_invariant(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     lifted = LiftedRepresentation(rep, args.level)
+    _check_rings_written(args.level + 1, "curve coefficients", args.level + 1)
     phi = jsonio.polynomial_from_json(_read(args.phi))
     phis = lift_invariant(lifted, phi, allow_non_invariant=args.any)
     return 0, [jsonio.polynomial_to_json(p) for p in phis], None
@@ -199,10 +209,11 @@ def cmd_verify(args):
     field = jsonio.field_from_json(_read(args.field))
     dec = jsonio.decomposition_from_json(_read(args.dec))
     passed, residuals = verify_decomposition(lifted, field, dec)
+    residuals = [p for p in residuals if not p.is_zero()]
+    _check_rings_written(len(residuals), "residuals", len(field.ring.blocks))
     payload = {
         "passed": passed,
-        "residuals": [jsonio.polynomial_to_json(p) for p in residuals
-                      if not p.is_zero()],
+        "residuals": [jsonio.polynomial_to_json(p) for p in residuals],
     }
     return (0 if passed else 1), payload, ["verified" if passed else "MISMATCH"]
 

@@ -317,9 +317,18 @@ def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
         for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], j)))
 
 
+def _check_field_shape(lifted: LiftedRepresentation, field: VectorField) -> None:
+    """Refuse a field whose level or block size is not the lift's."""
+    if field.level != lifted.level or field.block_size != lifted.block_size:
+        raise StructuralError(
+            f"field shape (level {field.level}, block {field.block_size}) does "
+            f"not match the lift (level {lifted.level}, block {lifted.block_size})")
+
+
 def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
                          dec: Decomposition) -> tuple[bool, tuple[Polynomial, ...]]:
     """Exact check of the reconstruction identity, with per-component residuals."""
+    _check_field_shape(lifted, field)
     if dec.ring != field.ring:
         raise StructuralError("decomposition and field live over different rings")
     recon = field_from_coefficients(lifted, field.ring, dec.coefficients).components
@@ -342,10 +351,7 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     if solver.rep != lifted.base_rep:
         raise StructuralError(
             "the solver is registered for a different base representation")
-    if field.level != lifted.level or field.block_size != lifted.block_size:
-        raise StructuralError(
-            f"field shape (level {field.level}, block {field.block_size}) does "
-            f"not match the lift (level {lifted.level}, block {lifted.block_size})")
+    _check_field_shape(lifted, field)
     m, n = lifted.level, field.block_size
     ring = field.ring
     blocks = field.state_blocks

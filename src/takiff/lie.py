@@ -7,8 +7,9 @@ basis element, with the homomorphism identity
 rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified exactly for all basis
 pairs. The exceptions are valid by construction and built through
 ``_derived`` without re-checking: ad is a representation by the Jacobi
-identity, ad* = -ad^T is one because X -> -X^T preserves brackets, and a
-Takiff lift g_m or rho_m is derived from a checked base by a construction
+identity, ad* = -ad^T is one because X -> -X^T preserves brackets, a
+conjugate theta rho theta^(-1) is one because conjugation preserves them, and
+a Takiff lift g_m or rho_m is derived from a checked base by a construction
 under which the identities carry over. ``LieAlgebra``, ``Representation`` and
 ``BilinearForm`` first normalise what they are given: nested sequences become
 tuples and every entry goes through ``matrices.scalar``, so an entry is an
@@ -400,13 +401,15 @@ def coadjoint_rep(g: LieAlgebra) -> Representation:
 
 
 def conjugate_representation(rho: Representation, theta: Matrix) -> Representation:
-    """Equivalent representation theta . rho(x) . theta^(-1)."""
+    """Equivalent representation theta . rho(x) . theta^(-1); a representation
+    because conjugation by theta preserves brackets."""
     n = rho.space_dim
+    theta = mx.mat(theta)
     if mx.shape(theta) != (n, n):
         raise StructuralError(f"theta must be {n}x{n}")
     theta_inv = mx.inverse(theta)  # raises ValidationError when singular
-    mats = tuple(mx.mul(mx.mul(theta, m), theta_inv) for m in rho.matrices)
-    return Representation(rho.algebra, mats)
+    mats = tuple(mx.mat(mx.mul(mx.mul(theta, m), theta_inv)) for m in rho.matrices)
+    return _derived(Representation, algebra=rho.algebra, matrices=mats)
 
 
 def killing_form(g: LieAlgebra) -> BilinearForm:

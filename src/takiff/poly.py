@@ -680,8 +680,9 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     pairwise distinct blocks of the same size n. Entry k of the returned list
     is the exact coefficient of t^k in ``phi(sum_r t^r f_r)``, a polynomial
     over the ring made of the given blocks. Each term of ``phi`` is multiplied
-    out as a series in t truncated after t^m, so no power of t beyond m is
-    ever formed. An expansion of more than MAX_CURVE_TERMS terms in all is
+    out as a series in t truncated after t^m, starting from its first factor,
+    so no power of t beyond m is ever formed and a term of one factor costs no
+    product. An expansion of more than MAX_CURVE_TERMS terms in all is
     refused, counted by ``_curve_term_count`` before any is built.
     """
     if len(phi.ring.blocks) != 1:
@@ -707,12 +708,13 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
         return [Polynomial.combination(ring, ((a[r], b[k - r]) for r in range(k + 1)))
                 for k in range(m + 1)]
 
+    one = [Polynomial.constant(ring, 1)] + [Polynomial.zero(ring)] * m
     terms = []
     for mono, c in phi.terms.items():
-        series = [Polynomial.constant(ring, 1)] + [Polynomial.zero(ring)] * m
-        for (_, i), e in mono:
-            for _ in range(e):
-                series = times(series, curve[i])
+        factors = [curve[i] for (_, i), e in mono for _ in range(e)]
+        series = factors[0] if factors else one
+        for factor in factors[1:]:
+            series = times(series, factor)
         terms.append((c, series))
     return [Polynomial.combination(ring, ((c, series[k]) for c, series in terms))
             for k in range(m + 1)]
@@ -726,6 +728,11 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
     term prod_i x_i^{e_i} of phi gives sum_{k <= m} [t^k] prod_i P_{e_i}(t)
     monomials, where P_e(t) = sum_w p_{<=e}(w) t^w. Distinct terms of phi
     give disjoint monomials and no coefficient cancels, so the count is exact.
+
+    Every P_e has all entries >= 1, so entry w of a product of two or more is
+    >= w + 1, and their truncated sum is >= (m+1)(m+2)/2. Where that already
+    exceeds MAX_CURVE_TERMS, the first term of two or more factors ends the
+    count with that lower bound, and no O(m^2) product is formed.
     """
     def times(a: list[int], b: list[int]) -> list[int]:
         return [sum(a[r] * b[k - r] for r in range(k + 1)) for k in range(m + 1)]
@@ -738,13 +745,16 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
                 p[w] += p[w - part]
         return p
 
+    floor = (m + 1) * (m + 2) // 2
     counts: dict[tuple[int, ...], int] = {}
     total = 0
     for mono in phi.terms:
         exponents = tuple(sorted(e for _, e in mono))
+        if len(exponents) > 1 and floor > MAX_CURVE_TERMS:
+            return floor
         if exponents not in counts:
-            series = [1] + [0] * m
-            for e in exponents:
+            series = at_most_parts(exponents[0]) if exponents else [1]
+            for e in exponents[1:]:
                 series = times(series, at_most_parts(e))
             counts[exponents] = sum(series)
         total += counts[exponents]

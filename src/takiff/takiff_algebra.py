@@ -27,8 +27,10 @@ built. The ``jacobi`` and ``homomorphism`` suites check the lifts over their
 grid with their own code. Every dense matrix here (the
 structure-constant planes of g_m, rho_m and the lifted form B_m) is base
 blocks at block positions, and that placement rule lives in one helper,
-``_blocks``. The size bound on g_m, ``check_level``, runs before
-any of them is allocated.
+``_blocks``. Each object is bounded by what it builds, before any block or
+ring is allocated: a ``TakiffContext`` by ``check_level``, the size of the
+dense g_m, and a ``LiftedRepresentation`` by the coordinates of V_m, which
+every ring over V_m must fit in ``poly.MAX_VARIABLES``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Iterable
 from .errors import InternalConsistencyError, StructuralError, ValidationError
 from .lie import BilinearForm, LieAlgebra, Representation, _derived, coadjoint_rep
 from .matrices import Matrix
+from .poly import MAX_VARIABLES
 
 # Largest g_m, counted in structure constants ((m+1) dim g)^3, so dim g_m <= 100;
 # checked by check_level before any allocation.
@@ -120,15 +123,23 @@ class LiftedRepresentation:
 
     Its action on V_m = V^{m+1}, blocks indexed by level, is the block sum in
     the module docstring, which reads rho and m alone. The dense g_m
-    (``context``) and rho_m (``rep``) are derived on first read and kept.
-    Construction refuses the level as ``TakiffContext`` does.
+    (``context``) and rho_m (``rep``) are derived on first read and kept,
+    and reading either refuses the level as ``TakiffContext`` does.
+    Construction refuses a level that is not an int >= 0, or a V_m of more
+    than ``poly.MAX_VARIABLES`` coordinates, the bound every ring over V_m
+    meets; it does not read the base algebra.
     """
 
     base_rep: Representation
     level: int
 
     def __post_init__(self):
-        check_level(self.base_rep.algebra.dim, self.level)
+        require_level(self.level)
+        if self.space_dim > MAX_VARIABLES:
+            raise StructuralError(
+                f"level {self.level} of a {self.block_size}-dimensional representation "
+                f"has {self.space_dim} coordinates, more than "
+                f"MAX_VARIABLES = {MAX_VARIABLES}")
 
     @property
     def block_size(self) -> int:

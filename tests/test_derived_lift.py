@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from takiff import jsonio, lie, randgen, takiff_algebra
+from takiff import invariants, jsonio, lie, randgen, takiff_algebra
 from takiff import matrices as mx
 from takiff.cli import main
 from takiff.errors import StructuralError
-from takiff.invariants import quadratic_invariant
+from takiff.decompose import Decomposition, field_from_coefficients
+from takiff.invariants import lift_invariant, quadratic_invariant
 from takiff.lie import (
     LieAlgebra,
     Representation,
@@ -23,7 +24,7 @@ from takiff.lie import (
     so_n,
     standard_dim,
 )
-from takiff.poly import STATE, Polynomial, Ring, VariableBlock
+from takiff.poly import STATE, Polynomial, Ring, VariableBlock, VectorField
 from takiff.takiff_algebra import LiftedRepresentation, TakiffContext, build_lift
 
 BASES = {"sl2": sl2, "so3": lambda: so_n(3), "so4": lambda: so_n(4), "gl2": lambda: gl_n(2)}
@@ -160,21 +161,27 @@ def _write(path, payload) -> str:
     return str(path)
 
 
-def _instance_files(tmp_path, level: int) -> dict[str, str]:
-    """generate, decompose and a quadratic invariant for so(3) at ``level``, as files."""
-    gen = tmp_path / "inst.json"
-    assert main(["generate", "--kind", "so_n", "--n", "3", "--level", str(level),
-                 "--seed", "5", "--out", str(gen)]) == 0
-    payload = json.loads(gen.read_text(encoding="utf-8"))
-    files = {"rep": _write(tmp_path / "rep.json", payload["representation"]),
-             "field": _write(tmp_path / "field.json", payload["field"]),
-             "algebra": _write(tmp_path / "g.json", payload["algebra"])}
+def _instance_files(tmp_path, level: int, n: int = 3) -> dict[str, str]:
+    """A Killing-combination field for so(n) at ``level``, its decomposition by
+    the CLI and a quadratic invariant, as files.
+
+    The field is built from randgen's parts, as ``generate`` builds it, so any
+    level whose V_m fits a ring is allowed, past generate's bound on g_m too.
+    """
+    g, rho = so_n(n)
+    ring = randgen.instance_ring(level, n, 1)
+    coefficients = randgen.random_coefficients(
+        randgen.SplitMix64(5), g.dim, level + 1, ring, 2, 3)
+    field = field_from_coefficients(LiftedRepresentation(rho, level), ring, coefficients)
+    files = {"rep": _write(tmp_path / "rep.json", jsonio.representation_to_json(rho)),
+             "field": _write(tmp_path / "field.json", jsonio.field_to_json(field)),
+             "algebra": _write(tmp_path / "g.json", jsonio.algebra_to_json(g))}
     out = tmp_path / "out.json"
     assert main(["decompose", "--rep", files["rep"], "--level", str(level),
                  "--field", files["field"], "--out", str(out)]) == 0
     dec = json.loads(out.read_text(encoding="utf-8"))["decomposition"]
     files["dec"] = _write(tmp_path / "dec.json", dec)
-    q = quadratic_invariant(mx.identity(3), Ring.of(VariableBlock("x", 3, STATE)))
+    q = quadratic_invariant(mx.identity(n), Ring.of(VariableBlock("x", n, STATE)))
     files["phi"] = _write(tmp_path / "q.json", jsonio.polynomial_to_json(q))
     return files
 
@@ -206,17 +213,125 @@ def test_cli_builds_no_g_m_to_decompose_verify_or_generate(tmp_path, monkeypatch
 @pytest.mark.parametrize("command", ["decompose", "verify", "lift-invariant", "generate"])
 def test_cli_refuses_an_oversized_level_before_any_allocation(tmp_path, monkeypatch, capsys,
                                                               command):
-    files = _instance_files(tmp_path, 1)
+    files = _instance_files(tmp_path, 40)
     capsys.readouterr()
-    assert main(["build", "--algebra", files["algebra"], "--level", "40"]) == 1
-    refusal = capsys.readouterr().err
-    assert "structure constants" in refusal
-    for name, module in (("_blocks", takiff_algebra), ("instance_ring", randgen),
+    monkeypatch.setattr(takiff_algebra, "_blocks", _unexpected)
+    if command == "generate":
+        # generate writes a field from the base algebra, so g_m bounds its level
+        assert main(["build", "--algebra", files["algebra"], "--level", "40"]) == 1
+        refusal = capsys.readouterr().err
+        assert "structure constants" in refusal
+        level = 40
+    else:
+        # the other three act on V_m alone: level 40 of so(3) runs without g_m,
+        # and a V_m past MAX_VARIABLES coordinates (level 3333) is refused
+        assert main(_argv(command, files, 40)) == 0
+        capsys.readouterr()
+        refusal = ("error: level 3333 of a 3-dimensional representation has 10002 "
+                   "coordinates, more than MAX_VARIABLES = 10000\n")
+        level = 3333
+    for name, module in (("default_lift_blocks", invariants), ("instance_ring", randgen),
                          ("random_coefficients", randgen)):
         monkeypatch.setattr(module, name, _unexpected)
-    assert main(_argv(command, files, 40)) == 1
+    assert main(_argv(command, files, level)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == refusal
+
+
+@pytest.mark.parametrize("n, level", [(15, 0), (3, 40)], ids=["so15-m0", "so3-m40"])
+def test_cli_decomposes_and_verifies_past_the_g_m_bound(tmp_path, monkeypatch, capsys,
+                                                        n, level):
+    # dim g_m is 105 and 123: build refuses both, and decompose and verify build no g_m
+    files = _instance_files(tmp_path, level, n)
+    capsys.readouterr()
+    monkeypatch.setattr(takiff_algebra, "_blocks", _unexpected)
+    assert main(["build", "--algebra", files["algebra"], "--level", str(level)]) == 1
+    assert "structure constants" in capsys.readouterr().err
+    assert main(_argv("decompose", files, level)) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+    assert main(_argv("verify", files, level)) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_cli_refuses_to_repeat_a_ring_past_the_curve_term_bound(tmp_path, capsys):
+    # each written polynomial carries its ring: x0 at m = 9999 would write
+    # 10,000 rings of 10,000 blocks, and a wrong decomposition at so(3) m = 600
+    # 1,202 residuals over a ring of 602 blocks
+    _, rho = lie.abelian(1)
+    x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    rep = _write(tmp_path / "a1.json", jsonio.representation_to_json(rho))
+    phi = _write(tmp_path / "x0.json", jsonio.polynomial_to_json(x0))
+    start = time.process_time()
+    assert main(["lift-invariant", "--rep", rep, "--phi", phi, "--level", "9999"]) == 1
+    assert time.process_time() - start < 0.1
+    assert capsys.readouterr().err == (
+        "error: 10000 curve coefficients over a ring of 10000 blocks would write "
+        "100000000 ring entries, more than 500000\n")
+
+    _, rho = so_n(3)
+    ring = randgen.instance_ring(600, 3, 1)
+    zero = Polynomial.zero(ring)
+    one = Polynomial.constant(ring, 1)
+    dec = Decomposition(ring, ((one, zero, zero),) + ((zero,) * 3,) * 600)
+    rep = _write(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    field = _write(tmp_path / "field.json",
+                   jsonio.field_to_json(VectorField(ring, (zero,) * 1803)))
+    dec = _write(tmp_path / "dec.json", jsonio.decomposition_to_json(dec))
+    assert main(["verify", "--rep", rep, "--level", "600", "--field", field,
+                 "--dec", dec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: 1202 residuals over a ring of 602 blocks would write 723604 ring "
+        "entries, more than 500000\n")
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_cli_refuses_a_field_of_another_shape_in_one_message(tmp_path, capsys, command):
+    files = _instance_files(tmp_path, 1)
+    for name in ("so4", "deep"):
+        (tmp_path / name).mkdir()
+    fields = ((_instance_files(tmp_path / "so4", 1, 4)["field"], "(level 1, block 4)"),
+              (_instance_files(tmp_path / "deep", 2)["field"], "(level 2, block 3)"))
+    capsys.readouterr()
+    for field, shape in fields:
+        assert main(_argv(command, dict(files, field=field), 1)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: field shape {shape} does not match the lift (level 1, block 3)\n")
+
+
+def test_lift_invariant_lifts_a_linear_term_at_the_largest_level_in_time():
+    # abelian(1) at m = 9999: V_m has 10,000 coordinates, and x0 lifts to f_k
+    _, rho = lie.abelian(1)
+    x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    start = time.process_time()
+    phis = lift_invariant(LiftedRepresentation(rho, 9999), x0)
+    assert time.process_time() - start < 2.0
+    assert len(phis) == 10_000
+    for k in (0, 1, 5000, 9999):
+        assert phis[k] == Polynomial.variable(phis[k].ring, (f"f{k}", 0))
+
+
+@pytest.mark.parametrize("power", [2, 6])
+def test_lift_invariant_refuses_a_power_at_the_largest_level_at_once(power):
+    _, rho = lie.abelian(1)
+    x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    lifted = LiftedRepresentation(rho, 9999)
+    start = time.process_time()
+    with pytest.raises(StructuralError, match="to level 9999 hold more than 500000 terms"):
+        lift_invariant(lifted, x0 ** power)
+    assert time.process_time() - start < 0.1
+
+
+def test_lift_invariant_refuses_a_product_past_the_bound_at_once():
+    # any product of two variables writes >= (m+1)(m+2)/2 terms: 501,501 at m = 1000
+    _, rho = lie.abelian(2)
+    ring = Ring.of(VariableBlock("x", 2, STATE))
+    phi = Polynomial.variable(ring, ("x", 0)) * Polynomial.variable(ring, ("x", 1))
+    start = time.process_time()
+    with pytest.raises(StructuralError, match="to level 1000 hold more than 500000 terms"):
+        lift_invariant(LiftedRepresentation(rho, 1000), phi)
+    assert time.process_time() - start < 0.1
 
 
 def test_lift_invariant_refuses_an_oversized_expansion_at_once(tmp_path, capsys):

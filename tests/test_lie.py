@@ -17,12 +17,14 @@ from takiff.lie import (
     coadjoint_rep,
     conjugate_representation,
     gl_n,
+    homomorphism_defect,
     killing_form,
     make_standard,
     sl2,
     so_n,
     so_pq,
 )
+from takiff.randgen import SplitMix64, random_invertible
 
 from matrix_reference import add
 
@@ -239,6 +241,39 @@ def test_conjugate_representation():
         conjugate_representation(rho, mx.mat([[1, 1], [1, 1]]))
     with pytest.raises(StructuralError):
         conjugate_representation(rho, mx.identity(3))
+
+
+CONJUGATE_KINDS = [("so_n", {"n": 3}), ("so_n", {"n": 5}), ("so_pq", {"p": 1, "q": 2}),
+                   ("sl2", {}), ("sl2_adjoint", {}), ("gl_n", {"n": 2}), ("gl_n", {"n": 3}),
+                   ("abelian", {"dim": 2})]
+
+
+@pytest.mark.parametrize("kind, params", CONJUGATE_KINDS,
+                         ids=[f"{k}{''.join(map(str, p.values()))}" for k, p in CONJUGATE_KINDS])
+def test_a_conjugate_is_derived_and_passes_the_homomorphism_check(kind, params):
+    # the conjugate skips the constructor's checks, so check it here: every basis
+    # pair, the checked constructor, and exact normalised entries
+    _, rho = make_standard(kind, **params)
+    rng = SplitMix64(len(CONJUGATE_KINDS))
+    for _ in range(5):
+        theta = random_invertible(rng, rho.space_dim)
+        tau = conjugate_representation(rho, theta)
+        rows = [mx.sparse_rows(m) for m in tau.matrices]
+        assert all(homomorphism_defect(tau.algebra, rows, i, j) is None
+                   for i in range(tau.algebra.dim) for j in range(tau.algebra.dim))
+        assert Representation(rho.algebra, tau.matrices) == tau
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for m in tau.matrices for row in m for x in row)
+
+
+def test_a_conjugate_refuses_a_bad_theta():
+    _, rho = so_n(3)
+    with pytest.raises(ValidationError, match="singular"):
+        conjugate_representation(rho, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+    for theta in (mx.identity(2), ((1, 0, 0), (0, 1), (0, 0, 1)),
+                  ((1.0, 0, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(StructuralError):
+            conjugate_representation(rho, theta)
 
 
 def test_make_standard_dispatch():

@@ -4,7 +4,9 @@
 ``matrices.rank``, ``annihilates_invariants``, ``lift_representation``, ...),
 so renaming or deleting one breaks the benchmark. This test imports the
 harness, installs and removes the layer tracer, and runs one toy pass of every
-workload with its checks, so such a change fails here first.
+workload with its checks, so such a change fails here first. Each toy pass
+must also write the digests pinned below, so a change that alters the bytes
+a workload reads or writes fails here too.
 """
 
 from pathlib import Path
@@ -36,8 +38,20 @@ def test_tracer_installs_and_restores_every_binding(bench):
         assert vars(owner)[attr] is original
 
 
+# (inputs_sha256, outputs_sha256) of each workload's toy pass at seed 2026: a
+# change that keeps the program's behaviour writes the same bytes on every rung
+TOY_DIGESTS = {
+    "cold-lift": ("de5f9f83cf0d2219bc2f2ae5404ed17b119f12372f21c59fef993af9ee59e307",
+                  "9872aa56cddc3eece0de8dcedf4e98daa941ef52c2d06fe07ce1301d419f3a14"),
+    "decompose-mix": ("2e90fa8fdb94826148db8c7259892b56258af8064a1559643f01ae925f291ef6",
+                      "b25ebf1eb492f36ef7116ff017614a6930c83eea3f30ea82ee3bcd59897d6f81"),
+    "cli-pipeline": ("5ee5e4a76dca45cebe2831b153afa54cc330cce1c8885c30657d8fbed3b72723",
+                     "d59a9b14a3433ade17db13848f89c4c5967469d34f354b9f3ddb438e5c3fd835"),
+}
+
+
 def test_every_workload_runs_a_checked_toy_pass(bench, tmp_path):
-    assert bench.workloads.WORKLOADS
+    assert sorted(bench.workloads.WORKLOADS) == sorted(TOY_DIGESTS)
     for name, cls in bench.workloads.WORKLOADS.items():
         workload = cls(2026, True, tmp_path / name)
         try:
@@ -47,5 +61,8 @@ def test_every_workload_runs_a_checked_toy_pass(bench, tmp_path):
                 assert op.check(op.call()) is None, op.key
                 calls += 1
             assert calls, name
+            digests = workload.digests()
+            assert (digests["inputs_sha256"], digests["outputs_sha256"]) \
+                == TOY_DIGESTS[name], name
         finally:
             workload.close()

@@ -51,6 +51,7 @@ def test_negative_level_rejected():
 @pytest.mark.parametrize("level", [33, 10 ** 9])
 def test_oversized_level_rejected_before_any_allocation(level, monkeypatch):
     # so(3) at level 33 has dimension 102, and 102^3 constants exceed the bound
+    # on g_m; V_m has 102 coordinates, so the lift itself is accepted there
     def unexpected(*_):
         raise AssertionError("a block matrix was allocated")
 
@@ -60,9 +61,17 @@ def test_oversized_level_rejected_before_any_allocation(level, monkeypatch):
         build_takiff(g, level)
     with pytest.raises(StructuralError, match="structure constants"):
         build_lift(rho, level)
-    with pytest.raises(StructuralError, match="structure constants"):
-        LiftedRepresentation(rho, level)
     assert ((level + 1) * g.dim) ** 3 > takiff_algebra.MAX_STRUCTURE_CONSTANTS
+    if level == 33:
+        lifted = LiftedRepresentation(rho, level)
+        with pytest.raises(StructuralError, match="structure constants"):
+            lifted.rep
+        with pytest.raises(StructuralError, match="structure constants"):
+            lifted.context
+    else:
+        with pytest.raises(StructuralError, match="3000000003 coordinates, more than "
+                                                  "MAX_VARIABLES = 10000"):
+            LiftedRepresentation(rho, level)
 
 
 def test_names_and_indexing():
