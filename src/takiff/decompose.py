@@ -16,7 +16,8 @@ sum c_i x_i = 0, the antisymmetric matrix
 where H divides each term of degree e in x by e + 2, satisfies b x = c. On
 the part of c of degree d = e + 1 in x, the curl times x is (d + 1) c by the
 Euler identity together with the derivative of the syzygy
-(sum_j x_j dc_j/dx_i = -c_i). Since so(B) has the
+(sum_j x_j dc_j/dx_i = -c_i). The curl is read from the packed keys of c in
+one pass (``poly._euler_curl``), and c = a when G = I. Since so(B) has the
 coordinates X -> the entries above the diagonal of G X, the coefficients are
 read from those entries of b, and G is never inverted. The higher levels form
 a triangular system, solved in order j = 0..m:
@@ -24,14 +25,16 @@ a triangular system, solved in order j = 0..m:
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r},
 
 one base solve per level, all over one ring in which f_0 is the state block
-and f_1..f_m and the parameters w are parameters. The correction
-sum_{r<j} rho(b_r) f_{j-r} reads only the levels already solved. That block
-sum is written once, in ``_block_sum``: the correction is its r < j case and
-the reconstruction a_j of verify_decomposition its r <= j case.
+and f_1..f_m and the parameters w are parameters. The right-hand side reads
+only the levels already solved. That block sum is written once, in
+``_block_sum``, which builds either the sum or, started from a_j, the residual
+a_j - sum in one accumulation: the level's right-hand side is its r < j
+residual, verify_decomposition's residuals are its r <= j case, and the
+reconstruction of field_from_coefficients its r <= j sum.
 
-Each level is checked as it is solved, rho(b_j) f_0 against its residual;
-over all j, these checks are the reconstruction identity. The base solve is
-the only annihilation check. As b_0..b_{j-1} reconstruct a_0..a_{j-1}, the
+Each level is checked as it is solved: its residual minus rho(b_j) f_0 must
+be zero; over all j, these checks are the reconstruction identity. The base
+solve is the only annihilation check. As b_0..b_{j-1} reconstruct a_0..a_{j-1}, the
 derivative of Phi_j along a is the pairing of the level-j residual with the
 gradient of phi at f_0, since the Killing combination annihilates Phi_j and
 the f_j-gradient of Phi_j is the gradient of phi at f_0. A solver refuses
@@ -44,7 +47,6 @@ Decompositions are not unique; only the reconstruction identity is promised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Protocol, Sequence
 
 from . import matrices as mx
@@ -65,6 +67,7 @@ from .poly import (
     Var,
     VariableBlock,
     VectorField,
+    _euler_curl,
     matrix_apply,
 )
 from .takiff_algebra import LiftedRepresentation
@@ -128,9 +131,11 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
 
     The field must satisfy B(a(w, x), x) = 0 as a polynomial; that syzygy is
     the only check here, and its failure is a refusal carrying the residual.
-    With c = G a, each entry b_ij above the diagonal is the curl
-    dc_i/dx_j - dc_j/dx_i with each term of x-degree e divided by e + 2, and
-    b_ji = -b_ij.
+    With c = G a (c = a when G = I, decided once per form), each entry b_ij
+    above the diagonal is the curl dc_i/dx_j - dc_j/dx_i with each term of
+    x-degree e divided by e + 2, and b_ji = -b_ij. ``poly._euler_curl`` reads
+    every entry from the packed keys of c in one pass: no derivative,
+    difference or split by degree is built.
     """
     blocks = field.state_blocks
     if len(blocks) != 1:
@@ -141,23 +146,13 @@ def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
         raise StructuralError(f"form size {form.size} does not match state size {n}")
     ring = field.ring
 
-    c = matrix_apply(form.gram, field.components)
+    c = field.components if form._is_identity else matrix_apply(form.gram, field.components)
     syzygy = Polynomial.variable_combination(
         ring, ((1, ci, (x.name, i)) for i, ci in enumerate(c)))
     if not syzygy.is_zero():
         raise DecompositionRefused(
             "field does not annihilate the quadratic invariant", witness=syzygy)
-
-    zero = Polynomial.zero(ring)
-    b = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            curl = c[i].derivative((x.name, j)) - c[j].derivative((x.name, i))
-            b[i][j] = Polynomial.combination(ring, (
-                (Fraction(1, e + 2), part)
-                for e, part in curl.homogeneous_components(x.name).items()))
-            b[j][i] = -b[i][j]
-    return b
+    return _euler_curl(c, x.name)
 
 
 class BaseSolver(Protocol):
@@ -276,25 +271,54 @@ def builtin_solver(rep: Representation,
 # ---------------------------------------------------------------------------
 
 def _block_sum(rep: Representation, ring: Ring,
-               coefficients: Sequence[Sequence[Polynomial]],
-               j: int) -> tuple[Polynomial, ...]:
-    """sum_r rho(b_r) f_{j-r} over the given levels b_0, b_1, ... of coefficients.
+               coefficients: Sequence[Sequence[Polynomial]], j: int,
+               start: Sequence[Polynomial] | None = None) -> tuple[Polynomial, ...]:
+    """sum_r rho(b_r) f_{j-r} over the given levels b_0, b_1, ... of coefficients,
+    or, given ``start`` = a, the residual a - sum_r rho(b_r) f_{j-r}.
 
-    Component t is sum_{r,i,s} rho(x_i)_ts b_{r,i} f_{j-r,s} over the state
-    blocks f_k of ``ring``; the one place the block sum of rho_m(b) F is written.
+    Component t is a_t - sum_{r,i,s} rho(x_i)_ts b_{r,i} f_{j-r,s} over the
+    state blocks f_k of ``ring`` (a_t = 0 without ``start``), accumulated in
+    one ``variable_combination`` that starts from a_t and reads the nonzero
+    entries of the representation's sparse rows; the one place the block sum
+    of rho_m(b) F is written.
     """
     d = rep.algebra.dim
     blocks = ring.state_blocks()
-    triples: list[list[tuple]] = [[] for _ in range(rep.space_dim)]
+    if start is None:
+        sign, triples = 1, [[] for _ in range(rep.space_dim)]
+    else:
+        sign, triples = -1, [[(1, a, None)] for a in start]
     for r, level in enumerate(coefficients):
         if len(level) != d:
             raise StructuralError(f"{len(level)} coefficients for {d} basis elements")
         name = blocks[j - r].name
-        for matrix, coeff in zip(rep.matrices, level):
+        for rows, coeff in zip(rep._sparse_rows, level):
             if not coeff.is_zero():
-                for row, out in zip(matrix, triples):
-                    out += [(entry, coeff, (name, s)) for s, entry in enumerate(row) if entry]
+                for row, out in zip(rows, triples):
+                    out += [(sign * entry, coeff, (name, s)) for s, entry in row.items()]
     return tuple(Polynomial.variable_combination(ring, t) for t in triples)
+
+
+def _level_sums(lifted: LiftedRepresentation, ring: Ring,
+            coefficients: Sequence[Sequence[Polynomial]],
+            field: VectorField | None = None) -> tuple[Polynomial, ...]:
+    """Block j is sum_{r <= j} rho(b_r) f_{j-r}, or a_j minus it given a field a.
+
+    The ring must hold one state block per level, and the coefficients one
+    tuple per level.
+    """
+    blocks = ring.state_blocks()
+    m, n = lifted.level, lifted.block_size
+    if len(blocks) != m + 1:
+        raise StructuralError(
+            f"ring has {len(blocks)} state blocks, expected {m + 1}")
+    if len(coefficients) != m + 1:
+        raise StructuralError(
+            f"{len(coefficients)} coefficient levels, expected {m + 1}")
+    return tuple(
+        p for j in range(m + 1)
+        for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], j,
+                            None if field is None else field.components[j * n:(j + 1) * n]))
 
 
 def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
@@ -304,17 +328,7 @@ def field_from_coefficients(lifted: LiftedRepresentation, ring: Ring,
 
     Block j is sum_{r <= j} rho(b_r) f_{j-r} over the ring's state blocks.
     """
-    blocks = ring.state_blocks()
-    m = lifted.level
-    if len(blocks) != m + 1:
-        raise StructuralError(
-            f"ring has {len(blocks)} state blocks, expected {m + 1}")
-    if len(coefficients) != m + 1:
-        raise StructuralError(
-            f"{len(coefficients)} coefficient levels, expected {m + 1}")
-    return VectorField(ring, tuple(
-        p for j in range(m + 1)
-        for p in _block_sum(lifted.base_rep, ring, coefficients[:j + 1], j)))
+    return VectorField(ring, _level_sums(lifted, ring, coefficients))
 
 
 def _check_field_shape(lifted: LiftedRepresentation, field: VectorField) -> None:
@@ -327,12 +341,15 @@ def _check_field_shape(lifted: LiftedRepresentation, field: VectorField) -> None
 
 def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
                          dec: Decomposition) -> tuple[bool, tuple[Polynomial, ...]]:
-    """Exact check of the reconstruction identity, with per-component residuals."""
+    """Exact check of the reconstruction identity, with per-component residuals.
+
+    Block j of the residuals is a_j - sum_{r <= j} rho(b_r) f_{j-r}, each
+    component built in one accumulation.
+    """
     _check_field_shape(lifted, field)
     if dec.ring != field.ring:
         raise StructuralError("decomposition and field live over different rings")
-    recon = field_from_coefficients(lifted, field.ring, dec.coefficients).components
-    residuals = tuple(a - r for a, r in zip(field.components, recon))
+    residuals = _level_sums(lifted, field.ring, dec.coefficients, field)
     return all(p.is_zero() for p in residuals), residuals
 
 
@@ -343,7 +360,9 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     b_0..b_m are solved in order, each by one base solve of
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r} over one ring in which
     f_0 is the state block and everything else a parameter, and checked
-    against that identity: a mismatch is an InternalConsistencyError. The
+    against that identity: the right-hand side minus rho(b_j) f_0 must be
+    zero, else an InternalConsistencyError. Both are residuals of
+    ``_block_sum``, built in one accumulation each. The
     solver's refusal of a level is the field's refusal, since the levels
     below are proven: DecompositionRefused is raised with the solver's
     witness over the field's ring and the solver's refusal as its cause.
@@ -362,8 +381,7 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     for j in range(m + 1):
         residual = field.components[j * n:(j + 1) * n]
         if j:
-            correction = _block_sum(lifted.base_rep, ring, levels, j)
-            residual = tuple(a - c for a, c in zip(residual, correction))
+            residual = _block_sum(lifted.base_rep, ring, levels, j, residual)
         try:
             coeffs = solver.solve(
                 VectorField(base_ring, tuple(p.cast(base_ring) for p in residual)))
@@ -372,7 +390,8 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
             raise DecompositionRefused("field does not annihilate the lifted invariants",
                                        witness=witness) from exc
         levels.append(tuple(p.cast(ring) for p in coeffs))
-        if _block_sum(lifted.base_rep, ring, [levels[j]], 0) != residual:
+        check = _block_sum(lifted.base_rep, ring, [levels[j]], 0, residual)
+        if not all(p.is_zero() for p in check):
             raise InternalConsistencyError(
                 f"the level-{j} coefficients do not reconstruct a_{j}")
     return Decomposition(ring, tuple(levels))

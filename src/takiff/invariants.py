@@ -56,10 +56,10 @@ def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynom
         raise StructuralError(f"basis index {x_index} out of range")
     coords = _state_coordinates(phi.ring, rep.space_dim)
     triples = []
-    for v, row in zip(coords, rep.matrices[x_index]):
-        if any(row):
+    for v, row in zip(coords, rep._sparse_rows[x_index]):
+        if row:
             dphi = phi.derivative(v)
-            triples += [(entry, dphi, w) for w, entry in zip(coords, row) if entry]
+            triples += [(entry, dphi, coords[s]) for s, entry in row.items()]
     return Polynomial.variable_combination(phi.ring, triples)
 
 

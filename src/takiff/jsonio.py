@@ -23,10 +23,13 @@ JSON integers (never booleans or floats). Text that does not parse, a missing
 key, a value of the wrong JSON type and a variable key in any other spelling
 all raise StructuralError.
 
-A reader parses each document once: every coefficient is read by one
-``scalar_from_str`` call, every distinct variable key is resolved once per
+A reader parses each document once: every value goes through
+``matrices.scalar`` once, every distinct variable key is resolved once per
 field or decomposition to its field in the ring's packed monomial keys, and
-each term list goes straight into the packed numerators of ``Polynomial``.
+each term list goes straight into the packed numerators of ``Polynomial``. A
+coefficient is read by one ``scalar_from_str`` call; a structure constant or
+a matrix entry is only type-checked here and read by the ``LieAlgebra`` or
+``Representation`` constructor, which normalises every entry anyway.
 """
 
 from __future__ import annotations
@@ -73,33 +76,37 @@ def scalar_to_str(value: Scalar) -> str:
         raise digit_limit_error("cannot write a number of") from exc
 
 
-def scalar_from_str(text: str | int) -> Scalar:
-    """A JSON scalar, a string or an integer, read by ``matrices.scalar``.
+def _json_scalar(value):
+    """``value`` unconverted, if it is a JSON scalar: a string or an integer, not a bool.
 
-    An integral string is read by ``int`` first, which accepts exactly the
-    integral spellings ``Fraction`` accepts (sign, surrounding whitespace,
-    ``_`` between digits) and gives the same value without a ``Fraction``.
+    Callers test ``type(value) is str`` first, the common case, and call this
+    for the rest.
     """
-    if type(text) is str:
-        try:
-            return int(text)
-        except ValueError:
-            return scalar(text)
-    if type(text) is int:
-        return text
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise StructuralError(
-            f"scalar must be a string or an integer, got {type(text).__name__}")
-    return scalar(text)
+            f"scalar must be a string or an integer, got {type(value).__name__}")
+    return value
+
+
+def scalar_from_str(text: str | int) -> Scalar:
+    """A JSON scalar, a string or an integer, read by ``matrices.scalar``."""
+    return scalar(text if type(text) is str else _json_scalar(text))
 
 
 def matrix_to_json(matrix: Matrix) -> list[list[str]]:
     return [[scalar_to_str(v) for v in row] for row in matrix]
 
 
+def _json_rows(data) -> list[list]:
+    """A JSON array of arrays of JSON scalars, type-checked but not yet read."""
+    return [[v if type(v) is str else _json_scalar(v) for v in _expect(row, list, "matrix row")]
+            for row in _expect(data, list, "matrix")]
+
+
 def matrix_from_json(data: Sequence[Sequence[str]]) -> Matrix:
-    return mx.mat([[scalar_from_str(v) for v in _expect(row, list, "matrix row")]
-                   for row in _expect(data, list, "matrix")])
+    return mx.mat(_json_rows(data))
 
 
 # -- rings and polynomials --------------------------------------------------
@@ -199,7 +206,7 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 def algebra_from_json(data: Mapping) -> LieAlgebra:
     names = tuple(_expect(n, str, "basis name") for n in _get(data, "names", list))
     dim = _get(data, "dim", int)
-    c = tuple(matrix_from_json(plane) for plane in _get(data, "c", list))
+    c = [_json_rows(plane) for plane in _get(data, "c", list)]
     g = LieAlgebra(names, c)
     if g.dim != dim:
         raise StructuralError(f"declared dim {dim} but {g.dim} basis names")
@@ -226,13 +233,13 @@ def representation_from_json(data: Mapping) -> Representation:
         if len(_expect(flat, list, "flattened matrix")) != n * n:
             raise StructuralError(
                 f"matrix has {len(flat)} entries, expected {n * n}")
-        values = [scalar_from_str(v) for v in flat]
+        values = [v if type(v) is str else _json_scalar(v) for v in flat]
         mats.append([values[r * n:(r + 1) * n] for r in range(n)])
     return Representation(g, tuple(mats))
 
 
 def bilinear_from_json(data: Mapping) -> BilinearForm:
-    form = BilinearForm(matrix_from_json(_get(data, "gram", list)))
+    form = BilinearForm(_json_rows(_get(data, "gram", list)))
     size = _get(data, "size", int)
     if form.size != size:
         raise StructuralError(

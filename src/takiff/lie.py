@@ -24,11 +24,14 @@ each commutator with those of the bracket's image (``matrices.sparse_rows``
 and ``matrices.sparse_commutator``). A failed homomorphism check names the
 basis pair and the first entry where the two sides differ. A matrix algebra
 reads its constants from one factorization of its basis; both checks still run.
+A representation keeps those sparse rows (``_sparse_rows``, computed on first
+use for a derived one), and every sparse reader of rho(x_i) reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import matrices as mx
@@ -122,7 +125,7 @@ class Representation:
         for m in self.matrices:
             if mx.shape(m) != (n, n):
                 raise StructuralError("representation matrices must be square, equal sizes")
-        rows = tuple(mx.sparse_rows(m) for m in self.matrices)
+        rows = self._sparse_rows
         for i in range(d):
             for j in range(i + 1, d):
                 defect = homomorphism_defect(self.algebra, rows, i, j)
@@ -137,6 +140,11 @@ class Representation:
     @property
     def space_dim(self) -> int:
         return len(self.matrices[0])
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[mx.SparseRows, ...]:
+        """``matrices.sparse_rows`` of every rho(x_i), kept after the check."""
+        return tuple(mx.sparse_rows(m) for m in self.matrices)
 
 
 def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j: int,
@@ -192,6 +200,11 @@ class BilinearForm:
 
     def is_nondegenerate(self) -> bool:
         return mx.det(self.gram) != 0
+
+    @cached_property
+    def _is_identity(self) -> bool:
+        """Whether G = I, so that G a is a itself; decided once per form."""
+        return self.gram == mx.identity(self.size)
 
     def is_invariant_for(self, g: LieAlgebra) -> bool:
         """Exact check of B([z,x],y) + B(x,[z,y]) = 0 on all basis triples."""

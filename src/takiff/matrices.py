@@ -46,9 +46,14 @@ def scalar(value) -> Scalar:
     """
     if type(value) is int:
         return value
-    if isinstance(value, int):
-        return int(value)  # a bool, or another int subclass
     if isinstance(value, str):
+        try:
+            # an integral string without a Fraction: int accepts exactly the
+            # integral spellings Fraction does (sign, surrounding whitespace,
+            # _ between digits) and gives the same value
+            return int(value)
+        except ValueError:
+            pass
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -57,6 +62,8 @@ def scalar(value) -> Scalar:
                     f"rational scalar {value[:20]}... has a numerator or denominator of"
                 ) from exc
             raise StructuralError(f"not a rational scalar: {value!r}") from exc
+    elif isinstance(value, int):
+        return int(value)  # a bool, or another int subclass
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise StructuralError(f"not an exact scalar: {value!r} (use int, Fraction or 'p/q' string)")

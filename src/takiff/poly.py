@@ -37,7 +37,9 @@ Every sum of products ``sum a_i * b_i`` in the package, a single product and
 a sum or difference included, goes through one kernel,
 ``Polynomial.combination``: it collects all the products in one numerator
 map and constructs only the result. Every linear action, a sum of
-``c * p * v`` over variables v, goes through ``variable_combination``.
+``c * p * v`` over variables v, goes through ``variable_combination``, and so
+does a residual a - sum c * p * v, which starts from a. The base solve's
+Euler-weighted curl is read from the packed keys by ``_euler_curl``.
 """
 
 from __future__ import annotations
@@ -376,17 +378,23 @@ class Polynomial:
         """The sum of c * p * v over ``triples`` of (c, p, v), built as one polynomial.
 
         c is an exact scalar, p a polynomial over ``ring`` and v a variable of
-        it; p * v adds v's key, 1 << (its bit offset), to each key of p.
+        it, or None for "times 1"; p * v adds v's key, 1 << (its bit offset),
+        to each key of p, and p * 1 adds nothing. A triple (1, a, None) thus
+        starts the sum from a, so a - sum c * p * v is one accumulation.
         """
         shift = ring._shift
         out: dict[int, int] = {}
         get = out.get
         den = 1
         for c, p, v in triples:
-            s = shift.get(v)
-            if s is None:
-                raise StructuralError(
-                    f"variable {v[0]}.{v[1]} not in ring with blocks {ring.names()}")
+            if v is None:
+                one = 0
+            else:
+                s = shift.get(v)
+                if s is None:
+                    raise StructuralError(
+                        f"variable {v[0]}.{v[1]} not in ring with blocks {ring.names()}")
+                one = 1 << s
             _require_ring(ring, p)
             n, d = _ratio(c)
             if not (n and p._num):
@@ -398,7 +406,6 @@ class Polynomial:
                 get = out.get
                 den *= grow
             n *= den // d
-            one = 1 << s
             for m, x in p._num.items():
                 m += one
                 out[m] = get(m, 0) + n * x
@@ -773,6 +780,47 @@ def matrix_apply(matrix: Sequence[Sequence[Scalar]],
                 f"matrix row length {len(row)} != vector length {len(polys)}")
         out.append(Polynomial.combination(polys[0].ring, zip(row, polys)))
     return tuple(out)
+
+
+def _euler_curl(c: Sequence[Polynomial], block_name: str) -> list[list[Polynomial]]:
+    """The antisymmetric matrix b_ij = H(dc_i/dx_j - dc_j/dx_i), x the named block.
+
+    ``c`` holds one polynomial per variable of the block, all over one ring,
+    and H divides each term of x-degree e by e + 2. The entries are read from the
+    packed keys in one pass: a term of c_i of x-degree d with exponent e > 0
+    in x_j adds coeff * e / (d + 1) at its key minus x_j's, and each term's d
+    is computed once. Entry (i, j) lives over lcm(den c_i, den c_j) times the
+    lcm of the weights d + 1 it uses, so no derivative, difference or split by
+    degree is built; b_ji = -b_ij and the diagonal is zero.
+    """
+    ring = c[0].ring
+    n = len(c)
+    base = ring._shift[(block_name, 0)]
+    mask = (1 << (_BITS * n)) - 1
+    # per component: (key, numerator, weight d + 1) of each term
+    weighted = [[(key, x, _field_sum((key >> base) & mask) + 1) for key, x in p._num.items()]
+                for p in c]
+    zero = Polynomial.zero(ring)
+    b = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = lcm(c[i]._den, c[j]._den)
+            parts = []
+            for src, var, scale in ((i, j, den // c[i]._den), (j, i, -(den // c[j]._den))):
+                s = base + _BITS * var
+                one = 1 << s
+                for key, x, w in weighted[src]:
+                    e = (key >> s) & _FIELD
+                    if e:
+                        parts.append((key - one, scale * e * x, w))
+            weight = lcm(*{w for _, _, w in parts})
+            out: dict[int, int] = {}
+            get = out.get
+            for key, x, w in parts:
+                out[key] = get(key, 0) + x * (weight // w)
+            b[i][j] = Polynomial._make(ring, {m: x for m, x in out.items() if x}, den * weight)
+            b[j][i] = -b[i][j]
+    return b
 
 
 @dataclass(frozen=True)

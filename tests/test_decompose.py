@@ -49,6 +49,7 @@ from takiff.poly import (
     Polynomial,
     Ring,
     VariableBlock,
+    _euler_curl,
     matrix_apply,
 )
 from takiff.randgen import (
@@ -565,13 +566,15 @@ def test_decompose_refuses_with_witness():
 
 
 def counted_block_sums(monkeypatch):
-    """Record the (levels, j) of every _block_sum call; building a variable fails."""
+    """Record the (levels, j, residual?) of every _block_sum call; building a
+    variable fails. A residual call is one given a start a, which returns
+    a - sum in the same accumulation."""
     calls = []
     original = decompose._block_sum
 
-    def counted(rep, ring, coefficients, j):
-        calls.append((len(coefficients), j))
-        return original(rep, ring, coefficients, j)
+    def counted(rep, ring, coefficients, j, start=None):
+        calls.append((len(coefficients), j, start is not None))
+        return original(rep, ring, coefficients, j, start)
 
     def unexpected(*args):
         raise AssertionError("a velocity polynomial was built")
@@ -587,8 +590,8 @@ def test_reconstruction_makes_one_block_sum_per_level(monkeypatch):
     calls = counted_block_sums(monkeypatch)
     field = field_from_coefficients(inst.lifted, inst.field.ring, inst.coefficients)
     assert field == inst.field
-    # block j sums levels 0..j
-    assert calls == [(j + 1, j) for j in range(4)]
+    # block j sums levels 0..j, with no start
+    assert calls == [(j + 1, j, False) for j in range(4)]
 
 
 def test_decomposition_makes_one_correction_and_one_check_per_level(monkeypatch):
@@ -596,9 +599,133 @@ def test_decomposition_makes_one_correction_and_one_check_per_level(monkeypatch)
     solver = builtin_solver(inst.rep)
     calls = counted_block_sums(monkeypatch)
     takiff_decompose(inst.lifted, solver, inst.field)
-    # level 0 is only checked; level j >= 1 is corrected by levels 0..j-1,
-    # then checked as rho(b_j) f_0: 2m + 1 calls at m = 3
-    assert calls == [(1, 0)] + [call for j in range(1, 4) for call in ((j, j), (1, 0))]
+    # level 0 is only checked; level j >= 1 gets its right-hand side as the
+    # residual of levels 0..j-1, then is checked as that residual minus
+    # rho(b_j) f_0: 2m + 1 calls at m = 3, every one a residual
+    assert calls == [(1, 0, True)] + [
+        call for j in range(1, 4) for call in ((j, j, True), (1, 0, True))]
+
+
+def test_a_decomposition_builds_no_difference_derivative_or_degree_split(monkeypatch):
+    # every residual, check and homotopy entry is one accumulation, so a whole
+    # decompose and verify makes none of the intermediate polynomials
+    calls = []
+
+    def spy(name):
+        original = getattr(Polynomial, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for kind, params in (("so_n", {"n": 3}), ("sl2_adjoint", {})):
+        inst = generate_instance(kind, 2, seed=5, max_degree=3, **params)
+        solver = builtin_solver(inst.rep, inst.gram)
+        with monkeypatch.context() as patch:
+            for name in ("__sub__", "__rsub__", "homogeneous_components", "derivative"):
+                patch.setattr(Polynomial, name, spy(name))
+            dec = takiff_decompose(inst.lifted, solver, inst.field)
+            ok, _ = verify_decomposition(inst.lifted, inst.field, dec)
+        assert ok
+    assert calls == []
+
+
+def fractional_instance(kind, m, seed, **params):
+    """A generated instance whose level-r coefficients are divided by 3 + 2r."""
+    inst = generate_instance(kind, m, seed=seed, max_degree=2, **params)
+    coefficients = tuple(tuple(p / (3 + 2 * r) for p in level)
+                         for r, level in enumerate(inst.coefficients))
+    ring = inst.field.ring
+    return inst, coefficients, field_from_coefficients(inst.lifted, ring, coefficients)
+
+
+@pytest.mark.parametrize("kind, params", [("so_n", {"n": 3}), ("sl2_adjoint", {})],
+                         ids=["so3", "sl2-killing"])
+def test_verify_residuals_equal_the_field_minus_its_reconstruction(kind, params):
+    inst, coefficients, field = fractional_instance(kind, 2, seed=17, **params)
+    ring = field.ring
+    assert any(c.denominator != 1 for p in field.components for c in p.terms.values())
+    dec = takiff_decompose(inst.lifted, builtin_solver(inst.rep, inst.gram), field)
+    w = Polynomial.variable(ring, ("w", 0))
+    for r in range(3):
+        corrupted = [list(level) for level in dec.coefficients]
+        corrupted[r][1] = corrupted[r][1] + w / 7
+        bad = Decomposition(ring, tuple(map(tuple, corrupted)))
+        ok, residuals = verify_decomposition(inst.lifted, field, bad)
+        # the two-step reference: the reconstruction, then a subtraction
+        recon = field_from_coefficients(inst.lifted, ring, bad.coefficients).components
+        assert residuals == tuple(a - b for a, b in zip(field.components, recon))
+        assert not ok
+        n = inst.rep.space_dim
+        assert all(p.is_zero() for p in residuals[:r * n])
+        assert any(not p.is_zero() for p in residuals[r * n:(r + 1) * n])
+
+
+@pytest.mark.parametrize("kind, params", [("so_n", {"n": 3}), ("sl2_adjoint", {})],
+                         ids=["so3", "sl2-killing"])
+def test_the_residual_block_sum_equals_start_minus_the_block_sum(kind, params):
+    inst, coefficients, field = fractional_instance(kind, 2, seed=23, **params)
+    ring, rep, n = field.ring, inst.rep, inst.rep.space_dim
+    start = tuple(p / 5 for p in field.components[2 * n:3 * n])
+    for levels in (coefficients[:1], coefficients[:2], coefficients):
+        j = len(levels) - 1
+        plain = decompose._block_sum(rep, ring, levels, j)
+        fused = decompose._block_sum(rep, ring, levels, j, start)
+        assert fused == tuple(a - b for a, b in zip(start, plain))
+
+
+def test_euler_curl_equals_the_per_degree_reference_over_distinct_denominators():
+    # the curl is defined for any c, so c_i is drawn freely with denominator
+    # 3, 5, 7, ...: every pair (c_i, c_j) has distinct denominators
+    for n in (2, 3, 4):
+        rng = SplitMix64(99 + n)
+        ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", n, STATE))
+        for _ in range(4):
+            c = tuple(random_polynomial(rng, ring, 3, 5) / (3 + 2 * i) for i in range(n))
+            assert [p._den for p in c if not p.is_zero()] == [
+                3 + 2 * i for i, p in enumerate(c) if not p.is_zero()]
+            b = _euler_curl(c, "x")
+            assert b == per_degree_homotopy(mx.identity(n), VectorField(ring, c))
+    # and on annihilating fields c = M x, with M_01 integral and 1/3 and 1/5
+    # added to M_02 and M_12, so that c_0, c_1 and c_2 have denominators 3, 5
+    # and 15
+    ring = base_ring(3)
+    x = variables(ring, "x", 3)
+    rng = SplitMix64(7)
+    for gram in (SO3_GRAM, SL2_KILLING_GRAM):
+        drawn = random_antisymmetric(rng, ring, 3, max_degree=2, num_terms=3)
+        shift = {(0, 1): 0, (0, 2): Fraction(1, 3), (1, 2): Fraction(1, 5)}
+        m = [[drawn[i][j] + (shift[i, j] if i < j else -shift[j, i]) if i != j
+              else drawn[i][j] for j in range(3)] for i in range(3)]
+        fld = VectorField(ring, matrix_apply(mx.inverse(gram), matrix_apply(m, x)))
+        assert [p._den for p in matrix_apply(gram, fld.components)] == [3, 5, 15]
+        assert homotopy(gram, fld) == per_degree_homotopy(gram, fld)
+
+
+def test_an_identity_gram_given_as_fractions_skips_the_gram_product(monkeypatch):
+    applied = []
+    apply = decompose.matrix_apply
+
+    def counted(matrix, polys):
+        applied.append(matrix)
+        return apply(matrix, polys)
+
+    monkeypatch.setattr(decompose, "matrix_apply", counted)
+    form = BilinearForm(tuple(tuple(Fraction(int(i == j)) for j in range(3))
+                              for i in range(3)))
+    assert form._is_identity and not BilinearForm(SL2_KILLING_GRAM)._is_identity
+    weighted = BilinearForm(((1, 0, 0), (0, 2, 0), (0, 0, 1)))
+    for fld in seeded_base_fields(SO3_GRAM, seed=31):
+        applied.clear()
+        b = decompose._homotopy(form, fld)
+        assert applied == []
+        assert b == per_degree_homotopy(SO3_GRAM, fld)
+        # a field with the same c = G a under diag(1, 2, 1), which multiplies by G
+        a = fld.components
+        assert decompose._homotopy(weighted, VectorField(fld.ring, (
+            a[0], a[1] / 2, a[2]))) == b
+        assert applied == [weighted.gram]
 
 
 RECONSTRUCTION_CASES = {

@@ -72,6 +72,27 @@ def test_apply_killing_rotation():
         apply_killing(rho, 0, Polynomial.variable(state_ring(3), ("x", 0)))
 
 
+def test_apply_killing_reads_the_representations_sparse_form():
+    # ad is derived, so its sparse form is computed on the first read, here
+    # by apply_killing, and kept for the block sum of a decomposition
+    g, _ = sl2()
+    ad = adjoint_rep(g)
+    assert "_sparse_rows" not in vars(ad)
+    ring = state_ring(3)
+    q = quadratic_invariant(killing_form(g).gram, ring)
+    assert is_invariant(ad, q)
+    assert vars(ad)["_sparse_rows"] == tuple(mx.sparse_rows(m) for m in ad.matrices)
+    # against the dense rows, on a function that is not invariant
+    xs = [("x", i) for i in range(3)]
+    phi = Polynomial.variable(ring, xs[0]) * Polynomial.variable(ring, xs[1]) + q ** 2
+    for i in range(3):
+        dense = Polynomial.combination(ring, (
+            (ad.matrices[i][t][s] * Polynomial.variable(ring, xs[s]), phi.derivative(xs[t]))
+            for t in range(3) for s in range(3)))
+        assert not dense.is_zero()
+        assert apply_killing(ad, i, phi) == dense
+
+
 def test_standard_quadratics_are_invariant():
     for n in (2, 3, 4):
         _, rho = so_n(n)
@@ -93,6 +114,9 @@ def test_killing_combination_and_field():
     manual = add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
+    # given a start, the same sum is subtracted from it in one accumulation
+    assert _block_sum(rho, ring, [coeffs], 0, xs) == tuple(
+        x - c for x, c in zip(xs, combo))
     with pytest.raises(StructuralError):
         _block_sum(rho, ring, [coeffs[:2]], 0)
     with pytest.raises(StructuralError):

@@ -266,6 +266,22 @@ def test_a_conjugate_is_derived_and_passes_the_homomorphism_check(kind, params):
                    for m in tau.matrices for row in m for x in row)
 
 
+def test_a_representation_keeps_one_sparse_form():
+    # a checked representation keeps the sparse rows of its homomorphism check;
+    # a derived one computes them on first read, once
+    _, rho = so_n(4)
+    assert "_sparse_rows" in vars(rho)
+    assert rho._sparse_rows == tuple(mx.sparse_rows(m) for m in rho.matrices)
+    for derived in (adjoint_rep(sl2()[0]), conjugate_representation(rho, mx.identity(4))):
+        assert "_sparse_rows" not in vars(derived)
+        rows = derived._sparse_rows
+        assert rows == tuple(mx.sparse_rows(m) for m in derived.matrices)
+        assert derived._sparse_rows is rows
+    # the kept form is not a field: equality and hashing ignore it
+    assert Representation(rho.algebra, rho.matrices) == rho
+    assert hash(Representation(rho.algebra, rho.matrices)) == hash(rho)
+
+
 def test_a_conjugate_refuses_a_bad_theta():
     _, rho = so_n(3)
     with pytest.raises(ValidationError, match="singular"):

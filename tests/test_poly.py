@@ -344,6 +344,17 @@ def test_variable_combination_is_the_combination_with_variables(triples):
     assert Polynomial.variable_combination(XW, triples) == expected
 
 
+@LAWS
+@given(polynomials(XW), TRIPLES)
+def test_variable_combination_starts_from_a_times_one_triple(start, triples):
+    # (1, a, None) is a * 1, so a - sum c p v is one accumulation
+    negated = [(-c, p, v) for c, p, v in triples]
+    expected = start - Polynomial.variable_combination(XW, triples)
+    assert Polynomial.variable_combination(XW, [(1, start, None)] + negated) == expected
+    scale = Fraction(2, 3)
+    assert Polynomial.variable_combination(XW, [(scale, start, None)]) == start * scale
+
+
 def test_variable_combination_keeps_the_guard_bit_and_the_ring_check():
     top = Polynomial(X, {Monomial.of(("x", 0), MAX_EXPONENT): 1})
     assert Polynomial.variable_combination(X, [(1, top, ("x", 1))]).degree() == MAX_EXPONENT + 1

@@ -188,6 +188,57 @@ def test_what_the_constructors_accept_round_trips():
         Representation(LieAlgebra(("a",), (((0,),),)), ((),))
 
 
+def counted_scalar_reads(monkeypatch):
+    """Count every matrices.scalar call, through each module that binds it."""
+    calls = []
+    original = mx.scalar
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    for module in (mx, takiff.lie, takiff.jsonio, takiff.poly, takiff.invariants):
+        monkeypatch.setattr(module, "scalar", counted)
+    return calls
+
+
+def test_the_algebra_and_representation_readers_read_each_value_once(monkeypatch):
+    g, rho = so_n(5)
+    rho_data = json.loads(json.dumps(jsonio.representation_to_json(rho)))
+    entry = rho_data["matrices"][0][1]
+    rho_data["matrices"][0][1] = "1/2"  # an entry is read once whatever its spelling
+    plane = rho_data["algebra"]["c"][0][1]
+    plane[4] = int(plane[4])  # a JSON integer, not a string
+    calls = counted_scalar_reads(monkeypatch)
+    assert jsonio.algebra_from_json(rho_data["algebra"]) == g
+    assert len(calls) == g.dim ** 3  # one call per structure constant
+    calls.clear()
+    with pytest.raises(ValidationError, match="homomorphism"):
+        jsonio.representation_from_json(rho_data)
+    # one call per constant and one per matrix entry
+    assert len(calls) == g.dim ** 3 + g.dim * rho.space_dim ** 2
+    rho_data["matrices"][0][1] = entry
+    calls.clear()
+    assert jsonio.representation_from_json(rho_data) == rho
+    assert len(calls) == g.dim ** 3 + g.dim * rho.space_dim ** 2
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, None, [1]], ids=["bool", "float", "null", "array"])
+def test_the_algebra_and_representation_readers_keep_the_json_type_check(bad):
+    g, rho = so_n(3)
+    message = f"scalar must be a string or an integer, got {type(bad).__name__}"
+    data = jsonio.representation_to_json(rho)
+    data["algebra"]["c"][2][1][0] = bad
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        jsonio.algebra_from_json(data["algebra"])
+    data = jsonio.representation_to_json(rho)
+    data["matrices"][1][5] = bad
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        jsonio.representation_from_json(data)
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        jsonio.bilinear_from_json({"size": 2, "gram": [["1", "0"], ["0", bad]]})
+
+
 def test_bilinear_roundtrip():
     form = killing_form(sl2()[0])
     data = {"size": form.size, "gram": jsonio.matrix_to_json(form.gram)}
