@@ -16,11 +16,12 @@ sum c_i x_i = 0, the antisymmetric matrix
 where H divides each term of degree e in x by e + 2, satisfies b x = c. On
 the part of c of degree d = e + 1 in x, the curl times x is (d + 1) c by the
 Euler identity together with the derivative of the syzygy
-(sum_j x_j dc_j/dx_i = -c_i). The curl is read from the packed keys of c in
-one pass (``poly._euler_curl``), and c = a when G = I. Since so(B) has the
-coordinates X -> the entries above the diagonal of G X, the coefficients are
-read from those entries of b, and G is never inverted. The higher levels form
-a triangular system, solved in order j = 0..m:
+(sum_j x_j dc_j/dx_i = -c_i). The curl is read from the packed keys of c,
+each term visited once (``poly._euler_curl``), and c = a when G = I. Since
+so(B) has the coordinates X -> the entries above the diagonal of G X, the
+coefficients are read from those entries of b by the nonzero entries of one
+inverse built with the solver, and G is never inverted. The higher levels
+form a triangular system, solved in order j = 0..m:
 
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r},
 
@@ -30,7 +31,11 @@ only the levels already solved. That block sum is written once, in
 ``_block_sum``, which builds either the sum or, started from a_j, the residual
 a_j - sum in one accumulation: the level's right-hand side is its r < j
 residual, verify_decomposition's residuals are its r <= j case, and the
-reconstruction of field_from_coefficients its r <= j sum.
+reconstruction of field_from_coefficients its r <= j sum. It reads the action
+as integer numerators over one denominator, kept on the representation, takes
+the lcm of the coefficients' denominators once, and feeds each nonzero entry
+to ``poly._shifted_sum``, the one accumulation kernel of a linear action, as
+an integer scale and a variable's key.
 
 Each level is checked as it is solved: its residual minus rho(b_j) f_0 must
 be zero; over all j, these checks are the reconstruction identity. The base
@@ -47,6 +52,7 @@ Decompositions are not unique; only the reconstruction identity is promised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Protocol, Sequence
 
 from . import matrices as mx
@@ -68,6 +74,8 @@ from .poly import (
     VariableBlock,
     VectorField,
     _euler_curl,
+    _require_ring,
+    _shifted_sum,
     matrix_apply,
 )
 from .takiff_algebra import LiftedRepresentation
@@ -182,8 +190,10 @@ class QuadraticBaseSolver:
     (1/2) B(v, v) invariant, dim(g) equal to dim so(B) = n(n-1)/2, and
     rho injective on the basis. Then rho(g) = so(B), with coordinates
     X -> the entries above the diagonal of G X: the d x d matrix U of those
-    entries of each G rho(x_k) is inverted once, and a solve applies U^(-1)
-    to the entries above the diagonal of the homotopy matrix b (b x = G a).
+    entries of each G rho(x_k) is inverted once, and a solve applies U^(-1),
+    by its nonzero entries (``matrix_apply``), to the entries above the
+    diagonal of the homotopy matrix b (b x = G a): for so(n) with G = I,
+    U^(-1) = -I.
     """
 
     def __init__(self, rep: Representation, form: BilinearForm):
@@ -277,26 +287,51 @@ def _block_sum(rep: Representation, ring: Ring,
     or, given ``start`` = a, the residual a - sum_r rho(b_r) f_{j-r}.
 
     Component t is a_t - sum_{r,i,s} rho(x_i)_ts b_{r,i} f_{j-r,s} over the
-    state blocks f_k of ``ring`` (a_t = 0 without ``start``), accumulated in
-    one ``variable_combination`` that starts from a_t and reads the nonzero
-    entries of the representation's sparse rows; the one place the block sum
-    of rho_m(b) F is written.
+    state blocks f_k of ``ring`` (a_t = 0 without ``start``). The action is
+    read as integer numerators over one denominator (the representation's
+    ``_integer_rows``) and the lcm of the coefficients' denominators is taken
+    once, so each nonzero entry (t, s) of each nonzero b_{r,i} reaches
+    ``poly._shifted_sum`` as an integer scale, the bit offset of f_{j-r,s} and
+    the numerators of b_{r,i}; component t is that one accumulation, started
+    from a_t. The one place the block sum of rho_m(b) F is written.
     """
-    d = rep.algebra.dim
+    d, n = rep.algebra.dim, rep.space_dim
     blocks = ring.state_blocks()
-    if start is None:
-        sign, triples = 1, [[] for _ in range(rep.space_dim)]
-    else:
-        sign, triples = -1, [[(1, a, None)] for a in start]
+    shift = ring._shift
+    rep_den, action = rep._integer_rows
+    # (coefficient, bit offsets of its block f_{j-r}, rows of rho(x_i)) for
+    # each nonzero coefficient
+    terms = []
     for r, level in enumerate(coefficients):
         if len(level) != d:
             raise StructuralError(f"{len(level)} coefficients for {d} basis elements")
-        name = blocks[j - r].name
-        for rows, coeff in zip(rep._sparse_rows, level):
-            if not coeff.is_zero():
-                for row, out in zip(rows, triples):
-                    out += [(sign * entry, coeff, (name, s)) for s, entry in row.items()]
-    return tuple(Polynomial.variable_combination(ring, t) for t in triples)
+        block = blocks[j - r]
+        if block.size != n:
+            raise StructuralError(
+                f"block {block.name!r} has size {block.size}, expected {n}")
+        ones = [1 << shift[(block.name, s)] for s in range(n)]
+        for coeff, rows in zip(level, action):
+            if coeff._num:
+                _require_ring(ring, coeff)
+                terms.append((coeff, ones, rows))
+    # every coefficient's numerators scaled by q to the lcm of their
+    # denominators; the action's denominator times that lcm is the sum's
+    common = lcm(*(coeff._den for coeff, _, _ in terms))
+    base = rep_den * common
+    terms = [(common // coeff._den, coeff._num, ones, rows) for coeff, ones, rows in terms]
+    out = []
+    for t in range(n):
+        if start is None:
+            den, factor, entries = base, 1, []
+        else:
+            a = start[t]
+            _require_ring(ring, a)
+            den = lcm(base, a._den)
+            factor, entries = -(den // base), [(den // a._den, 0, a._num)]
+        entries += [(factor * q * x, ones[s], num)
+                    for q, num, ones, rows in terms for s, x in rows[t]]
+        out.append(Polynomial._make(ring, _shifted_sum(entries), den))
+    return tuple(out)
 
 
 def _level_sums(lifted: LiftedRepresentation, ring: Ring,
@@ -374,9 +409,10 @@ def takiff_decompose(lifted: LiftedRepresentation, solver: BaseSolver,
     m, n = lifted.level, field.block_size
     ring = field.ring
     blocks = field.state_blocks
-    base_ring = ring
-    for b in blocks[1:]:
-        base_ring = base_ring.with_role(b.name, PARAMETER)
+    # f_0 stays the state block; f_1..f_m become parameters, in one ring of
+    # the field's layout, so every cast between the two rings is a wrap
+    base_ring = Ring(tuple(VariableBlock(b.name, b.size, PARAMETER) if b in blocks[1:] else b
+                           for b in ring.blocks))
     levels: list[tuple[Polynomial, ...]] = []
     for j in range(m + 1):
         residual = field.components[j * n:(j + 1) * n]

@@ -25,13 +25,16 @@ and ``matrices.sparse_commutator``). A failed homomorphism check names the
 basis pair and the first entry where the two sides differ. A matrix algebra
 reads its constants from one factorization of its basis; both checks still run.
 A representation keeps those sparse rows (``_sparse_rows``, computed on first
-use for a derived one), and every sparse reader of rho(x_i) reads them.
+use for a derived one), and every sparse reader of rho(x_i) reads them; the
+block sum of the decomposition reads them once more as integer numerators over
+one denominator (``_integer_rows``, computed on first use).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import matrices as mx
@@ -145,6 +148,21 @@ class Representation:
     def _sparse_rows(self) -> tuple[mx.SparseRows, ...]:
         """``matrices.sparse_rows`` of every rho(x_i), kept after the check."""
         return tuple(mx.sparse_rows(m) for m in self.matrices)
+
+    @cached_property
+    def _integer_rows(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """The sparse rows as integer numerators over one denominator D.
+
+        ``(D, rows)``: ``rows[i][t]`` holds ``(s, D * rho(x_i)_ts)`` for each
+        nonzero entry of row t of rho(x_i), and D is the lcm of the entries'
+        denominators; derived from ``_sparse_rows`` on first read.
+        """
+        sparse = self._sparse_rows
+        den = lcm(*(x.denominator for rows in sparse for row in rows for x in row.values()))
+        return den, tuple(
+            tuple(tuple((s, x.numerator * (den // x.denominator)) for s, x in row.items())
+                  for row in rows)
+            for rows in sparse)
 
 
 def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j: int,

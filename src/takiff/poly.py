@@ -37,16 +37,26 @@ Every sum of products ``sum a_i * b_i`` in the package, a single product and
 a sum or difference included, goes through one kernel,
 ``Polynomial.combination``: it collects all the products in one numerator
 map and constructs only the result. Every linear action, a sum of
-``c * p * v`` over variables v, goes through ``variable_combination``, and so
-does a residual a - sum c * p * v, which starts from a. The base solve's
-Euler-weighted curl is read from the packed keys by ``_euler_curl``.
+``k * p * v`` over variables v, and a residual a - sum k * p * v, which starts
+from a, is accumulated by one kernel, ``_shifted_sum``: its entries are an
+integer scale k, v's key and the numerators of p, all over one denominator
+taken as an lcm before the sum, so nothing is rescaled. ``variable_combination``
+resolves (c, p, v) triples of exact scalars into such entries;
+``decompose._block_sum`` hands them in directly from the integer form of the
+action; and the base solve's Euler-weighted curl, ``_euler_curl``, feeds it
+the terms of c grouped by their x-monomials, each group divided by one
+variable. ``_make`` tests the keys of a new numerator map and divides out
+its content; ``_wrap`` takes a map already in canonical form, for a negation
+or a cast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StructuralError
@@ -296,6 +306,26 @@ def _field_sum(key: int) -> int:
     return total
 
 
+def _shifted_sum(entries: Iterable[tuple[int, int, dict[int, int]]]) -> dict[int, int]:
+    """The numerator map of sum k * num * v over ``entries`` of (k, one, num).
+
+    k is an integer scale, num a numerator map and ``one`` is added to each of
+    its keys: the key of a variable v (1 << its bit offset) multiplies by v, 0
+    by 1, and minus that key divides by v where every key holds it. All the
+    entries share one denominator. The nonzero sums come back. This is the one
+    accumulation of a linear action: ``variable_combination``,
+    ``decompose._block_sum`` and ``_euler_curl`` resolve their entries and
+    call it.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for k, one, num in entries:
+        for m, x in num.items():
+            m += one
+            out[m] = get(m, 0) + k * x
+    return {m: x for m, x in out.items() if x}
+
+
 def _require_ring(ring: Ring, p: "Polynomial") -> None:
     # operands nearly always share the ring object; the identity test skips
     # the dataclass __eq__ (3% of a decompose-mix pass, see CHANGES.md)
@@ -335,16 +365,29 @@ class Polynomial:
         p._set(ring, num, den)
         return p
 
+    @classmethod
+    def _wrap(cls, ring: Ring, num: dict[int, int], den: int) -> "Polynomial":
+        """The polynomial num / den, already in canonical form over ``ring``.
+
+        Nothing is tested: the keys must be monomials of ``ring`` and den
+        coprime to the numerators' content, as for a negation or a re-encoding
+        of a canonical polynomial.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_num", num)
+        object.__setattr__(p, "_den", den)
+        return p
+
     def _set(self, ring: Ring, num: dict[int, int], den: int) -> None:
         # every key must be a monomial of the ring with no exponent field
-        # overflowed into its guard bit; then divide out the common factor of
-        # the denominator and the numerators, once
-        guard, limit = ring._guard, ring._limit
-        for key in num:
-            if key & guard or key >= limit:
-                raise StructuralError(
-                    f"a monomial exponent exceeds {MAX_EXPONENT} in ring with "
-                    f"blocks {ring.names()}")
+        # overflowed into its guard bit (keys are nonnegative, so one OR of all
+        # of them and their maximum decide it); then divide out the common
+        # factor of the denominator and the numerators, once
+        if num and (reduce(or_, num) & ring._guard or max(num) >= ring._limit):
+            raise StructuralError(
+                f"a monomial exponent exceeds {MAX_EXPONENT} in ring with "
+                f"blocks {ring.names()}")
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -380,11 +423,12 @@ class Polynomial:
         c is an exact scalar, p a polynomial over ``ring`` and v a variable of
         it, or None for "times 1"; p * v adds v's key, 1 << (its bit offset),
         to each key of p, and p * 1 adds nothing. A triple (1, a, None) thus
-        starts the sum from a, so a - sum c * p * v is one accumulation.
+        starts the sum from a, so a - sum c * p * v is one accumulation. Each
+        triple is resolved to an integer scale over the lcm of all the
+        denominators and a bit offset, and ``_shifted_sum`` adds them up.
         """
         shift = ring._shift
-        out: dict[int, int] = {}
-        get = out.get
+        resolved = []
         den = 1
         for c, p, v in triples:
             if v is None:
@@ -397,19 +441,12 @@ class Polynomial:
                 one = 1 << s
             _require_ring(ring, p)
             n, d = _ratio(c)
-            if not (n and p._num):
-                continue
-            d *= p._den
-            if den % d:  # raise the common denominator to lcm(den, d)
-                grow = d // gcd(den, d)
-                out = {m: x * grow for m, x in out.items()}
-                get = out.get
-                den *= grow
-            n *= den // d
-            for m, x in p._num.items():
-                m += one
-                out[m] = get(m, 0) + n * x
-        return Polynomial._make(ring, {m: x for m, x in out.items() if x}, den)
+            if n and p._num:
+                d *= p._den
+                den = lcm(den, d)
+                resolved.append((n, d, one, p._num))
+        return Polynomial._make(ring, _shifted_sum(
+            (n * (den // d), one, num) for n, d, one, num in resolved), den)
 
     @staticmethod
     def combination(ring: Ring, pairs: Iterable[tuple]) -> "Polynomial":
@@ -499,7 +536,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._make(self.ring, {m: -c for m, c in self._num.items()}, self._den)
+        return Polynomial._wrap(self.ring, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -590,12 +627,13 @@ class Polynomial:
         Block roles and ordering may differ; monomials are unchanged. Used to
         move between rings that share blocks, e.g. when a block is re-tagged
         from state to parameter. Rings with the same block names and sizes in
-        the same order share the packed keys; otherwise each key is re-encoded.
+        the same order share the packed keys; otherwise each key is re-encoded,
+        which tests it against ``ring``. The numerators stay canonical.
         """
         num = self._num
         if ring._layout != self.ring._layout:
             num = {_encode(ring, _decode(self.ring, key)): c for key, c in num.items()}
-        return Polynomial._make(ring, num, self._den)
+        return Polynomial._wrap(ring, num, self._den)
 
     def substitute(self, mapping: Mapping[Var, "Polynomial"], ring: Ring) -> "Polynomial":
         """Replace mapped variables by polynomials over ``ring``.
@@ -690,7 +728,8 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
     out as a series in t truncated after t^m, starting from its first factor,
     so no power of t beyond m is ever formed and a term of one factor costs no
     product. An expansion of more than MAX_CURVE_TERMS terms in all is
-    refused, counted by ``_curve_term_count`` before any is built.
+    refused, counted by ``_curve_term_count`` before any is built; the count
+    stops as soon as it passes that bound.
     """
     if len(phi.ring.blocks) != 1:
         raise StructuralError(
@@ -703,7 +742,7 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
             raise StructuralError(
                 f"block {b.name!r} has size {b.size}, expected {source.size}")
     m = len(blocks) - 1
-    if _curve_term_count(phi, m) > MAX_CURVE_TERMS:
+    if _curve_term_count(phi, m, MAX_CURVE_TERMS) > MAX_CURVE_TERMS:
         raise StructuralError(f"the curve coefficients of phi to level {m} hold more "
                               f"than {MAX_CURVE_TERMS} terms")
     ring = Ring(tuple(blocks))
@@ -727,7 +766,7 @@ def substitute_curve(phi: Polynomial, blocks: Sequence[VariableBlock]) -> list[P
             for k in range(m + 1)]
 
 
-def _curve_term_count(phi: Polynomial, m: int) -> int:
+def _curve_term_count(phi: Polynomial, m: int, bound: int | None = None) -> int:
     """How many terms ``substitute_curve`` writes for phi at level m.
 
     The monomials of t-degree w in (sum_r t^r f_r)^e are the multisets of e
@@ -736,11 +775,18 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
     monomials, where P_e(t) = sum_w p_{<=e}(w) t^w. Distinct terms of phi
     give disjoint monomials and no coefficient cancels, so the count is exact.
 
-    Every P_e has all entries >= 1, so entry w of a product of two or more is
-    >= w + 1, and their truncated sum is >= (m+1)(m+2)/2. Where that already
-    exceeds MAX_CURVE_TERMS, the first term of two or more factors ends the
-    count with that lower bound, and no O(m^2) product is formed.
+    Given a ``bound``, the count stops as soon as it passes it and returns a
+    number above the bound, not the count. Every P_e has all entries >= 1 and
+    P_e[0] = 1, so a product's truncated sum is at least each factor's, and a
+    factor's sum only grows with each part size added: once a partial P_e, or
+    the running total, is past the bound, so is the count. In particular,
+    entry w of a product of two or more P_e is >= w + 1, and their truncated
+    sum is >= (m+1)(m+2)/2; where that exceeds the bound, the first term of
+    two or more factors ends the count, and no O(m^2) product is formed.
+    Without a bound the count is exact.
     """
+    limit = float("inf") if bound is None else bound
+
     def times(a: list[int], b: list[int]) -> list[int]:
         return [sum(a[r] * b[k - r] for r in range(k + 1)) for k in range(m + 1)]
 
@@ -750,6 +796,8 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
         for part in range(1, min(e, m) + 1):
             for w in range(part, m + 1):
                 p[w] += p[w - part]
+            if bound is not None and sum(p) > bound:
+                break
         return p
 
     floor = (m + 1) * (m + 2) // 2
@@ -757,7 +805,7 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
     total = 0
     for mono in phi.terms:
         exponents = tuple(sorted(e for _, e in mono))
-        if len(exponents) > 1 and floor > MAX_CURVE_TERMS:
+        if len(exponents) > 1 and floor > limit:
             return floor
         if exponents not in counts:
             series = at_most_parts(exponents[0]) if exponents else [1]
@@ -765,20 +813,29 @@ def _curve_term_count(phi: Polynomial, m: int) -> int:
                 series = times(series, at_most_parts(e))
             counts[exponents] = sum(series)
         total += counts[exponents]
+        if total > limit:
+            return total
     return total
 
 
 def matrix_apply(matrix: Sequence[Sequence[Scalar]],
                  polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Multiply a rational matrix into a vector of polynomials, exactly."""
+    """Multiply a rational matrix into a vector of polynomials, exactly.
+
+    Every polynomial must share the first one's ring; each row's sum reads
+    its nonzero entries only.
+    """
     if not polys:
         raise StructuralError("matrix_apply needs at least one component")
+    ring = polys[0].ring
+    for p in polys:
+        _require_ring(ring, p)
     out = []
     for row in matrix:
         if len(row) != len(polys):
             raise StructuralError(
                 f"matrix row length {len(row)} != vector length {len(polys)}")
-        out.append(Polynomial.combination(polys[0].ring, zip(row, polys)))
+        out.append(Polynomial.combination(ring, ((a, p) for a, p in zip(row, polys) if a)))
     return tuple(out)
 
 
@@ -786,39 +843,39 @@ def _euler_curl(c: Sequence[Polynomial], block_name: str) -> list[list[Polynomia
     """The antisymmetric matrix b_ij = H(dc_i/dx_j - dc_j/dx_i), x the named block.
 
     ``c`` holds one polynomial per variable of the block, all over one ring,
-    and H divides each term of x-degree e by e + 2. The entries are read from the
-    packed keys in one pass: a term of c_i of x-degree d with exponent e > 0
-    in x_j adds coeff * e / (d + 1) at its key minus x_j's, and each term's d
-    is computed once. Entry (i, j) lives over lcm(den c_i, den c_j) times the
-    lcm of the weights d + 1 it uses, so no derivative, difference or split by
-    degree is built; b_ji = -b_ij and the diagonal is zero.
+    and H divides each term of x-degree e by e + 2. Each component's terms are
+    grouped once by their x-monomial, of x-degree d: on a group with exponent
+    e > 0 in x_j, dc_i/dx_j weighted by H is the group times e / (d + 1) with
+    x_j's key subtracted from each key, so entry (i, j) is one
+    ``_shifted_sum`` of such groups of c_i and (negated) of c_j, over
+    lcm(den c_i, den c_j) times the lcm of the weights d + 1 of c_i and c_j,
+    reduced once. No derivative, difference or split by degree is built;
+    b_ji = -b_ij and the diagonal is zero.
     """
     ring = c[0].ring
     n = len(c)
     base = ring._shift[(block_name, 0)]
     mask = (1 << (_BITS * n)) - 1
-    # per component: (key, numerator, weight d + 1) of each term
-    weighted = [[(key, x, _field_sum((key >> base) & mask) + 1) for key, x in p._num.items()]
-                for p in c]
+    # per component: its terms by x-monomial, as (x-fields, weight d + 1, numerators)
+    groups = []
+    for p in c:
+        by_x: dict[int, dict[int, int]] = {}
+        for key, x in p._num.items():
+            by_x.setdefault((key >> base) & mask, {})[key] = x
+        groups.append([(fields, _field_sum(fields) + 1, num) for fields, num in by_x.items()])
+    weights = [lcm(*(w for _, w, _ in g)) for g in groups]
     zero = Polynomial.zero(ring)
     b = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            den = lcm(c[i]._den, c[j]._den)
-            parts = []
-            for src, var, scale in ((i, j, den // c[i]._den), (j, i, -(den // c[j]._den))):
-                s = base + _BITS * var
-                one = 1 << s
-                for key, x, w in weighted[src]:
-                    e = (key >> s) & _FIELD
-                    if e:
-                        parts.append((key - one, scale * e * x, w))
-            weight = lcm(*{w for _, _, w in parts})
-            out: dict[int, int] = {}
-            get = out.get
-            for key, x, w in parts:
-                out[key] = get(key, 0) + x * (weight // w)
-            b[i][j] = Polynomial._make(ring, {m: x for m, x in out.items() if x}, den * weight)
+            den = lcm(c[i]._den, c[j]._den) * lcm(weights[i], weights[j])
+            entries = []
+            for src, var, sign in ((i, j, 1), (j, i, -1)):
+                s = _BITS * var
+                scale, one = sign * (den // c[src]._den), -1 << (base + s)
+                entries += [(scale * e // w, one, num) for fields, w, num in groups[src]
+                            if (e := (fields >> s) & _FIELD)]
+            b[i][j] = Polynomial._make(ring, _shifted_sum(entries), den)
             b[j][i] = -b[i][j]
     return b
 

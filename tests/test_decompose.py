@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takiff import decompose, invariants
+from takiff import decompose, invariants, poly
 from takiff import matrices as mx
 from takiff.decompose import (
     Decomposition,
@@ -736,6 +736,16 @@ RECONSTRUCTION_CASES = {
 }
 
 
+def dense_block_sums(lifted, ring, coefficients):
+    """rho_m(b) F read densely: sum_{r,i} b_r[i] rho_m(x_i T^r) F, all blocks."""
+    d = lifted.base_rep.algebra.dim
+    F = [Polynomial.variable(ring, v) for v in ring.state_variables()]
+    images = [matrix_apply(matrix, F) for matrix in lifted.rep.matrices]
+    return tuple(Polynomial.combination(ring, (
+        (level[i], images[r * d + i][t]) for r, level in enumerate(coefficients)
+        for i in range(d))) for t in range(len(F)))
+
+
 @pytest.mark.parametrize("case", list(RECONSTRUCTION_CASES))
 @COORDINATES
 @given(m=st.integers(0, 3), data=st.data())
@@ -747,12 +757,85 @@ def test_reconstruction_equals_the_dense_lifted_action(case, m, data):
     ring = level_ring(m, n, params=[("w", 1)])
     names = list(ring.variables())
     b = [[drawn_polynomial(data, ring, names) for _ in range(d)] for _ in range(m + 1)]
-    F = [Polynomial.variable(ring, v) for v in ring.state_variables()]
-    images = [matrix_apply(matrix, F) for matrix in lifted.rep.matrices]
-    expected = tuple(Polynomial.combination(ring, (
-        (b[r][i], images[r * d + i][t]) for r in range(m + 1) for i in range(d)))
-        for t in range((m + 1) * n))
-    assert field_from_coefficients(lifted, ring, b).components == expected
+    assert field_from_coefficients(lifted, ring, b).components == \
+        dense_block_sums(lifted, ring, b)
+
+
+@pytest.mark.parametrize("case", ["so3", "sl2-killing", "so3-conjugated"])
+def test_the_block_sum_equals_the_dense_lifted_action_over_denominators(case):
+    # level r of b over 3 + 2r (3, 5 and 7) and a start over 11; the conjugated
+    # so(3) acts by thirds, so every part of the common denominator is used
+    rep, _ = SOLVER_CASES[case]
+    m, n, d = 2, rep.space_dim, rep.algebra.dim
+    lifted = build_lift(rep, m)
+    ring = level_ring(m, n, params=[("w", 1)])
+    rng = SplitMix64(41)
+    b = [[random_polynomial(rng, ring, 2, 3) / (3 + 2 * r) for _ in range(d)]
+         for r in range(m + 1)]
+    assert {p._den for level in b for p in level if not p.is_zero()} == {3, 5, 7}
+    start = [random_polynomial(rng, ring, 2, 3) / 11 for _ in range((m + 1) * n)]
+    dense = dense_block_sums(lifted, ring, b)
+    for j in range(m + 1):
+        block = slice(j * n, (j + 1) * n)
+        assert decompose._block_sum(rep, ring, b[:j + 1], j) == dense[block]
+        assert decompose._block_sum(rep, ring, b[:j + 1], j, start[block]) == tuple(
+            a - s for a, s in zip(start[block], dense[block]))
+
+
+def test_the_block_sum_resolves_its_entries_without_scalars(monkeypatch):
+    # every entry reaches the one accumulation as integers: no exact-scalar
+    # read, no triple, and one accumulation per component
+    rep, _ = SOLVER_CASES["so3-conjugated"]
+    _, coefficients, field = fractional_instance("so_n", 2, seed=23, n=3)
+    ring = field.ring
+    sums = []
+    shifted_sum = decompose._shifted_sum
+
+    def counted(entries):
+        sums.append(entries)
+        return shifted_sum(entries)
+
+    monkeypatch.setattr(decompose, "_shifted_sum", counted)
+    monkeypatch.setattr(poly, "_ratio", _no_scalar)
+    monkeypatch.setattr(Polynomial, "variable_combination", _no_scalar)
+    out = decompose._block_sum(rep, ring, coefficients, 2, field.components[6:])
+    assert len(out) == 3 and len(sums) == 3
+    assert all(type(k) is int and type(one) is int for entries in sums for k, one, _ in entries)
+
+
+def _no_scalar(*_):
+    raise AssertionError("the block sum read a scalar or built a triple")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_transported_field_decomposes_over_the_conjugated_representation(m):
+    # theta so(3) theta^-1 acts by thirds and keeps theta^-T theta^-1
+    tau, gram = SOLVER_CASES["so3-conjugated"]
+    inst = generate_instance("so_n", m, seed=13, n=3)
+    moved = transport_field(inst.field, THETA)
+    assert any(type(c) is Fraction for p in moved.components for c in p.terms.values())
+    lifted = build_lift(tau, m)
+    dec = takiff_decompose(lifted, builtin_solver(tau, gram), moved)
+    ok, residuals = verify_decomposition(lifted, moved, dec)
+    assert ok and all(p.is_zero() for p in residuals)
+    assert field_from_coefficients(lifted, moved.ring, dec.coefficients) == moved
+
+
+def test_the_so5_base_solve_reads_no_zero_scalar(monkeypatch):
+    # for so(n) with G = I the coordinates are U^-1 = -I: a solve reads its 10
+    # nonzero entries and the 5 unit weights of the syzygy, and no zero
+    _, rho = so_n(5)
+    solver = builtin_solver(rho)
+    assert solver._coordinates == mx.scale(mx.identity(10), -1)
+    ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", 5, STATE))
+    w = Polynomial.variable(ring, ("w", 0))
+    coefficients = tuple(w + k for k in range(10))
+    fld = VectorField(ring, killing_field(rho, ring, coefficients))
+    seen = []
+    ratio = poly._ratio
+    monkeypatch.setattr(poly, "_ratio", lambda value: seen.append(value) or ratio(value))
+    assert solver.solve(fld) == coefficients
+    assert seen == [1] * 5 + [-1] * 10
 
 
 class StubSolver:

@@ -323,6 +323,15 @@ def test_lift_invariant_refuses_a_power_at_the_largest_level_at_once(power):
     assert time.process_time() - start < 0.1
 
 
+def test_lift_invariant_refuses_the_largest_power_at_the_largest_level():
+    # the term count of x0^32767 at m = 9999 stops once it passes the bound,
+    # after two part sizes of the partition count, not 9999
+    _, rho = lie.abelian(1)
+    x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    with pytest.raises(StructuralError, match="to level 9999 hold more than 500000 terms"):
+        lift_invariant(LiftedRepresentation(rho, 9999), x0 ** 32767)
+
+
 def test_lift_invariant_refuses_a_product_past_the_bound_at_once():
     # any product of two variables writes >= (m+1)(m+2)/2 terms: 501,501 at m = 1000
     _, rho = lie.abelian(2)

@@ -282,6 +282,20 @@ def test_a_representation_keeps_one_sparse_form():
     assert hash(Representation(rho.algebra, rho.matrices)) == hash(rho)
 
 
+def test_a_representation_reads_its_action_as_integers_over_one_denominator():
+    # theta has determinant 3, so theta so(3) theta^-1 holds thirds
+    _, rho = so_n(3)
+    tau = conjugate_representation(rho, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
+    assert any(type(x) is Fraction for m in tau.matrices for row in m for x in row)
+    for rep, den in ((rho, 1), (tau, 3)):
+        assert "_integer_rows" not in vars(rep)
+        integer = rep._integer_rows
+        assert integer[0] == den and rep._integer_rows is integer
+        assert tuple(tuple({s: Fraction(x, den) for s, x in row} for row in rows)
+                     for rows in integer[1]) == rep._sparse_rows
+    assert Representation(rho.algebra, rho.matrices) == rho
+
+
 def test_a_conjugate_refuses_a_bad_theta():
     _, rho = so_n(3)
     with pytest.raises(ValidationError, match="singular"):

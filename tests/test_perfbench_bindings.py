@@ -6,7 +6,8 @@ so renaming or deleting one breaks the benchmark. This test imports the
 harness, installs and removes the layer tracer, and runs one toy pass of every
 workload with its checks, so such a change fails here first. Each toy pass
 must also write the digests pinned below, so a change that alters the bytes
-a workload reads or writes fails here too.
+a workload reads or writes fails here too; one full-size decompose-mix pass
+per seed is pinned the same way, since the toy grid stops at so(3), m = 2.
 """
 
 from pathlib import Path
@@ -50,19 +51,38 @@ TOY_DIGESTS = {
 }
 
 
+def checked_pass_digests(workload) -> tuple[str, str]:
+    """Set up, run and check one pass of a workload; its two digests."""
+    try:
+        workload.setup()
+        calls = 0
+        for op in workload.ops():
+            assert op.check(op.call()) is None, op.key
+            calls += 1
+        assert calls, workload.name
+        digests = workload.digests()
+        return digests["inputs_sha256"], digests["outputs_sha256"]
+    finally:
+        workload.close()
+
+
 def test_every_workload_runs_a_checked_toy_pass(bench, tmp_path):
     assert sorted(bench.workloads.WORKLOADS) == sorted(TOY_DIGESTS)
     for name, cls in bench.workloads.WORKLOADS.items():
-        workload = cls(2026, True, tmp_path / name)
-        try:
-            workload.setup()
-            calls = 0
-            for op in workload.ops():
-                assert op.check(op.call()) is None, op.key
-                calls += 1
-            assert calls, name
-            digests = workload.digests()
-            assert (digests["inputs_sha256"], digests["outputs_sha256"]) \
-                == TOY_DIGESTS[name], name
-        finally:
-            workload.close()
+        assert checked_pass_digests(cls(2026, True, tmp_path / name)) == TOY_DIGESTS[name], name
+
+
+# the same digests of one full-size decompose-mix pass (so(3) at m = 3..5,
+# so(4) at m = 3, so(5) at m = 2, the sl2 adjoint at m = 4) at seeds 2026 and 7
+FULL_DECOMPOSE_DIGESTS = {
+    2026: ("9f4ea9555123dbb4f0fea3b55f0051fdcc15ef83c847e2508c2e4b889ee83dfe",
+           "0e8d3bd8744ec148bd251c06f36a06dbbb115601d39942c71afa9dbbdddef04d"),
+    7: ("5b45f7691f133e029a9b950bd03a3c3596148eeee85bcf16e29b934c3d7c7a28",
+        "dc6a2fe0ca71d97c6c7ebe4ae2dbae335d961f5c563ba98f0414eb88baf6d502"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_DECOMPOSE_DIGESTS))
+def test_a_full_size_decompose_pass_writes_the_pinned_bytes(bench, tmp_path, seed):
+    workload = bench.workloads.WORKLOADS["decompose-mix"](seed, False, tmp_path)
+    assert checked_pass_digests(workload) == FULL_DECOMPOSE_DIGESTS[seed]

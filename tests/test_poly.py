@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takiff import jsonio
+from takiff import jsonio, poly
 from takiff.errors import StructuralError
 from takiff.poly import (
     MAX_CURVE_TERMS,
@@ -364,6 +364,20 @@ def test_variable_combination_keeps_the_guard_bit_and_the_ring_check():
         Polynomial.variable_combination(X, [(1, Polynomial.constant(XW, 1), ("x", 0))])
 
 
+def test_negation_and_cast_keep_the_canonical_form():
+    # both reuse the numerators as they are; the result equals the polynomial
+    # built from its terms, so no common factor or bad key is left in
+    rng = random.Random(5)
+    retagged = XW.with_role("x", PARAMETER)
+    reordered = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", 2, STATE))
+    for _ in range(20):
+        p = rand_poly(rng, XW) / rng.choice((1, 2, 6, Fraction(4, 9)))
+        assert -p == Polynomial(XW, {mono: -c for mono, c in p.terms.items()})
+        for ring in (retagged, reordered):
+            assert p.cast(ring) == Polynomial(ring, p.terms)
+            assert p.cast(ring).cast(XW) == p
+
+
 def dict_merge_product(m1, m2):
     """Reference product: merge the exponent maps, then sort by variable."""
     merged = dict(m1)
@@ -678,6 +692,18 @@ def test_substitute_curve_refuses_more_than_its_bound_before_building(monkeypatc
         substitute_curve(x0 ** 10, blocks)
 
 
+def test_curve_term_count_stops_once_past_its_bound():
+    x0 = var(Ring.of(VariableBlock("x", 1, STATE)), "x", 0)
+    # under the bound the count is exact; past it, it is only past it
+    assert _curve_term_count(x0 ** 8, 50, MAX_CURVE_TERMS) == 268_682
+    for e, m in ((10, 60), (12, 99), (MAX_EXPONENT, 9999)):
+        assert _curve_term_count(x0 ** e, m, MAX_CURVE_TERMS) > MAX_CURVE_TERMS
+    two = Ring.of(VariableBlock("x", 2, STATE))
+    product = var(two, "x", 0) * var(two, "x", 1) ** 3
+    assert _curve_term_count(product, 20, MAX_CURVE_TERMS) == _curve_term_count(product, 20)
+    assert _curve_term_count(product, 20, 100) > 100
+
+
 def _unexpected(*_):
     raise AssertionError("a polynomial was built before the term count was checked")
 
@@ -720,6 +746,19 @@ def test_matrix_apply():
     assert out == (-x1, x0)
     with pytest.raises(StructuralError):
         matrix_apply(((Fraction(1),),), (x0, x1))
+
+
+def test_matrix_apply_reads_nonzero_entries_and_checks_every_ring(monkeypatch):
+    seen = []
+    ratio = poly._ratio
+    monkeypatch.setattr(poly, "_ratio", lambda value: seen.append(value) or ratio(value))
+    x0, x1, x2 = (var(X, "x", i) for i in range(3))
+    out = matrix_apply(((0, 2, 0), (0, 0, 0), (Fraction(1, 3), 0, -1)), (x0, x1, x2))
+    assert seen == [2, Fraction(1, 3), -1]
+    assert out == (x1 * 2, Polynomial.zero(X), x0 / 3 - x2)
+    # a polynomial met only by zero entries is still checked
+    with pytest.raises(StructuralError, match="ring mismatch"):
+        matrix_apply(((1, 0),), (x0, Polynomial.constant(XW, 1)))
 
 
 def test_string_rendering():
