@@ -55,6 +55,7 @@ from .takiff_algebra import (
     LiftedRepresentation,
     build_lift,
     build_takiff,
+    check_level,
     verify_flip_identity,
 )
 
@@ -138,9 +139,13 @@ def cmd_check_invariant(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     phi = jsonio.polynomial_from_json(_read(args.phi))
     if args.level:
-        rep = build_lift(rep, args.level).rep
+        # the Killing operators of g_m, bounded as g_m is
+        check_level(rep.algebra.dim, args.level)
+    levels = len(phi.ring.state_blocks())
+    if levels != args.level + 1:
+        raise StructuralError(f"phi has {levels} state blocks, expected {args.level + 1}")
     failures = []
-    for i in range(rep.algebra.dim):
+    for i in range(levels * rep.algebra.dim):
         residual = apply_killing(rep, i, phi)
         if not residual.is_zero():
             failures.append({"basis": i,

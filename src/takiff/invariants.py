@@ -38,33 +38,44 @@ from .poly import (
     VectorField,
     substitute_curve,
 )
-from .takiff_algebra import LiftedRepresentation, build_lift, require_level
+from .takiff_algebra import LiftedRepresentation, check_level, require_level
 
 
-def _state_coordinates(ring: Ring, space_dim: int) -> list[Var]:
-    coords = ring.state_variables()
-    if len(coords) != space_dim:
+def _lift_blocks(ring: Ring, block_size: int) -> tuple[VariableBlock, ...]:
+    """The state blocks f_0..f_m of a function on V_m, each of ``block_size``."""
+    blocks = ring.state_blocks()
+    if not blocks or any(b.size != block_size for b in blocks):
         raise StructuralError(
-            f"state blocks of {ring.names()} have total size {len(coords)}, "
-            f"expected {space_dim}")
-    return coords
+            f"state blocks of {ring.names()} have sizes {[b.size for b in blocks]}, "
+            f"expected one or more of size {block_size}")
+    return blocks
 
 
 def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynomial:
-    """sum_{t,s} rho(x)_ts dphi/dv_t v_s: the Killing field of basis element x_index on phi."""
-    if not 0 <= x_index < rep.algebra.dim:
+    """The Killing field of x_i T^r in g_m on phi, with x_index = r * dim g + i.
+
+    rep is the base representation; m is read from phi's state blocks
+    f_0..f_m, each of rep's space dimension, as ``VectorField.level`` reads it.
+    x_i T^r sends f_s to rho(x_i) f_s in block r + s, so the field is
+    sum_{s,t,u} rho(x_i)_tu f_{s,u} dphi/df_{r+s,t}, read from rho's sparse rows.
+    """
+    blocks = _lift_blocks(phi.ring, rep.space_dim)
+    if not 0 <= x_index < len(blocks) * rep.algebra.dim:
         raise StructuralError(f"basis index {x_index} out of range")
-    coords = _state_coordinates(phi.ring, rep.space_dim)
+    r, i = divmod(x_index, rep.algebra.dim)
     triples = []
-    for v, row in zip(coords, rep._sparse_rows[x_index]):
-        if row:
-            dphi = phi.derivative(v)
-            triples += [(entry, dphi, coords[s]) for s, entry in row.items()]
+    for source, target in zip(blocks, blocks[r:]):
+        for t, row in enumerate(rep._sparse_rows[i]):
+            if row:
+                dphi = phi.derivative((target.name, t))
+                triples += [(entry, dphi, (source.name, u)) for u, entry in row.items()]
     return Polynomial.variable_combination(phi.ring, triples)
 
 
 def is_invariant(rep: Representation, phi: Polynomial) -> bool:
-    return all(apply_killing(rep, i, phi).is_zero() for i in range(rep.algebra.dim))
+    """Whether every Killing field of g_m kills phi; rep and m as in ``apply_killing``."""
+    count = len(_lift_blocks(phi.ring, rep.space_dim)) * rep.algebra.dim
+    return all(apply_killing(rep, k, phi).is_zero() for k in range(count))
 
 
 @dataclass(frozen=True)
@@ -248,7 +259,8 @@ def cylindrical_invariance_check(lifted: LiftedRepresentation,
     f0..f_{m-1} of ``default_lift_blocks(m - 1, n)``. The first boolean views
     theta as a function on V_m constant in the top block f_m and tests
     invariance for the level-m action; the second tests invariance for the
-    level-(m-1) action directly. The two answers agree identically.
+    level-(m-1) action directly. The two answers agree identically. Both read
+    the base representation, bounded by ``check_level`` as g_m is; no g_m is built.
     """
     m = lifted.level
     if m < 1:
@@ -258,9 +270,9 @@ def cylindrical_invariance_check(lifted: LiftedRepresentation,
         raise StructuralError(
             f"theta must live over the {m} blocks f0..f{m - 1} of size {n}, "
             f"got {theta.ring.names()}")
-    as_level_m = is_invariant(lifted.rep, theta.cast(Ring(default_lift_blocks(m, n))))
-    as_level_m_minus_1 = is_invariant(build_lift(lifted.base_rep, m - 1).rep, theta)
-    return (as_level_m, as_level_m_minus_1)
+    check_level(lifted.base_rep.algebra.dim, m)
+    return (is_invariant(lifted.base_rep, theta.cast(Ring(default_lift_blocks(m, n)))),
+            is_invariant(lifted.base_rep, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +298,10 @@ def tangency_check(rep: Representation, fld: VectorField,
     Non-membership is a result, not an error. A field with parameters needs
     exactly one row of values per point, and a field without them takes none.
     """
-    coords = _state_coordinates(fld.ring, rep.space_dim)
+    coords = fld.ring.state_variables()
+    if len(coords) != rep.space_dim:
+        raise StructuralError(f"state blocks of {fld.ring.names()} have total size "
+                              f"{len(coords)}, expected {rep.space_dim}")
     param_vars: list[Var] = []
     for b in fld.ring.parameter_blocks():
         param_vars.extend(b.variables())

@@ -190,14 +190,6 @@ class Ring:
             out.extend(b.variables())
         return out
 
-    def with_role(self, name: str, role: str) -> "Ring":
-        """Same ring with one block's role changed; order is preserved."""
-        self.block(name)
-        return Ring(tuple(
-            VariableBlock(b.name, b.size, role) if b.name == name else b
-            for b in self.blocks
-        ))
-
 
 class Monomial(tuple):
     """A product of variables with positive integer exponents.

@@ -61,7 +61,8 @@ from .randgen import (
     random_invertible,
     random_polynomial,
 )
-from .takiff_algebra import build_lift, build_takiff, lift_bilinear_form, verify_flip_identity
+from .takiff_algebra import (LiftedRepresentation, build_lift, build_takiff,
+                             lift_bilinear_form, verify_flip_identity)
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,10 @@ def suite_invariance(seed: int) -> Report:
         n = rep.space_dim
         phi = quadratic_invariant(gram, Ring.of(VariableBlock("x", n, STATE)))
         for m in _LEVELS:
-            lifted = build_lift(rep, m)
-            phis = lift_invariant(lifted, phi)
+            phis = lift_invariant(LiftedRepresentation(rep, m), phi)
             for k, phi_k in enumerate(phis):
-                for idx in range(lifted.context.algebra.dim):
-                    residual = apply_killing(lifted.rep, idx, phi_k)
+                for idx in range((m + 1) * rep.algebra.dim):
+                    residual = apply_killing(rep, idx, phi_k)
                     checks += 1
                     if not residual.is_zero():
                         witnesses.append(_poly_witness(
@@ -250,7 +250,7 @@ def suite_linearity(seed: int) -> Report:
         source = Ring.of(VariableBlock("x", n, STATE))
         phi = quadratic_invariant(gram, source)
         for m in _LEVELS:
-            lifted = build_lift(rep, m)
+            lifted = LiftedRepresentation(rep, m)
             blocks = default_lift_blocks(m, n)
             ring = Ring(blocks)
             phis = lift_invariant(lifted, phi)
@@ -297,7 +297,7 @@ def suite_faa_di_bruno(seed: int) -> Report:
         phi = random_polynomial(rng, ring, max_degree=4, num_terms=5)
         # the zero action makes every phi invariant, so the guarded lift applies
         _, rep = make_standard("abelian", dim=n)
-        lifted = build_lift(rep, m)
+        lifted = LiftedRepresentation(rep, m)
         direct = lift_invariant(lifted, phi)
         derivative_path = faa_di_bruno_lift(phi, m)
         checks += m + 1
@@ -326,12 +326,11 @@ def suite_cylindrical(seed: int) -> Report:
     witnesses = []
     for trial in range(50):
         m = rng.integer(1, 3)
-        lifted = build_lift(rep, m)
+        lifted = LiftedRepresentation(rep, m)
         inner_ring = Ring(default_lift_blocks(m - 1, n))
         if rng.below(2):
             # manufactured invariant: polynomial in the level-(m-1) coefficients
-            sub_lift = build_lift(rep, m - 1)
-            phis = lift_invariant(sub_lift, phi)
+            phis = lift_invariant(LiftedRepresentation(rep, m - 1), phi)
             theta = Polynomial.zero(inner_ring)
             for _ in range(rng.integer(1, 3)):
                 term = Polynomial.constant(inner_ring, rng.integer(-3, 3))
@@ -521,7 +520,7 @@ def suite_refusal(seed: int) -> Report:
     for n in (2, 3, 4):
         _, rep = make_standard("so_n", n=n)
         solver = builtin_solver(rep)
-        lifted = build_lift(rep, 0)
+        lifted = LiftedRepresentation(rep, 0)
         ring = Ring.of(VariableBlock("f0", n, STATE))
         radial = VectorField(
             ring, tuple(Polynomial.variable(ring, ("f0", i)) for i in range(n)))
@@ -542,7 +541,7 @@ def suite_refusal(seed: int) -> Report:
         m = rng.integer(0, 2)
         _, rep = make_standard("so_n", n=n)
         solver = builtin_solver(rep)
-        lifted = build_lift(rep, m)
+        lifted = LiftedRepresentation(rep, m)
         ring = Ring(default_lift_blocks(m, n))
         field = VectorField(ring, tuple(
             random_polynomial(rng, ring, max_degree=2, num_terms=2)
@@ -636,7 +635,7 @@ def suite_transport(seed: int) -> Report:
         theta_inv = mx.inverse(theta)
         gram_tau = mx.mul(mx.transpose(theta_inv), theta_inv)
         solver_tau = builtin_solver(tau, gram_tau)
-        lifted_tau = build_lift(tau, m)
+        lifted_tau = LiftedRepresentation(tau, m)
         moved = transport_field(inst.field, theta)
 
         fresh = takiff_decompose(lifted_tau, solver_tau, moved)

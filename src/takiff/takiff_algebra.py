@@ -15,9 +15,9 @@ so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
 
 That block sum reads rho and m alone, so a ``LiftedRepresentation`` is the
 pair (rho, m), and a ``TakiffContext`` is the pair (g, m). Decomposing,
-verifying and generating a field read no dense g_m or rho_m, at level m or
-below; those are derived only when first read, and ``build_lift`` builds both
-at once for the commands and suites that read them.
+verifying and generating a field, and the Killing operators of
+``invariants.apply_killing``, read no dense g_m or rho_m; those are derived
+only when first read, and ``build_lift`` builds both for what reads them.
 
 g_m and rho_m are not re-checked. g_m is g tensor A and rho_m is rho tensor
 the regular action of A, with A = K[T]/(T^{m+1}) commutative and associative,
@@ -180,10 +180,9 @@ def build_lift(rho: Representation, level: int) -> LiftedRepresentation:
     """Takiff context plus lifted representation, both derived now and cached per
     (rho, level).
 
-    The callers that read the dense rho_m come here: the ``lift-rep`` and
-    ``check-invariant --level`` commands, the cylindrical check at level
-    m - 1 and the acceptance suites, which lift the same (rho, level) pairs
-    many times. All inputs are immutable, so the result is memoized.
+    The callers that read the dense rho_m come here: the ``lift-rep`` command
+    and the homomorphism suite, which checks rho_m itself. All inputs are
+    immutable, so the result is memoized.
     """
     ctx = build_takiff(rho.algebra, level)
     return lift_representation(ctx, rho)

@@ -183,6 +183,8 @@ def _instance_files(tmp_path, level: int, n: int = 3) -> dict[str, str]:
     files["dec"] = _write(tmp_path / "dec.json", dec)
     q = quadratic_invariant(mx.identity(n), Ring.of(VariableBlock("x", n, STATE)))
     files["phi"] = _write(tmp_path / "q.json", jsonio.polynomial_to_json(q))
+    files["phi_m"] = _write(tmp_path / "q_m.json", jsonio.polynomial_to_json(
+        lift_invariant(LiftedRepresentation(rho, level), q)[level]))
     return files
 
 
@@ -196,6 +198,8 @@ def _argv(command: str, files: dict[str, str], level: int) -> list[str]:
                    "--field", files["field"], "--dec", files["dec"]],
         "lift-invariant": ["lift-invariant", "--rep", files["rep"], "--phi", files["phi"],
                            "--level", level],
+        "check-invariant": ["check-invariant", "--rep", files["rep"], "--phi", files["phi_m"],
+                            "--level", level],
     }[command]
 
 
@@ -204,10 +208,41 @@ def test_cli_builds_no_g_m_to_decompose_verify_or_generate(tmp_path, monkeypatch
     files = _instance_files(tmp_path, m)
     capsys.readouterr()
     levels = _count_build_takiff(monkeypatch)
-    for command in ("generate", "decompose", "verify", "lift-invariant"):
+    for command in ("generate", "decompose", "verify", "lift-invariant", "check-invariant"):
         build_lift.cache_clear()
         assert main(_argv(command, files, m)) == 0
         assert levels == [], command
+
+
+def test_check_invariant_refuses_an_oversized_level_as_build_does(tmp_path, monkeypatch,
+                                                                  capsys):
+    # its (m + 1) dim g Killing operators are bounded as g_m is, before any block
+    files = _instance_files(tmp_path, 40)
+    assert main(["build", "--algebra", files["algebra"], "--level", "40"]) == 1
+    refusal = capsys.readouterr().err
+    assert "structure constants" in refusal
+    monkeypatch.setattr(takiff_algebra, "_blocks", _unexpected)
+    assert main(_argv("check-invariant", files, 40)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == refusal
+
+
+def test_the_cylindrical_check_builds_no_g_m(monkeypatch):
+    _, rho = so_n(3)
+    q = quadratic_invariant(mx.identity(3), Ring.of(VariableBlock("x", 3, STATE)))
+    phis = lift_invariant(LiftedRepresentation(rho, 1), q)
+    levels = _count_build_takiff(monkeypatch)
+    monkeypatch.setattr(takiff_algebra, "_blocks", _unexpected)
+    lifted = LiftedRepresentation(rho, 2)
+    f1 = Polynomial.variable(phis[0].ring, ("f1", 0))
+    assert invariants.cylindrical_invariance_check(lifted, phis[0] * phis[1]) == (True, True)
+    assert invariants.cylindrical_invariance_check(lifted, f1) == (False, False)
+    # the level-m operators keep the bound of g_m
+    top = LiftedRepresentation(rho, 40)
+    theta = Polynomial.zero(Ring(invariants.default_lift_blocks(39, 3)))
+    with pytest.raises(StructuralError, match="structure constants"):
+        invariants.cylindrical_invariance_check(top, theta)
+    assert levels == []
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "lift-invariant", "generate"])

@@ -24,7 +24,14 @@ from takiff.invariants import (
     quadratic_invariant,
     tangency_check,
 )
-from takiff.lie import adjoint_rep, killing_form, sl2, so_n
+from takiff.lie import (
+    adjoint_rep,
+    conjugate_representation,
+    killing_form,
+    make_standard,
+    sl2,
+    so_n,
+)
 from takiff.poly import (
     PARAMETER,
     STATE,
@@ -35,7 +42,7 @@ from takiff.poly import (
     VectorField,
     matrix_apply,
 )
-from takiff.takiff_algebra import build_lift
+from takiff.takiff_algebra import LiftedRepresentation, build_lift
 
 from matrix_reference import add
 
@@ -68,7 +75,7 @@ def test_apply_killing_rotation():
     assert apply_killing(rho, 0, q).is_zero()
     with pytest.raises(StructuralError):
         apply_killing(rho, 1, x0)
-    with pytest.raises(StructuralError, match="total size 3, expected 2"):
+    with pytest.raises(StructuralError, match=r"have sizes \[3\], expected one or more of size 2"):
         apply_killing(rho, 0, Polynomial.variable(state_ring(3), ("x", 0)))
 
 
@@ -91,6 +98,62 @@ def test_apply_killing_reads_the_representations_sparse_form():
             for t in range(3) for s in range(3)))
         assert not dense.is_zero()
         assert apply_killing(ad, i, phi) == dense
+
+
+# (name, base representation): the reference grid of the blockwise Killing
+# operators; the last is so(3) conjugated by an integer theta of determinant 3,
+# whose matrices have entries in thirds
+KILLING_GRID = [
+    ("so3", so_n(3)[1]), ("so4", so_n(4)[1]), ("sl2_adjoint", make_standard("sl2_adjoint")[1]),
+    ("so3_conjugated", conjugate_representation(so_n(3)[1], ((1, 2, 0), (0, 1, 1), (1, 0, 1)))),
+]
+
+
+def _renamed(p, ring, names):
+    """p over ``ring``, each variable v renamed to names.get(v, v)."""
+    return Polynomial(ring, {Monomial.from_map({names.get(v, v): e for v, e in mono}): c
+                             for mono, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("rho", [rho for _, rho in KILLING_GRID],
+                         ids=[name for name, _ in KILLING_GRID])
+@pytest.mark.parametrize("m", range(3))
+def test_the_blockwise_killing_operators_are_the_dense_ones(rho, m):
+    # phi over f0..fm against phi over one block v of V_m under the dense rho_m
+    n, d = rho.space_dim, rho.algebra.dim
+    w = VariableBlock("w", 1, PARAMETER)
+    ring = Ring.of(*(VariableBlock(f"f{s}", n, STATE) for s in range(m + 1)), w)
+    flat = Ring.of(VariableBlock("v", (m + 1) * n, STATE), w)
+    to_flat = {(f"f{s}", a): ("v", s * n + a) for s in range(m + 1) for a in range(n)}
+    back = {v: f for f, v in to_flat.items()}
+    dense = build_lift(rho, m).rep
+    rng = random.Random(31 * m + n)
+    for _ in range(3):
+        phi = rand_poly(rng, ring, 3, 6)
+        residuals = [apply_killing(rho, k, phi) for k in range((m + 1) * d)]
+        assert residuals == [_renamed(apply_killing(dense, k, _renamed(phi, flat, to_flat)),
+                                      ring, back) for k in range((m + 1) * d)]
+        assert any(not r.is_zero() for r in residuals)
+        assert is_invariant(rho, phi) is False
+    with pytest.raises(StructuralError, match="out of range"):
+        apply_killing(rho, (m + 1) * d, phi)
+
+
+def test_a_function_off_the_lift_layout_is_refused():
+    # no state block, a block of the wrong size, V split into blocks whose sizes
+    # add up to n, or V_1 as one block of size 2n: neither operator runs, so a
+    # parameter-only phi is not vacuously invariant
+    _, rho = so_n(3)
+    w = Polynomial.variable(Ring.of(VariableBlock("w", 1, PARAMETER)), ("w", 0))
+    ragged = Ring.of(VariableBlock("f0", 3, STATE), VariableBlock("f1", 2, STATE))
+    split = Ring.of(VariableBlock("a", 1, STATE), VariableBlock("b", 2, STATE))
+    for phi, sizes in ((w, r"\[\]"), (Polynomial.variable(ragged, ("f0", 0)), r"\[3, 2\]"),
+                       (Polynomial.variable(split, ("a", 0)), r"\[1, 2\]"),
+                       (Polynomial.variable(state_ring(6), ("x", 0)), r"\[6\]")):
+        for check in (lambda: apply_killing(rho, 0, phi), lambda: is_invariant(rho, phi)):
+            with pytest.raises(StructuralError, match=f"have sizes {sizes}, expected one or "
+                                                      "more of size 3"):
+                check()
 
 
 def test_standard_quadratics_are_invariant():
@@ -158,10 +221,10 @@ def test_lift_coefficients_of_the_radius():
 def test_lifted_coefficients_are_invariant_for_lifted_action():
     for n, m in ((2, 3), (3, 2)):
         _, rho = so_n(n)
-        lifted = build_lift(rho, m)
         q = quadratic_invariant(mx.identity(n), state_ring(n))
-        for phi_k in lift_invariant(lifted, q):
-            assert is_invariant(lifted.rep, phi_k)
+        for phi_k in lift_invariant(LiftedRepresentation(rho, m), q):
+            # the level is read from phi_k's blocks f0..fm; rho is the base
+            assert is_invariant(rho, phi_k)
 
 
 def test_lift_refuses_non_invariant():

@@ -368,7 +368,7 @@ def test_negation_and_cast_keep_the_canonical_form():
     # both reuse the numerators as they are; the result equals the polynomial
     # built from its terms, so no common factor or bad key is left in
     rng = random.Random(5)
-    retagged = XW.with_role("x", PARAMETER)
+    retagged = Ring.of(VariableBlock("x", 2, PARAMETER), XW.block("w"))
     reordered = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", 2, STATE))
     for _ in range(20):
         p = rand_poly(rng, XW) / rng.choice((1, 2, 6, Fraction(4, 9)))
@@ -438,7 +438,7 @@ def test_packed_keys_round_trip_through_the_tuple_form(p, v, block):
         assert type(mono) is Monomial and mono == Monomial.from_map(dict(mono))
         assert p.coefficient(mono) == c
     assert [m for m, _ in p.sorted_terms()] == sorted(p.terms)
-    for ring in (FW, WF.with_role("w", STATE)):
+    for ring in (FW, Ring.of(VariableBlock("w", 11, STATE), *WF.blocks[1:])):
         there = p.cast(ring)
         assert there.ring == ring and there.terms == p.terms
         assert there.cast(WF) == p
@@ -720,18 +720,15 @@ def test_substitute_curve_validates_blocks():
 
 
 def test_ring_role_operations():
-    retagged = XW.with_role("x", PARAMETER)
-    assert retagged.block("x").role == PARAMETER
-    assert XW.block("x").role == STATE  # original untouched
+    assert XW.block("x").role == STATE
     assert XW.state_variables() == [("x", 0), ("x", 1)]
-    assert retagged.state_variables() == []
     with pytest.raises(StructuralError):
         Ring.of(VariableBlock("x", 1, STATE), VariableBlock("x", 2, STATE))
 
 
 def test_cast_between_compatible_rings():
     p = var(XW, "x", 0) * var(XW, "x", 1)
-    retagged = XW.with_role("x", PARAMETER)
+    retagged = Ring.of(VariableBlock("x", 2, PARAMETER), XW.block("w"))
     q = p.cast(retagged)
     assert q.terms == p.terms
     assert q.ring == retagged

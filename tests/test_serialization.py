@@ -840,6 +840,35 @@ def test_cli_check_invariant_at_a_level_and_in_plain_text(tmp_path):
     assert lines[0] == "not invariant" and lines[1] == "  basis 0: nonzero residual"
 
 
+def test_cli_check_invariant_refuses_a_phi_off_the_level_layout(tmp_path, capsys):
+    # phi on V_m has the m + 1 state blocks f0..fm of size n; V_1 written as
+    # one block of size 2n, or V as blocks whose sizes add up to n, was read
+    # against the dense rho_m and is now refused
+    _, rho = so_n(2)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    q = quadratic_invariant(mx.identity(2), Ring.of(VariableBlock("x", 2, STATE)))
+    top = lift_invariant(build_lift(rho, 1), q)[1]
+    flat = Ring.of(VariableBlock("v", 4, STATE))
+    split = Ring.of(VariableBlock("a", 1, STATE), VariableBlock("b", 1, STATE))
+    one_block = Polynomial(flat, {Monomial.from_map({("v", 2 * int(f[1:]) + i): e
+                                                     for (f, i), e in mono}): c
+                                  for mono, c in top.terms.items()})
+    cases = [(q, "1", "phi has 1 state blocks, expected 2"),
+             (top, "0", "phi has 2 state blocks, expected 1"),
+             (top, "2", "phi has 2 state blocks, expected 3"),
+             (one_block, "1", "phi has 1 state blocks, expected 2"),
+             (Polynomial.variable(flat, ("v", 0)), "0", "have sizes [4], expected one or "
+                                                        "more of size 2"),
+             (Polynomial.variable(split, ("a", 0)) ** 2
+              + Polynomial.variable(split, ("b", 0)) ** 2, "0",
+              "phi has 2 state blocks, expected 1")]
+    for phi, level, refusal in cases:
+        path = write_json(tmp_path / "phi.json", jsonio.polynomial_to_json(phi))
+        assert main(["check-invariant", "--rep", rep, "--phi", path, "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and refusal in captured.err
+
+
 def generated_files(tmp_path, level=1):
     """rep.json and field.json of a generated so(3) instance at the level."""
     gen = tmp_path / "inst.json"
