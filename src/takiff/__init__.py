@@ -48,11 +48,11 @@ from .takiff_algebra import (
 )
 from .invariants import (
     InvariantFamily,
-    apply_killing,
     cylindrical_invariance_check,
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
+    killing_residuals,
     lift_family,
     lift_invariant,
     quadratic_invariant,

@@ -7,7 +7,9 @@ coordinates v through its Killing field v |-> rho(x) v:
 
 A polynomial is invariant when every basis Killing field annihilates it; by
 the Leibniz rule it then annihilates the whole subalgebra its generators
-produce, so invariance is always decided on generators.
+produce, so invariance is always decided on generators. On V_m, one helper
+reads the entries of every rho_m(x_i T^r) from rho's sparse rows; the Killing
+residuals, from one gradient of phi, and the tangency directions use them.
 
 Invariants lift from V to V_m along the curve f_0 + t f_1 + ... + t^m f_m:
 the coefficient of t^k is a polynomial on V_m, invariant for the lifted
@@ -41,41 +43,44 @@ from .poly import (
 from .takiff_algebra import LiftedRepresentation, check_level, require_level
 
 
-def _lift_blocks(ring: Ring, block_size: int) -> tuple[VariableBlock, ...]:
-    """The state blocks f_0..f_m of a function on V_m, each of ``block_size``."""
+def _lifted_entries(rep: Representation, ring: Ring) -> list[list[tuple[Var, Scalar, Var]]]:
+    """The nonzero entries of rho_m(x_i T^r) on V_m, for k = r * dim g + i in order.
+
+    The ring's state blocks are f_0..f_m, each of rep's space dimension, and
+    m >= 1 is bounded by ``check_level``, as g_m is. x_i T^r sends f_s to
+    rho(x_i) f_s in block r + s, so each entry is (target (f_{r+s}, t),
+    rho(x_i)_tu, source (f_s, u)), read from rho's sparse rows.
+    """
     blocks = ring.state_blocks()
-    if not blocks or any(b.size != block_size for b in blocks):
+    if not blocks or any(b.size != rep.space_dim for b in blocks):
         raise StructuralError(
             f"state blocks of {ring.names()} have sizes {[b.size for b in blocks]}, "
-            f"expected one or more of size {block_size}")
-    return blocks
+            f"expected one or more of size {rep.space_dim}")
+    if len(blocks) > 1:
+        check_level(rep.algebra.dim, len(blocks) - 1)
+    return [[((target.name, t), x, (source.name, u))
+             for source, target in zip(blocks, blocks[r:])
+             for t, row in enumerate(rows) for u, x in row.items()]
+            for r in range(len(blocks)) for rows in rep._sparse_rows]
 
 
-def apply_killing(rep: Representation, x_index: int, phi: Polynomial) -> Polynomial:
-    """The Killing field of x_i T^r in g_m on phi, with x_index = r * dim g + i.
+def killing_residuals(rep: Representation, phi: Polynomial) -> tuple[Polynomial, ...]:
+    """The Killing field of every x_i T^r in g_m on phi, at index k = r * dim g + i.
 
     rep is the base representation; m is read from phi's state blocks
-    f_0..f_m, each of rep's space dimension, as ``VectorField.level`` reads it.
-    x_i T^r sends f_s to rho(x_i) f_s in block r + s, so the field is
-    sum_{s,t,u} rho(x_i)_tu f_{s,u} dphi/df_{r+s,t}, read from rho's sparse rows.
+    f_0..f_m as ``_lifted_entries`` reads it. Field k is
+    sum rho(x_i)_tu f_{s,u} dphi/df_{r+s,t}; each dphi/df_{j,t} is taken once.
     """
-    blocks = _lift_blocks(phi.ring, rep.space_dim)
-    if not 0 <= x_index < len(blocks) * rep.algebra.dim:
-        raise StructuralError(f"basis index {x_index} out of range")
-    r, i = divmod(x_index, rep.algebra.dim)
-    triples = []
-    for source, target in zip(blocks, blocks[r:]):
-        for t, row in enumerate(rep._sparse_rows[i]):
-            if row:
-                dphi = phi.derivative((target.name, t))
-                triples += [(entry, dphi, (source.name, u)) for u, entry in row.items()]
-    return Polynomial.variable_combination(phi.ring, triples)
+    entries = _lifted_entries(rep, phi.ring)
+    gradient = {v: phi.derivative(v) for v in phi.ring.state_variables()}
+    return tuple(Polynomial.variable_combination(
+        phi.ring, ((x, gradient[target], source) for target, x, source in direction))
+        for direction in entries)
 
 
 def is_invariant(rep: Representation, phi: Polynomial) -> bool:
-    """Whether every Killing field of g_m kills phi; rep and m as in ``apply_killing``."""
-    count = len(_lift_blocks(phi.ring, rep.space_dim)) * rep.algebra.dim
-    return all(apply_killing(rep, k, phi).is_zero() for k in range(count))
+    """Whether every Killing field of g_m kills phi; rep and m as in ``killing_residuals``."""
+    return all(residual.is_zero() for residual in killing_residuals(rep, phi))
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,6 @@ def cylindrical_invariance_check(lifted: LiftedRepresentation,
         raise StructuralError(
             f"theta must live over the {m} blocks f0..f{m - 1} of size {n}, "
             f"got {theta.ring.names()}")
-    check_level(lifted.base_rep.algebra.dim, m)
     return (is_invariant(lifted.base_rep, theta.cast(Ring(default_lift_blocks(m, n)))),
             is_invariant(lifted.base_rep, theta))
 
@@ -292,19 +296,18 @@ def tangency_check(rep: Representation, fld: VectorField,
                    ) -> list[TangencyResult]:
     """Pointwise membership of field values in the span of Killing directions.
 
-    At each sample point v the field value a(w, v) is compared, by an exact
-    rank test, with the span of {rho(x_i) v}; when the value lies in the span
-    the witness coefficients of one exact combination are reported.
-    Non-membership is a result, not an error. A field with parameters needs
-    exactly one row of values per point, and a field without them takes none.
+    The field lives on V_m, m read from its state blocks as ``_lifted_entries``
+    reads it. At each sample point F the field value a(w, F) is compared, by
+    an exact rank test, with the span of {rho_m(x_i T^r) F}; when the value
+    lies in the span the witness coefficients of one exact combination are
+    reported, at k = r * dim g + i. Non-membership is a result, not an error.
+    A field with parameters needs exactly one row of values per point, and a
+    field without them takes none.
     """
+    entries = _lifted_entries(rep, fld.ring)
     coords = fld.ring.state_variables()
-    if len(coords) != rep.space_dim:
-        raise StructuralError(f"state blocks of {fld.ring.names()} have total size "
-                              f"{len(coords)}, expected {rep.space_dim}")
-    param_vars: list[Var] = []
-    for b in fld.ring.parameter_blocks():
-        param_vars.extend(b.variables())
+    index = {v: a for a, v in enumerate(coords)}
+    param_vars = [v for b in fld.ring.parameter_blocks() for v in b.variables()]
     if not param_vars and parameter_values is not None:
         raise StructuralError("parameter values given for a field without parameters")
     if param_vars and (parameter_values is None or len(parameter_values) != len(points)):
@@ -327,8 +330,10 @@ def tangency_check(rep: Representation, fld: VectorField,
                     f"{len(param_vars)} parameter variables")
             assignment.update(zip(param_vars, map(scalar, values)))
         value = tuple(p.evaluate(assignment) for p in fld.components)
-        columns = tuple(mx.mat_vec(m, vec) for m in rep.matrices)
-        system = mx.transpose(columns)
+        system = [[0] * len(entries) for _ in coords]
+        for k, direction in enumerate(entries):
+            for target, x, source in direction:
+                system[index[target]][k] += x * assignment[source]
         witness = mx.solve(system, value)
         results.append(TangencyResult(vec, witness is not None, witness))
     return results

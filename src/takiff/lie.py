@@ -25,9 +25,9 @@ and ``matrices.sparse_commutator``). A failed homomorphism check names the
 basis pair and the first entry where the two sides differ. A matrix algebra
 reads its constants from one factorization of its basis; both checks still run.
 A representation keeps those sparse rows (``_sparse_rows``, computed on first
-use for a derived one), and every sparse reader of rho(x_i) reads them; the
-block sum of the decomposition reads them once more as integer numerators over
-one denominator (``_integer_rows``, computed on first use).
+use for a derived one): the Killing residuals and tangency directions of
+``invariants`` read them through one helper, and the block sum of the
+decomposition as integer numerators over one denominator (``_integer_rows``).
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ from .decompose import (
 )
 from .errors import DecompositionRefused, StructuralError
 from .invariants import (
-    apply_killing,
     cylindrical_invariance_check,
     default_lift_blocks,
     extract_linear_part,
     faa_di_bruno_lift,
+    killing_residuals,
     lift_family,
     lift_invariant,
     quadratic_invariant,
@@ -229,8 +229,7 @@ def suite_invariance(seed: int) -> Report:
         for m in _LEVELS:
             phis = lift_invariant(LiftedRepresentation(rep, m), phi)
             for k, phi_k in enumerate(phis):
-                for idx in range((m + 1) * rep.algebra.dim):
-                    residual = apply_killing(rep, idx, phi_k)
+                for idx, residual in enumerate(killing_residuals(rep, phi_k)):
                     checks += 1
                     if not residual.is_zero():
                         witnesses.append(_poly_witness(

@@ -15,8 +15,8 @@ so block component j of rho_m(X) F is sum_{r <= j} rho(x_r) f_{j-r}.
 
 That block sum reads rho and m alone, so a ``LiftedRepresentation`` is the
 pair (rho, m), and a ``TakiffContext`` is the pair (g, m). Decomposing,
-verifying and generating a field, and the Killing operators of
-``invariants.apply_killing``, read no dense g_m or rho_m; those are derived
+verifying and generating a field, and the Killing residuals and tangency
+directions of ``invariants``, read no dense g_m or rho_m; those are derived
 only when first read, and ``build_lift`` builds both for what reads them.
 
 g_m and rho_m are not re-checked. g_m is g tensor A and rho_m is rho tensor

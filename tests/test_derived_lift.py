@@ -2,6 +2,7 @@
 on first read, valid by construction, and every entry point bounds the level
 before it allocates."""
 
+import gc
 import json
 import re
 import time
@@ -227,6 +228,23 @@ def test_check_invariant_refuses_an_oversized_level_as_build_does(tmp_path, monk
     assert captured.out == "" and captured.err == refusal
 
 
+def test_tangency_refuses_an_oversized_level_before_any_point(tmp_path, monkeypatch,
+                                                               capsys):
+    # its dense system has (m + 1) dim g columns, bounded as g_m is, before
+    # any point is evaluated
+    files = _instance_files(tmp_path, 40)
+    assert main(["build", "--algebra", files["algebra"], "--level", "40"]) == 1
+    refusal = capsys.readouterr().err
+    assert "structure constants" in refusal
+    points = _write(tmp_path / "points.json",
+                    {"points": [["1"] * 123], "parameters": [["2"]]})
+    monkeypatch.setattr(Polynomial, "evaluate", _unexpected)
+    assert main(["tangency", "--rep", files["rep"], "--field", files["field"],
+                 "--points", points]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == refusal
+
+
 def test_the_cylindrical_check_builds_no_g_m(monkeypatch):
     _, rho = so_n(3)
     q = quadratic_invariant(mx.identity(3), Ring.of(VariableBlock("x", 3, STATE)))
@@ -296,6 +314,7 @@ def test_cli_refuses_to_repeat_a_ring_past_the_curve_term_bound(tmp_path, capsys
     x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
     rep = _write(tmp_path / "a1.json", jsonio.representation_to_json(rho))
     phi = _write(tmp_path / "x0.json", jsonio.polynomial_to_json(x0))
+    gc.collect()
     start = time.process_time()
     assert main(["lift-invariant", "--rep", rep, "--phi", phi, "--level", "9999"]) == 1
     assert time.process_time() - start < 0.1
@@ -339,6 +358,7 @@ def test_lift_invariant_lifts_a_linear_term_at_the_largest_level_in_time():
     # abelian(1) at m = 9999: V_m has 10,000 coordinates, and x0 lifts to f_k
     _, rho = lie.abelian(1)
     x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
+    gc.collect()
     start = time.process_time()
     phis = lift_invariant(LiftedRepresentation(rho, 9999), x0)
     assert time.process_time() - start < 2.0
@@ -352,6 +372,7 @@ def test_lift_invariant_refuses_a_power_at_the_largest_level_at_once(power):
     _, rho = lie.abelian(1)
     x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
     lifted = LiftedRepresentation(rho, 9999)
+    gc.collect()
     start = time.process_time()
     with pytest.raises(StructuralError, match="to level 9999 hold more than 500000 terms"):
         lift_invariant(lifted, x0 ** power)
@@ -372,6 +393,7 @@ def test_lift_invariant_refuses_a_product_past_the_bound_at_once():
     _, rho = lie.abelian(2)
     ring = Ring.of(VariableBlock("x", 2, STATE))
     phi = Polynomial.variable(ring, ("x", 0)) * Polynomial.variable(ring, ("x", 1))
+    gc.collect()
     start = time.process_time()
     with pytest.raises(StructuralError, match="to level 1000 hold more than 500000 terms"):
         lift_invariant(LiftedRepresentation(rho, 1000), phi)
@@ -384,6 +406,7 @@ def test_lift_invariant_refuses_an_oversized_expansion_at_once(tmp_path, capsys)
     rep = _write(tmp_path / "rep.json", jsonio.representation_to_json(rho))
     x0 = Polynomial.variable(Ring.of(VariableBlock("x", 1, STATE)), ("x", 0))
     phi = _write(tmp_path / "phi.json", jsonio.polynomial_to_json(x0 ** 12))
+    gc.collect()
     start = time.process_time()
     assert main(["lift-invariant", "--rep", rep, "--phi", phi, "--level", "99"]) == 1
     assert time.process_time() - start < 1.0

@@ -7,18 +7,18 @@ from fractions import Fraction
 import pytest
 
 from takiff import matrices as mx
-from takiff.decompose import _block_sum
+from takiff.decompose import _block_sum, field_from_coefficients
 from takiff.errors import InternalConsistencyError, StructuralError, ValidationError
 from takiff.invariants import (
     MAX_FAA_DI_BRUNO_PARTITIONS,
     InvariantFamily,
     _partition_total,
     _weighted_partitions,
-    apply_killing,
     cylindrical_invariance_check,
     extract_linear_part,
     faa_di_bruno_lift,
     is_invariant,
+    killing_residuals,
     lift_family,
     lift_invariant,
     quadratic_invariant,
@@ -64,24 +64,22 @@ def rand_poly(rng, ring, max_degree, terms):
     return Polynomial(ring, out)
 
 
-def test_apply_killing_rotation():
+def test_killing_residuals_rotation():
     _, rho = so_n(2)
     ring = state_ring(2)
     x0, x1 = (Polynomial.variable(ring, ("x", i)) for i in range(2))
     # the Killing field of the rotation is (-x1, x0)
-    assert apply_killing(rho, 0, x0) == -x1
-    assert apply_killing(rho, 0, x1) == x0
+    assert killing_residuals(rho, x0) == (-x1,)
+    assert killing_residuals(rho, x1) == (x0,)
     q = quadratic_invariant(mx.identity(2), ring)
-    assert apply_killing(rho, 0, q).is_zero()
-    with pytest.raises(StructuralError):
-        apply_killing(rho, 1, x0)
+    assert killing_residuals(rho, q) == (Polynomial.zero(ring),)
     with pytest.raises(StructuralError, match=r"have sizes \[3\], expected one or more of size 2"):
-        apply_killing(rho, 0, Polynomial.variable(state_ring(3), ("x", 0)))
+        killing_residuals(rho, Polynomial.variable(state_ring(3), ("x", 0)))
 
 
-def test_apply_killing_reads_the_representations_sparse_form():
+def test_killing_residuals_read_the_representations_sparse_form():
     # ad is derived, so its sparse form is computed on the first read, here
-    # by apply_killing, and kept for the block sum of a decomposition
+    # by killing_residuals, and kept for the block sum of a decomposition
     g, _ = sl2()
     ad = adjoint_rep(g)
     assert "_sparse_rows" not in vars(ad)
@@ -92,12 +90,14 @@ def test_apply_killing_reads_the_representations_sparse_form():
     # against the dense rows, on a function that is not invariant
     xs = [("x", i) for i in range(3)]
     phi = Polynomial.variable(ring, xs[0]) * Polynomial.variable(ring, xs[1]) + q ** 2
-    for i in range(3):
+    residuals = killing_residuals(ad, phi)
+    assert len(residuals) == 3
+    for i, residual in enumerate(residuals):
         dense = Polynomial.combination(ring, (
             (ad.matrices[i][t][s] * Polynomial.variable(ring, xs[s]), phi.derivative(xs[t]))
             for t in range(3) for s in range(3)))
         assert not dense.is_zero()
-        assert apply_killing(ad, i, phi) == dense
+        assert residual == dense
 
 
 # (name, base representation): the reference grid of the blockwise Killing
@@ -130,13 +130,41 @@ def test_the_blockwise_killing_operators_are_the_dense_ones(rho, m):
     rng = random.Random(31 * m + n)
     for _ in range(3):
         phi = rand_poly(rng, ring, 3, 6)
-        residuals = [apply_killing(rho, k, phi) for k in range((m + 1) * d)]
-        assert residuals == [_renamed(apply_killing(dense, k, _renamed(phi, flat, to_flat)),
-                                      ring, back) for k in range((m + 1) * d)]
+        residuals = killing_residuals(rho, phi)
+        assert len(residuals) == (m + 1) * d
+        assert residuals == tuple(_renamed(r, ring, back) for r in
+                                  killing_residuals(dense, _renamed(phi, flat, to_flat)))
         assert any(not r.is_zero() for r in residuals)
         assert is_invariant(rho, phi) is False
-    with pytest.raises(StructuralError, match="out of range"):
-        apply_killing(rho, (m + 1) * d, phi)
+
+
+@pytest.mark.parametrize("rho", [rho for _, rho in KILLING_GRID],
+                         ids=[name for name, _ in KILLING_GRID])
+@pytest.mark.parametrize("m", range(3))
+def test_lifted_tangency_reads_the_dense_directions(rho, m):
+    # a Killing combination is tangent at every point, and the radial field F
+    # at no generic one (dPhi_0 pairs it to B(f_0, f_0) and kills every
+    # direction); flags and witnesses, at k = r * dim g + i, are those of the
+    # dense rho_m on the field over one block v of V_m
+    n, d = rho.space_dim, rho.algebra.dim
+    w = VariableBlock("w", 1, PARAMETER)
+    ring = Ring.of(*(VariableBlock(f"f{s}", n, STATE) for s in range(m + 1)), w)
+    flat = Ring.of(VariableBlock("v", (m + 1) * n, STATE), w)
+    to_flat = {(f"f{s}", a): ("v", s * n + a) for s in range(m + 1) for a in range(n)}
+    dense = build_lift(rho, m).rep
+    rng = random.Random(37 * m + n)
+    coefficients = [[rand_poly(rng, ring, 2, 3) for _ in range(d)] for _ in range(m + 1)]
+    combination = field_from_coefficients(LiftedRepresentation(rho, m), ring, coefficients)
+    radial = VectorField(ring, tuple(Polynomial.variable(ring, v)
+                                     for v in ring.state_variables()))
+    points = [[rng.randint(-4, 4) for _ in range((m + 1) * n)] for _ in range(3)]
+    values = [[rng.randint(-4, 4)] for _ in points]
+    for fld, member in ((combination, True), (radial, False)):
+        results = tangency_check(rho, fld, points, values)
+        assert [r.member for r in results] == [member] * 3
+        assert all(len(r.witness) == (m + 1) * d for r in results if member)
+        renamed = VectorField(flat, tuple(_renamed(p, flat, to_flat) for p in fld.components))
+        assert results == tangency_check(dense, renamed, points, values)
 
 
 def test_a_function_off_the_lift_layout_is_refused():
@@ -150,10 +178,46 @@ def test_a_function_off_the_lift_layout_is_refused():
     for phi, sizes in ((w, r"\[\]"), (Polynomial.variable(ragged, ("f0", 0)), r"\[3, 2\]"),
                        (Polynomial.variable(split, ("a", 0)), r"\[1, 2\]"),
                        (Polynomial.variable(state_ring(6), ("x", 0)), r"\[6\]")):
-        for check in (lambda: apply_killing(rho, 0, phi), lambda: is_invariant(rho, phi)):
+        for check in (lambda: killing_residuals(rho, phi), lambda: is_invariant(rho, phi)):
             with pytest.raises(StructuralError, match=f"have sizes {sizes}, expected one or "
                                                       "more of size 3"):
                 check()
+    # the same layouts as fields: tangency refuses V split into three blocks of
+    # size 1, and V_1 as one block; a field's state blocks share one size, so
+    # the ragged and the (1, 2) split layouts are no fields at all
+    thirds = Ring.of(*(VariableBlock(name, 1, STATE) for name in "abc"))
+    for ring, sizes in ((thirds, r"\[1, 1, 1\]"), (state_ring(6), r"\[6\]")):
+        radial = VectorField(ring, tuple(Polynomial.variable(ring, v)
+                                         for v in ring.state_variables()))
+        with pytest.raises(StructuralError, match=f"have sizes {sizes}, expected one or "
+                                                  "more of size 3"):
+            tangency_check(rho, radial, [(1,) * len(radial.components)])
+    for ring in (ragged, split):
+        with pytest.raises(StructuralError, match="state blocks must share one size"):
+            VectorField(ring, tuple(Polynomial.variable(ring, v)
+                                    for v in ring.state_variables()))
+
+
+@pytest.mark.parametrize("m", range(3))
+def test_the_gradient_is_taken_once_per_function(monkeypatch, m):
+    # (m + 1) n partial derivatives serve all (m + 1) dim g Killing fields
+    calls = []
+    derivative = Polynomial.derivative
+
+    def counted(self, var):
+        calls.append(var)
+        return derivative(self, var)
+
+    monkeypatch.setattr(Polynomial, "derivative", counted)
+    rng = random.Random(32 + m)
+    for _, rho in KILLING_GRID:
+        n = rho.space_dim
+        ring = Ring.of(*(VariableBlock(f"f{s}", n, STATE) for s in range(m + 1)))
+        phi = rand_poly(rng, ring, 3, 6)
+        for check in (killing_residuals, is_invariant):
+            calls.clear()
+            check(rho, phi)
+            assert 0 < len(calls) <= (m + 1) * n
 
 
 def test_standard_quadratics_are_invariant():

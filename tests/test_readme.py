@@ -22,12 +22,12 @@ PUBLIC_API = [
     "Representation", "Ring", "RunConfig", "STATE", "Scalar", "SplitMix64",
     "StructuralError", "TakiffContext", "TakiffError", "TrivialBaseSolver",
     "ValidationError", "Var", "VariableBlock", "VectorField", "abelian", "adjoint_rep",
-    "algebra_from_matrices", "annihilates_invariants", "apply_killing", "build_lift",
+    "algebra_from_matrices", "annihilates_invariants", "build_lift",
     "build_takiff", "builtin_solver", "coadjoint_rep", "conjugate_representation",
     "cylindrical_invariance_check", "decompose", "errors", "extract_linear_part",
     "faa_di_bruno_lift", "field_from_coefficients",
     "generate_instance", "gl_n", "invariants", "is_invariant", "jsonio", "killing_form",
-    "lie", "lift_bilinear_form", "lift_family", "lift_invariant", "lift_representation",
+    "killing_residuals", "lie", "lift_bilinear_form", "lift_family", "lift_invariant", "lift_representation",
     "make_standard", "matrices", "matrix_apply", "poly", "quadratic_invariant",
     "randgen", "run_suite", "sl2", "so_n", "so_pq", "substitute_curve", "suites",
     "takiff_algebra", "takiff_decompose", "tangency_check", "transport_decomposition",

@@ -23,6 +23,7 @@ from takiff.decompose import (
     VectorField,
     annihilates_invariants,
     builtin_solver,
+    field_from_coefficients,
     takiff_decompose,
 )
 from takiff.errors import StructuralError, ValidationError
@@ -45,7 +46,7 @@ from takiff.randgen import (
     random_invertible,
     random_polynomial,
 )
-from takiff.takiff_algebra import build_lift
+from takiff.takiff_algebra import LiftedRepresentation, build_lift
 
 
 def test_scalar_strings():
@@ -817,6 +818,38 @@ def test_cli_tangency_json(tmp_path):
     assert [sorted(r) for r in results] == [["member", "point", "witness"]] * 2
     assert [r["member"] for r in results] == [False, True]
     assert results[0]["point"] == ["1", "0"]
+
+
+def test_cli_tangency_on_a_lifted_field(tmp_path, capsys):
+    # a level-1 so(3) field is checked against the 2 dim g directions
+    # rho_1(x_i T^r) F; V split into three blocks of size 1 is refused
+    g, rho = so_n(3)
+    rep = write_json(tmp_path / "rep.json", jsonio.representation_to_json(rho))
+    ring = Ring.of(VariableBlock("f0", 3, STATE), VariableBlock("f1", 3, STATE))
+    f0 = Polynomial.variable(ring, ("f0", 0))
+    zero, one = Polynomial.zero(ring), Polynomial.constant(ring, 1)
+    combination = field_from_coefficients(LiftedRepresentation(rho, 1), ring,
+                                          [(f0, zero, one), (zero, 2 * one, zero)])
+    field = write_json(tmp_path / "field.json", jsonio.field_to_json(combination))
+    pts = write_json(tmp_path / "pts.json", {"points": [["1", "2", "0", "0", "1", "-1"],
+                                                        ["0", "1/2", "3", "1", "0", "0"]]})
+    out = tmp_path / "tan.json"
+    assert main(["tangency", "--rep", rep, "--field", field, "--points", pts,
+                 "--out", str(out)]) == 0
+    results = read_json(out)
+    assert [r["member"] for r in results] == [True, True]
+    assert [len(r["witness"]) for r in results] == [2 * g.dim] * 2
+    thirds = Ring.of(*(VariableBlock(name, 1, STATE) for name in "abc"))
+    radial = VectorField(thirds, tuple(Polynomial.variable(thirds, v)
+                                       for v in thirds.state_variables()))
+    field = write_json(tmp_path / "split.json", jsonio.field_to_json(radial))
+    pts = write_json(tmp_path / "pts.json", {"points": [["1", "0", "0"]]})
+    capsys.readouterr()
+    assert main(["tangency", "--rep", rep, "--field", field, "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: state blocks of ('a', 'b', 'c') have sizes [1, 1, 1], expected one or "
+        "more of size 3\n")
 
 
 def test_cli_check_invariant_at_a_level_and_in_plain_text(tmp_path):
