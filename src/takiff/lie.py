@@ -426,8 +426,8 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
-    """Dual action on coefficient vectors: ad*(x) = -transpose(ad(x))."""
-    mats = tuple(mx.scale(mx.transpose(m), -1) for m in adjoint_rep(g).matrices)
+    """Dual action on coefficient vectors: ad*(x_i) = -ad(x_i)^T = -c[i] as a matrix."""
+    mats = tuple(tuple(tuple(-x for x in row) for row in ci) for ci in g.c)
     return _derived(Representation, algebra=g, matrices=mats)
 
 

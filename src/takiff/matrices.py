@@ -89,10 +89,6 @@ def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def scale(a: Matrix, c: Scalar) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mul(a: Matrix, b: Matrix) -> Matrix:
     n, k = shape(a)
     k2, m = shape(b)

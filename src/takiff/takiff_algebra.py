@@ -24,13 +24,13 @@ the regular action of A, with A = K[T]/(T^{m+1}) commutative and associative,
 so antisymmetry, the Jacobi identity and the homomorphism law carry over from
 the base algebra and representation, which were checked exactly when they were
 built. The ``jacobi`` and ``homomorphism`` suites check the lifts over their
-grid with their own code. Every dense matrix here (the
-structure-constant planes of g_m, rho_m and the lifted form B_m) is base
-blocks at block positions, and that placement rule lives in one helper,
-``_blocks``. Each object is bounded by what it builds, before any block or
-ring is allocated: a ``TakiffContext`` by ``check_level``, the size of the
-dense g_m, and a ``LiftedRepresentation`` by the coordinates of V_m, which
-every ring over V_m must fit in ``poly.MAX_VARIABLES``.
+grid with their own code. Every dense matrix here (the structure-constant
+planes of g_m, rho_m and the lifted form B_m) is base blocks at block
+positions, placed by one helper, ``_blocks``, as tuples of shared, immutable
+rows. Each object is bounded by what it builds, before any block or ring is
+allocated: a ``TakiffContext`` by ``check_level``, the size of the dense g_m,
+and a ``LiftedRepresentation`` by the coordinates of V_m, which every ring
+over V_m must fit in ``poly.MAX_VARIABLES``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class TakiffContext:
         m, base, d = self.level, self.base, self.base.dim
         names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
         # the plane of x_i T^r holds [x_i, x_j] at block (s, r + s)
-        planes = tuple(_blocks(m, d, ((s, r + s, base.c[i]) for s in range(m + 1 - r)))
-                       for r in range(m + 1) for i in range(d))
+        planes = _blocks(m, d, (((s, r + s, base.c[i]) for s in range(m + 1 - r))
+                                for r in range(m + 1) for i in range(d)))
         return _derived(LieAlgebra, names=names, c=planes)
 
 
@@ -78,18 +78,26 @@ def _level_name(base_name: str, r: int) -> str:
     return base_name if r == 0 else f"{base_name}.T{r}"
 
 
-def _blocks(level: int, n: int, placed: Iterable[tuple[int, int, Matrix]]) -> Matrix:
-    """The (level+1)·n square matrix with base block B at block (R, C) for each
-    (R, C, B) in ``placed``; every other entry is zero."""
-    size = (level + 1) * n
-    rows = [[0] * size for _ in range(size)]
-    for r, c, block in placed:
-        for a, brow in enumerate(block):
-            row = rows[r * n + a]
-            for b, x in enumerate(brow):
-                if x:
-                    row[c * n + b] = x
-    return tuple(map(tuple, rows))
+def _blocks(level: int, n: int, family: Iterable) -> tuple[Matrix, ...]:
+    """One (level+1)·n square matrix per placed list in ``family``, with base
+    block B at block (R, C) for each (R, C, B) of the list (at most one per
+    block row R) and zeros elsewhere. Rows are shared, immutable tuples: each
+    base row is padded out to column block C once per call, and every empty or
+    all-zero row is one zero row. Entries are the base's own scalars."""
+    zero = (0,) * ((level + 1) * n)
+    shifted = {}  # (id(B), C) -> (B, padded rows); holding B keeps its id unique
+    out = []
+    for placed in family:
+        rows = [zero] * ((level + 1) * n)
+        for r, c, block in placed:
+            entry = shifted.get((id(block), c))
+            if entry is None:
+                left, right = (0,) * (c * n), (0,) * ((level - c) * n)
+                padded = [left + row + right if any(row) else zero for row in block]
+                entry = shifted[id(block), c] = block, padded
+            rows[r * n:(r + 1) * n] = entry[1]
+        out.append(tuple(rows))
+    return tuple(out)
 
 
 def require_level(m: int) -> None:
@@ -160,8 +168,8 @@ class LiftedRepresentation:
 
 def _lifted_rep(ctx: TakiffContext, rho: Representation) -> Representation:
     m, n = ctx.level, rho.space_dim
-    mats = tuple(_blocks(m, n, ((r + s, s, rho.matrices[i]) for s in range(m + 1 - r)))
-                 for r in range(m + 1) for i in range(ctx.base.dim))
+    mats = _blocks(m, n, (((r + s, s, rho.matrices[i]) for s in range(m + 1 - r))
+                          for r in range(m + 1) for i in range(ctx.base.dim)))
     return _derived(Representation, algebra=ctx.algebra, matrices=mats)
 
 
@@ -233,7 +241,7 @@ def lift_bilinear_form(ctx: TakiffContext, form: BilinearForm) -> BilinearForm:
     if not form.is_invariant_for(g):
         raise ValidationError("input form is not invariant for the base algebra")
     m = ctx.level
-    lifted = BilinearForm(_blocks(m, g.dim, ((r, m - r, form.gram) for r in range(m + 1))))
+    lifted = BilinearForm(_blocks(m, g.dim, [[(r, m - r, form.gram) for r in range(m + 1)]])[0])
     if not lifted.is_nondegenerate():
         raise InternalConsistencyError("lifted form should be nondegenerate")
     if not lifted.is_invariant_for(ctx.algebra):

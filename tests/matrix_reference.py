@@ -1,12 +1,13 @@
 """Reference linear algebra for the tests.
 
-Dense entrywise matrix sum and difference: the library needs neither, since
-its checks run on sparse rows (``matrices``) and its sums of products on
-polynomials (``poly``). A greedy incremental-rank row selection, the
-reference for ``matrices.independent_rows``.
+Dense entrywise matrix sum, difference and scalar multiple: the library needs
+none of them, since its checks run on sparse rows (``matrices``), its sums of
+products on polynomials (``poly``), and ad* reads -c[i] directly (``lie``).
+A greedy incremental-rank row selection, the reference for
+``matrices.independent_rows``.
 """
 
-from takiff.matrices import Matrix
+from takiff.matrices import Matrix, Scalar
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
@@ -15,6 +16,10 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def scale(a: Matrix, c: Scalar) -> Matrix:
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def greedy_independent_rows(a: Matrix) -> tuple[int, ...]:

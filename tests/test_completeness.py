@@ -19,7 +19,7 @@ import pytest
 
 from takiff.decompose import builtin_solver, takiff_decompose, verify_decomposition
 from takiff.errors import DecompositionRefused
-from takiff.lie import abelian, make_standard, so_n
+from takiff.lie import abelian, conjugate_representation, make_standard, so_n, so_pq
 from takiff.poly import STATE, Monomial, Polynomial, Ring, VariableBlock, VectorField
 from takiff.takiff_algebra import LiftedRepresentation
 
@@ -49,13 +49,23 @@ def _box(kind):
     if kind == "sl2_adjoint":
         rep = make_standard("sl2_adjoint")[1]
         return (rep,) + _quadratic(_trace_form(rep))
+    if kind == "so21":
+        return (so_pq(2, 1)[1],) + _quadratic([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    if kind == "so3_conjugated":
+        # theta rho theta^-1 acts by thirds and keeps theta^-T theta^-1
+        theta = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
+        inverse = sympy.Matrix(theta).inv()
+        gram = [[Fraction(int(x.p), int(x.q)) for x in row]
+                for row in (inverse.T * inverse).tolist()]
+        return (conjugate_representation(so_n(3)[1], theta),) + _quadratic(gram)
     rep = abelian(2)[1]
     return rep, lambda x: list(x), None
 
 
 # (kind, m, d, unknowns, annihilators): the trivial solver's annihilator space is 0
 BOXES = [("so3", 1, 2, 126, 34), ("so3", 2, 2, 405, 78), ("sl2_adjoint", 1, 2, 126, 34),
-         ("abelian2", 1, 2, 40, 0)]
+         ("abelian2", 1, 2, 40, 0), ("so21", 1, 2, 126, 34),
+         ("so3_conjugated", 1, 2, 126, 34)]
 
 
 def _monomials(count, degree):

@@ -60,7 +60,7 @@ from takiff.randgen import (
 )
 from takiff.takiff_algebra import build_lift, build_takiff
 
-from matrix_reference import add
+from matrix_reference import add, scale
 
 
 def level_ring(m, n, params=()):
@@ -82,7 +82,7 @@ def element_matrix(rep, element):
     n = rep.space_dim
     acc = mx.zeros(n, n)
     for coeff, m in zip(element, rep.matrices):
-        acc = add(acc, mx.scale(m, coeff))
+        acc = add(acc, scale(m, coeff))
     return acc
 
 
@@ -826,7 +826,7 @@ def test_the_so5_base_solve_reads_no_zero_scalar(monkeypatch):
     # nonzero entries and the 5 unit weights of the syzygy, and no zero
     _, rho = so_n(5)
     solver = builtin_solver(rho)
-    assert solver._coordinates == mx.scale(mx.identity(10), -1)
+    assert solver._coordinates == scale(mx.identity(10), -1)
     ring = Ring.of(VariableBlock("w", 1, PARAMETER), VariableBlock("x", 5, STATE))
     w = Polynomial.variable(ring, ("w", 0))
     coefficients = tuple(w + k for k in range(10))

@@ -44,7 +44,7 @@ from takiff.poly import (
 )
 from takiff.takiff_algebra import LiftedRepresentation, build_lift
 
-from matrix_reference import add
+from matrix_reference import add, scale
 
 
 def state_ring(n, name="x"):
@@ -238,7 +238,7 @@ def test_killing_combination_and_field():
     ring = state_ring(3)
     coeffs = [Polynomial.constant(ring, c) for c in (1, 0, 2)]
     combo = _block_sum(rho, ring, [coeffs], 0)
-    manual = add(rho.matrices[0], mx.scale(rho.matrices[2], Fraction(2)))
+    manual = add(rho.matrices[0], scale(rho.matrices[2], Fraction(2)))
     xs = tuple(Polynomial.variable(ring, ("x", i)) for i in range(3))
     assert combo == matrix_apply(manual, xs)
     # given a start, the same sum is subtracted from it in one accumulation

@@ -26,7 +26,7 @@ from takiff.lie import (
 )
 from takiff.randgen import SplitMix64, random_invertible
 
-from matrix_reference import add
+from matrix_reference import add, scale
 
 ZERO2 = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
 
@@ -80,7 +80,7 @@ def test_so_n_dimensions():
         assert g.dim == n * (n - 1) // 2
         assert rho.space_dim == n
         for m in rho.matrices:
-            assert mx.transpose(m) == mx.scale(m, Fraction(-1))
+            assert mx.transpose(m) == scale(m, Fraction(-1))
 
 
 def test_so3_bracket_cycle():
@@ -201,7 +201,7 @@ def test_adjoint_and_coadjoint_agree_with_bracket():
             assert mx.mat_vec(ad.matrices[i], basis_j) == g.c[i][j]
     co = coadjoint_rep(g)
     for i in range(3):
-        assert co.matrices[i] == mx.scale(mx.transpose(ad.matrices[i]), Fraction(-1))
+        assert co.matrices[i] == scale(mx.transpose(ad.matrices[i]), Fraction(-1))
 
 
 def test_killing_form_of_sl2():
@@ -215,7 +215,7 @@ def test_killing_form_of_sl2():
 def test_killing_form_of_so3_is_definite_multiple():
     g, _ = so_n(3)
     k = killing_form(g)
-    assert k.gram == mx.scale(mx.identity(3), Fraction(-2))
+    assert k.gram == scale(mx.identity(3), Fraction(-2))
 
 
 def test_bilinear_form_checks():

@@ -15,7 +15,9 @@ from takiff.lie import (
     BilinearForm,
     LieAlgebra,
     Representation,
+    abelian,
     adjoint_rep,
+    conjugate_representation,
     gl_n,
     killing_form,
     sl2,
@@ -31,7 +33,7 @@ from takiff.takiff_algebra import (
     verify_flip_identity,
 )
 
-from matrix_reference import add, sub
+from matrix_reference import add, scale, sub
 
 
 def test_level_zero_equals_base():
@@ -191,34 +193,64 @@ def trace_form(rho):
                                     for b in mats) for a in mats))
 
 
-@pytest.mark.parametrize("make", [sl2, lambda: so_n(3), lambda: so_n(4), lambda: gl_n(2)],
-                         ids=["sl2", "so3", "so4", "gl2"])
+def _conjugated_so3():
+    # theta rho theta^-1 acts by thirds, so rho_m holds Fraction entries
+    rho = conjugate_representation(so_n(3)[1], mx.mat([[1, 2, 0], [0, 1, 1], [1, 0, 1]]))
+    return rho.algebra, rho
+
+
+LAYOUT_BASES = {"sl2": sl2, "so3": lambda: so_n(3), "so4": lambda: so_n(4),
+                "gl2": lambda: gl_n(2), "so3-conjugated": _conjugated_so3,
+                "abelian2": lambda: abelian(2)}
+
+
+@pytest.mark.parametrize("base", LAYOUT_BASES)
 @pytest.mark.parametrize("m", range(4))
-def test_layout_matches_the_defining_formulas(make, m):
-    """Every entry of g_m, rho_m and B_m, against the formulas written out.
+def test_layout_matches_the_defining_formulas(base, m):
+    """Every entry of g_m, rho_m and B_m, against the formulas written out,
+    in value and in type.
 
     Basis element (r, i) of g_m and coordinate (s, a) of V_m sit at r*d + i
     and s*n + a.
     """
-    g, rho = make()
+    g, rho = LAYOUT_BASES[base]()
     d, n = g.dim, rho.space_dim
-    form = trace_form(rho)
+    # every form is invariant for an abelian algebra, whose trace form is zero
+    form = BilinearForm(mx.identity(d)) if base == "abelian2" else trace_form(rho)
     ctx = build_takiff(g, m)
     lifted = lift_representation(ctx, rho).rep.matrices
     gram = lift_bilinear_form(ctx, form).gram
     levels = range(m + 1)
+
+    def check(got, want):
+        assert got == want and type(got) is type(want)
+
     for r, i, s, j, t, k in itertools.product(levels, range(d), repeat=3):
         # [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}, and zero past level m
-        want = g.c[i][j][k] if t == r + s else 0
-        assert ctx.algebra.c[r * d + i][s * d + j][t * d + k] == want
+        check(ctx.algebra.c[r * d + i][s * d + j][t * d + k],
+              g.c[i][j][k] if t == r + s else 0)
     for r, i, t, a, s, b in itertools.product(levels, range(d), levels, range(n),
                                               levels, range(n)):
         # rho_m(x_i T^r) sends rho(x_i) f_s into block r + s
-        want = rho.matrices[i][a][b] if t == r + s else 0
-        assert lifted[r * d + i][t * n + a][s * n + b] == want
+        check(lifted[r * d + i][t * n + a][s * n + b],
+              rho.matrices[i][a][b] if t == r + s else 0)
     for r, i, s, j in itertools.product(levels, range(d), repeat=2):
         # B_m(x_i T^r, x_j T^s) = B(x_i, x_j) when r + s = m
-        assert gram[r * d + i][s * d + j] == (form.gram[i][j] if r + s == m else 0)
+        check(gram[r * d + i][s * d + j], form.gram[i][j] if r + s == m else 0)
+
+
+def test_the_dense_lift_shares_its_rows():
+    # row (s, j) of the plane of x_i T^r is c[i][j] at column block r + s, so
+    # g_m has at most (m+1)·d² distinct rows besides the zero row; so does
+    # rho_m, with (m+1)·d·n
+    g, rho = so_n(4)
+    m, d, n = 3, g.dim, rho.space_dim
+    lifted = lift_representation(build_takiff(g, m), rho)
+    for mats, bound, width in ((lifted.context.algebra.c, (m + 1) * d * d, (m + 1) * d),
+                               (lifted.rep.matrices, (m + 1) * d * n, (m + 1) * n)):
+        rows = [row for mat in mats for row in mat]
+        assert len({id(row) for row in rows}) <= bound + 1
+        assert all(type(row) is tuple and len(row) == width for row in rows)
 
 
 def test_lifted_form_at_level_zero_is_input():
@@ -255,7 +287,7 @@ def dense_homomorphism_defect(g, mats):
             lhs = sub(mx.mul(mats[i], mats[j]), mx.mul(mats[j], mats[i]))
             rhs = mx.zeros(n, n)
             for k, coeff in enumerate(g.c[i][j]):
-                rhs = add(rhs, mx.scale(mats[k], coeff))
+                rhs = add(rhs, scale(mats[k], coeff))
             for r in range(n):
                 for s in range(n):
                     if lhs[r][s] != rhs[r][s]:
