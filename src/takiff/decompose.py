@@ -16,12 +16,15 @@ sum c_i x_i = 0, the antisymmetric matrix
 where H divides each term of degree e in x by e + 2, satisfies b x = c. On
 the part of c of degree d = e + 1 in x, the curl times x is (d + 1) c by the
 Euler identity together with the derivative of the syzygy
-(sum_j x_j dc_j/dx_i = -c_i). The curl is read from the packed keys of c,
-each term visited once (``poly._euler_curl``), and c = a when G = I. Since
-so(B) has the coordinates X -> the entries above the diagonal of G X, the
-coefficients are read from those entries of b by the nonzero entries of one
-inverse built with the solver, and G is never inverted. The higher levels
-form a triangular system, solved in order j = 0..m:
+(sum_j x_j dc_j/dx_i = -c_i). Since so(B) has the coordinates X -> the
+entries above the diagonal of G X, the coefficients are those entries of b
+times one inverse U^(-1) built with the solver, and G is never inverted. Each
+b_ij is linear in the H(da_l/dx_v), so each coefficient b_k is one fixed
+combination R_k of them, resolved once with the solver as integer rows. A
+solve checks the syzygy, groups the terms of a once by x-monomial and reads
+each b_k in one accumulation (``poly._euler_readout``): c, b and the product
+by U^(-1) are never built. The higher levels form a triangular system,
+solved in order j = 0..m:
 
     rho(b_j) f_0 = a_j - sum_{r<j} rho(b_r) f_{j-r},
 
@@ -73,7 +76,7 @@ from .poly import (
     Var,
     VariableBlock,
     VectorField,
-    _euler_curl,
+    _euler_readout,
     _require_ring,
     _shifted_sum,
     matrix_apply,
@@ -134,33 +137,74 @@ def annihilates_invariants(field: VectorField,
 # Base case on V: quadratic invariant, homotopy formula
 # ---------------------------------------------------------------------------
 
-def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
-    """The antisymmetric homotopy matrix b with b x = G a.
+def _readout_rows(gram: Sequence[Sequence[Scalar]], coordinates: Sequence[Sequence[Scalar]],
+                  ) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """Each row of ``coordinates``, read on the homotopy's entries b_ij, i < j,
+    as weights of the H(da_l/dx_v): ``poly._euler_readout``'s rows.
 
-    The field must satisfy B(a(w, x), x) = 0 as a polynomial; that syzygy is
-    the only check here, and its failure is a refusal carrying the residual.
-    With c = G a (c = a when G = I, decided once per form), each entry b_ij
-    above the diagonal is the curl dc_i/dx_j - dc_j/dx_i with each term of
-    x-degree e divided by e + 2, and b_ji = -b_ij. ``poly._euler_curl`` reads
-    every entry from the packed keys of c in one pass: no derivative,
-    difference or split by degree is built.
+    b_ij = H(dc_i/dx_j - dc_j/dx_i) with c = G a, so sum_{i<j} u_ij b_ij weighs
+    H(da_l/dx_v) by (G A)_lv, A the antisymmetric matrix with u above its
+    diagonal (G is symmetric). Each row is (D, ((l, v, D (G A)_lv), ...)), D
+    the lcm of the row's denominators, zero weights dropped.
+    """
+    n = len(gram)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    for u in coordinates:
+        a = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(upper, u):
+            a[i][j], a[j][i] = x, -x
+        weights = mx.mul(gram, a)
+        den = lcm(*(x.denominator for row in weights for x in row))
+        rows.append((den, tuple((l, v, x.numerator * (den // x.denominator))
+                                for l, row in enumerate(weights)
+                                for v, x in enumerate(row) if x)))
+    return tuple(rows)
+
+
+def _readout(form: BilinearForm, rows: Sequence[tuple[int, Sequence[tuple[int, int, int]]]],
+             field: VectorField) -> tuple[Polynomial, ...]:
+    """The rows of ``poly._euler_readout`` on a field on V that annihilates (1/2) B(v, v).
+
+    The field must satisfy B(a(w, x), x) = sum_{i,l} G_il a_l x_i = 0 as a
+    polynomial, one ``variable_combination`` over the nonzero entries of G;
+    that syzygy is the only check here, and its failure is a refusal carrying
+    the residual.
     """
     blocks = field.state_blocks
     if len(blocks) != 1:
         raise StructuralError("the base solve expects a single state block")
     x = blocks[0]
-    n = x.size
-    if form.size != n:
-        raise StructuralError(f"form size {form.size} does not match state size {n}")
-    ring = field.ring
-
-    c = field.components if form._is_identity else matrix_apply(form.gram, field.components)
-    syzygy = Polynomial.variable_combination(
-        ring, ((1, ci, (x.name, i)) for i, ci in enumerate(c)))
+    if form.size != x.size:
+        raise StructuralError(f"form size {form.size} does not match state size {x.size}")
+    a = field.components
+    syzygy = Polynomial.variable_combination(field.ring, (
+        (g, a[l], (x.name, i)) for i, row in enumerate(form.gram)
+        for l, g in enumerate(row) if g))
     if not syzygy.is_zero():
         raise DecompositionRefused(
             "field does not annihilate the quadratic invariant", witness=syzygy)
-    return _euler_curl(c, x.name)
+    return _euler_readout(a, x.name, rows)
+
+
+def _homotopy(form: BilinearForm, field: VectorField) -> list[list[Polynomial]]:
+    """The antisymmetric homotopy matrix b with b x = G a.
+
+    Each entry above the diagonal is b_ij = H(dc_i/dx_j - dc_j/dx_i) for
+    c = G a, with H dividing each term of x-degree e by e + 2: the row (i, j)
+    of the identity, read by ``_readout``, which checks the syzygy first.
+    b_ji = -b_ij.
+    """
+    n = form.size
+    pairs = mx.identity(n * (n - 1) // 2)
+    upper = iter(_readout(form, _readout_rows(form.gram, pairs), field))
+    zero = Polynomial.zero(field.ring)
+    b = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = next(upper)
+            b[j][i] = -b[i][j]
+    return b
 
 
 class BaseSolver(Protocol):
@@ -190,10 +234,18 @@ class QuadraticBaseSolver:
     (1/2) B(v, v) invariant, dim(g) equal to dim so(B) = n(n-1)/2, and
     rho injective on the basis. Then rho(g) = so(B), with coordinates
     X -> the entries above the diagonal of G X: the d x d matrix U of those
-    entries of each G rho(x_k) is inverted once, and a solve applies U^(-1),
-    by its nonzero entries (``matrix_apply``), to the entries above the
-    diagonal of the homotopy matrix b (b x = G a): for so(n) with G = I,
-    U^(-1) = -I.
+    entries of each G rho(x_k) is inverted once, and b_k is row k of U^(-1)
+    applied to the entries b_ij, i < j, of the homotopy matrix (b x = G a).
+    Those are linear in the H(da_l/dx_v), so construction also resolves, once,
+    the readout
+
+        R_k[(l, v)] = sum_{i<j} U^(-1)[k][(i, j)] (G_il [v = j] - G_jl [v = i])
+
+    as integer numerators over one denominator per row (``_readout_rows``). A
+    solve checks the layout and the syzygy and reads each b_k in one
+    accumulation over a's terms (``_readout``): no G a, no b_ij and no product
+    by U^(-1) is built. For so(n) with G = I, U^(-1) = -I and R_k holds two
+    unit weights.
     """
 
     def __init__(self, rep: Representation, form: BilinearForm):
@@ -216,18 +268,18 @@ class QuadraticBaseSolver:
         # The family check proved every G rho(x_k) antisymmetric, so its entries
         # above the diagonal determine it; U is invertible iff rho is injective,
         # and then, with the dimension count, rho(g) = so(B).
-        self._upper = tuple((i, j) for i in range(n) for j in range(i + 1, n))
         images = [mx.mul(form.gram, m) for m in rep.matrices]
         try:
             self._coordinates = mx.inverse(
-                tuple(tuple(image[i][j] for image in images) for i, j in self._upper))
+                tuple(tuple(image[i][j] for image in images)
+                      for i in range(n) for j in range(i + 1, n)))
         except ValidationError:
             raise ValidationError(
                 "basis images are linearly dependent; cannot span so(B)") from None
+        self._rows = _readout_rows(form.gram, self._coordinates)
 
     def solve(self, field: VectorField) -> tuple[Polynomial, ...]:
-        b = _homotopy(self.form, field)
-        return matrix_apply(self._coordinates, [b[i][j] for i, j in self._upper])
+        return _readout(self.form, self._rows, field)
 
 
 class TrivialBaseSolver:

@@ -219,11 +219,6 @@ class BilinearForm:
     def is_nondegenerate(self) -> bool:
         return mx.det(self.gram) != 0
 
-    @cached_property
-    def _is_identity(self) -> bool:
-        """Whether G = I, so that G a is a itself; decided once per form."""
-        return self.gram == mx.identity(self.size)
-
     def is_invariant_for(self, g: LieAlgebra) -> bool:
         """Exact check of B([z,x],y) + B(x,[z,y]) = 0 on all basis triples."""
         if self.size != g.dim:
@@ -426,8 +421,20 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
-    """Dual action on coefficient vectors: ad*(x_i) = -ad(x_i)^T = -c[i] as a matrix."""
-    mats = tuple(tuple(tuple(-x for x in row) for row in ci) for ci in g.c)
+    """Dual action on coefficient vectors: ad*(x_i) = -ad(x_i)^T = -c[i] as a matrix.
+
+    Each distinct row object of the c[i] is negated once per call, and every
+    matrix that holds it shares the negated row, as g_m shares its rows.
+    """
+    negated = {}  # id(row) -> (row, -row); holding the row keeps its id unique
+
+    def negate(row):
+        entry = negated.get(id(row))
+        if entry is None:
+            entry = negated[id(row)] = row, tuple(-x for x in row)
+        return entry[1]
+
+    mats = tuple(tuple(map(negate, ci)) for ci in g.c)
     return _derived(Representation, algebra=g, matrices=mats)
 
 

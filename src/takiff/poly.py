@@ -43,11 +43,11 @@ integer scale k, v's key and the numerators of p, all over one denominator
 taken as an lcm before the sum, so nothing is rescaled. ``variable_combination``
 resolves (c, p, v) triples of exact scalars into such entries;
 ``decompose._block_sum`` hands them in directly from the integer form of the
-action; and the base solve's Euler-weighted curl, ``_euler_curl``, feeds it
-the terms of c grouped by their x-monomials, each group divided by one
-variable. ``_make`` tests the keys of a new numerator map and divides out
-its content; ``_wrap`` takes a map already in canonical form, for a negation
-or a cast.
+action; and the base solve's readout, ``_euler_readout``, feeds it the terms
+of a field grouped once by their x-monomials, each group divided by one
+variable and weighted by integer rows resolved before the solve. ``_make``
+tests the keys of a new numerator map and divides out its content; ``_wrap``
+takes a map already in canonical form, for a negation or a cast.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class Ring:
     def __post_init__(self):
         # name -> block, variable -> bit offset of its field in a packed key,
         # variables in ring order, the guard bits of all fields, the bound every
-        # key stays below and the block layout; not dataclass fields, so
-        # equality and hashing ignore them
+        # key stays below, the block layout and the state blocks; not dataclass
+        # fields, so equality and hashing ignore them
         index: dict[str, VariableBlock] = {}
         for b in self.blocks:
             if b.name in index:
@@ -153,6 +153,8 @@ class Ring:
                                                for k in range(len(order))))
         object.__setattr__(self, "_limit", 1 << (_BITS * len(order)))
         object.__setattr__(self, "_layout", tuple((b.name, b.size) for b in self.blocks))
+        object.__setattr__(self, "_state_blocks",
+                           tuple(b for b in self.blocks if b.role == STATE))
 
     @staticmethod
     def of(*blocks: VariableBlock) -> "Ring":
@@ -178,7 +180,7 @@ class Ring:
             yield from b.variables()
 
     def state_blocks(self) -> tuple[VariableBlock, ...]:
-        return tuple(b for b in self.blocks if b.role == STATE)
+        return self._state_blocks
 
     def parameter_blocks(self) -> tuple[VariableBlock, ...]:
         return tuple(b for b in self.blocks if b.role == PARAMETER)
@@ -304,9 +306,11 @@ def _shifted_sum(entries: Iterable[tuple[int, int, dict[int, int]]]) -> dict[int
     k is an integer scale, num a numerator map and ``one`` is added to each of
     its keys: the key of a variable v (1 << its bit offset) multiplies by v, 0
     by 1, and minus that key divides by v where every key holds it. All the
-    entries share one denominator. The nonzero sums come back. This is the one
-    accumulation of a linear action: ``variable_combination``,
-    ``decompose._block_sum`` and ``_euler_curl`` resolve their entries and
+    entries share one denominator. The nonzero sums come back; when every sum
+    cancelled, as in each accepted syzygy and each level or reconstruction
+    check, one ``any`` over the sums returns the empty map without a filter.
+    This is the one accumulation of a linear action: ``variable_combination``,
+    ``decompose._block_sum`` and ``_euler_readout`` resolve their entries and
     call it.
     """
     out: dict[int, int] = {}
@@ -315,6 +319,8 @@ def _shifted_sum(entries: Iterable[tuple[int, int, dict[int, int]]]) -> dict[int
         for m, x in num.items():
             m += one
             out[m] = get(m, 0) + k * x
+    if not any(out.values()):
+        return {}
     return {m: x for m, x in out.items() if x}
 
 
@@ -831,45 +837,52 @@ def matrix_apply(matrix: Sequence[Sequence[Scalar]],
     return tuple(out)
 
 
-def _euler_curl(c: Sequence[Polynomial], block_name: str) -> list[list[Polynomial]]:
-    """The antisymmetric matrix b_ij = H(dc_i/dx_j - dc_j/dx_i), x the named block.
+def _euler_readout(a: Sequence[Polynomial], block_name: str,
+                   rows: Sequence[tuple[int, Sequence[tuple[int, int, int]]]],
+                   ) -> tuple[Polynomial, ...]:
+    """Each row's sum of (k / D) H(da_l/dx_v) over its entries (l, v, k), x the named block.
 
-    ``c`` holds one polynomial per variable of the block, all over one ring,
-    and H divides each term of x-degree e by e + 2. Each component's terms are
+    ``a`` holds one polynomial per variable of the block, all over one ring,
+    and each row is (D, entries): integer weights k over one denominator D.
+    H divides each term of x-degree e by e + 2. The terms of each a_l are
     grouped once by their x-monomial, of x-degree d: on a group with exponent
-    e > 0 in x_j, dc_i/dx_j weighted by H is the group times e / (d + 1) with
-    x_j's key subtracted from each key, so entry (i, j) is one
-    ``_shifted_sum`` of such groups of c_i and (negated) of c_j, over
-    lcm(den c_i, den c_j) times the lcm of the weights d + 1 of c_i and c_j,
-    reduced once. No derivative, difference or split by degree is built;
-    b_ji = -b_ij and the diagonal is zero.
+    e > 0 in x_v, H(da_l/dx_v) is the group times e / (d + 1) with x_v's key
+    subtracted from each key. Each such group is resolved once to an integer
+    weight over the lcm of the a_l's denominators times the lcm of all the
+    weights d + 1, so a row is one ``_shifted_sum`` of its entries' groups,
+    reduced once. No derivative, product or split by degree is built, and no
+    row reads a scalar. With the rows (i, j) of G_il at (l, j) and -G_jl at
+    (l, i), row (i, j) is H(dc_i/dx_j - dc_j/dx_i) for c = G a, the
+    homotopy's curl.
     """
-    ring = c[0].ring
-    n = len(c)
+    ring = a[0].ring
+    n = len(a)
     base = ring._shift[(block_name, 0)]
     mask = (1 << (_BITS * n)) - 1
     # per component: its terms by x-monomial, as (x-fields, weight d + 1, numerators)
     groups = []
-    for p in c:
+    for p in a:
         by_x: dict[int, dict[int, int]] = {}
         for key, x in p._num.items():
             by_x.setdefault((key >> base) & mask, {})[key] = x
         groups.append([(fields, _field_sum(fields) + 1, num) for fields, num in by_x.items()])
-    weights = [lcm(*(w for _, w, _ in g)) for g in groups]
-    zero = Polynomial.zero(ring)
-    b = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = lcm(c[i]._den, c[j]._den) * lcm(weights[i], weights[j])
-            entries = []
-            for src, var, sign in ((i, j, 1), (j, i, -1)):
-                s = _BITS * var
-                scale, one = sign * (den // c[src]._den), -1 << (base + s)
-                entries += [(scale * e // w, one, num) for fields, w, num in groups[src]
-                            if (e := (fields >> s) & _FIELD)]
-            b[i][j] = Polynomial._make(ring, _shifted_sum(entries), den)
-            b[j][i] = -b[i][j]
-    return b
+    den = lcm(*(p._den for p in a)) * lcm(*(w for g in groups for _, w, _ in g))
+    # partial[l][v]: H(da_l/dx_v) as (integer weight over den, numerators) per group
+    partial = []
+    for p, g in zip(a, groups):
+        scale = den // p._den
+        by_var: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
+        for fields, w, num in g:
+            s = scale // w
+            for v in range(n):
+                if e := (fields >> (_BITS * v)) & _FIELD:
+                    by_var[v].append((s * e, num))
+        partial.append(by_var)
+    ones = [-1 << (base + _BITS * v) for v in range(n)]
+    return tuple(
+        Polynomial._make(ring, _shifted_sum([(k * s, ones[v], num) for l, v, k in entries
+                                             for s, num in partial[l][v]]), row_den * den)
+        for row_den, entries in rows)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Completeness oracle: the Dixmier property of rho_m, box by box.
 
-In a box (representation, level m, degree d), the fields on V_m whose
-components are homogeneous of degree d in f_0..f_m form a finite-dimensional
-space, and annihilating the lifted invariants Phi_0..Phi_m is a linear
+In a box (representation, level m, degree d, parameters p), the fields on V_m
+whose components are homogeneous of degree d in f_0..f_m and a parameter
+block w of size p form a finite-dimensional space, and annihilating the lifted invariants Phi_0..Phi_m is a linear
 condition on their coefficients. The theorem says that every annihilator is a
 Killing combination rho_m(b) F: the annihilators' dimension equals the rank
 of b |-> rho_m(b) F on coefficients of degree d - 1. Both sides are computed
@@ -20,7 +20,15 @@ import pytest
 from takiff.decompose import builtin_solver, takiff_decompose, verify_decomposition
 from takiff.errors import DecompositionRefused
 from takiff.lie import abelian, conjugate_representation, make_standard, so_n, so_pq
-from takiff.poly import STATE, Monomial, Polynomial, Ring, VariableBlock, VectorField
+from takiff.poly import (
+    PARAMETER,
+    STATE,
+    Monomial,
+    Polynomial,
+    Ring,
+    VariableBlock,
+    VectorField,
+)
 from takiff.takiff_algebra import LiftedRepresentation
 
 sympy = pytest.importorskip("sympy")
@@ -62,10 +70,15 @@ def _box(kind):
     return rep, lambda x: list(x), None
 
 
-# (kind, m, d, unknowns, annihilators): the trivial solver's annihilator space is 0
-BOXES = [("so3", 1, 2, 126, 34), ("so3", 2, 2, 405, 78), ("sl2_adjoint", 1, 2, 126, 34),
-         ("abelian2", 1, 2, 40, 0), ("so21", 1, 2, 126, 34),
-         ("so3_conjugated", 1, 2, 126, 34)]
+# (kind, m, d, p, unknowns, annihilators): the trivial solver's annihilator
+# space is 0. With w, the invariants do not involve it, so the box splits by
+# w-degree: so(3) at (1, 2) with w of size 1 has the 34 annihilators of degree
+# 2 in f, w times the 6 of degree 1 (rho_1 of the constant b, injective) and
+# none of degree 0
+BOXES = [("so3", 1, 2, 0, 126, 34), ("so3", 2, 2, 0, 405, 78),
+         ("sl2_adjoint", 1, 2, 0, 126, 34), ("abelian2", 1, 2, 0, 40, 0),
+         ("so21", 1, 2, 0, 126, 34), ("so3_conjugated", 1, 2, 0, 126, 34),
+         ("so3", 1, 2, 1, 168, 40)]
 
 
 def _monomials(count, degree):
@@ -85,18 +98,19 @@ def _matrix(rows, shape):
     return DomainMatrix({r: row for r, row in rows.items() if row}, shape, QQ)
 
 
-def _oracle(rep, invariants, m, d):
+def _oracle(rep, invariants, m, d, p):
     """The annihilator basis, the Killing-map rank and the equations' columns.
 
     Unknown (c, mu) is the coefficient of the monomial mu in component c of
-    the field, c = j n + a for coordinate a of block f_j.
+    the field, c = j n + a for coordinate a of block f_j; mu runs over the
+    (m + 1) n coordinates of V_m and then the p parameters.
     """
     n, dim = len(rep.matrices[0]), len(rep.matrices)
     size = (m + 1) * n
-    v = sympy.symbols(f"v0:{size}")
+    v = sympy.symbols(f"v0:{size + p}")
     t = sympy.Symbol("t")
     curve = [sum(t ** j * v[j * n + a] for j in range(m + 1)) for a in range(n)]
-    unknowns = [(c, mu) for c in range(size) for mu in _monomials(size, d)]
+    unknowns = [(c, mu) for c in range(size) for mu in _monomials(size + p, d)]
     column = {u: k for k, u in enumerate(unknowns)}
     # one equation per (lifted invariant, monomial of sum_c a_c dPhi/dv_c)
     rows: dict = {}
@@ -107,7 +121,7 @@ def _oracle(rep, invariants, m, d):
             for c in range(size):
                 grad = sympy.Poly(sympy.diff(lifted, v[c]), *v)
                 for mono, coeff in grad.terms():
-                    for mu in _monomials(size, d):
+                    for mu in _monomials(size + p, d):
                         key = (g, k, tuple(map(sum, zip(mono, mu))))
                         row = rows.setdefault(key, {})
                         col = column[(c, mu)]
@@ -119,7 +133,7 @@ def _oracle(rep, invariants, m, d):
     index = 0
     for r in range(m + 1):
         for i in range(dim):
-            for nu in _monomials(size, d - 1):
+            for nu in _monomials(size + p, d - 1):
                 for j in range(r, m + 1):
                     for t_ in range(n):
                         for s in range(n):
@@ -138,10 +152,11 @@ def _oracle(rep, invariants, m, d):
     return unknowns, basis, killing.rank(), nonzero_columns
 
 
-def _field(ring, m, n, d, unknowns, values):
+def _field(ring, m, n, unknowns, values):
     """The field with coefficient values[k] at unknown k."""
     comps = [{} for _ in range((m + 1) * n)]
     names = [(b.name, a) for b in ring.state_blocks() for a in range(n)]
+    names += [(b.name, a) for b in ring.parameter_blocks() for a in range(b.size)]
     for (c, mu), x in zip(unknowns, values):
         if x:
             mono = Monomial.from_map({names[k]: e for k, e in enumerate(mu) if e})
@@ -149,24 +164,26 @@ def _field(ring, m, n, d, unknowns, values):
     return VectorField(ring, tuple(Polynomial(ring, terms) for terms in comps))
 
 
-@pytest.mark.parametrize("kind, m, d, size, annihilators", BOXES,
-                         ids=[f"{k}-m{m}-d{d}" for k, m, d, _, _ in BOXES])
-def test_the_annihilators_of_a_box_are_the_killing_combinations(kind, m, d, size,
+@pytest.mark.parametrize("kind, m, d, p, size, annihilators", BOXES,
+                         ids=[f"{k}-m{m}-d{d}" + (f"-w{p}" if p else "")
+                              for k, m, d, p, _, _ in BOXES])
+def test_the_annihilators_of_a_box_are_the_killing_combinations(kind, m, d, p, size,
                                                                  annihilators):
     rep, invariants, gram = _box(kind)
     n = rep.space_dim
-    unknowns, basis, rank, outside = _oracle(rep, invariants, m, d)
+    unknowns, basis, rank, outside = _oracle(rep, invariants, m, d, p)
     assert (len(unknowns), len(basis)) == (size, annihilators)
     assert len(basis) == rank
     lifted = LiftedRepresentation(rep, m)
     solver = builtin_solver(rep, gram)
-    ring = Ring(tuple(VariableBlock(f"f{j}", n, STATE) for j in range(m + 1)))
+    ring = Ring(tuple(VariableBlock(f"f{j}", n, STATE) for j in range(m + 1))
+                + ((VariableBlock("w", p, PARAMETER),) if p else ()))
     for values in basis:
-        field = _field(ring, m, n, d, unknowns, values)
+        field = _field(ring, m, n, unknowns, values)
         dec = takiff_decompose(lifted, solver, field)
         assert verify_decomposition(lifted, field, dec)[0]
     for k in sorted(outside):
-        field = _field(ring, m, n, d, unknowns, [int(j == k) for j in range(len(unknowns))])
+        field = _field(ring, m, n, unknowns, [int(j == k) for j in range(len(unknowns))])
         with pytest.raises(DecompositionRefused) as info:
             takiff_decompose(lifted, solver, field)
         assert info.value.witness is not None and not info.value.witness.is_zero()

@@ -49,7 +49,7 @@ from takiff.poly import (
     Polynomial,
     Ring,
     VariableBlock,
-    _euler_curl,
+    _euler_readout,
     matrix_apply,
 )
 from takiff.randgen import (
@@ -685,8 +685,12 @@ def test_euler_curl_equals_the_per_degree_reference_over_distinct_denominators()
             c = tuple(random_polynomial(rng, ring, 3, 5) / (3 + 2 * i) for i in range(n))
             assert [p._den for p in c if not p.is_zero()] == [
                 3 + 2 * i for i, p in enumerate(c) if not p.is_zero()]
-            b = _euler_curl(c, "x")
-            assert b == per_degree_homotopy(mx.identity(n), VectorField(ring, c))
+            pairs = mx.identity(n * (n - 1) // 2)
+            upper = iter(_euler_readout(c, "x", decompose._readout_rows(mx.identity(n), pairs)))
+            reference = per_degree_homotopy(mx.identity(n), VectorField(ring, c))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert next(upper) == reference[i][j]
     # and on annihilating fields c = M x, with M_01 integral and 1/3 and 1/5
     # added to M_02 and M_12, so that c_0, c_1 and c_2 have denominators 3, 5
     # and 15
@@ -703,29 +707,26 @@ def test_euler_curl_equals_the_per_degree_reference_over_distinct_denominators()
         assert homotopy(gram, fld) == per_degree_homotopy(gram, fld)
 
 
-def test_an_identity_gram_given_as_fractions_skips_the_gram_product(monkeypatch):
-    applied = []
-    apply = decompose.matrix_apply
+def test_the_homotopy_folds_the_gram_into_its_rows_and_builds_no_product(monkeypatch):
+    # G = I given as fractions and diag(1, 2, 1) are both folded into the
+    # readout's rows: no G a, no product and no matrix_apply, whatever the Gram
+    def unexpected(*args):
+        raise AssertionError("the homotopy built a product")
 
-    def counted(matrix, polys):
-        applied.append(matrix)
-        return apply(matrix, polys)
-
-    monkeypatch.setattr(decompose, "matrix_apply", counted)
     form = BilinearForm(tuple(tuple(Fraction(int(i == j)) for j in range(3))
                               for i in range(3)))
-    assert form._is_identity and not BilinearForm(SL2_KILLING_GRAM)._is_identity
     weighted = BilinearForm(((1, 0, 0), (0, 2, 0), (0, 0, 1)))
     for fld in seeded_base_fields(SO3_GRAM, seed=31):
-        applied.clear()
-        b = decompose._homotopy(form, fld)
-        assert applied == []
-        assert b == per_degree_homotopy(SO3_GRAM, fld)
-        # a field with the same c = G a under diag(1, 2, 1), which multiplies by G
+        reference = per_degree_homotopy(SO3_GRAM, fld)
+        # a field with the same c = G a under diag(1, 2, 1)
         a = fld.components
-        assert decompose._homotopy(weighted, VectorField(fld.ring, (
-            a[0], a[1] / 2, a[2]))) == b
-        assert applied == [weighted.gram]
+        halved = VectorField(fld.ring, (a[0], a[1] / 2, a[2]))
+        with monkeypatch.context() as patch:
+            patch.setattr(decompose, "matrix_apply", unexpected)
+            patch.setattr(Polynomial, "combination", unexpected)
+            b = decompose._homotopy(form, fld)
+            assert decompose._homotopy(weighted, halved) == b
+        assert b == reference
 
 
 RECONSTRUCTION_CASES = {
@@ -822,8 +823,9 @@ def test_a_transported_field_decomposes_over_the_conjugated_representation(m):
 
 
 def test_the_so5_base_solve_reads_no_zero_scalar(monkeypatch):
-    # for so(n) with G = I the coordinates are U^-1 = -I: a solve reads its 10
-    # nonzero entries and the 5 unit weights of the syzygy, and no zero
+    # for so(n) with G = I the coordinates are U^-1 = -I, resolved into the
+    # readout when the solver is built: a solve reads only the 5 unit weights
+    # of the syzygy, and no zero
     _, rho = so_n(5)
     solver = builtin_solver(rho)
     assert solver._coordinates == scale(mx.identity(10), -1)
@@ -835,7 +837,79 @@ def test_the_so5_base_solve_reads_no_zero_scalar(monkeypatch):
     ratio = poly._ratio
     monkeypatch.setattr(poly, "_ratio", lambda value: seen.append(value) or ratio(value))
     assert solver.solve(fld) == coefficients
-    assert seen == [1] * 5 + [-1] * 10
+    assert seen == [1] * 5
+
+
+READOUT_CASES = {**SOLVER_CASES, "so5": (so_n(5)[1], mx.identity(5))}
+
+
+def readout_fields(rep, seed, count=4):
+    """Seeded Killing fields rho(b) x on V with a parameter block w, b_k over 1..3."""
+    n, d = rep.space_dim, rep.algebra.dim
+    ring = Ring.of(VariableBlock("w", 2, PARAMETER), VariableBlock("x", n, STATE))
+    lifted = build_lift(rep, 0)
+    rng = SplitMix64(seed)
+    return [field_from_coefficients(lifted, ring, [[
+        random_polynomial(rng, ring, 2, 3) / (1 + k % 3) for k in range(d)]])
+        for _ in range(count)]
+
+
+def reference_solve(solver, field):
+    """U^-1 applied to the entries above the diagonal of the per-degree homotopy
+    H(dc_i/dx_j - dc_j/dx_i), c = G a, built by derivatives and a split by degree."""
+    b = per_degree_homotopy(solver.form.gram, field)
+    n = len(b)
+    return matrix_apply(solver._coordinates, [b[i][j] for i in range(n) for j in range(i + 1, n)])
+
+
+@pytest.mark.parametrize("case", list(READOUT_CASES))
+def test_the_readout_equals_the_derivative_reference(case):
+    rep, gram = READOUT_CASES[case]
+    solver = QuadraticBaseSolver(rep, BilinearForm(gram))
+    n = rep.space_dim
+    fractional = False
+    for fld in readout_fields(rep, seed=2026 + n):
+        ring = fld.ring
+        x = variables(ring, "x", n)
+        coeffs = solver.solve(fld)
+        assert coeffs == reference_solve(solver, fld)
+        fractional |= any(p._den != 1 for p in coeffs)
+        # the homotopy matrix, through the same kernel, is antisymmetric with b x = G a
+        b = decompose._homotopy(solver.form, fld)
+        assert all(b[i][j] == -b[j][i] for i in range(n) for j in range(n))
+        assert matrix_apply(b, x) == matrix_apply(gram, fld.components)
+        # f += p x_0 e_0 adds p x_0 (G x)_0 to the syzygy; the refusal carries
+        # the reference syzygy sum_i (G a)_i x_i
+        p = Polynomial.variable(ring, ("w", 0)) * 2 + Polynomial.variable(ring, ("w", 1)) / 3
+        bent = VectorField(ring, (fld.components[0] + p * x[0],) + fld.components[1:])
+        with pytest.raises(DecompositionRefused) as info:
+            solver.solve(bent)
+        syzygy = Polynomial.combination(ring, zip(matrix_apply(gram, bent.components), x))
+        assert not syzygy.is_zero() and info.value.witness == syzygy
+    assert fractional
+
+
+@pytest.mark.parametrize("case", list(READOUT_CASES))
+def test_a_solve_is_one_accumulation_per_coefficient_and_one_syzygy(case, monkeypatch):
+    rep, gram = READOUT_CASES[case]
+    solver = QuadraticBaseSolver(rep, BilinearForm(gram))
+    (fld,) = readout_fields(rep, seed=7, count=1)
+    sums = []
+    shifted_sum = poly._shifted_sum
+
+    def counted(entries):
+        sums.append(entries)
+        return shifted_sum(entries)
+
+    def unexpected(*args):
+        raise AssertionError("the solve built a product")
+
+    monkeypatch.setattr(poly, "_shifted_sum", counted)
+    monkeypatch.setattr(poly, "matrix_apply", unexpected)
+    monkeypatch.setattr(decompose, "matrix_apply", unexpected)
+    monkeypatch.setattr(Polynomial, "combination", unexpected)
+    coeffs = solver.solve(fld)
+    assert len(coeffs) == rep.algebra.dim and len(sums) == rep.algebra.dim + 1
 
 
 class StubSolver:

@@ -355,6 +355,51 @@ def test_variable_combination_starts_from_a_times_one_triple(start, triples):
     assert Polynomial.variable_combination(XW, [(scale, start, None)]) == start * scale
 
 
+SHIFT_VARS = 3
+
+
+@st.composite
+def shifted_entries(draw):
+    """(k, one, num) entries over 3 packed variables: one multiplies by a
+    variable, divides by one that every key of num holds, or adds nothing."""
+    k = draw(st.integers(-4, 4))
+    kind = draw(st.sampled_from(["times", "divide", "none"]))
+    v = draw(st.integers(0, SHIFT_VARS - 1))
+    low = [int(kind == "divide" and i == v) for i in range(SHIFT_VARS)]
+    exponents = st.tuples(*(st.integers(lo, lo + 2) for lo in low))
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5).filter(bool), max_size=3))
+    one = 0 if kind == "none" else (1 if kind == "times" else -1) << (16 * v)
+    num = {sum(e << (16 * i) for i, e in enumerate(exps)): x for exps, x in terms.items()}
+    return k, one, num, kind, v, terms
+
+
+@LAWS
+@given(st.lists(shifted_entries(), max_size=5), st.integers(0, 2), st.integers(1, 6))
+def test_shifted_sum_equals_a_naive_fraction_sum(drawn, negated, den):
+    # the first ``negated`` entries also come in negated, so those cancel exactly
+    drawn = drawn + [(-k, *rest) for k, *rest in drawn[:negated]]
+    reference: dict[tuple[int, ...], Fraction] = {}
+    for k, _, _, kind, v, terms in drawn:
+        for exps, x in terms.items():
+            exps = list(exps)
+            exps[v] += {"times": 1, "divide": -1, "none": 0}[kind]
+            key = tuple(exps)
+            reference[key] = reference.get(key, Fraction(0)) + Fraction(k * x, den)
+    out = poly._shifted_sum([(k, one, num) for k, one, num, *_ in drawn])
+    decoded = {tuple((m >> (16 * i)) & 0xFFFF for i in range(SHIFT_VARS)): Fraction(x, den)
+               for m, x in out.items()}
+    assert decoded == {key: x for key, x in reference.items() if x}
+    assert all(out.values())
+
+
+@LAWS
+@given(st.lists(shifted_entries(), max_size=4))
+def test_shifted_sum_of_entries_beside_their_negations_is_empty(drawn):
+    entries = [(k, one, num) for k, one, num, *_ in drawn]
+    out = poly._shifted_sum(entries + [(-k, one, num) for k, one, num in entries])
+    assert out == {} and type(out) is dict
+
+
 def test_variable_combination_keeps_the_guard_bit_and_the_ring_check():
     top = Polynomial(X, {Monomial.of(("x", 0), MAX_EXPONENT): 1})
     assert Polynomial.variable_combination(X, [(1, top, ("x", 1))]).degree() == MAX_EXPONENT + 1

@@ -17,6 +17,7 @@ from takiff.lie import (
     Representation,
     abelian,
     adjoint_rep,
+    coadjoint_rep,
     conjugate_representation,
     gl_n,
     killing_form,
@@ -251,6 +252,19 @@ def test_the_dense_lift_shares_its_rows():
         rows = [row for mat in mats for row in mat]
         assert len({id(row) for row in rows}) <= bound + 1
         assert all(type(row) is tuple and len(row) == width for row in rows)
+
+
+def test_the_coadjoint_action_of_g_m_shares_its_rows():
+    # -c[i] negates each distinct row of g_m once, so ad* of g_m has no more
+    # distinct rows than g_m: at most (m+1)·d² besides the zero row
+    g, _ = so_n(4)
+    m, d = 3, g.dim
+    algebra = build_takiff(g, m).algebra
+    tau = coadjoint_rep(algebra)
+    rows = [row for mat in tau.matrices for row in mat]
+    assert len({id(row) for row in rows}) <= (m + 1) * d * d + 1
+    assert tau.matrices == tuple(tuple(tuple(-x for x in row) for row in ci)
+                                 for ci in algebra.c)
 
 
 def test_lifted_form_at_level_zero_is_input():
