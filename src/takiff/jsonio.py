@@ -13,9 +13,18 @@ dumped with sorted keys, so equal values always serialize to identical bytes.
 
 ``dumps`` is the one serializer. By contract its text is
 ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` plus a
-newline; it writes a term dict and a list of strings each in one piece, since
-the standard library's indenting encoder is pure Python. The command line
-writes that text as UTF-8 bytes, to stdout and to ``--out`` alike.
+newline; it writes the term dicts of a list in one loop (``_items``), each
+with its exponent keys sorted and checked, and a list of strings in one join,
+since the standard library's indenting encoder is pure Python. The command
+line writes that text as UTF-8 bytes, to stdout and to ``--out`` alike.
+
+A term list is written straight from a polynomial's packed keys. Each ring
+builds one key table on first use (``Ring._key_table``): every variable's key
+text and its rank in variable order. ``_terms_to_json`` walks each key once by
+``poly._fields``, the walk ``poly._decode`` makes too, so each term's fields
+sort into the term order of ``Polynomial.sorted_terms`` and give its ``exps``
+in key order; a coefficient is written from its numerator and the
+denominator with one gcd. No ``Monomial`` and no ``Fraction`` is made.
 
 Readers accept nothing inexact or truncated: a scalar is a JSON string or
 integer, read by ``matrices.scalar``, and sizes, dimensions and exponents are
@@ -23,19 +32,26 @@ JSON integers (never booleans or floats). Text that does not parse, a missing
 key, a value of the wrong JSON type and a variable key in any other spelling
 all raise StructuralError.
 
-A reader parses each document once: every value goes through
-``matrices.scalar`` once, every distinct variable key is resolved once per
-field or decomposition to its field in the ring's packed monomial keys, and
-each term list goes straight into the packed numerators of ``Polynomial``. A
-coefficient is read by one ``scalar_from_str`` call; a structure constant or
-a matrix entry is only type-checked here and read by the ``LieAlgebra`` or
-``Representation`` constructor, which normalises every entry anyway.
+A reader parses each document once: every distinct variable key is resolved
+once per field or decomposition to its field in the ring's packed monomial
+keys, and each term list goes straight into the packed numerators of
+``Polynomial``. A coefficient string is read by ``int`` when it is integral,
+and in its canonical spelling "p/q" (ASCII digits, an optional leading "-", a
+nonzero q) without the ``Fraction`` string parser; every other spelling goes
+to ``matrices.scalar``, so the strings accepted, their values and the error
+texts are ``scalar``'s own. Integral coefficients are summed as ``int``, and
+fractional ones are put over the lcm of their denominators once, at the end
+of the list. A structure constant or a matrix entry is only type-checked
+here and read by the ``LieAlgebra`` or ``Representation`` constructor, which
+normalises every entry anyway.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring as _escape
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from . import matrices as mx
@@ -44,7 +60,7 @@ from .errors import StructuralError, digit_limit_error
 from .lie import BilinearForm, LieAlgebra, Representation
 from .matrices import Matrix, Scalar, scalar
 from .poly import (MAX_EXPONENT, Polynomial, Ring, Var, VariableBlock, VectorField,
-                   _numerators)
+                   _fields, _ratio)
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
@@ -121,10 +137,6 @@ def ring_from_json(data: Sequence[Mapping]) -> Ring:
         for b in _expect(data, list, "ring")))
 
 
-def _var_key(var: Var) -> str:
-    return f"{var[0]}.{var[1]}"
-
-
 def _var_from_key(key: str) -> Var:
     """The variable of a canonical key "block.index" (ASCII digits, no leading zero)."""
     name, dot, idx = key.rpartition(".")
@@ -134,11 +146,31 @@ def _var_from_key(key: str) -> Var:
 
 
 def _terms_to_json(p: Polynomial) -> list[dict]:
-    out = []
-    for mono, coeff in p.sorted_terms():
-        out.append({"coeff": scalar_to_str(coeff),
-                    "exps": {_var_key(v): e for v, e in mono}})
-    return out
+    """The term list of ``p`` in the term order of ``sorted_terms``, from its packed keys.
+
+    Each key is walked once by ``poly._fields``, labelled with the ring's key
+    table, so the sorted fields are both the term's sort key and, in the
+    usual ring, its ``exps`` in key order. A coefficient is written from its
+    numerator and the denominator with one gcd.
+    """
+    labels, in_key_order = p.ring._key_table
+    den = p._den
+    rows = []
+    try:
+        for key, n in p._num.items():
+            cells = _fields(key, labels)
+            cells.sort()
+            if in_key_order:
+                exps = {text: e for (_, text), e in cells}
+            else:
+                exps = dict(sorted([(text, e) for (_, text), e in cells]))
+            g = gcd(n, den)
+            rows.append((cells, {"coeff": str(n // g) if g == den else f"{n // g}/{den // g}",
+                                 "exps": exps}))
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise digit_limit_error("cannot write a number of") from exc
+    rows.sort(key=itemgetter(0))
+    return [term for _, term in rows]
 
 
 def _check_exponent(ring: Ring, key: str, e, shift: int) -> None:
@@ -156,18 +188,42 @@ def _check_exponent(ring: Ring, key: str, e, shift: int) -> None:
         raise StructuralError(f"exponent {e} of {key} is outside 1..{MAX_EXPONENT}")
 
 
+def _ratio_text(text: str) -> tuple[int, int]:
+    """A scalar string as (numerator, positive denominator), not always in lowest terms.
+
+    The canonical spelling "p/q" (ASCII digits, an optional leading "-" and a
+    nonzero q) is read without the ``Fraction`` string parser; any other
+    spelling, and every error, is ``matrices.scalar``'s own.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (slash and digits.isdigit() and den.isdigit() and digits.isascii() and den.isascii()
+            and den.strip("0")):
+        try:
+            return int(num), int(den)
+        except ValueError:  # past the digit limit, which scalar names
+            pass
+    return _ratio(text)
+
+
 def _terms_from_json(data: Sequence[Mapping], ring: Ring,
                      shifts: dict[str, int]) -> Polynomial:
     """The polynomial of a term list over ``ring``; repeated monomials are summed.
 
     ``shifts`` maps each variable key already read in this document to its
     bit offset in ``ring`` (-1 for a variable the ring lacks), so a key is
-    parsed once per document however many terms repeat it.
+    parsed once per document however many terms repeat it. Integral
+    coefficients are summed as ``int``; a fractional one is kept as a
+    numerator and denominator until the end, when all are put over their lcm.
     """
-    coeffs: dict[int, Scalar] = {}
+    coeffs: dict[int, int] = {}
+    fractions: list[tuple[int, int, int]] = []
     for item in _expect(data, list, "term list"):
+        exps = item.get("exps") if type(item) is dict else None
+        if type(exps) is not dict:
+            exps = _get(item, "exps", dict)
         key = 0
-        for k, e in _get(item, "exps", dict).items():
+        for k, e in exps.items():
             s = shifts.get(k)
             if s is None:
                 s = shifts[k] = ring._shift.get(_var_from_key(k), -1)
@@ -176,11 +232,29 @@ def _terms_from_json(data: Sequence[Mapping], ring: Ring,
                 if not e:
                     continue
             key += e << s
-        c = scalar_from_str(_get(item, "coeff", object))
+        c = item.get("coeff")
+        if type(c) is str:
+            try:
+                c = int(c)
+            except ValueError:
+                n, d = _ratio_text(c)
+                if n % d:
+                    fractions.append((key, n, d))
+                    c = 0  # the key keeps its place in the term order
+                else:
+                    c = n // d
+        elif type(c) is not int:
+            c = scalar_from_str(_get(item, "coeff", object))
         if key in coeffs:
             c += coeffs[key]
         coeffs[key] = c
-    return Polynomial._make(ring, *_numerators(coeffs))
+    den = 1
+    if fractions:
+        den = lcm(*[d for _, _, d in fractions])
+        coeffs = {key: c * den for key, c in coeffs.items()}
+        for key, n, d in fractions:
+            coeffs[key] += n * (den // d)
+    return Polynomial._make(ring, {key: c for key, c in coeffs.items() if c}, den)
 
 
 def polynomial_to_json(p: Polynomial) -> dict:
@@ -293,22 +367,35 @@ def _fallback(value, ind: str) -> str:
                       ensure_ascii=False).replace("\n", ind)
 
 
-def _term(term: dict, ind: str) -> str | None:
-    """A term ``{"coeff": str, "exps": {str: int}}`` at ``ind``; None for any other dict."""
-    coeff, exps = term.get("coeff"), term.get("exps")
-    if len(term) != 2 or type(coeff) is not str or type(exps) is not dict:
-        return None
+def _items(values: list, ind: str) -> list[str]:
+    """The text of each item of a list, at ``ind``, written in one loop.
+
+    A term dict ``{"coeff": str, "exps": {str: int}}`` is written here, its
+    exponent keys sorted and checked; any other item goes to ``_dump``.
+    """
     inner = ind + "  "
-    if not exps:
-        return f'{{{inner}"coeff": {_escape(coeff)},{inner}"exps": {{}}{ind}}}'
-    pairs = []
-    for k, e in sorted(exps.items()):
-        if type(k) is not str or type(e) is not int:
-            return None
-        pairs.append(f"{_escape(k)}: {e}")
     var = inner + "  "
-    return (f'{{{inner}"coeff": {_escape(coeff)},{inner}"exps": '
-            f'{{{var}{f",{var}".join(pairs)}{inner}}}{ind}}}')
+    head, sep, tail = f'{{{inner}"coeff": ', f",{var}", f"{inner}}}{ind}}}"
+    no_exps, exps_open = f',{inner}"exps": {{}}{ind}}}', f',{inner}"exps": {{{var}'
+    out = []
+    for value in values:
+        if type(value) is dict and len(value) == 2:
+            coeff, exps = value.get("coeff"), value.get("exps")
+            if type(coeff) is str and type(exps) is dict:
+                if not exps:
+                    out.append(head + _escape(coeff) + no_exps)
+                    continue
+                pairs = []
+                for k in sorted(exps):
+                    e = exps[k]
+                    if type(k) is not str or type(e) is not int:
+                        break
+                    pairs.append(f"{_escape(k)}: {e}")
+                else:
+                    out.append(f"{head}{_escape(coeff)}{exps_open}{sep.join(pairs)}{tail}")
+                    continue
+        out.append(_dump(value, ind))
+    return out
 
 
 def _dump(value, ind: str) -> str:
@@ -326,14 +413,11 @@ def _dump(value, ind: str) -> str:
         try:  # a list of strings is written by one join, not one chunk per item
             body = f",{inner}".join(map(_escape, value))
         except TypeError:
-            body = f",{inner}".join([_dump(v, inner) for v in value])
+            body = f",{inner}".join(_items(value, inner))
         return f"[{inner}{body}{ind}]"
     if kind is dict:
         if not value:
             return "{}"
-        text = _term(value, ind)
-        if text is not None:
-            return text
         if not all(type(k) is str for k in value):
             return _fallback(value, ind)
         inner = ind + "  "

@@ -26,8 +26,10 @@ keys add without a carry between fields: the product of two monomials is one
 integer addition. Every result key is tested once for a set guard bit, so an
 exponent overflow is a ``StructuralError``, never a silently wrong monomial.
 Keys are encoded against the ring where monomials come in (construction,
-``coefficient``) and decoded, sorted by variable, where they go out
-(``terms``, ``sorted_terms``, ``substitute``, ``evaluate``).
+``coefficient``) and decoded, sorted by variable, where monomials go out
+(``terms``, ``sorted_terms``, ``substitute``, ``evaluate``). The JSON writer
+takes no monomial: it walks each key's fields with ``_fields``, the walk
+``_decode`` makes, and labels them from the ring's ``_key_table``.
 
 All values are immutable after construction. A ``VectorField`` is a tuple of
 polynomials, one per state coordinate; ``Polynomial.directional_derivative``
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -192,6 +194,26 @@ class Ring:
             out.extend(b.variables())
         return out
 
+    @cached_property
+    def _key_table(self) -> tuple[tuple[tuple[int, str], ...], bool]:
+        """The JSON key of each field of a packed key, ranked; built once per ring.
+
+        Entry k belongs to the ring's k-th variable: its rank in variable
+        order, which gives the term order of ``sorted_terms``, and its key text
+        "block.index". ``json.dumps(sort_keys=True)`` writes exponent keys in
+        the order of the texts themselves; the flag says whether that is
+        variable order too, as it is unless a block name or index sorts
+        differently as text (``x.10`` before ``x.2``).
+        """
+        order = self._order
+        texts = [f"{name}.{i}" for name, i in order]
+        by_var = sorted(range(len(order)), key=order.__getitem__)
+        rank = [0] * len(order)
+        for r, k in enumerate(by_var):
+            rank[k] = r
+        return (tuple(zip(rank, texts)),
+                [texts[k] for k in by_var] == sorted(texts))
+
 
 class Monomial(tuple):
     """A product of variables with positive integer exponents.
@@ -271,15 +293,25 @@ def _encode(ring: Ring, mono: Monomial) -> int:
     return key
 
 
-def _decode(ring: Ring, key: int) -> Monomial:
-    """The monomial of a packed key over ``ring``, its pairs sorted by variable."""
-    order = ring._order
+def _fields(key: int, labels: Sequence) -> list[tuple]:
+    """The nonzero fields of a packed key as (labels[k], exponent) pairs.
+
+    Field k holds the exponent of the ring's k-th variable; the pairs come
+    highest field first. This is the one walk over a key's fields: ``_decode``
+    labels them with the ring's variables, the JSON writer with its key table.
+    """
     pairs = []
     while key:
         s = (key.bit_length() - 1) // _BITS * _BITS  # the highest nonzero field
         e = key >> s
-        pairs.append((order[s // _BITS], e))
+        pairs.append((labels[s // _BITS], e))
         key -= e << s
+    return pairs
+
+
+def _decode(ring: Ring, key: int) -> Monomial:
+    """The monomial of a packed key over ``ring``, its pairs sorted by variable."""
+    pairs = _fields(key, ring._order)
     pairs.sort()
     return Monomial(pairs)
 
