@@ -205,7 +205,7 @@ def cmd_verify(args):
     rep = jsonio.representation_from_json(_read(args.rep))
     lifted = LiftedRepresentation(rep, args.level)
     field = jsonio.field_from_json(_read(args.field))
-    dec = jsonio.decomposition_from_json(_read(args.dec))
+    dec = jsonio.decomposition_from_json(_read(args.dec), like=field.ring)
     passed, residuals = verify_decomposition(lifted, field, dec)
     residuals = [p for p in residuals if not p.is_zero()]
     _check_rings_written(len(residuals), "residuals", len(field.ring.blocks))

@@ -104,7 +104,7 @@ class Decomposition:
             if len(level) != width:
                 raise StructuralError("all levels must have the same number of coefficients")
             for p in level:
-                if p.ring != self.ring:
+                if p.ring is not self.ring and p.ring != self.ring:
                     raise StructuralError("all coefficients must share the decomposition's ring")
 
     @property
@@ -149,16 +149,24 @@ def _readout_rows(gram: Sequence[Sequence[Scalar]], coordinates: Sequence[Sequen
     """
     n = len(gram)
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gram_rows = mx.sparse_rows(gram)
     rows = []
     for u in coordinates:
-        a = [[0] * n for _ in range(n)]
+        # column v of A: the nonzero A_iv, from the nonzero u_ij
+        columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for (i, j), x in zip(upper, u):
-            a[i][j], a[j][i] = x, -x
-        weights = mx.mul(gram, a)
-        den = lcm(*(x.denominator for row in weights for x in row))
+            if x:
+                columns[j].append((i, x))
+                columns[i].append((j, -x))
+        weights = {}
+        for l, g_row in enumerate(gram_rows):
+            for v, column in enumerate(columns):
+                w = sum(g_row.get(i, 0) * x for i, x in column)
+                if w:
+                    weights[l, v] = w
+        den = lcm(*(x.denominator for x in weights.values()))
         rows.append((den, tuple((l, v, x.numerator * (den // x.denominator))
-                                for l, row in enumerate(weights)
-                                for v, x in enumerate(row) if x)))
+                                for (l, v), x in weights.items())))
     return tuple(rows)
 
 
@@ -268,10 +276,19 @@ class QuadraticBaseSolver:
         # The family check proved every G rho(x_k) antisymmetric, so its entries
         # above the diagonal determine it; U is invertible iff rho is injective,
         # and then, with the dimension count, rho(g) = so(B).
-        images = [mx.mul(form.gram, m) for m in rep.matrices]
+        gram_rows = mx.sparse_rows(form.gram)
+        images = []  # the nonzero entries (i, j), i < j, of each G rho(x_k)
+        for rows in rep._sparse_rows:
+            image: mx.SparseMatrix = {}
+            for i, g_row in enumerate(gram_rows):
+                for l, g in g_row.items():
+                    for j, x in rows[l].items():
+                        if j > i:
+                            image[i, j] = image.get((i, j), 0) + g * x
+            images.append(image)
         try:
             self._coordinates = mx.inverse(
-                tuple(tuple(image[i][j] for image in images)
+                tuple(tuple(image.get((i, j), 0) for image in images)
                       for i in range(n) for j in range(i + 1, n)))
         except ValidationError:
             raise ValidationError(
@@ -434,7 +451,7 @@ def verify_decomposition(lifted: LiftedRepresentation, field: VectorField,
     component built in one accumulation.
     """
     _check_field_shape(lifted, field)
-    if dec.ring != field.ring:
+    if dec.ring is not field.ring and dec.ring != field.ring:
         raise StructuralError("decomposition and field live over different rings")
     residuals = _level_sums(lifted, field.ring, dec.coefficients, field)
     return all(p.is_zero() for p in residuals), residuals

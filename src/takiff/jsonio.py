@@ -41,9 +41,12 @@ nonzero q) without the ``Fraction`` string parser; every other spelling goes
 to ``matrices.scalar``, so the strings accepted, their values and the error
 texts are ``scalar``'s own. Integral coefficients are summed as ``int``, and
 fractional ones are put over the lcm of their denominators once, at the end
-of the list. A structure constant or a matrix entry is only type-checked
-here and read by the ``LieAlgebra`` or ``Representation`` constructor, which
-normalises every entry anyway.
+of the list. Among structure constants and matrix entries the string "0" is
+skipped unread; every other string is read by ``matrices.scalar`` once, a
+constant here straight into the algebra's table of nonzero constants, which
+is checked as the ``LieAlgebra`` constructor checks it, and a matrix entry by
+the ``Representation`` constructor. The writers write "0" for every entry
+missing from that table or from a representation's sparse rows.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Any, Mapping, Sequence
 from . import matrices as mx
 from .decompose import Decomposition
 from .errors import StructuralError, digit_limit_error
-from .lie import BilinearForm, LieAlgebra, Representation
+from .lie import BilinearForm, LieAlgebra, Representation, _bracket_table, _checked_algebra
 from .matrices import Matrix, Scalar, scalar
 from .poly import (MAX_EXPONENT, Polynomial, Ring, Var, VariableBlock, VectorField,
                    _fields, _ratio)
@@ -268,20 +271,42 @@ def polynomial_from_json(data: Mapping) -> Polynomial:
 
 # -- algebras and representations -------------------------------------------
 
+def _dense_text(pairs, size: int) -> list[str]:
+    """The strings of a dense row of ``size`` entries from its nonzero ``(k, x)``
+    pairs; every other entry is "0"."""
+    row = ["0"] * size
+    for k, x in pairs:
+        row[k] = scalar_to_str(x)
+    return row
+
+
 def algebra_to_json(g: LieAlgebra) -> dict:
+    d = g.dim
     return {
-        "dim": g.dim,
+        "dim": d,
         "names": list(g.names),
-        "c": [[[scalar_to_str(v) for v in g.c[i][j]] for j in range(g.dim)]
-              for i in range(g.dim)],
+        "c": [[_dense_text(pairs, d) for pairs in plane] for plane in g.brackets],
     }
+
+
+def _nonzero_json(values: list) -> tuple[tuple[int, Scalar], ...]:
+    """The nonzero pairs (k, x) of a row of JSON scalars: the string "0" is
+    skipped unread, any other string read by ``matrices.scalar``, and an
+    integer taken as it is."""
+    if values.count("0") == len(values):  # most rows, found without a Python loop
+        return ()
+    return tuple((k, x) for k, v in enumerate(values)
+                 if v != "0" and (x := scalar(v) if type(v) is str else _json_scalar(v)))
 
 
 def algebra_from_json(data: Mapping) -> LieAlgebra:
     names = tuple(_expect(n, str, "basis name") for n in _get(data, "names", list))
     dim = _get(data, "dim", int)
-    c = [_json_rows(plane) for plane in _get(data, "c", list)]
-    g = LieAlgebra(names, c)
+    c = _get(data, "c", list)
+    for plane in c:
+        for row in _expect(plane, list, "matrix"):
+            _expect(row, list, "matrix row")
+    g = _checked_algebra(names, _bracket_table(len(names), c, _nonzero_json))
     if g.dim != dim:
         raise StructuralError(f"declared dim {dim} but {g.dim} basis names")
     return g
@@ -292,8 +317,9 @@ def representation_to_json(rep: Representation) -> dict:
     return {
         "algebra": algebra_to_json(rep.algebra),
         "space_dim": n,
-        "matrices": [[scalar_to_str(m[r][s]) for r in range(n) for s in range(n)]
-                     for m in rep.matrices],
+        "matrices": [_dense_text(((r * n + s, x) for r, row in enumerate(rows)
+                                  for s, x in row.items()), n * n)
+                     for rows in rep._sparse_rows],
     }
 
 
@@ -307,7 +333,8 @@ def representation_from_json(data: Mapping) -> Representation:
         if len(_expect(flat, list, "flattened matrix")) != n * n:
             raise StructuralError(
                 f"matrix has {len(flat)} entries, expected {n * n}")
-        values = [v if type(v) is str else _json_scalar(v) for v in flat]
+        # the string "0" is read as 0 here; the constructor reads the rest
+        values = [(0 if v == "0" else v) if type(v) is str else _json_scalar(v) for v in flat]
         mats.append([values[r * n:(r + 1) * n] for r in range(n)])
     return Representation(g, tuple(mats))
 
@@ -345,8 +372,12 @@ def decomposition_to_json(dec: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json(data: Mapping) -> Decomposition:
+def decomposition_from_json(data: Mapping, like: Ring | None = None) -> Decomposition:
+    """The decomposition a document holds; read over the ring ``like`` when
+    that ring equals the document's, so its polynomials share that object."""
     ring = ring_from_json(_get(data, "ring", list))
+    if like is not None and like == ring:
+        ring = like
     shifts: dict[str, int] = {}
     return Decomposition(ring, tuple(
         tuple(_terms_from_json(t, ring, shifts)

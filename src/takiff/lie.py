@@ -1,9 +1,17 @@
 """Finite-dimensional Lie algebras over the rationals, given by structure constants.
 
+A ``LieAlgebra`` is stored as its table of nonzero structure constants,
+``brackets[i][j]``: the pairs (k, c[i][j][k]) with a nonzero constant, k
+ascending. so(15) has 2,730 of them among 1,157,625 constants. The dense
+d x d x d constants ``c`` are derived from the table on first read (equal rows
+are one tuple), only where something reads them densely: the JSON writer
+reads the table itself, and ``coadjoint_rep``, the ``jacobi`` suite's oracle
+and callers that index ``c`` read the dense form.
+
 An algebra a caller builds is validated eagerly at construction: antisymmetry
-of the constants and the Jacobi identity are checked exactly, so every
-downstream computation may assume both. Representations are matrices per
-basis element, with the homomorphism identity
+of the constants and the Jacobi identity are checked exactly on the table, so
+every downstream computation may assume both. Representations are matrices
+per basis element, with the homomorphism identity
 rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) verified exactly for all basis
 pairs. The exceptions are valid by construction and built through
 ``_derived`` without re-checking: ad is a representation by the Jacobi
@@ -12,22 +20,28 @@ conjugate theta rho theta^(-1) is one because conjugation preserves them, and
 a Takiff lift g_m or rho_m is derived from a checked base by a construction
 under which the identities carry over. ``LieAlgebra``, ``Representation`` and
 ``BilinearForm`` first normalise what they are given: nested sequences become
-tuples and every entry goes through ``matrices.scalar``, so an entry is an
-``int`` or a non-integral ``Fraction``, and a float is refused. Structure
-constants of any shape but d x d x d nested tuples or lists are refused before
-that.
+tuples and every entry goes through ``matrices.scalar`` (an ``int`` is kept as
+it is), so an entry is an ``int`` or a non-integral ``Fraction``, and a float
+is refused. Structure constants of any shape but d x d x d nested tuples or
+lists are refused before that. A reader or constructor that builds the table
+without a dense pass (the JSON reader, which skips the string "0" unread, and
+``algebra_from_matrices``) goes through ``_checked_algebra``, which runs the
+same checks.
 
-Both checks visit every basis pair (and every triple, for Jacobi) but do
-arithmetic on nonzero entries only: the algebra reads a table of the nonzero
-structure constants, and the representation compares the nonzero entries of
-each commutator with those of the bracket's image (``matrices.sparse_rows``
-and ``matrices.sparse_commutator``). A failed homomorphism check names the
-basis pair and the first entry where the two sides differ. A matrix algebra
-reads its constants from one factorization of its basis; both checks still run.
-A representation keeps those sparse rows (``_sparse_rows``, computed on first
-use for a derived one): the Killing residuals and tangency directions of
-``invariants`` read them through one helper, and the block sum of the
-decomposition as integer numerators over one denominator (``_integer_rows``).
+Both checks do arithmetic on nonzero entries only. Antisymmetry compares the
+table's pairs; Jacobi accumulates, for each basis pair i < j, the Jacobiator
+of every triple i < j < k from the brackets that are nonzero; and the
+representation compares the nonzero entries of each commutator with those of
+the bracket's image (``matrices.sparse_rows`` and
+``matrices.sparse_commutator``). A failed check names the first offending
+index, triple or basis pair, as a dense triple loop would. A matrix algebra
+reads its constants from one factorization of its basis: the sparse inverse
+of its pivot block, applied to each commutator's nonzero pivot entries, with
+the span checked on nonzero entries; both checks still run. A representation
+keeps its sparse rows (``_sparse_rows``, computed on first use for a derived
+one): the Killing residuals and tangency directions of ``invariants`` read
+them through one helper, and the block sum of the decomposition as integer
+numerators over one denominator (``_integer_rows``).
 """
 
 from __future__ import annotations
@@ -42,16 +56,30 @@ from .errors import StructuralError, ValidationError
 from .matrices import Matrix, Scalar, scalar
 
 
-@dataclass(frozen=True)
+# brackets[i][j]: the pairs (k, c[i][j][k]) of the nonzero constants, k ascending
+Brackets = tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
+
+
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
-    """Structure constants c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k."""
+    """Structure constants c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k.
+
+    Stored as ``brackets``, the nonzero constants of each [x_i, x_j];
+    ``LieAlgebra(names, c)`` reads the dense d x d x d constants, and ``c``
+    derives them again on first read.
+    """
 
     names: tuple[str, ...]
-    c: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    brackets: Brackets
+
+    def __init__(self, names: Sequence[str], c):
+        names = tuple(names)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "brackets", _bracket_table(len(names), c, _nonzero))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        d = len(self.names)
+        d = self.dim
         if d < 1:
             raise ValidationError("algebra dimension must be positive")
         for name in self.names:
@@ -59,55 +87,104 @@ class LieAlgebra:
                 raise StructuralError(f"basis name must be a nonempty str, got {name!r}")
         if len(set(self.names)) != d:
             raise ValidationError(f"duplicate basis names: {self.names}")
-        c, seq = self.c, (tuple, list)
-        if not (isinstance(c, seq) and len(c) == d
-                and all(isinstance(ci, seq) and len(ci) == d for ci in c)
-                and all(isinstance(cij, seq) and len(cij) == d for ci in c for cij in ci)):
-            raise StructuralError(f"structure constants must form a {d}x{d}x{d} array")
-        object.__setattr__(self, "c", tuple(tuple(tuple(map(scalar, cij)) for cij in ci)
-                                            for ci in c))
-        # nonzero[i][j]: the pairs (k, c[i][j][k]) with a nonzero constant
-        nonzero = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci)
-                        for ci in self.c)
-        self._check_antisymmetry(nonzero)
-        self._check_jacobi(nonzero)
+        self._check_antisymmetry()
+        self._check_jacobi()
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def _check_antisymmetry(self, nonzero):
-        # c[i][j] = -c[j][i] exactly when their nonzero entries are negatives
+    @cached_property
+    def c(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """The dense constants, derived from ``brackets``; equal rows are one tuple."""
         d = self.dim
-        for i in range(d):
-            for j in range(i, d):
-                if nonzero[i][j] == tuple((k, -x) for k, x in nonzero[j][i]):
+        rows: dict = {}  # entries -> dense row
+
+        def dense(entries):
+            row = rows.get(entries)
+            if row is None:
+                values = [0] * d
+                for k, x in entries:
+                    values[k] = x
+                row = rows[entries] = tuple(values)
+            return row
+
+        return tuple(tuple(map(dense, plane)) for plane in self.brackets)
+
+    def _check_antisymmetry(self):
+        # c[i][j] = -c[j][i] exactly when their nonzero entries are negatives
+        table = self.brackets
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                if table[i][j] == tuple((k, -x) for k, x in table[j][i]):
                     continue
-                k = next(k for k in range(d) if self.c[i][j][k] != -self.c[j][i][k])
+                ij, ji = dict(table[i][j]), dict(table[j][i])
+                k = min(k for k in ij.keys() | ji.keys() if ij.get(k, 0) != -ji.get(k, 0))
                 raise ValidationError(
                     f"antisymmetry fails at (i,j,k)=({i},{j},{k}): "
-                    f"c[{i}][{j}][{k}]={self.c[i][j][k]} vs "
-                    f"-c[{j}][{i}][{k}]={-self.c[j][i][k]}")
+                    f"c[{i}][{j}][{k}]={ij.get(k, 0)} vs "
+                    f"-c[{j}][{i}][{k}]={-ji.get(k, 0)}")
 
-    def _check_jacobi(self, nonzero):
-        # Given antisymmetry, triples with a repeated index hold identically,
-        # so i < j < k suffices.
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    acc: dict[int, Scalar] = {}
-                    for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
-                        row_a = nonzero[a]
-                        for l, coeff in nonzero[b][e]:
-                            for p, x in row_a[l]:
-                                acc[p] = acc.get(p, 0) + coeff * x
-                    if any(acc.values()):
-                        residual = ", ".join(str(acc.get(p, 0)) for p in range(d))
-                        raise ValidationError(
-                            f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
-                            f"({self.names[i]},{self.names[j]},{self.names[k]}): "
-                            f"residual ({residual})")
+    def _check_jacobi(self):
+        # Given antisymmetry, the Jacobiator J(i,j,k) = [x_i,[x_j,x_k]] +
+        # [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] is alternating, so i < j < k
+        # suffices. For each pair i < j, J(i,j,k) is accumulated for every
+        # k > j at once, from the brackets that are nonzero.
+        table = self.brackets
+        support = [tuple((k, e) for k, e in enumerate(plane) if e) for plane in table]
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                acc: dict[tuple[int, int], Scalar] = {}  # (k, p) -> J(i,j,k)_p
+                for k, e in support[j]:  # [x_i, [x_j, x_k]]
+                    if k > j:
+                        for l, a in e:
+                            for p, b in table[i][l]:
+                                acc[k, p] = acc.get((k, p), 0) + a * b
+                for k, e in support[i]:  # [x_j, [x_k, x_i]] = -[x_j, [x_i, x_k]]
+                    if k > j:
+                        for l, a in e:
+                            for p, b in table[j][l]:
+                                acc[k, p] = acc.get((k, p), 0) - a * b
+                for l, a in table[i][j]:  # [x_k, [x_i, x_j]] = -[[x_i, x_j], x_k]
+                    for k, e in support[l]:
+                        if k > j:
+                            for p, b in e:
+                                acc[k, p] = acc.get((k, p), 0) - a * b
+                if any(acc.values()):
+                    k = min(k for (k, _), x in acc.items() if x)
+                    residual = ", ".join(str(acc.get((k, p), 0)) for p in range(self.dim))
+                    raise ValidationError(
+                        f"Jacobi identity fails at basis triple (i,j,k)=({i},{j},{k}) "
+                        f"({self.names[i]},{self.names[j]},{self.names[k]}): "
+                        f"residual ({residual})")
+
+
+def _nonzero(values) -> tuple[tuple[int, Scalar], ...]:
+    """The pairs (k, x) of the nonzero entries, each read by ``matrices.scalar``
+    (an ``int`` is kept as it is)."""
+    return tuple((k, x) for k, v in enumerate(values)
+                 if (x := v if type(v) is int else scalar(v)))
+
+
+def _bracket_table(d: int, c, nonzero) -> Brackets:
+    """The table of dense constants ``c``, each row read into its nonzero pairs
+    by ``nonzero``; a StructuralError unless ``c`` is d x d x d nested tuples
+    or lists."""
+    seq = (tuple, list)
+    if not (isinstance(c, seq) and len(c) == d
+            and all(isinstance(ci, seq) and len(ci) == d for ci in c)
+            and all(isinstance(cij, seq) and len(cij) == d for ci in c for cij in ci)):
+        raise StructuralError(f"structure constants must form a {d}x{d}x{d} array")
+    return tuple(tuple(map(nonzero, ci)) for ci in c)
+
+
+def _checked_algebra(names: Sequence[str], brackets: Brackets) -> LieAlgebra:
+    """The algebra of a table of exact nonzero constants, checked as
+    ``LieAlgebra`` checks the table it reads: for a constructor or reader
+    that builds the table without a dense pass."""
+    g = _derived(LieAlgebra, names=tuple(names), brackets=brackets)
+    g.__post_init__()
+    return g
 
 
 @dataclass(frozen=True)
@@ -175,11 +252,10 @@ def homomorphism_defect(g: LieAlgebra, rows: Sequence[mx.SparseRows], i: int, j:
     """
     lhs = mx.sparse_commutator(rows[i], rows[j])
     rhs: mx.SparseMatrix = {}
-    for k, coeff in enumerate(g.c[i][j]):
-        if coeff:
-            for r, row in enumerate(rows[k]):
-                for s, x in row.items():
-                    rhs[r, s] = rhs.get((r, s), 0) + coeff * x
+    for k, coeff in g.brackets[i][j]:
+        for r, row in enumerate(rows[k]):
+            for s, x in row.items():
+                rhs[r, s] = rhs.get((r, s), 0) + coeff * x
     rhs = {key: v for key, v in rhs.items() if v}
     if lhs == rhs:
         return None
@@ -223,14 +299,13 @@ class BilinearForm:
         """Exact check of B([z,x],y) + B(x,[z,y]) = 0 on all basis triples."""
         if self.size != g.dim:
             raise StructuralError("form size does not match algebra dimension")
-        d = g.dim
-        for z in range(d):
+        d, gram = g.dim, self.gram
+        for plane in g.brackets:
             for x in range(d):
-                zx = g.c[z][x]
+                zx = plane[x]
                 for y in range(d):
-                    zy = g.c[z][y]
-                    lhs = sum(zx[k] * self.gram[k][y] for k in range(d) if zx[k])
-                    rhs = sum(self.gram[x][k] * zy[k] for k in range(d) if zy[k])
+                    lhs = sum(a * gram[k][y] for k, a in zx)
+                    rhs = sum(gram[x][k] * a for k, a in plane[y])
                     if lhs + rhs != 0:
                         return False
         return True
@@ -245,8 +320,12 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
     """Structure constants of a matrix Lie algebra with the given basis.
 
     One factorization: the pivot rows of the flattened basis give a d x d block,
-    inverted once; each [x_i, x_j] with i < j reads its coordinates from it,
-    checked exactly against the whole basis, and c[j][i] = -c[i][j], c[i][i] = 0.
+    inverted once into sparse rows; each [x_i, x_j] with i < j reads its
+    coordinates from the block inverse's columns at its nonzero pivot entries,
+    and the combination of the basis they name must equal the commutator on
+    every nonzero entry; then c[j][i] = -c[i][j] and c[i][i] = 0. The table
+    of nonzero constants is built without a dense pass, and the algebra and
+    the representation are checked as their constructors check them.
     An empty basis, or matrices that are not square of one size, are
     structural errors; dependent basis matrices, or a commutator outside
     their span, are validation errors. Returns the algebra with its defining
@@ -261,25 +340,41 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[Matrix],
     n = len(mats[0])
     if any(mx.shape(m) != (n, n) for m in mats):
         raise StructuralError("representation matrices must be square, equal sizes")
-    flat_basis = mx.transpose(tuple(
-        tuple(m[r][s] for r in range(n) for s in range(n)) for m in mats))
+    flat_basis = mx.transpose(tuple(tuple(x for row in m for x in row) for m in mats))
     pivots = mx.independent_rows(flat_basis)
     if len(pivots) < d:
         raise ValidationError("basis matrices are linearly dependent")
-    pivot_inverse = mx.inverse(tuple(flat_basis[r] for r in pivots))
+    # columns[p]: the nonzero (i, inverse[i][p]) of the pivot block's inverse
+    columns = [[] for _ in range(d)]
+    for i, row in enumerate(mx.sparse_inverse(tuple(flat_basis[r] for r in pivots))):
+        for p, x in row.items():
+            columns[p].append((i, x))
+    position = {divmod(r, n): p for p, r in enumerate(pivots)}
     rows = tuple(mx.sparse_rows(m) for m in mats)
-    constants = [[(0,) * d] * d for _ in range(d)]
+    entries = tuple(tuple(((r, s), x) for r, row in enumerate(m) for s, x in row.items())
+                    for m in rows)
+    table = [[()] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             bracket = mx.sparse_commutator(rows[i], rows[j])
-            target = tuple(bracket.get(divmod(k, n), 0) for k in range(n * n))
-            coeffs = mx.mat_vec(pivot_inverse, [target[k] for k in pivots])
-            if mx.mat_vec(flat_basis, coeffs) != target:
+            coeffs: dict[int, Scalar] = {}
+            for entry, v in bracket.items():
+                p = position.get(entry)
+                if p is not None:
+                    for k, x in columns[p]:
+                        coeffs[k] = coeffs.get(k, 0) + x * v
+            span: mx.SparseMatrix = {}
+            for k, x in coeffs.items():
+                for entry, y in entries[k]:
+                    span[entry] = span.get(entry, 0) + x * y
+            if {e: v for e, v in span.items() if v} != bracket:
                 raise ValidationError(
                     f"[{names[i]}, {names[j]}] is outside the span of the basis")
-            constants[i][j] = coeffs
-            constants[j][i] = tuple(-x for x in coeffs)
-    algebra = LieAlgebra(names, constants)
+            pairs = tuple((k, x if type(x) is int else scalar(x))
+                          for k, x in sorted(coeffs.items()) if x)
+            table[i][j] = pairs
+            table[j][i] = tuple((k, -x) for k, x in pairs)
+    algebra = _checked_algebra(names, tuple(map(tuple, table)))
     return algebra, Representation(algebra, mats)
 
 
@@ -354,7 +449,7 @@ def abelian(dim: int) -> tuple[LieAlgebra, Representation]:
     if dim < 1:
         raise ValidationError("abelian algebra needs positive dimension")
     names = tuple(f"a{i}" for i in range(dim))
-    algebra = LieAlgebra(names, (((0,) * dim,) * dim,) * dim)
+    algebra = _checked_algebra(names, (((),) * dim,) * dim)
     return algebra, Representation(algebra, (mx.zeros(dim, dim),) * dim)
 
 
@@ -414,10 +509,14 @@ def standard_dim(kind: str, **params) -> int:
 def adjoint_rep(g: LieAlgebra) -> Representation:
     """ad(x_i) with column j equal to [x_i, x_j]; a representation by Jacobi."""
     d = g.dim
-    mats = tuple(
-        tuple(tuple(g.c[i][j][k] for j in range(d)) for k in range(d))
-        for i in range(d))
-    return _derived(Representation, algebra=g, matrices=mats)
+    mats = []
+    for plane in g.brackets:
+        rows = [[0] * d for _ in range(d)]
+        for j, pairs in enumerate(plane):
+            for k, x in pairs:
+                rows[k][j] = x
+        mats.append(tuple(map(tuple, rows)))
+    return _derived(Representation, algebra=g, matrices=tuple(mats))
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
@@ -452,9 +551,10 @@ def conjugate_representation(rho: Representation, theta: Matrix) -> Representati
 
 def killing_form(g: LieAlgebra) -> BilinearForm:
     """K(x, y) = trace(ad x . ad y), exactly over the rationals."""
-    ad = adjoint_rep(g)
-    d = g.dim
+    ad = adjoint_rep(g)._sparse_rows
+    # trace(A B) = sum over the nonzero A[k][l] of A[k][l] B[l][k]
     gram = tuple(
-        tuple(mx.trace(mx.mul(ad.matrices[i], ad.matrices[j])) for j in range(d))
-        for i in range(d))
+        tuple(sum(x * b[l].get(k, 0) for k, row in enumerate(a) for l, x in row.items())
+              for b in ad)
+        for a in ad)
     return BilinearForm(gram)

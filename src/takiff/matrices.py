@@ -8,10 +8,15 @@ lowest-terms ``Fraction``; a float, or a string that is not a rational
 number, is a StructuralError.
 
 The dense helpers work on tuples of tuples of ``int | Fraction`` entries, the
-public Matrix type; ``mat`` builds one through ``scalar``. Sizes stay at desk
-scale (a few dozen rows), so plain Gaussian elimination is enough and keeps
-all results exact; ``independent_rows`` and one ``inverse`` factor a spanning
-set once for the coordinates of every vector.
+public Matrix type; ``mat`` builds one through ``scalar``, keeping an ``int``
+entry as it is. ``independent_rows``, ``det``, ``inverse``, ``sparse_inverse``
+and ``solve`` all run on one elimination kernel, ``_eliminate``: Gauss-Jordan
+on rows held as dicts of their nonzero entries, which takes a pivot of 1 or
+-1 when a column has one and keeps every integral value an ``int``. So the
+unimodular bases of the standard algebras factor in integers, and a
+determinant is the signed product of the pivots it records. ``independent_rows``
+and one ``sparse_inverse`` factor a spanning set once for the coordinates of
+every vector.
 
 The sparse validation kernel serves the exhaustive homomorphism checks:
 ``sparse_rows`` keeps only the nonzero entries of each row, and
@@ -70,8 +75,11 @@ def scalar(value) -> Scalar:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    """Nested sequences of exact scalars (see ``scalar``) as a Matrix."""
-    out = tuple(tuple(map(scalar, row)) for row in rows)
+    """Nested sequences of exact scalars (see ``scalar``) as a Matrix.
+
+    An ``int`` entry is already exact and is kept as it is.
+    """
+    out = tuple(tuple(x if type(x) is int else scalar(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise StructuralError("ragged matrix rows")
     return out
@@ -108,11 +116,6 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
-    nonzero = [(k, y) for k, y in enumerate(v) if y]
-    return tuple(sum(row[k] * y for k, y in nonzero if row[k]) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
@@ -129,13 +132,15 @@ def sparse_commutator(a: SparseRows, b: SparseRows) -> SparseMatrix:
     """
     out: SparseMatrix = {}
     for r, row in enumerate(a):
-        for k, x in row.items():
-            for c, y in b[k].items():
-                out[r, c] = out.get((r, c), 0) + x * y
+        if row:
+            for k, x in row.items():
+                for c, y in b[k].items():
+                    out[r, c] = out.get((r, c), 0) + x * y
     for r, row in enumerate(b):
-        for k, y in row.items():
-            for c, x in a[k].items():
-                out[r, c] = out.get((r, c), 0) - y * x
+        if row:
+            for k, y in row.items():
+                for c, x in a[k].items():
+                    out[r, c] = out.get((r, c), 0) - y * x
     return {key: v for key, v in out.items() if v}
 
 
@@ -148,41 +153,72 @@ def is_symmetric(a: Matrix) -> bool:
     return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
 
 
-def trace(a: Matrix) -> Scalar:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def _eliminate(a: Matrix, rhs: Matrix | None):
-    """Row-reduce a copy of ``a`` (and ``rhs`` alongside); return rows, pivots."""
-    work = [list(row) for row in a]
-    extra = [list(row) for row in rhs] if rhs is not None else None
-    n_rows = len(work)
-    n_cols = len(work[0]) if work else 0
+    """Gauss-Jordan reduction of ``a``, with ``rhs`` alongside: the one kernel.
+
+    Rows are kept as ``{col: value}`` dicts of their nonzero entries, the
+    columns of ``rhs`` after those of ``a``, so an update visits the pivot
+    row's nonzero entries only. A pivot of 1 or -1 is taken when the column
+    has one, and every integral value stays an ``int``, so a unimodular
+    factorization never makes a ``Fraction``. Returns the reduced rows, the
+    pivot columns of ``a`` and the product of the pivots signed by the
+    parity of the row swaps: the determinant when ``a`` is square and
+    nonsingular.
+    """
+    n_cols = len(a[0]) if a else 0
+    rows = [{c: x for c, x in enumerate(row) if x} for row in a]
+    if rhs is not None:
+        for row, extra in zip(rows, rhs):
+            row.update((n_cols + c, x) for c, x in enumerate(extra) if x)
+    n_rows = len(rows)
     pivots: list[int] = []
+    product: Scalar = 1
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        if extra is not None:
-            extra[r], extra[pivot] = extra[pivot], extra[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        if extra is not None:
-            extra[r] = [x * inv for x in extra[r]]
-        for i in range(n_rows):
-            if i == r or work[i][c] == 0:
-                continue
-            factor = work[i][c]
-            work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-            if extra is not None:
-                extra[i] = [x - factor * y for x, y in zip(extra[i], extra[r])]
-        pivots.append(c)
-        r += 1
         if r == n_rows:
             break
-    return work, extra, pivots
+        pivot = None
+        for i in range(r, n_rows):
+            x = rows[i].get(c)
+            if x is not None:
+                if x == 1 or x == -1:
+                    pivot = i
+                    break
+                if pivot is None:
+                    pivot = i
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            product = -product
+        row = rows[r]
+        p = row[c]
+        product *= p
+        if p == -1:
+            row = rows[r] = {k: -x for k, x in row.items()}
+        elif p != 1:
+            inv = 1 / Fraction(p)
+            row = rows[r] = {k: _exact(x * inv) for k, x in row.items()}
+        entries = tuple(row.items())
+        for i in range(n_rows):
+            other = rows[i]
+            factor = other.get(c)
+            if factor is None or i == r:
+                continue
+            for k, y in entries:
+                v = other.get(k, 0) - factor * y
+                if v:
+                    other[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                else:
+                    del other[k]
+        pivots.append(c)
+        r += 1
+    return rows, pivots, _exact(product)
+
+
+def _exact(x: Scalar) -> Scalar:
+    """``x`` as an ``int`` when it is an integral ``Fraction``."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def independent_rows(a: Matrix) -> tuple[int, ...]:
@@ -190,7 +226,7 @@ def independent_rows(a: Matrix) -> tuple[int, ...]:
 
     The pivot columns of ``transpose(a)``: the rows a greedy rank loop keeps.
     """
-    return tuple(_eliminate(transpose(a), None)[2])
+    return tuple(_eliminate(transpose(a), None)[1])
 
 
 def rank(a: Matrix) -> int:
@@ -201,34 +237,24 @@ def det(a: Matrix) -> Scalar:
     n, m = shape(a)
     if n != m:
         raise StructuralError(f"determinant of non-square {n}x{m} matrix")
-    work = [list(row) for row in a]
-    result = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = Fraction(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] == 0:
-                continue
-            factor = work[i][c] * inv
-            work[i] = [x - factor * y for x, y in zip(work[i], work[c])]
-    return result
+    _, pivots, product = _eliminate(a, None)
+    return product if len(pivots) == n else 0
 
 
-def inverse(a: Matrix) -> Matrix:
+def sparse_inverse(a: Matrix) -> SparseRows:
+    """The inverse of ``a`` in ``sparse_rows`` form; ValidationError when singular."""
     n, m = shape(a)
     if n != m:
         raise StructuralError(f"inverse of non-square {n}x{m} matrix")
-    reduced, inv_rows, pivots = _eliminate(a, identity(n))
+    rows, pivots, _ = _eliminate(a, identity(n))
     if len(pivots) != n:
         raise ValidationError("matrix is singular")
-    assert inv_rows is not None
-    return mat(inv_rows)
+    return tuple({k - n: x for k, x in row.items() if k >= n} for row in rows)
+
+
+def inverse(a: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(tuple(row.get(k, 0) for k in range(n)) for row in sparse_inverse(a))
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
@@ -240,13 +266,11 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
     n_rows, n_cols = shape(a)
     if len(b) != n_rows:
         raise StructuralError(f"rhs length {len(b)} != {n_rows} rows")
-    _, rhs, pivots = _eliminate(a, tuple((scalar(x),) for x in b))
-    assert rhs is not None
-    for i in range(len(pivots), n_rows):
-        if rhs[i][0] != 0:
-            return None
+    rows, pivots, _ = _eliminate(a, tuple((scalar(x),) for x in b))
+    if any(n_cols in row for row in rows[len(pivots):]):
+        return None
     # reduced row echelon form with free variables set to zero
     x = [0] * n_cols
     for r, c in enumerate(pivots):
-        x[c] = rhs[r][0]
+        x[c] = rows[r].get(n_cols, 0)
     return tuple(x)

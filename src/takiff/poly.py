@@ -615,7 +615,8 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self._den == other._den and self.ring == other.ring
+        return (self._den == other._den
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self._num == other._num)
 
     def __ne__(self, other):
@@ -942,7 +943,7 @@ class VectorField:
             raise StructuralError(
                 f"{len(self.components)} components for state dimension {n * len(blocks)}")
         for p in self.components:
-            if p.ring != self.ring:
+            if p.ring is not self.ring and p.ring != self.ring:
                 raise StructuralError("all components must share the field's ring")
 
     @property

@@ -19,7 +19,7 @@ from .errors import StructuralError, ValidationError
 from .invariants import default_lift_blocks
 from .lie import LieAlgebra, Representation, killing_form, make_standard, standard_dim
 from .matrices import Matrix
-from .poly import PARAMETER, Monomial, Polynomial, Ring, VariableBlock, VectorField
+from .poly import MAX_EXPONENT, PARAMETER, Polynomial, Ring, VariableBlock, VectorField
 from .takiff_algebra import LiftedRepresentation, check_level
 
 # Upper bounds on a generated field, checked before any work starts; the
@@ -78,24 +78,37 @@ def random_polynomial(rng: SplitMix64, ring: Ring, max_degree: int,
     terms and is occasionally zero; callers that need a nonzero polynomial
     must redraw.
     """
-    variables = list(ring.variables())
-    terms: dict[Monomial, int] = {}
+    return _random_polynomial(rng, ring, _units(ring), max_degree, num_terms, coeff_bound)
+
+
+def _units(ring: Ring) -> list[int]:
+    """The packed key of each variable of ``ring`` to the first power, in ring order."""
+    return [1 << s for s in ring._shift.values()]
+
+
+def _random_polynomial(rng: SplitMix64, ring: Ring, units: list[int], max_degree: int,
+                       num_terms: int, coeff_bound: int) -> Polynomial:
+    # each drawn variable adds its unit key into the term's packed key; the
+    # draws and their order are those of a monomial built variable by variable
+    if max_degree > MAX_EXPONENT:  # so no exponent field carries into the next
+        raise StructuralError(f"max_degree {max_degree} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    terms: dict[int, int] = {}
+    n = len(units)
     for _ in range(num_terms):
-        exps: dict = {}
+        key = 0
         for _ in range(rng.integer(0, max_degree)):
-            var = variables[rng.below(len(variables))]
-            exps[var] = exps.get(var, 0) + 1
-        mono = Monomial.from_map(exps)
-        terms[mono] = terms.get(mono, 0) + rng.integer(-coeff_bound, coeff_bound)
-    return Polynomial(ring, terms)
+            key += units[rng.below(n)]
+        terms[key] = terms.get(key, 0) + rng.integer(-coeff_bound, coeff_bound)
+    return Polynomial._make(ring, {key: c for key, c in terms.items() if c}, 1)
 
 
 def random_coefficients(rng: SplitMix64, dim: int, levels: int, ring: Ring,
                         max_degree: int, num_terms: int,
                         coeff_bound: int = 3) -> tuple[tuple[Polynomial, ...], ...]:
     """Random Killing coefficients b_0..b_{levels-1}, dim entries each."""
+    units = _units(ring)
     return tuple(
-        tuple(random_polynomial(rng, ring, max_degree, num_terms, coeff_bound)
+        tuple(_random_polynomial(rng, ring, units, max_degree, num_terms, coeff_bound)
               for _ in range(dim))
         for _ in range(levels))
 

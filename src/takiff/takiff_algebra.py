@@ -24,10 +24,12 @@ the regular action of A, with A = K[T]/(T^{m+1}) commutative and associative,
 so antisymmetry, the Jacobi identity and the homomorphism law carry over from
 the base algebra and representation, which were checked exactly when they were
 built. The ``jacobi`` and ``homomorphism`` suites check the lifts over their
-grid with their own code. Every dense matrix here (the structure-constant
-planes of g_m, rho_m and the lifted form B_m) is base blocks at block
-positions, placed by one helper, ``_blocks``, as tuples of shared, immutable
-rows. Each object is bounded by what it builds, before any block or ring is
+grid with their own code. g_m is a table of nonzero structure constants:
+the base's, shifted to level block r + s for each pair r + s <= m, so it holds
+nnz(g)(m+1)(m+2)/2 entries, and its dense constants, when read, share their
+rows (``LieAlgebra.c``). Every dense matrix here (rho_m and the lifted form
+B_m) is base blocks at block positions, placed by one helper, ``_blocks``, as
+tuples of shared, immutable rows. Each object is bounded by what it builds, before any block or ring is
 allocated: a ``TakiffContext`` by ``check_level``, the size of the dense g_m,
 and a ``LiftedRepresentation`` by the coordinates of V_m, which every ring
 over V_m must fit in ``poly.MAX_VARIABLES``.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .errors import InternalConsistencyError, StructuralError, ValidationError
@@ -65,13 +68,24 @@ class TakiffContext:
 
     @cached_property
     def algebra(self) -> LieAlgebra:
-        """g_m, built on first read: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}."""
+        """g_m, built on first read: [x_i T^r, x_j T^s] = [x_i, x_j] T^{r+s}.
+
+        Its table holds the base's nonzero constants of [x_i, x_j] once per
+        pair r + s <= m, shifted to level block r + s: nnz(g)(m+1)(m+2)/2
+        entries, one shifted tuple per (i, j, r + s).
+        """
         m, base, d = self.level, self.base, self.base.dim
         names = tuple(_level_name(base.names[i], r) for r in range(m + 1) for i in range(d))
-        # the plane of x_i T^r holds [x_i, x_j] at block (s, r + s)
-        planes = _blocks(m, d, (((s, r + s, base.c[i]) for s in range(m + 1 - r))
-                                for r in range(m + 1) for i in range(d)))
-        return _derived(LieAlgebra, names=names, c=planes)
+        # shifted[t][i][j]: [x_i, x_j] T^t as nonzero pairs of g_m, for t <= m
+        shifted = [base.brackets] + [
+            tuple(tuple(tuple((t * d + k, x) for k, x in pairs) if pairs else ()
+                        for pairs in plane) for plane in base.brackets)
+            for t in range(1, m + 1)]
+        # the plane of x_i T^r holds [x_i, x_j] T^(r+s) at (s, j), and nothing past s = m - r
+        brackets = tuple(
+            tuple(chain.from_iterable(shifted[t][i] for t in range(r, m + 1))) + ((),) * (r * d)
+            for r in range(m + 1) for i in range(d))
+        return _derived(LieAlgebra, names=names, brackets=brackets)
 
 
 def _level_name(base_name: str, r: int) -> str:

@@ -1,13 +1,17 @@
 """Reference linear algebra for the tests.
 
-Dense entrywise matrix sum, difference and scalar multiple: the library needs
-none of them, since its checks run on sparse rows (``matrices``), its sums of
-products on polynomials (``poly``), and ad* reads -c[i] directly (``lie``).
+Dense entrywise matrix sum, difference and scalar multiple, matrix-vector
+product and trace: the library needs none of them, since its checks and
+coordinates run on sparse rows (``matrices``), its sums of products on
+polynomials (``poly``), ad* reads -c[i] directly and the Killing form traces
+products of sparse rows (``lie``).
 A greedy incremental-rank row selection, the reference for
 ``matrices.independent_rows``.
 """
 
-from takiff.matrices import Matrix, Scalar
+from typing import Sequence
+
+from takiff.matrices import Matrix, Scalar, Vector
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
@@ -20,6 +24,14 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 def scale(a: Matrix, c: Scalar) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def trace(a: Matrix) -> Scalar:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def greedy_independent_rows(a: Matrix) -> tuple[int, ...]:

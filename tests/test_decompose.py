@@ -367,8 +367,9 @@ def test_quadratic_solver_factors_the_basis_images_with_one_elimination(monkeypa
 
     monkeypatch.setattr(mx, "_eliminate", counted)
     QuadraticBaseSolver(rho, BilinearForm(mx.identity(4)))
-    # the inverse of the 6 x 6 matrix of so(B) coordinates of the images
-    assert calls == [(6, 6)]
+    # the determinant of the 4 x 4 Gram matrix (nondegeneracy), then the
+    # inverse of the 6 x 6 matrix of so(B) coordinates of the images
+    assert calls == [(4, 4), (6, 6)]
 
 
 SO21_GRAM = mx.mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])

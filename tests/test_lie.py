@@ -26,7 +26,7 @@ from takiff.lie import (
 )
 from takiff.randgen import SplitMix64, random_invertible
 
-from matrix_reference import add, scale
+from matrix_reference import add, mat_vec, scale
 
 ZERO2 = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
 
@@ -152,21 +152,48 @@ def test_algebra_from_matrices_refuses_malformed_shapes(names, mats, message):
     ("so_pq", {"p": 2, "q": 1}), ("sl2", {}), ("gl_n", {"n": 2}), ("gl_n", {"n": 3}),
 ], ids=["so2", "so3", "so4", "so5", "so21", "sl2", "gl2", "gl3"])
 def test_structure_constants_match_sympy_linsolve(kind, params):
-    """c[i][j] is the unique solution of flat . c = vec([x_i, x_j])."""
+    """c[i][j] is the unique solution of flat . c = vec([x_i, x_j]).
+
+    Also for the basis conjugated by a random integer theta, whose flattened
+    basis factors through pivots other than 1 and -1; conjugation preserves
+    brackets, so its constants are the same.
+    """
     sympy = pytest.importorskip("sympy")
     g, rho = make_standard(kind, **params)
     n, d = rho.space_dim, g.dim
-    mats = [sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                          for row in m]) for m in rho.matrices]
-    flat = sympy.Matrix.hstack(*(m.reshape(n * n, 1) for m in mats))
-    unknowns = sympy.symbols(f"c0:{d}")
-    for i in range(d):
-        for j in range(d):
-            bracket = (mats[i] * mats[j] - mats[j] * mats[i]).reshape(n * n, 1)
-            (solution,) = sympy.linsolve((flat, bracket), unknowns)
-            assert not any(v.free_symbols for v in solution), (i, j)
-            assert list(solution) == [sympy.Rational(x.numerator, x.denominator)
-                                      for x in g.c[i][j]], (i, j)
+    theta = random_invertible(SplitMix64(n * 100 + d), n)
+    conjugated = conjugate_representation(rho, theta).matrices
+    g_theta, _ = algebra_from_matrices(g.names, conjugated)
+    assert g_theta == g
+    for algebra, basis in ((g, rho.matrices), (g_theta, conjugated)):
+        mats = [sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in m]) for m in basis]
+        flat = sympy.Matrix.hstack(*(m.reshape(n * n, 1) for m in mats))
+        unknowns = sympy.symbols(f"c0:{d}")
+        for i in range(d):
+            for j in range(d):
+                bracket = (mats[i] * mats[j] - mats[j] * mats[i]).reshape(n * n, 1)
+                (solution,) = sympy.linsolve((flat, bracket), unknowns)
+                assert not any(v.free_symbols for v in solution), (i, j)
+                assert list(solution) == [sympy.Rational(x.numerator, x.denominator)
+                                          for x in algebra.c[i][j]], (i, j)
+
+
+def test_a_conjugated_basis_factors_through_pivots_other_than_one(monkeypatch):
+    # the seeded theta of the linsolve oracle above gives so(3) non-unit pivots
+    g, rho = so_n(3)
+    theta = random_invertible(SplitMix64(3 * 100 + 3), 3)
+    pivots = []
+    eliminate = mx._eliminate
+
+    def recorded(a, rhs):
+        rows, columns, product = eliminate(a, rhs)
+        pivots.append(product)
+        return rows, columns, product
+
+    monkeypatch.setattr(mx, "_eliminate", recorded)
+    algebra_from_matrices(g.names, conjugate_representation(rho, theta).matrices)
+    assert any(p not in (1, -1) for p in pivots)
 
 
 def test_so5_factors_its_basis_with_two_eliminations(monkeypatch):
@@ -198,7 +225,7 @@ def test_adjoint_and_coadjoint_agree_with_bracket():
     for i in range(3):
         for j in range(3):
             basis_j = tuple(Fraction(int(k == j)) for k in range(3))
-            assert mx.mat_vec(ad.matrices[i], basis_j) == g.c[i][j]
+            assert mat_vec(ad.matrices[i], basis_j) == g.c[i][j]
     co = coadjoint_rep(g)
     for i in range(3):
         assert co.matrices[i] == scale(mx.transpose(ad.matrices[i]), Fraction(-1))

@@ -12,7 +12,7 @@ from takiff.errors import StructuralError, ValidationError
 from takiff.lie import so_n
 from takiff.takiff_algebra import build_lift
 
-from matrix_reference import add, greedy_independent_rows, scale, sub
+from matrix_reference import add, greedy_independent_rows, mat_vec, scale, sub, trace
 
 
 def rand_matrix(rng, n, m=None):
@@ -38,7 +38,7 @@ def test_basic_shapes_and_arithmetic():
     assert scale(a, Fraction(1, 2)) == mx.mat([["1/2", 1], ["3/2", 2]])
     assert mx.mul(a, b) == mx.mat([[2, 1], [4, 3]])
     assert mx.mul(a, mx.identity(2)) == a
-    assert mx.mat_vec(a, (Fraction(1), Fraction(1))) == (Fraction(3), Fraction(7))
+    assert mat_vec(a, (Fraction(1), Fraction(1))) == (Fraction(3), Fraction(7))
     assert mx.transpose(a) == mx.mat([[1, 3], [2, 4]])
     with pytest.raises(StructuralError):
         mx.mul(a, mx.zeros(3, 2))
@@ -49,7 +49,7 @@ def test_predicates_and_trace():
     assert not mx.is_zero(mx.identity(2))
     assert mx.is_symmetric(mx.mat([[1, 2], [2, 5]]))
     assert not mx.is_symmetric(mx.mat([[1, 2], [3, 5]]))
-    assert mx.trace(mx.mat([[1, 9], [9, 4]])) == Fraction(5)
+    assert trace(mx.mat([[1, 9], [9, 4]])) == Fraction(5)
     assert mx.sparse_commutator(mx.sparse_rows(mx.identity(2)),
                                 mx.sparse_rows(mx.mat([[1, 2], [3, 4]]))) == {}
 
@@ -137,7 +137,7 @@ def test_solve():
     # underdetermined: a particular solution that actually solves the system
     wide = mx.mat([[1, 1, 1]])
     sol = mx.solve(wide, (Fraction(5),))
-    assert sol is not None and mx.mat_vec(wide, sol) == (Fraction(5),)
+    assert sol is not None and mat_vec(wide, sol) == (Fraction(5),)
     with pytest.raises(StructuralError):
         mx.solve(a, (Fraction(1),))
 
@@ -175,3 +175,58 @@ def test_sparse_commutator_matches_dense_products():
 def test_sparse_rows_keep_exactly_the_nonzero_entries():
     a = mx.mat([[0, "1/2", 0], [0, 0, 0], [-3, 0, 1]])
     assert mx.sparse_rows(a) == ({1: Fraction(1, 2)}, {}, {0: Fraction(-3), 2: Fraction(1)})
+
+
+# mostly zero, with pivots of 1 and -1 and others
+SPARSE_ENTRIES = st.sampled_from(
+    [0] * 8 + [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)])
+
+
+@st.composite
+def sparse_systems(draw):
+    """A mostly zero rational matrix and a right-hand side of its height."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = tuple(tuple(draw(SPARSE_ENTRIES) for _ in range(cols)) for _ in range(rows))
+    return a, tuple(draw(SPARSE_ENTRIES) for _ in range(rows))
+
+
+def is_exact(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_the_elimination_kernel_agrees_with_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    a, b = system
+
+    def rational(x):
+        return sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+
+    sa = sympy.Matrix([[rational(x) for x in row] for row in a])
+    sb = sympy.Matrix([rational(x) for x in b])
+    # a row is independent exactly when it raises the rank of the rows before it
+    ranks = [sa[:k, :].rank() if k else 0 for k in range(len(a) + 1)]
+    assert mx.independent_rows(a) == tuple(k for k in range(len(a)) if ranks[k + 1] > ranks[k])
+    x = mx.solve(a, b)
+    if sa.rank() < sa.row_join(sb).rank():
+        assert x is None
+    else:
+        # free variables are zero: the pivot columns' part solves the system alone
+        pivots = sa.rref()[1]
+        (expected,) = sympy.linsolve((sa[:, list(pivots)], sb))
+        assert [rational(v) for v in x] == [
+            expected[pivots.index(c)] if c in pivots else 0 for c in range(len(a[0]))]
+        assert all(map(is_exact, x))
+    square = tuple(row[:len(a)] for row in a) if len(a[0]) >= len(a) else None
+    if square is not None:
+        sq = sympy.Matrix([[rational(x) for x in row] for row in square])
+        det = mx.det(square)
+        assert rational(det) == sq.det() and is_exact(det)
+        if det:
+            inverse = mx.inverse(square)
+            assert sympy.Matrix([[rational(x) for x in row] for row in inverse]) == sq.inv()
+            assert all(is_exact(x) for row in inverse for x in row)
+        else:
+            with pytest.raises(ValidationError, match="singular"):
+                mx.inverse(square)

@@ -209,19 +209,41 @@ def test_the_algebra_and_representation_readers_read_each_value_once(monkeypatch
     entry = rho_data["matrices"][0][1]
     rho_data["matrices"][0][1] = "1/2"  # an entry is read once whatever its spelling
     plane = rho_data["algebra"]["c"][0][1]
-    plane[4] = int(plane[4])  # a JSON integer, not a string
+    plane[4] = int(plane[4])  # a JSON integer, not a string: taken as it is
+    plane[0] = "-0"  # a zero spelled otherwise than "0" is read
+    constants = [v for plane in rho_data["algebra"]["c"] for row in plane for v in row]
+    entries = [v for flat in rho_data["matrices"] for v in flat]
+
+    def read(values):  # one scalar call per string that is not "0"
+        return sum(type(v) is str and v != "0" for v in values)
+
+    assert read(constants) == 60 and read(entries) == 20
     calls = counted_scalar_reads(monkeypatch)
     assert jsonio.algebra_from_json(rho_data["algebra"]) == g
-    assert len(calls) == g.dim ** 3  # one call per structure constant
+    assert len(calls) == read(constants)
     calls.clear()
     with pytest.raises(ValidationError, match="homomorphism"):
         jsonio.representation_from_json(rho_data)
-    # one call per constant and one per matrix entry
-    assert len(calls) == g.dim ** 3 + g.dim * rho.space_dim ** 2
+    assert len(calls) == read(constants) + read(entries)
     rho_data["matrices"][0][1] = entry
     calls.clear()
     assert jsonio.representation_from_json(rho_data) == rho
-    assert len(calls) == g.dim ** 3 + g.dim * rho.space_dim ** 2
+    assert len(calls) == read(constants) + read(entries)
+
+
+def test_so15_and_its_algebra_document_read_each_nonzero_at_most_once(monkeypatch):
+    # so(15) has 2,730 nonzero constants of 1,157,625 and 210 nonzero matrix
+    # entries of 23,625: a dense pass through matrices.scalar would show here
+    calls = counted_scalar_reads(monkeypatch)
+    g, rho = so_n(15)
+    constants = sum(len(pairs) for plane in g.brackets for pairs in plane)
+    entries = sum(1 for m in rho.matrices for row in m for x in row if x)
+    assert (g.dim, constants, entries) == (105, 2730, 210)
+    assert len(calls) <= constants + entries
+    data = jsonio.algebra_to_json(g)
+    calls.clear()
+    assert jsonio.algebra_from_json(data) == g
+    assert len(calls) <= constants
 
 
 @pytest.mark.parametrize("bad", [True, 0.5, None, [1]], ids=["bool", "float", "null", "array"])
