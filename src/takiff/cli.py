@@ -131,7 +131,7 @@ def cmd_lift_invariant(args):
     _check_rings_written(args.level + 1, "curve coefficients", args.level + 1)
     phi = jsonio.polynomial_from_json(_read(args.phi))
     phis = lift_invariant(lifted, phi, allow_non_invariant=args.any)
-    return 0, [jsonio.polynomial_to_json(p) for p in phis], None
+    return 0, phis, None
 
 
 def cmd_check_invariant(args):
@@ -140,7 +140,7 @@ def cmd_check_invariant(args):
     levels = len(phi.ring.state_blocks())
     if levels != args.level + 1:
         raise StructuralError(f"phi has {levels} state blocks, expected {args.level + 1}")
-    failures = [{"basis": k, "residual": jsonio.polynomial_to_json(residual)}
+    failures = [{"basis": k, "residual": residual}
                 for k, residual in enumerate(killing_residuals(rep, phi))
                 if not residual.is_zero()]
     lines = itertools.chain(
@@ -185,14 +185,13 @@ def cmd_decompose(args):
         dec = takiff_decompose(lifted, solver, field)
     except DecompositionRefused as exc:
         witness = exc.witness
-        payload = {"refused": str(exc), "witness": None if witness is None
-                   else jsonio.polynomial_to_json(witness)}
+        payload = {"refused": str(exc), "witness": witness}
         lines = itertools.chain([f"refused: {exc}"],
                                 (f"witness: {w}" for w in [witness] if w is not None))
         return 2, payload, lines
     # takiff_decompose checks every level as it solves it
     payload = {
-        "decomposition": jsonio.decomposition_to_json(dec),
+        "decomposition": dec,
         "verification": {"passed": True, "residuals_zero": True},
     }
     lines = itertools.chain(
@@ -211,7 +210,7 @@ def cmd_verify(args):
     _check_rings_written(len(residuals), "residuals", len(field.ring.blocks))
     payload = {
         "passed": passed,
-        "residuals": [jsonio.polynomial_to_json(p) for p in residuals],
+        "residuals": residuals,
     }
     return (0 if passed else 1), payload, ["verified" if passed else "MISMATCH"]
 
@@ -254,9 +253,8 @@ def cmd_generate(args):
         "algebra": jsonio.algebra_to_json(inst.algebra),
         "representation": jsonio.representation_to_json(inst.rep),
         "gram": None if inst.gram is None else jsonio.matrix_to_json(inst.gram),
-        "coefficients": [[jsonio.polynomial_to_json(p) for p in level]
-                         for level in inst.coefficients],
-        "field": jsonio.field_to_json(inst.field),
+        "coefficients": inst.coefficients,
+        "field": inst.field,
     }
     return 0, payload, None
 

@@ -11,20 +11,27 @@ dot and is written in ASCII digits with no leading zero, so block names must
 not end in ".<digits>". Terms are sorted by monomial and all objects are
 dumped with sorted keys, so equal values always serialize to identical bytes.
 
-``dumps`` is the one serializer. By contract its text is
-``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` plus a
-newline; it writes the term dicts of a list in one loop (``_items``), each
-with its exponent keys sorted and checked, and a list of strings in one join,
-since the standard library's indenting encoder is pure Python. The command
-line writes that text as UTF-8 bytes, to stdout and to ``--out`` alike.
+``dumps`` is the one serializer. A ``Polynomial``, ``VectorField`` or
+``Decomposition`` is written as the document its ``*_to_json`` function
+describes, and every other value exactly as
+``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` writes it;
+a newline ends the text. A list of strings is written in one join, since the
+standard library's indenting encoder is pure Python. The ``*_to_json``
+functions parse the text ``dumps`` writes, so the dict form and the bytes
+cannot drift apart. The command line hands ``dumps`` the objects themselves
+and writes its text as UTF-8 bytes, to stdout and to ``--out`` alike.
 
-A term list is written straight from a polynomial's packed keys. Each ring
-builds one key table on first use (``Ring._key_table``): every variable's key
-text and its rank in variable order. ``_terms_to_json`` walks each key once by
+A term list is written as text straight from a polynomial's packed keys.
+Each ring builds one key table on first use (``Ring._key_table``): every
+variable's rank in variable order, its rank in key-text order and its key
+text escaped as a JSON object key. ``_terms_text`` walks each key once by
 ``poly._fields``, the walk ``poly._decode`` makes too, so each term's fields
 sort into the term order of ``Polynomial.sorted_terms`` and give its ``exps``
 in key order; a coefficient is written from its numerator and the
-denominator with one gcd. No ``Monomial`` and no ``Fraction`` is made.
+denominator with one gcd. No ``Monomial``, no ``Fraction`` and no term dict
+is made. Each ring's block list is written once per indent and kept on the
+ring (``Ring._block_texts``), since a document repeats it for every
+polynomial.
 
 Readers accept nothing inexact or truncated: a scalar is a JSON string or
 integer, read by ``matrices.scalar``, and sizes, dimensions and exponents are
@@ -148,34 +155,6 @@ def _var_from_key(key: str) -> Var:
     return (name, int(idx))
 
 
-def _terms_to_json(p: Polynomial) -> list[dict]:
-    """The term list of ``p`` in the term order of ``sorted_terms``, from its packed keys.
-
-    Each key is walked once by ``poly._fields``, labelled with the ring's key
-    table, so the sorted fields are both the term's sort key and, in the
-    usual ring, its ``exps`` in key order. A coefficient is written from its
-    numerator and the denominator with one gcd.
-    """
-    labels, in_key_order = p.ring._key_table
-    den = p._den
-    rows = []
-    try:
-        for key, n in p._num.items():
-            cells = _fields(key, labels)
-            cells.sort()
-            if in_key_order:
-                exps = {text: e for (_, text), e in cells}
-            else:
-                exps = dict(sorted([(text, e) for (_, text), e in cells]))
-            g = gcd(n, den)
-            rows.append((cells, {"coeff": str(n // g) if g == den else f"{n // g}/{den // g}",
-                                 "exps": exps}))
-    except ValueError as exc:  # str() of an int past the interpreter's digit limit
-        raise digit_limit_error("cannot write a number of") from exc
-    rows.sort(key=itemgetter(0))
-    return [term for _, term in rows]
-
-
 def _check_exponent(ring: Ring, key: str, e, shift: int) -> None:
     """Raise unless ``e`` is an exponent the packed key of a monomial can hold.
 
@@ -261,7 +240,7 @@ def _terms_from_json(data: Sequence[Mapping], ring: Ring,
 
 
 def polynomial_to_json(p: Polynomial) -> dict:
-    return {"ring": ring_to_json(p.ring), "terms": _terms_to_json(p)}
+    return json.loads(_polynomial_text(p, "\n"))
 
 
 def polynomial_from_json(data: Mapping) -> Polynomial:
@@ -351,10 +330,7 @@ def bilinear_from_json(data: Mapping) -> BilinearForm:
 # -- fields and decompositions ----------------------------------------------
 
 def field_to_json(field: VectorField) -> dict:
-    return {
-        "ring": ring_to_json(field.ring),
-        "components": [_terms_to_json(p) for p in field.components],
-    }
+    return json.loads(_field_text(field, "\n"))
 
 
 def field_from_json(data: Mapping) -> VectorField:
@@ -365,11 +341,7 @@ def field_from_json(data: Mapping) -> VectorField:
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
-    return {
-        "ring": ring_to_json(dec.ring),
-        "coefficients": [[_terms_to_json(p) for p in level]
-                         for level in dec.coefficients],
-    }
+    return json.loads(_decomposition_text(dec, "\n"))
 
 
 def decomposition_from_json(data: Mapping, like: Ring | None = None) -> Decomposition:
@@ -398,35 +370,98 @@ def _fallback(value, ind: str) -> str:
                       ensure_ascii=False).replace("\n", ind)
 
 
-def _items(values: list, ind: str) -> list[str]:
-    """The text of each item of a list, at ``ind``, written in one loop.
-
-    A term dict ``{"coeff": str, "exps": {str: int}}`` is written here, its
-    exponent keys sorted and checked; any other item goes to ``_dump``.
-    """
+def _list_text(values, ind: str, write) -> str:
+    """The JSON array of ``values`` at ``ind``, each item written by ``write(item, inner)``."""
+    if not values:
+        return "[]"
     inner = ind + "  "
-    var = inner + "  "
-    head, sep, tail = f'{{{inner}"coeff": ', f",{var}", f"{inner}}}{ind}}}"
-    no_exps, exps_open = f',{inner}"exps": {{}}{ind}}}', f',{inner}"exps": {{{var}'
-    out = []
-    for value in values:
-        if type(value) is dict and len(value) == 2:
-            coeff, exps = value.get("coeff"), value.get("exps")
-            if type(coeff) is str and type(exps) is dict:
-                if not exps:
-                    out.append(head + _escape(coeff) + no_exps)
-                    continue
-                pairs = []
-                for k in sorted(exps):
-                    e = exps[k]
-                    if type(k) is not str or type(e) is not int:
-                        break
-                    pairs.append(f"{_escape(k)}: {e}")
-                else:
-                    out.append(f"{head}{_escape(coeff)}{exps_open}{sep.join(pairs)}{tail}")
-                    continue
-        out.append(_dump(value, ind))
-    return out
+    return f"[{inner}" + f",{inner}".join([write(v, inner) for v in values]) + f"{ind}]"
+
+
+def _ring_text(ring: Ring, ind: str) -> str:
+    """The block list of ``ring`` at ``ind``, written once per ring and indent."""
+    texts = ring._block_texts
+    text = texts.get(ind)
+    if text is None:
+        text = texts[ind] = _dump(ring_to_json(ring), ind)
+    return text
+
+
+def _terms_text(p: Polynomial, ind: str) -> str:
+    """The term list of ``p`` at ``ind``, written from its packed keys in one walk.
+
+    Each key is walked once by ``poly._fields``, the walk ``poly._decode``
+    makes, labelled from the ring's key table: sorted by variable rank, its
+    fields are the term's place in the order of ``sorted_terms``, and they
+    carry the escaped key texts of its ``exps``, in key order unless the ring
+    says otherwise. A coefficient is written from its numerator and the
+    denominator with one gcd. No ``Monomial`` and no ``Fraction`` is made.
+    """
+    num = p._num
+    if not num:
+        return "[]"
+    labels, in_key_order = p.ring._key_table
+    den = p._den
+    term = ind + "  "  # the line each term opens on,
+    entry = term + "  "  # its "coeff" and "exps" lines,
+    var = entry + "  "  # and its exponent lines
+    head = f'{{{entry}"coeff": "'
+    no_exps = f'",{entry}"exps": {{}}{term}}}'
+    exps_open = f'",{entry}"exps": {{{var}'
+    sep = f",{var}"
+    tail = f"{entry}}}{term}}}"
+    rows = []
+    try:
+        for key, n in num.items():
+            if den == 1:
+                coeff = str(n)
+            else:
+                g = gcd(n, den)
+                coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+            if not key:  # the unit monomial, first in term order
+                rows.append(([], head + coeff + no_exps))
+                continue
+            cells = _fields(key, labels)
+            cells.sort()
+            exps = sep.join([f"{text}{e}" for (_, _, text), e in
+                             (cells if in_key_order else sorted(cells, key=_key_rank))])
+            rows.append((cells, head + coeff + exps_open + exps + tail))
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise digit_limit_error("cannot write a number of") from exc
+    rows.sort(key=itemgetter(0))
+    return f"[{term}" + f",{term}".join([text for _, text in rows]) + f"{ind}]"
+
+
+def _key_rank(cell) -> int:
+    """The rank in key-text order of a labelled field of a packed key."""
+    return cell[0][1]
+
+
+def _level_text(polys, ind: str) -> str:
+    """A list of the term lists of ``polys``, at ``ind``."""
+    return _list_text(polys, ind, _terms_text)
+
+
+def _polynomial_text(p: Polynomial, ind: str) -> str:
+    inner = ind + "  "
+    return (f'{{{inner}"ring": {_ring_text(p.ring, inner)},'
+            f'{inner}"terms": {_terms_text(p, inner)}{ind}}}')
+
+
+def _field_text(field: VectorField, ind: str) -> str:
+    inner = ind + "  "
+    return (f'{{{inner}"components": {_level_text(field.components, inner)},'
+            f'{inner}"ring": {_ring_text(field.ring, inner)}{ind}}}')
+
+
+def _decomposition_text(dec: Decomposition, ind: str) -> str:
+    inner = ind + "  "
+    return (f'{{{inner}"coefficients": {_list_text(dec.coefficients, inner, _level_text)},'
+            f'{inner}"ring": {_ring_text(dec.ring, inner)}{ind}}}')
+
+
+_OBJECT_TEXT = {Polynomial: _polynomial_text, VectorField: _field_text,
+                Decomposition: _decomposition_text}
 
 
 def _dump(value, ind: str) -> str:
@@ -437,15 +472,14 @@ def _dump(value, ind: str) -> str:
     kind = type(value)
     if kind is str:
         return _escape(value)
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = ind + "  "
         try:  # a list of strings is written by one join, not one chunk per item
-            body = f",{inner}".join(map(_escape, value))
+            return f"[{inner}" + f",{inner}".join(map(_escape, value)) + f"{ind}]"
         except TypeError:
-            body = f",{inner}".join(_items(value, inner))
-        return f"[{inner}{body}{ind}]"
+            return _list_text(value, ind, _dump)
     if kind is dict:
         if not value:
             return "{}"
@@ -455,6 +489,9 @@ def _dump(value, ind: str) -> str:
         body = f",{inner}".join([f"{_escape(k)}: {_dump(value[k], inner)}"
                                  for k in sorted(value)])
         return f"{{{inner}{body}{ind}}}"
+    write = _OBJECT_TEXT.get(kind)
+    if write is not None:
+        return write(value, ind)
     if value is None:
         return "null"
     if kind is bool:
@@ -467,10 +504,13 @@ def _dump(value, ind: str) -> str:
 def dumps(obj: Any) -> str:
     """The one serializer: sorted keys, two-space indent, trailing newline.
 
-    Its text is ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``
-    plus a newline, by contract. A term dict and a list of strings are each
-    written in one piece; a float, a dict with a key that is not a ``str`` and
-    any other type are handed to ``json.dumps``.
+    A ``Polynomial``, ``VectorField`` or ``Decomposition``, at any depth, is
+    written as the document of its ``*_to_json`` function, with no dict made;
+    every other value exactly as ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes it, by contract. A list or tuple of strings is
+    written in one join; a float, a dict with a key that is not a ``str`` and
+    any other type are handed to ``json.dumps``. A coefficient past the
+    interpreter's digit limit is a ``StructuralError``.
     """
     return _dump(obj, "\n") + "\n"
 

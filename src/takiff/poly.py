@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from json.encoder import encode_basestring as _escape
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -195,24 +196,37 @@ class Ring:
         return out
 
     @cached_property
-    def _key_table(self) -> tuple[tuple[tuple[int, str], ...], bool]:
+    def _key_table(self) -> tuple[tuple[tuple[int, int, str], ...], bool]:
         """The JSON key of each field of a packed key, ranked; built once per ring.
 
         Entry k belongs to the ring's k-th variable: its rank in variable
-        order, which gives the term order of ``sorted_terms``, and its key text
-        "block.index". ``json.dumps(sort_keys=True)`` writes exponent keys in
-        the order of the texts themselves; the flag says whether that is
-        variable order too, as it is unless a block name or index sorts
-        differently as text (``x.10`` before ``x.2``).
+        order, which gives the term order of ``sorted_terms``; its rank in the
+        order of the key texts "block.index", the order in which
+        ``json.dumps(sort_keys=True)`` writes exponent keys; and its key text
+        as a JSON object writes it, '"f0.1": '. The flag says whether the two
+        ranks agree, as they do unless a block name or index sorts differently
+        as text (``x.10`` before ``x.2``).
         """
         order = self._order
         texts = [f"{name}.{i}" for name, i in order]
-        by_var = sorted(range(len(order)), key=order.__getitem__)
-        rank = [0] * len(order)
-        for r, k in enumerate(by_var):
-            rank[k] = r
-        return (tuple(zip(rank, texts)),
-                [texts[k] for k in by_var] == sorted(texts))
+        rank = _ranks(sorted(range(len(order)), key=order.__getitem__))
+        text_rank = _ranks(sorted(range(len(order)), key=texts.__getitem__))
+        return (tuple(zip(rank, text_rank, [f"{_escape(t)}: " for t in texts])),
+                rank == text_rank)
+
+    @cached_property
+    def _block_texts(self) -> dict[str, str]:
+        """The JSON text of the block list by the indent it is written at,
+        filled by ``jsonio.dumps`` as it writes the ring."""
+        return {}
+
+
+def _ranks(ordered: list[int]) -> list[int]:
+    """The position of each index 0..n-1 in ``ordered``, a permutation of them."""
+    rank = [0] * len(ordered)
+    for r, k in enumerate(ordered):
+        rank[k] = r
+    return rank
 
 
 class Monomial(tuple):

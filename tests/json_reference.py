@@ -30,5 +30,10 @@ def field_json(field) -> dict:
             "components": [terms_json(p) for p in field.components]}
 
 
+def decomposition_json(dec) -> dict:
+    return {"ring": ring_json(dec.ring),
+            "coefficients": [[terms_json(p) for p in level] for level in dec.coefficients]}
+
+
 def dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

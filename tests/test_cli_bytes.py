@@ -133,6 +133,57 @@ def test_cli_refusal_bytes(tmp_path):
     assert _sha(refused) == REFUSAL_SHA256
 
 
+def test_the_cli_writes_its_objects_with_no_to_json_call(tmp_path, monkeypatch):
+    """generate, decompose, a refused decompose and verify hand ``jsonio.dumps`` the
+    polynomials, fields and decompositions themselves, and keep their bytes."""
+    calls = []
+
+    def counted(name):
+        real = getattr(jsonio, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("polynomial_to_json", "field_to_json", "decomposition_to_json"):
+        monkeypatch.setattr(jsonio, name, counted(name))
+
+    def run(argv, code):
+        calls.clear()
+        assert main(argv) == code
+        assert calls == []
+
+    generated = tmp_path / "generated.json"
+    run(["generate", "--kind", "so_n", "--n", "3", "--level", "2", "--seed", "12",
+         "--out", str(generated)], 0)
+    payload = json.loads(generated.read_text(encoding="utf-8"))
+    rep = _write(tmp_path / "rep.json", payload["representation"])
+    field = _write(tmp_path / "field.json", payload["field"])
+    decomposed = tmp_path / "decomposed.json"
+    run(["decompose", "--rep", rep, "--level", "2", "--field", field,
+         "--out", str(decomposed)], 0)
+    dec = _write(tmp_path / "dec.json",
+                 json.loads(decomposed.read_text(encoding="utf-8"))["decomposition"])
+    verified = tmp_path / "verified.json"
+    run(["verify", "--rep", rep, "--level", "2", "--field", field, "--dec", dec,
+         "--out", str(verified)], 0)
+    assert (_sha(generated), _sha(decomposed)) == PIPELINE_SHA256[("so_n", 3, 2, 12, "identity")]
+    assert _sha(verified) == VERIFIED_SHA256
+
+    _, payload = _generate(tmp_path, "so_n", 3, 2, 14)
+    fld = jsonio.field_from_json(payload["field"])
+    n = fld.block_size
+    comps = list(fld.components)
+    for i in range(n):
+        comps[2 * n + i] += Polynomial.variable(fld.ring, (fld.state_blocks[0].name, i))
+    perturbed = _write(tmp_path / "perturbed.json", VectorField(fld.ring, tuple(comps)))
+    refused = tmp_path / "refused.json"
+    run(["decompose", "--rep", _write(tmp_path / "rep14.json", payload["representation"]),
+         "--level", "2", "--field", perturbed, "--out", str(refused)], 2)
+    assert _sha(refused) == REFUSAL_SHA256
+
+
 # (command, kind, level) -> sha256 of the printed g_m or rho_m
 LIFT_SHA256 = {
     ("build", "sl2", 2):

@@ -235,6 +235,25 @@ def test_cli_refuses_to_write_a_witness_past_the_digit_limit(tmp_path, capsys, h
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_decompose_refuses_to_write_a_witness_past_the_digit_limit(tmp_path, capsys, human):
+    """(c x1, c x0, 0) with c = 10^N - 1, N the digit limit: the field is read, and
+    its refusal witness 2c x0 x1 has N + 1 digits."""
+    ring = Ring.of(VariableBlock("f0", 3, STATE))
+    x0, x1 = (Polynomial.variable(ring, ("f0", i)) for i in range(2))
+    c = 10 ** sys.get_int_max_str_digits() - 1
+    field = _write(tmp_path / "field.json",
+                   VectorField(ring, (c * x1, c * x0, Polynomial.zero(ring))))
+    out = tmp_path / "out"
+    argv = ["decompose", "--rep", _so3_rep(tmp_path), "--level", "0", "--field", field]
+    argv += ["--human"] if human else []
+    assert main(argv + ["--out", str(out)]) == 1
+    _one_error_line(capsys)
+    assert not out.exists()
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
 def test_emit_refuses_human_text_past_the_digit_limit(tmp_path):
     """The --human lines are formatted as they are written; --out stays untouched."""
     out = tmp_path / "out.txt"

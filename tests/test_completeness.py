@@ -78,7 +78,7 @@ def _box(kind):
 BOXES = [("so3", 1, 2, 0, 126, 34), ("so3", 2, 2, 0, 405, 78),
          ("sl2_adjoint", 1, 2, 0, 126, 34), ("abelian2", 1, 2, 0, 40, 0),
          ("so21", 1, 2, 0, 126, 34), ("so3_conjugated", 1, 2, 0, 126, 34),
-         ("so3", 1, 2, 1, 168, 40)]
+         ("so3", 1, 2, 1, 168, 40), ("so3", 4, 2, 0, 1800, 220)]
 
 
 def _monomials(count, degree):

@@ -525,10 +525,11 @@ def test_dumps_is_json_dumps_byte_for_byte(value):
     {"coeff": "1", "exps": {"x.10": 1, "x.2": 3}}, [{"coeff": "-1/2", "exps": {"x.0": 0}}],
     1.5, [1.5, -0.0, 1e300], {"x": float("nan")}, {1: "a", 2: ["b", {3: []}]},
     {"coeff": "1", "exps": {1: 2}}, {"a": {"b": ("c", 2), "d": [{"e": ()}]}},
-    ["x", 2 ** 200, None, True, False, -7],
+    ["x", 2 ** 200, None, True, False, -7], [("a", "b"), (1, ("c",), [()])],
 ], ids=repr)
 def test_dumps_is_json_dumps_on_edge_values(value):
-    """Empty containers, exponents to sort; floats, non-str keys, tuples go to json.dumps."""
+    """Empty containers, exponents to sort, tuples as arrays; floats and non-str keys
+    go to json.dumps."""
     assert jsonio.dumps(value) == reference_dumps(value)
 
 

@@ -1,10 +1,12 @@
-"""The JSON term lists of polynomials and fields, against plain references.
+"""The JSON term lists of polynomials, fields and decompositions, against plain references.
 
-``jsonio`` writes a term list straight from a polynomial's packed keys and
-reads one straight into them. The writer is checked byte for byte against
-``json_reference``, which goes through ``Monomial`` and ``Fraction``; the
-reader's coefficients against ``matrices.scalar``; and both are counted, so
-that neither goes back through those types unnoticed.
+``jsonio`` writes a term list as text straight from a polynomial's packed
+keys and reads one straight into them. The writer is checked byte for byte
+against ``json_reference``, which goes through ``Monomial`` and ``Fraction``,
+both for the objects themselves, at any depth of a value, and for the dicts
+of their ``*_to_json`` functions; the reader's coefficients against
+``matrices.scalar``; and both are counted, so that neither goes back through
+those types unnoticed.
 """
 
 import sys
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import json_reference as ref
 from takiff import jsonio, poly, randgen
 from takiff import matrices as mx
+from takiff.decompose import Decomposition
 from takiff.errors import StructuralError, digit_limit_error
 from takiff.poly import (MAX_EXPONENT, PARAMETER, STATE, Monomial, Polynomial, Ring,
                          VariableBlock, VectorField)
@@ -42,24 +45,45 @@ COEFFS = st.one_of(st.integers(-10**30, 10**30),
                    st.fractions(min_value=-50, max_value=50, max_denominator=60))
 POLYNOMIALS = st.dictionaries(MONOMIALS, COEFFS, max_size=6).map(
     lambda terms: Polynomial(MIXED_RING, terms))
+FIELDS = st.lists(POLYNOMIALS | st.just(Polynomial.zero(MIXED_RING)),
+                  min_size=33, max_size=33).map(
+    lambda components: VectorField(MIXED_RING, tuple(components)))
+DECOMPOSITIONS = st.integers(0, 3).flatmap(lambda width: st.lists(
+    st.lists(POLYNOMIALS, min_size=width, max_size=width), min_size=1, max_size=3)).map(
+    lambda levels: Decomposition(MIXED_RING, tuple(map(tuple, levels))))
 WRITER = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+# the object alone, then two and three levels deep, as the command line nests it
+NESTINGS = [lambda v: v, lambda v: [v], lambda v: {"field": v},
+            lambda v: [[v, v]], lambda v: {"coefficients": [v], "seed": 1},
+            lambda v: [{"basis": 0, "residual": v}]]
+
+
+def _check_written(obj, to_json, want):
+    """``to_json(obj)`` is the reference dict ``want``, and ``jsonio.dumps`` writes
+    ``obj`` at each depth of ``NESTINGS`` as ``json.dumps`` writes ``want`` there."""
+    assert to_json(obj) == want
+    assert jsonio.dumps(want) == ref.dumps(want)
+    for nest in NESTINGS:
+        assert jsonio.dumps(nest(obj)) == ref.dumps(nest(want))
 
 
 @WRITER
 @given(POLYNOMIALS)
 def test_polynomial_json_is_written_like_the_monomial_reference(p):
-    data = jsonio.polynomial_to_json(p)
-    assert data == ref.polynomial_json(p)
-    assert jsonio.dumps(data) == ref.dumps(ref.polynomial_json(p))
+    _check_written(p, jsonio.polynomial_to_json, ref.polynomial_json(p))
 
 
 @WRITER
-@given(st.lists(POLYNOMIALS | st.just(Polynomial.zero(MIXED_RING)), min_size=33, max_size=33))
-def test_field_json_is_written_like_the_monomial_reference(components):
-    field = VectorField(MIXED_RING, tuple(components))
-    data = jsonio.field_to_json(field)
-    assert data == ref.field_json(field)
-    assert jsonio.dumps(data) == ref.dumps(ref.field_json(field))
+@given(FIELDS)
+def test_field_json_is_written_like_the_monomial_reference(field):
+    _check_written(field, jsonio.field_to_json, ref.field_json(field))
+
+
+@WRITER
+@given(DECOMPOSITIONS)
+def test_decomposition_json_is_written_like_the_monomial_reference(dec):
+    _check_written(dec, jsonio.decomposition_to_json, ref.decomposition_json(dec))
 
 
 def test_a_written_term_list_covers_each_edge_of_a_key():
@@ -83,14 +107,20 @@ def test_a_written_term_list_covers_each_edge_of_a_key():
 
 
 @pytest.mark.parametrize("part", ["numerator", "denominator"])
-@pytest.mark.parametrize("writer", ["polynomial", "field"])
+@pytest.mark.parametrize("writer", ["polynomial", "field", "dumps-polynomial", "dumps-field",
+                                    "dumps-decomposition"])
 def test_a_number_past_the_digit_limit_is_a_structural_error(part, writer):
     big = 10 ** sys.get_int_max_str_digits()
     ring = Ring.of(VariableBlock("f0", 1, STATE))
     coeff = big if part == "numerator" else Fraction(1, big)
     p = Polynomial(ring, {Monomial.of(("f0", 0)): coeff})
+    field = VectorField(ring, (p,))
+    dec = Decomposition(ring, ((Polynomial.zero(ring),), (p,)))
     write = {"polynomial": lambda: jsonio.polynomial_to_json(p),
-             "field": lambda: jsonio.field_to_json(VectorField(ring, (p,)))}[writer]
+             "field": lambda: jsonio.field_to_json(field),
+             "dumps-polynomial": lambda: jsonio.dumps(p),
+             "dumps-field": lambda: jsonio.dumps({"field": field}),
+             "dumps-decomposition": lambda: jsonio.dumps([dec])}[writer]
     with pytest.raises(StructuralError) as info:
         write()
     assert str(info.value) == str(digit_limit_error("cannot write a number of"))
@@ -160,6 +190,8 @@ def test_term_lists_are_written_and_read_with_no_monomial_and_no_fraction(counte
     assert all(p._den == 1 for p in inst.field.components)  # an all-integer field
     counted.clear()
     text = jsonio.dumps(jsonio.field_to_json(inst.field))
+    assert counted == []
+    assert jsonio.dumps(inst.field) == text
     assert counted == []
     assert jsonio.field_from_json(jsonio.loads(text)) == inst.field
     assert counted == []
